@@ -48,8 +48,13 @@ class MinimalStructure:
         return count
 
 
-def _close(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    return float(np.max(np.abs(u - v))) <= tol
+def _sup_distances(vals: np.ndarray) -> np.ndarray:
+    """(k, k) sup-norm distances between the rows of a (k, m) array."""
+    cols = vals.T
+    dist = np.abs(cols[0][:, None] - cols[0][None, :])
+    for col in cols[1:]:
+        np.maximum(dist, np.abs(col[:, None] - col[None, :]), out=dist)
+    return dist
 
 
 def minimal_elements(values, cone: Cone, value_tol: float = 0.0):
@@ -60,22 +65,30 @@ def minimal_elements(values, cone: Cone, value_tol: float = 0.0):
     no row is strictly <_K it.  Minimal indices are always a subset of the
     weakly minimal ones.
     """
-    vals = np.atleast_2d(np.asarray(values, dtype=float))
+    min_idx, wmin_idx, _ = _minimal_and_distances(
+        np.atleast_2d(np.asarray(values, dtype=float)), cone, value_tol)
+    return min_idx, wmin_idx
+
+
+def _minimal_and_distances(vals: np.ndarray, cone: Cone, value_tol: float):
+    """``minimal_elements`` plus the sup-norm distance matrix of the rows."""
     n = vals.shape[0]
-    w = cone.dual_normals
     tol = cone.tolerance
-    # pairwise scalar products; diff[i, j, l] = w_l^T (vals[i] - vals[j])
-    wv = vals @ w.T
-    diff = wv[:, None, :] - wv[None, :, :]
-    dominates_leq = np.all(diff >= -tol, axis=2)  # [i, j]: vals[j] <=_K vals[i]
-    dominates_lt = np.all(diff > tol, axis=2)
-    equal = np.max(np.abs(vals[:, None, :] - vals[None, :, :]), axis=2) <= value_tol
-    strict_leq = dominates_leq & ~equal
+    # [i, j]: vals[j] <=_K vals[i], resp. vals[j] <_K vals[i], one dual
+    # normal at a time: w_l^T (vals[i] - vals[j]) against the cone tolerance
+    dominates_leq = np.ones((n, n), dtype=bool)
+    dominates_lt = np.ones((n, n), dtype=bool)
+    for col in (vals @ cone.dual_normals.T).T:
+        diff = col[:, None] - col[None, :]
+        dominates_leq &= diff >= -tol
+        dominates_lt &= diff > tol
+    dist = _sup_distances(vals)
+    strict_leq = dominates_leq & ~(dist <= value_tol)
     np.fill_diagonal(strict_leq, False)
     np.fill_diagonal(dominates_lt, False)
-    min_idx = [i for i in range(n) if not strict_leq[i].any()]
-    wmin_idx = [i for i in range(n) if not dominates_lt[i].any()]
-    return min_idx, wmin_idx
+    min_idx = np.flatnonzero(~strict_leq.any(axis=1)).tolist()
+    wmin_idx = np.flatnonzero(~dominates_lt.any(axis=1)).tolist()
+    return min_idx, wmin_idx, dist
 
 
 def structure_from_values(values: np.ndarray, cone: Cone, value_tol: float | None = None) -> MinimalStructure:
@@ -84,20 +97,26 @@ def structure_from_values(values: np.ndarray, cone: Cone, value_tol: float | Non
     if value_tol is None:
         scale = 1.0 + float(np.max(np.abs(vals)))
         value_tol = 1e-8 * scale
-    min_idx, wmin_idx = minimal_elements(vals, cone, value_tol=value_tol)
-    reps: list[np.ndarray] = []
-    groups: list[list[int]] = []
-    for i in wmin_idx:
-        tol_i = 1e-8 * (1.0 + float(np.max(np.abs(vals[i]))))
-        for rep, grp in zip(reps, groups):
-            if _close(vals[i], rep, max(tol_i, value_tol)):
-                grp.append(i + 1)
-                break
-        else:
-            reps.append(vals[i].copy())
-            groups.append([i + 1])
+    min_idx, wmin_idx, dist = _minimal_and_distances(vals, cone, value_tol)
+    # Greedy grouping: each weakly minimal row, in index order, joins the
+    # first group leader within its own tolerance, or leads a new group.
+    # close[i, r]: row r lies within row i's tolerance of row i.
+    wv = vals[wmin_idx]
+    tol = np.maximum(1e-8 * (1.0 + np.max(np.abs(wv), axis=1)), value_tol)
+    close = dist[np.ix_(wmin_idx, wmin_idx)] <= tol[:, None]
+    np.fill_diagonal(close, True)
+    earlier = np.tril(close, -1)
+    # A row close to no earlier row leads; a row close to an earlier such
+    # leader follows.  Only the rows left depend on the leaders before them.
+    leads = ~earlier.any(axis=1)
+    for i in np.flatnonzero(~leads & ~(earlier & leads).any(axis=1)):
+        leads[i] = not (earlier[i] & leads).any()
+    label = (np.cumsum(leads) - 1)[np.argmax(np.tril(close) & leads, axis=1)]
+    groups: list[list[int]] = [[] for _ in range(int(leads.sum()))]
+    for i, g in zip(wmin_idx, label.tolist()):
+        groups[g].append(i + 1)
     return MinimalStructure(
-        values=tuple(reps),
+        values=tuple(wv[leads]),
         groups=tuple(tuple(g) for g in groups),
         omega=len(groups),
         is_regular_hint=set(min_idx) == set(wmin_idx),

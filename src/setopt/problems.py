@@ -14,7 +14,6 @@ against closed forms.
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,35 +176,33 @@ def derivatives(problem: SetValuedProblem, i: int, x) -> DerivativeBundle:
 
 
 class DerivativeTable:
-    """Small per-point cache of family derivatives, keyed by the iterate."""
+    """One-entry memo of family derivatives, keyed by the bytes of the iterate.
 
-    def __init__(self, problem: SetValuedProblem, max_entries: int = 4):
+    Solvers move x only on acceptance, so the last point is the only one
+    that comes back.  ``jacobians`` reuses the Jacobians of a full bundle
+    at the same point; ``bundle_arrays`` recomputes after a Jacobian-only
+    entry.
+    """
+
+    def __init__(self, problem: SetValuedProblem):
         self.problem = problem
-        self.max_entries = max_entries
-        self._full: OrderedDict = OrderedDict()
-        self._jac: OrderedDict = OrderedDict()
-
-    @staticmethod
-    def _key(x: np.ndarray) -> bytes:
-        return np.asarray(x, dtype=float).tobytes()
+        self._key: bytes | None = None
+        self._jac: np.ndarray | None = None
+        self._hess: np.ndarray | None = None
 
     def bundle_arrays(self, x):
-        key = self._key(x)
-        if key not in self._full:
-            self._full[key] = derivatives_all(self.problem, x)
-            while len(self._full) > self.max_entries:
-                self._full.popitem(last=False)
-        return self._full[key]
+        key = np.asarray(x, dtype=float).tobytes()
+        if key != self._key or self._hess is None:
+            self._jac, self._hess = derivatives_all(self.problem, x)
+            self._key = key
+        return self._jac, self._hess
 
     def jacobians(self, x) -> np.ndarray:
-        key = self._key(x)
-        if key in self._full:
-            return self._full[key][0]
-        if key not in self._jac:
-            self._jac[key] = fd_jacobian_all(self.problem, x)
-            while len(self._jac) > self.max_entries:
-                self._jac.popitem(last=False)
-        return self._jac[key]
+        key = np.asarray(x, dtype=float).tobytes()
+        if key != self._key:
+            self._jac, self._hess = fd_jacobian_all(self.problem, x), None
+            self._key = key
+        return self._jac
 
 
 # ---------------------------------------------------------------------------

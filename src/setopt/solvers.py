@@ -94,8 +94,6 @@ class IterationRecord:
     accepted: bool
     step_norm: float
     reference: np.ndarray | None
-    hessian_pd: bool | None = None
-    step_bound_ratio: float | None = None
 
 
 @dataclass
@@ -230,23 +228,6 @@ def accept_and_update(rho: np.ndarray, omega: float, config: SolverConfig):
     return accepted, omega_next
 
 
-def _step_bound_diagnostic(models: ModelSet, cone: Cone, s: np.ndarray, t: float):
-    """Optional report: with positive-definite Hessians, compare ||s||^2
-    against (4/T)|t| where T is built from a per-model curvature bound."""
-    try:
-        h = models.H.reshape(-1, models.H.shape[2], models.H.shape[3])
-        eigs = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError:
-        return None, None
-    if eigs[:, 0].min() <= 0.0:
-        return False, None
-    lam_max = eigs[:, -1].reshape(models.omega, -1).max(axis=0)
-    big_t = -cone.scalarize(-lam_max)
-    if big_t <= 0.0 or t >= 0.0:
-        return True, None
-    return True, float(np.dot(s, s) * big_t / (4.0 * abs(t)))
-
-
 def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
         observer=None) -> RunResult:
     """Trust-region loop: partition, trial step, ratios, radius update.
@@ -300,13 +281,11 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
             iterations = k
             break
         accepted, omega_next = accept_and_update(rho, omega, config)
-        pd_flag, bound_ratio = _step_bound_diagnostic(sol.models, cone, sol.s_star, sol.t_star)
         record = IterationRecord(
             k=k, x=x.copy(), omega=omega, t=sol.t_star, a=sol.a_star,
             rho=tuple(float(r) for r in rho), accepted=accepted,
             step_norm=float(np.linalg.norm(x_trial - x)) if accepted else 0.0,
             reference=memory.reference_rows(sol.a_star),
-            hessian_pd=pd_flag, step_bound_ratio=bound_ratio,
         )
         trace.append(record)
         if observer is not None:

@@ -61,14 +61,18 @@ class SubproblemSolution:
     a_star: tuple
     s_star: np.ndarray
     t_star: float
-    inner_iterations: int
     feasible: bool
     models: ModelSet | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
 class _Branches:
-    """Stacked scalarized branches: rows R (B, n) and curvatures (B, n, n)."""
+    """Stacked scalarized branches: rows R (B, n) and curvatures (B, n, n).
+
+    A branch that repeats an earlier one bit for bit (row and curvature
+    together) is kept once, at its first position, so phi, its subgradients
+    and the starts built from R are the same as on the full stack.
+    """
 
     R: np.ndarray
     WH: np.ndarray
@@ -76,9 +80,13 @@ class _Branches:
     @classmethod
     def build(cls, models: ModelSet, cone: Cone) -> "_Branches":
         w = cone.dual_normals
-        rows = np.einsum("lm,jmn->jln", w, models.G).reshape(-1, models.G.shape[2])
-        wh = np.einsum("lr,jrab->jlab", w, models.H)
-        return cls(R=rows, WH=wh.reshape(-1, wh.shape[2], wh.shape[3]))
+        n = models.G.shape[2]
+        rows = np.einsum("lm,jmn->jln", w, models.G).reshape(-1, n)
+        wh = np.einsum("lr,jrab->jlab", w, models.H).reshape(-1, n, n)
+        key = np.concatenate([rows, wh.reshape(len(rows), -1)], axis=1).view(np.uint64)
+        _, first = np.unique(key, axis=0, return_index=True)
+        keep = np.sort(first)
+        return cls(R=rows[keep], WH=wh[keep])
 
     def _quad_terms(self, S: np.ndarray) -> np.ndarray:
         """s^T WH_b s per batch row and branch, via one matmul."""
@@ -202,14 +210,12 @@ def _polish(branches: _Branches, s: np.ndarray, radius: float, box_shift,
     n = s.size
     s = s.copy()
     phi_s = branches.phi_single(s)
-    evals = 0
     eye = np.eye(n)
     for _ in range(max_sweeps):
         s_before = s.copy()
         improved = False
         for i in range(n):
             t, val = _line_search(branches, s, eye[i], radius, box_shift)
-            evals += 106
             if val < phi_s - 1e-15 and t != 0.0:
                 s[i] += t
                 phi_s = val
@@ -217,14 +223,13 @@ def _polish(branches: _Branches, s: np.ndarray, radius: float, box_shift,
         move = s - s_before
         if np.linalg.norm(move) > 0.0:
             t, val = _line_search(branches, s, move, radius, box_shift)
-            evals += 106
             if val < phi_s - 1e-15 and t != 0.0:
                 s = s + t * move
                 phi_s = val
                 improved = True
         if not improved:
             break
-    return s, phi_s, evals
+    return s, phi_s
 
 
 def _rim_sweep(branches: _Branches, radius: float, box_shift):
@@ -279,7 +284,6 @@ def _grid_seeds(branches: _Branches, radius: float, box_shift, n: int, top: int 
 class InnerResult:
     s: np.ndarray
     t: float
-    iterations: int
 
 
 def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None,
@@ -295,7 +299,7 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None,
         raise InnerSolveFailure("non-finite model data")
     n = models.G.shape[2]
     if radius <= 0.0:
-        return InnerResult(np.zeros(n), 0.0, 0)
+        return InnerResult(np.zeros(n), 0.0)
     branches = _Branches.build(models, cone)
 
     starts = [np.zeros(n)]
@@ -311,7 +315,6 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None,
     best_phi = branches.phi_values(S)
     best_S = S.copy()
     alpha = radius / 4.0
-    total = 0
     for _ in range(n_steps):
         if alpha < 1e-12 * radius:
             break  # remaining moves are below float resolution
@@ -324,7 +327,6 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None,
         S = S - alpha * np.where(move[:, None], grads / np.maximum(gnorm, 1e-300)[:, None], 0.0)
         S = _project(S, radius, box_shift)
         alpha *= 0.7
-        total += len(S)
     phi = branches.phi_values(S)
     improved = phi < best_phi
     best_phi = np.where(improved, phi, best_phi)
@@ -342,18 +344,16 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None,
     s_best = best_S[order[0]]
     t_best = float(best_phi[order[0]])
     for cand in picked:
-        s_c, t_c, extra = _polish(branches, cand, radius, box_shift, max_sweeps)
-        total += extra
+        s_c, t_c = _polish(branches, cand, radius, box_shift, max_sweeps)
         if t_c < t_best:
             s_best, t_best = s_c, t_c
     if n == 2:
         s_r, t_r = _rim_sweep(branches, radius, box_shift)
-        total += 288
         if t_r < t_best:
             s_best, t_best = s_r, t_r
     if not np.isfinite(t_best):
         raise InnerSolveFailure("non-finite subproblem value")
-    return InnerResult(s_best, t_best, total)
+    return InnerResult(s_best, t_best)
 
 
 def predicted_reduction(models: ModelSet, cone: Cone, j: int, s: np.ndarray) -> float:
@@ -380,7 +380,6 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
         box_shift = (np.asarray(box[0], float) - x, np.asarray(box[1], float) - x)
 
     best = None
-    total_iter = 0
     any_ok = False
     for a in partition_iter(structure, cap=cap):
         idx = [ai - 1 for ai in a]
@@ -389,9 +388,8 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
             res = inner_minimax(models, cone, radius, box_shift)
             ok = True
         except InnerSolveFailure:
-            res = InnerResult(np.zeros(problem.n), 0.0, 0)
+            res = InnerResult(np.zeros(problem.n), 0.0)
             ok = False
-        total_iter += res.iterations
         any_ok = any_ok or ok
         if best is None or res.t < best[1] - 1e-12:
             best = (a, res.t, res.s, models)
@@ -400,7 +398,7 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
         log.debug("clamping positive subproblem value %.3e to 0", t_star)
         t_star = 0.0
     return SubproblemSolution(a_star=tuple(a_star), s_star=s_star, t_star=t_star,
-                              inner_iterations=total_iter, feasible=any_ok, models=models)
+                              feasible=any_ok, models=models)
 
 
 def criticality_value(problem: SetValuedProblem, cone: Cone, x, structure: MinimalStructure,

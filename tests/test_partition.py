@@ -11,7 +11,8 @@ from setopt.partition import (
     partition_iter,
     structure_from_values,
 )
-from setopt.problems import from_functions
+from setopt.bench import _problem_seed, sample_points
+from setopt.problems import DomainError, from_functions, problem_ids, registry
 
 
 def oracle_minimal(values, cone, value_tol=0.0):
@@ -172,3 +173,79 @@ def test_partition_cap_error():
 
     with pytest.raises(PartitionCapError, match="8192"):
         list(partition_iter(Big()))
+
+
+def reference_grouping(values, cone, value_tol=None):
+    """The pairwise greedy loop that ``structure_from_values`` vectorises:
+    each weakly minimal row, in index order, joins the first representative
+    within max(its own tolerance, value_tol) in sup norm, or becomes one."""
+    vals = np.atleast_2d(np.asarray(values, dtype=float))
+    if value_tol is None:
+        value_tol = 1e-8 * (1.0 + float(np.max(np.abs(vals))))
+    min_idx, wmin_idx = minimal_elements(vals, cone, value_tol=value_tol)
+    reps, groups = [], []
+    for i in wmin_idx:
+        tol_i = 1e-8 * (1.0 + float(np.max(np.abs(vals[i]))))
+        for rep, grp in zip(reps, groups):
+            if float(np.max(np.abs(vals[i] - rep))) <= max(tol_i, value_tol):
+                grp.append(i + 1)
+                break
+        else:
+            reps.append(vals[i].copy())
+            groups.append([i + 1])
+    return reps, tuple(tuple(g) for g in groups), set(min_idx) == set(wmin_idx)
+
+
+def assert_matches_reference(vals, cone, value_tol=None):
+    st = structure_from_values(vals, cone, value_tol)
+    reps, groups, regular = reference_grouping(vals, cone, value_tol)
+    assert st.groups == groups
+    assert st.omega == len(groups)
+    assert len(st.values) == len(reps)
+    assert all(u.tobytes() == v.tobytes() for u, v in zip(st.values, reps))
+    assert st.is_regular_hint == regular
+    return st
+
+
+def test_grouping_matches_reference_on_all_instances():
+    checked = 0
+    for pid in problem_ids():
+        problem = registry(pid)
+        cone = orthant(problem.m)
+        for x in sample_points(problem.domain_box, 10, _problem_seed(3, pid)):
+            try:
+                vals = problem.eval_all(x)
+            except DomainError:
+                continue
+            assert_matches_reference(vals, cone)
+            checked += 1
+    assert checked >= 200
+
+
+def test_grouping_chained_near_tie():
+    # value_tol = 2e-8 and the rows are 1.5e-8 apart: each row is close to
+    # its neighbours only, so which rows lead depends on the rows before
+    vals = np.array([[0.0, 1.0], [1.5e-8, 1.0], [3e-8, 1.0], [4.5e-8, 1.0]])
+    st = assert_matches_reference(vals, orthant(2))
+    assert st.groups == ((1, 2), (3, 4))
+    st = assert_matches_reference(vals[[1, 0, 2, 3]], orthant(2))
+    assert st.groups == ((1, 2, 3), (4,))
+    st = assert_matches_reference(vals[:3], orthant(2))
+    assert st.groups == ((1, 2), (3,))
+
+
+def test_grouping_asymmetric_tolerance():
+    # each row is judged with its own tolerance 1e-8 (1 + max|row|); find a
+    # pair whose distance lies between the two, so closeness is one-sided
+    cone = orthant(2)
+    for scale in (1.0, 3.0, 7.5, 40.0, 1e3, 2.5e4):
+        a = np.array([scale, -scale])
+        base = scale + 1e-8 * (1.0 + scale)
+        for k in range(-3, 4):
+            b = np.array([base + k * np.spacing(base), -scale])
+            vals = np.array([a, b])
+            forward = assert_matches_reference(vals, cone, value_tol=0.0)
+            backward = assert_matches_reference(vals[::-1], cone, value_tol=0.0)
+            if forward.omega != backward.omega:
+                return
+    pytest.fail("no pair with one-sided closeness found")

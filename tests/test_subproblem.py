@@ -169,3 +169,53 @@ def test_grid_oracle_battery_small():
         radius = float(rng.choice([0.5, 1.0, 2.0]))
         res = inner_minimax(models, cone, radius)
         assert res.t <= grid_oracle(models, cone, radius) + 1e-3
+
+
+def _random_models(rng, blocks, m, n):
+    g = rng.normal(size=(blocks, m, n))
+    h = rng.normal(size=(blocks, m, n, n))
+    return g, 0.5 * (h + h.swapaxes(2, 3))
+
+
+def test_branches_keep_first_of_bitwise_duplicates():
+    rng = np.random.default_rng(5)
+    g, h = _random_models(rng, 2, 2, 3)
+    cone = orthant(2)
+    pair = _Branches.build(ModelSet(G=g, H=h), cone)
+    order = [0, 1, 0, 0, 1]
+    repeated = _Branches.build(ModelSet(G=g[order], H=h[order]), cone)
+    assert repeated.R.tobytes() == pair.R.tobytes()
+    assert repeated.WH.tobytes() == pair.WH.tobytes()
+
+    # a copy of block 0 with one entry moved by one ulp: its first branch
+    # repeats block 0's and goes, its second is one ulp away and stays
+    g_ulp = g[0].copy()
+    g_ulp[1, 2] = np.nextafter(g_ulp[1, 2], np.inf)
+    g3, h3 = np.stack([g[0], g[1], g_ulp]), h[[0, 1, 0]]
+    three = _Branches.build(ModelSet(G=g3, H=h3), cone)
+    single = _Branches.build(ModelSet(G=g_ulp[None], H=h[[0]]), cone)
+    assert three.R.shape[0] == 5
+    assert three.R[:4].tobytes() == pair.R.tobytes()
+    assert three.R[4].tobytes() == single.R[1].tobytes()
+    assert three.WH[4].tobytes() == single.WH[1].tobytes()
+    near = _Branches.build(ModelSet(G=g3[[0, 1, 2, 0, 1]], H=h3[[0, 1, 2, 0, 1]]), cone)
+    assert near.R.tobytes() == three.R.tobytes()
+    assert near.WH.tobytes() == three.WH.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_inner_minimax_bitwise_on_repeated_blocks(n):
+    # n = 2 runs the grid-seed and rim stages, n = 3 the grid only, n = 5 neither
+    rng = np.random.default_rng(100 + n)
+    cone = orthant(2)
+    for trial in range(4):
+        g, h = _random_models(rng, 2, 2, n)
+        radius = float(rng.uniform(0.3, 3.0))
+        box_shift = None
+        if trial % 2:
+            box_shift = (-rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n))
+        pair = inner_minimax(ModelSet(G=g, H=h), cone, radius, box_shift)
+        order = [0, 1, 0, 0, 1]
+        repeated = inner_minimax(ModelSet(G=g[order], H=h[order]), cone, radius, box_shift)
+        assert repeated.t == pair.t
+        assert repeated.s.tobytes() == pair.s.tobytes()
