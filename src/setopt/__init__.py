@@ -32,11 +32,8 @@ from .solvers import (
     SolverConfig,
     SolverInternalError,
     accept_and_update,
-    avg_reference_update,
     reduction_ratios,
     run,
-    run_cg,
-    run_sd,
 )
 from .subproblem import (
     InnerSolveFailure,
@@ -58,8 +55,7 @@ __all__ = [
     "ModelSet", "SubproblemSolution", "InnerSolveFailure", "inner_minimax",
     "predicted_reduction", "theta_and_step", "criticality_value",
     "SolverConfig", "RunResult", "IterationRecord", "NonMonotoneMemory",
-    "SolverInternalError", "accept_and_update", "avg_reference_update",
-    "reduction_ratios", "run", "run_sd", "run_cg",
+    "SolverInternalError", "accept_and_update", "reduction_ratios", "run",
 ]
 
 __version__ = "0.1.0"

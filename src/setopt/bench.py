@@ -8,7 +8,6 @@ is append-only and resumable: existing keys are skipped on rerun.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -18,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cone import Cone, orthant
-from .problems import SetValuedProblem, registry
+from .problems import registry
 from .solvers import RunResult, SolverConfig, run
 
 METRICS = ("nonconv", "iterations", "cpu_time", "inv_step_size")
@@ -100,12 +99,6 @@ def _result_record(problem_id: str, algorithm: str, index: int, x0, res: RunResu
     }
 
 
-def _run_one(problem: SetValuedProblem, cone: Cone, algorithm: str, x0,
-             it_max: int) -> RunResult:
-    config = SolverConfig(variant=algorithm, it_max=it_max)
-    return run(problem, cone, x0, config)
-
-
 def run_matrix(config: ExperimentConfig, store_path: str, cone: Cone | None = None) -> list:
     """Fill in every missing (problem, algorithm, point) record.
 
@@ -125,36 +118,24 @@ def run_matrix(config: ExperimentConfig, store_path: str, cone: Cone | None = No
                 if (pid, algo, idx) not in have:
                     jobs.append((problem, kone, pid, algo, idx, points[idx]))
 
-    def worker(job):
-        problem, kone, pid, algo, idx, x0 = job
-        try:
-            res = _run_one(problem, kone, algo, x0, config.it_max)
-            return _result_record(pid, algo, idx, x0, res)
-        except Exception as exc:  # noqa: BLE001 -- failures become records
-            return {
-                "problem": pid, "algorithm": algo, "point_index": idx,
-                "x0": np.asarray(x0).tolist(), "converged": False,
-                "iterations": config.it_max, "cpu_time": 0.0,
-                "mean_step_size": 0.0, "final_t": None,
-                "diagnostic": f"{type(exc).__name__}: {exc}",
-            }
-
-    n_workers = max(1, int(os.environ.get("SETOPT_THREADS", "1")))
     new_records = []
     if jobs:
         with open(store_path, "a", encoding="utf-8") as fh:
-            if n_workers == 1:
-                for job in jobs:
-                    rec = worker(job)
-                    fh.write(json.dumps(rec) + "\n")
-                    fh.flush()
-                    new_records.append(rec)
-            else:
-                with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as pool:
-                    for rec in pool.map(worker, jobs):
-                        fh.write(json.dumps(rec) + "\n")
-                        fh.flush()
-                        new_records.append(rec)
+            for problem, kone, pid, algo, idx, x0 in jobs:
+                try:
+                    res = run(problem, kone, x0, SolverConfig(variant=algo, it_max=config.it_max))
+                    rec = _result_record(pid, algo, idx, x0, res)
+                except Exception as exc:  # noqa: BLE001 -- failures become records
+                    rec = {
+                        "problem": pid, "algorithm": algo, "point_index": idx,
+                        "x0": np.asarray(x0).tolist(), "converged": False,
+                        "iterations": config.it_max, "cpu_time": 0.0,
+                        "mean_step_size": 0.0, "final_t": None,
+                        "diagnostic": f"{type(exc).__name__}: {exc}",
+                    }
+                fh.write(json.dumps(rec) + "\n")
+                fh.flush()
+                new_records.append(rec)
     return records + new_records
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,14 +59,10 @@ class SolverConfig:
     gamma2: float = 0.9
     n_memory: int = 10          # max-type window depth (4 is a fast preset)
     mu: float = 0.5             # avg-type weight, constant schedule
-    mu_min: float = 0.0
-    mu_max: float = 1.0
     it_max: int = 100
     rho_armijo: float = 1e-4    # sufficient-decrease slope for SD and CG
     nu: float = 0.5             # backtracking factor
     sigma: float = 0.1          # CG beta damping
-    value_tol: float | None = None
-    partition_cap: int = 4096
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -77,8 +73,8 @@ class SolverConfig:
             raise ValueError("need 0 < gamma1 < gamma2 < 1")
         if not (0.0 < self.omega0 <= self.omega_max):
             raise ValueError("need 0 < omega0 <= omega_max")
-        if not (self.mu_min <= self.mu <= self.mu_max and 0.0 <= self.mu < 1.0):
-            raise ValueError("need mu in [mu_min, mu_max] and 0 <= mu < 1")
+        if not (0.0 <= self.mu < 1.0):
+            raise ValueError("need 0 <= mu < 1")
         if self.n_memory < 0 or self.it_max < 1 or self.eps <= 0.0:
             raise ValueError("bad n_memory, it_max, or eps")
 
@@ -93,7 +89,6 @@ class IterationRecord:
     rho: tuple
     accepted: bool
     step_norm: float
-    reference: np.ndarray | None
 
 
 @dataclass
@@ -133,6 +128,7 @@ class NonMonotoneMemory:
     change and the reference on the selected rows never increases.  The
     avg-type average C and weight q advance on every iteration; a tuple
     change at any iteration resets them to the current values for good.
+    ``reference`` is the (p, m) matrix the ratio test reads this iteration.
     """
 
     def __init__(self, variant: str, n_memory: int, mu: float):
@@ -143,33 +139,35 @@ class NonMonotoneMemory:
         self.q = 1.0
         self.streak_all = True
         self._last_a: tuple | None = None
-        self._ref: np.ndarray | None = None
+        self.reference: np.ndarray | None = None
 
     def begin_iteration(self, F_x: np.ndarray, a: tuple) -> None:
-        """Fix the full (p, m) reference matrix for this iteration."""
+        """Fix the reference matrix for this iteration at x_k with tuple a.
+
+        The avg-type update: while the tuple streak holds,
+        C' = (mu q / q') C + F_x / q' with q' = mu q + 1; otherwise C' = F_x
+        and q' = 1.  It does not depend on whether the step is accepted.
+        """
         if self.variant == "max":
             if a != self._last_a:
                 self.hist.clear()
-            self._ref = np.maximum.reduce([F_x, *self.hist])
+            self.reference = np.maximum.reduce([F_x, *self.hist])
         elif self.variant == "avg":
             if self._last_a is not None and a != self._last_a:
                 self.streak_all = False
-            avg_reference_update(self, F_x)
-            self._ref = self.C
+            if self.C is None or not self.streak_all:
+                self.C = F_x.copy()
+                self.q = 1.0
+            else:
+                q_new = self.mu * self.q + 1.0
+                self.C = (self.mu * self.q / q_new) * self.C + (1.0 / q_new) * F_x
+                self.q = q_new
+            self.reference = self.C
         else:
-            self._ref = F_x
+            self.reference = F_x
         self._last_a = a
 
-    def reference_row(self, i: int) -> np.ndarray:
-        return self._ref[i - 1]
-
-    def reference_rows(self, a: tuple) -> np.ndarray:
-        return self._ref[[ai - 1 for ai in a]]
-
-    def reference_full(self) -> np.ndarray:
-        return np.array(self._ref, copy=True)
-
-    def end_iteration(self, F_x: np.ndarray, a: tuple, accepted: bool) -> None:
+    def end_iteration(self, F_x: np.ndarray) -> None:
         """Close the iteration at x_k: F(x_k) enters the max-type window
         whether or not the step was accepted; the tuple change that empties
         the window is detected in ``begin_iteration``."""
@@ -177,26 +175,8 @@ class NonMonotoneMemory:
             self.hist.append(F_x.copy())
 
 
-def avg_reference_update(memory: NonMonotoneMemory, F_current: np.ndarray,
-                         accepted: bool | None = None) -> NonMonotoneMemory:
-    """Advance the averaged reference; applied on every iteration.
-
-    While the tuple streak holds, C' = (mu q / q') C + F_current / q' with
-    q' = mu q + 1; otherwise C' = F_current and q' = 1.  The update does
-    not depend on whether the step was accepted.
-    """
-    if memory.C is None or not memory.streak_all:
-        memory.C = F_current.copy()
-        memory.q = 1.0
-        return memory
-    q_new = memory.mu * memory.q + 1.0
-    memory.C = (memory.mu * memory.q / q_new) * memory.C + (1.0 / q_new) * F_current
-    memory.q = q_new
-    return memory
-
-
-def reduction_ratios(variant: str, memory: NonMonotoneMemory, F_new: np.ndarray,
-                     a: tuple, s: np.ndarray, models: ModelSet, cone: Cone) -> np.ndarray:
+def reduction_ratios(memory: NonMonotoneMemory, F_new: np.ndarray, a: tuple,
+                     s: np.ndarray, models: ModelSet, cone: Cone) -> np.ndarray:
     """Per-block ratios of scalarized actual to predicted reduction."""
     rho = np.empty(len(a))
     for j, ai in enumerate(a):
@@ -205,7 +185,7 @@ def reduction_ratios(variant: str, memory: NonMonotoneMemory, F_new: np.ndarray,
             raise SolverInternalError(
                 f"nonpositive predicted reduction {pred:.3e} for block {j}"
             )
-        actual = -cone.scalarize(F_new[ai - 1] - memory.reference_row(ai))
+        actual = -cone.scalarize(F_new[ai - 1] - memory.reference[ai - 1])
         rho[j] = actual / pred
     return rho
 
@@ -256,9 +236,8 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     for k in range(config.it_max):
         try:
             F_x = problem.eval_all(x)
-            structure = structure_from_values(F_x, cone, config.value_tol)
-            sol = theta_and_step(problem, cone, x, structure, omega, box=(lo, hi),
-                                 table=table, cap=config.partition_cap)
+            structure = structure_from_values(F_x, cone)
+            sol = theta_and_step(problem, cone, x, structure, omega, box=(lo, hi), table=table)
         except (DomainError, PartitionCapError, InnerSolveFailure) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"
             iterations = k
@@ -274,8 +253,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
         x_trial = np.clip(x + sol.s_star, lo, hi)
         try:
             F_new = problem.eval_all(x_trial)
-            rho = reduction_ratios(config.variant, memory, F_new, sol.a_star,
-                                   sol.s_star, sol.models, cone)
+            rho = reduction_ratios(memory, F_new, sol.a_star, sol.s_star, sol.models, cone)
         except (DomainError, SolverInternalError) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"
             iterations = k
@@ -285,17 +263,16 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
             k=k, x=x.copy(), omega=omega, t=sol.t_star, a=sol.a_star,
             rho=tuple(float(r) for r in rho), accepted=accepted,
             step_norm=float(np.linalg.norm(x_trial - x)) if accepted else 0.0,
-            reference=memory.reference_rows(sol.a_star),
         )
         trace.append(record)
         if observer is not None:
             observer({
                 "record": record, "F_x": F_x, "F_new": F_new,
-                "reference_full": memory.reference_full(),
+                "reference_full": memory.reference.copy(),
                 "C": None if memory.C is None else memory.C.copy(),
                 "structure": structure, "solution": sol,
             })
-        memory.end_iteration(F_x, sol.a_star, accepted)
+        memory.end_iteration(F_x)
         if accepted:
             x = x_trial
         omega = omega_next
@@ -325,13 +302,14 @@ def _project_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(y - theta, 0.0)
 
 
-def _prox_direction(rows: np.ndarray, n_iter: int = 400):
-    """Solve min_s max(rows @ s) + ||s||^2 / 2 through its simplex dual."""
+def _prox_direction(rows: np.ndarray):
+    """Solve min_s max(rows @ s) + ||s||^2 / 2 through its simplex dual
+    (400 projected-gradient steps)."""
     q = rows @ rows.T
     lam = np.full(rows.shape[0], 1.0 / rows.shape[0])
     if rows.shape[0] > 1:
         lip = float(np.linalg.eigvalsh(q)[-1]) + 1e-12
-        for _ in range(n_iter):
+        for _ in range(400):
             lam = _project_simplex(lam - (q @ lam) / lip)
     v = -rows.T @ lam
     val = float(np.max(rows @ v) + 0.5 * v @ v)
@@ -363,7 +341,7 @@ def _run_linesearch(problem: SetValuedProblem, cone: Cone, x0,
     for k in range(config.it_max):
         try:
             F_x = problem.eval_all(x)
-            structure = structure_from_values(F_x, cone, config.value_tol)
+            structure = structure_from_values(F_x, cone)
             jac = table.jacobians(x)
         except (DomainError, PartitionCapError) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"
@@ -371,7 +349,7 @@ def _run_linesearch(problem: SetValuedProblem, cone: Cone, x0,
             break
         best = None
         try:
-            for a in partition_iter(structure, cap=config.partition_cap):
+            for a in partition_iter(structure):
                 rows = _scalarized_rows(cone, jac, a)
                 v, val = _prox_direction(rows)
                 if best is None or val < best[0] - 1e-12:
@@ -386,7 +364,8 @@ def _run_linesearch(problem: SetValuedProblem, cone: Cone, x0,
             converged = True
             iterations = k
             break
-        blocks = jac[[ai - 1 for ai in a]]
+        idx = [ai - 1 for ai in a]
+        blocks = jac[idx]
         if use_cg:
             if d_prev is None:
                 d = v
@@ -394,11 +373,11 @@ def _run_linesearch(problem: SetValuedProblem, cone: Cone, x0,
                 denom = float(d_prev @ v_prev)
                 beta_cd = float(v @ v) / denom if denom > 1e-300 else 0.0
                 d = v + 0.99 * (1.0 - config.sigma) * beta_cd * d_prev
-                if not all(cone.scalarize(blocks[j] @ d) < 0.0 for j in range(len(a))):
+                if not np.all(cone.scalarize_rows(blocks @ d) < 0.0):
                     d = v  # restart when the combined direction loses descent
         else:
             d = v
-        slopes = np.array([cone.scalarize(blocks[j] @ d) for j in range(len(a))])
+        slopes = cone.scalarize_rows(blocks @ d)
         step = 1.0
         moved = False
         x_new = x
@@ -409,9 +388,7 @@ def _run_linesearch(problem: SetValuedProblem, cone: Cone, x0,
             except DomainError:
                 step *= config.nu
                 continue
-            decrease = np.array([
-                cone.scalarize(F_cand[ai - 1] - F_x[ai - 1]) for ai in a
-            ])
+            decrease = cone.scalarize_rows(F_cand[idx] - F_x[idx])
             if np.all(decrease <= config.rho_armijo * step * slopes):
                 moved = True
                 x_new = cand
@@ -421,7 +398,6 @@ def _run_linesearch(problem: SetValuedProblem, cone: Cone, x0,
             k=k, x=x.copy(), omega=step if moved else 0.0, t=-v_norm, a=a,
             rho=(), accepted=moved,
             step_norm=float(np.linalg.norm(x_new - x)) if moved else 0.0,
-            reference=None,
         )
         trace.append(record)
         if observer is not None:
@@ -439,11 +415,3 @@ def _run_linesearch(problem: SetValuedProblem, cone: Cone, x0,
         final_omega=None, mean_step_size=float(np.mean(steps)) if steps else 0.0,
         diagnostic=diagnostic,
     )
-
-
-def run_sd(problem, cone, x0, config: SolverConfig) -> RunResult:
-    return _run_linesearch(problem, cone, x0, replace(config, variant="sd"))
-
-
-def run_cg(problem, cone, x0, config: SolverConfig) -> RunResult:
-    return _run_linesearch(problem, cone, x0, replace(config, variant="cg"))

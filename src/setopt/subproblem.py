@@ -10,11 +10,14 @@ optimal value t is never positive; t < 0 certifies that the current point
 is not critical and s is a common descent direction for every selected
 objective.
 
-The inner solver is a deterministic multistart projected subgradient
-method (geometric step schedule) followed by a coordinatewise
-golden-section polish.  The constraints are max-of-quadratics and may be
-nonconvex; the contract is feasibility plus phi(s) <= 0, not global
-optimality.
+The inner solver runs four deterministic stages: a multistart projected
+subgradient method (geometric step schedule), seeded for n <= 3 with the
+best points of a coarse grid over the ball; a polish of the best few
+points by exact line searches along the coordinates and the last move;
+and for n = 2 a golden-section sweep of the trust-ball rim.  Each stage
+lowers t on some real calls, so none is redundant.  The constraints are
+max-of-quadratics and may be nonconvex; the contract is feasibility plus
+phi(s) <= 0, not global optimality.
 """
 
 from __future__ import annotations
@@ -157,6 +160,24 @@ def _line_interval(s: np.ndarray, d: np.ndarray, radius: float, box_shift):
     return tl, tu
 
 
+def _golden_section(f, lo_t: float, hi_t: float, n_iter: int):
+    """Golden-section refinement of f on [lo_t, hi_t]; returns the two
+    final probes as (f, t) pairs."""
+    x1 = hi_t - _INV_PHI * (hi_t - lo_t)
+    x2 = lo_t + _INV_PHI * (hi_t - lo_t)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(n_iter):
+        if f1 <= f2:
+            hi_t, x2, f2 = x2, x1, f1
+            x1 = hi_t - _INV_PHI * (hi_t - lo_t)
+            f1 = f(x1)
+        else:
+            lo_t, x1, f1 = x1, x2, f2
+            x2 = lo_t + _INV_PHI * (hi_t - lo_t)
+            f2 = f(x2)
+    return (f1, x1), (f2, x2)
+
+
 def _line_search(branches: _Branches, s: np.ndarray, d: np.ndarray,
                  radius: float, box_shift):
     """Global 1-D minimization of phi along s + t d over the feasible range.
@@ -187,20 +208,8 @@ def _line_search(branches: _Branches, s: np.ndarray, d: np.ndarray,
     k = int(np.argmin(vals))
     t0, f0 = float(cand[k]), float(vals[k])
     cell = (tu - tl) / 64.0
-    lo_t, hi_t = max(tl, t0 - cell), min(tu, t0 + cell)
-    x1 = hi_t - _INV_PHI * (hi_t - lo_t)
-    x2 = lo_t + _INV_PHI * (hi_t - lo_t)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(40):
-        if f1 <= f2:
-            hi_t, x2, f2 = x2, x1, f1
-            x1 = hi_t - _INV_PHI * (hi_t - lo_t)
-            f1 = f(x1)
-        else:
-            lo_t, x1, f1 = x1, x2, f2
-            x2 = lo_t + _INV_PHI * (hi_t - lo_t)
-            f2 = f(x2)
-    best = min([(f0, t0), (f1, x1), (f2, x2)], key=lambda p: p[0])
+    probes = _golden_section(f, max(tl, t0 - cell), min(tu, t0 + cell), 40)
+    best = min([(f0, t0), *probes], key=lambda p: p[0])
     return best[1], best[0]
 
 
@@ -244,22 +253,9 @@ def _rim_sweep(branches: _Branches, radius: float, box_shift):
         p = _project(radius * np.array([[np.cos(t), np.sin(t)]]), radius, box_shift)
         return float(branches.phi_values(p)[0])
 
-    lo_t = theta[k] - 2.0 * np.pi / 256.0
-    hi_t = theta[k] + 2.0 * np.pi / 256.0
-    x1 = hi_t - _INV_PHI * (hi_t - lo_t)
-    x2 = lo_t + _INV_PHI * (hi_t - lo_t)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(30):
-        if f1 <= f2:
-            hi_t, x2, f2 = x2, x1, f1
-            x1 = hi_t - _INV_PHI * (hi_t - lo_t)
-            f1 = f(x1)
-        else:
-            lo_t, x1, f1 = x1, x2, f2
-            x2 = lo_t + _INV_PHI * (hi_t - lo_t)
-            f2 = f(x2)
-    cands = [(float(vals[k]), theta[k]), (f1, x1), (f2, x2)]
-    val, ang = min(cands, key=lambda p: p[0])
+    cell = 2.0 * np.pi / 256.0
+    probes = _golden_section(f, theta[k] - cell, theta[k] + cell, 30)
+    val, ang = min([(float(vals[k]), theta[k]), *probes], key=lambda p: p[0])
     s = _project(radius * np.array([[np.cos(ang), np.sin(ang)]]), radius, box_shift)[0]
     return s, val
 
@@ -286,14 +282,15 @@ class InnerResult:
     t: float
 
 
-def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None,
-                  n_steps: int = 200, sweeps: int = 2) -> InnerResult:
+def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None) -> InnerResult:
     """Minimize phi over the ball of the given radius and the box shift.
 
     Deterministic: starts at 0, at the ball point of steepest descent of
-    every linear branch, and along 8 fixed directions; then runs the
-    projected subgradient schedule (radius/4, factor 0.7) and a
-    coordinatewise polish.  Always returns phi(s) <= phi(0) = 0.
+    every linear branch, along 8 fixed directions and, for n <= 3, at the
+    best grid points; then runs 200 steps of the projected subgradient
+    schedule (radius/4, factor 0.7), polishes the best 3 points (n <= 3,
+    5 sweeps) or the best point (2 sweeps), and for n = 2 sweeps the rim.
+    Always returns phi(s) <= phi(0) = 0.
     """
     if not (np.all(np.isfinite(models.G)) and np.all(np.isfinite(models.H))):
         raise InnerSolveFailure("non-finite model data")
@@ -315,7 +312,7 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None,
     best_phi = branches.phi_values(S)
     best_S = S.copy()
     alpha = radius / 4.0
-    for _ in range(n_steps):
+    for _ in range(200):
         if alpha < 1e-12 * radius:
             break  # remaining moves are below float resolution
         phi, grads = branches.phi(S)
@@ -334,7 +331,7 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None,
 
     order = np.argsort(best_phi, kind="stable")
     n_polish = 3 if n <= 3 else 1
-    max_sweeps = max(sweeps, 5) if n <= 3 else sweeps
+    max_sweeps = 5 if n <= 3 else 2
     picked: list[np.ndarray] = []
     for k in order:
         if len(picked) == n_polish:
@@ -362,8 +359,8 @@ def predicted_reduction(models: ModelSet, cone: Cone, j: int, s: np.ndarray) -> 
 
 
 def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalStructure,
-                   radius: float, box=None, table: DerivativeTable | None = None,
-                   cap: int = 4096) -> SubproblemSolution:
+                   radius: float, box=None,
+                   table: DerivativeTable | None = None) -> SubproblemSolution:
     """Solve the inner problem for every partition element, keep the best.
 
     Ties within 1e-12 of the best value resolve to the earliest tuple in
@@ -381,7 +378,7 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
 
     best = None
     any_ok = False
-    for a in partition_iter(structure, cap=cap):
+    for a in partition_iter(structure):
         idx = [ai - 1 for ai in a]
         models = ModelSet(G=jac_all[idx], H=hess_all[idx])
         try:
@@ -402,13 +399,14 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
 
 
 def criticality_value(problem: SetValuedProblem, cone: Cone, x, structure: MinimalStructure,
-                      radius: float = 1.0, table: DerivativeTable | None = None,
-                      cap: int = 4096) -> SubproblemSolution:
+                      radius: float = 1.0,
+                      table: DerivativeTable | None = None) -> SubproblemSolution:
     """Criticality certificate: the subproblem without box rows at a fixed radius.
 
     The sign of the optimal value does not depend on the radius; the fixed
     radius pins the scale so that a tolerance test |t| < eps is meaningful.
-    Solvers stop on this value while their trial steps stay box-feasible.
+    ``run()`` does not stop on this value: it stops on the box-constrained
+    value at the current radius, which can vanish at a point that this
+    certificate shows is not critical (a box wall, or a collapsed radius).
     """
-    return theta_and_step(problem, cone, x, structure, radius, box=None,
-                          table=table, cap=cap)
+    return theta_and_step(problem, cone, x, structure, radius, box=None, table=table)

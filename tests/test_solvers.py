@@ -8,11 +8,8 @@ from setopt.solvers import (
     SolverConfig,
     SolverInternalError,
     accept_and_update,
-    avg_reference_update,
     reduction_ratios,
     run,
-    run_cg,
-    run_sd,
 )
 from setopt.subproblem import ModelSet
 
@@ -46,28 +43,29 @@ def test_accept_and_update_examples():
 def test_avg_q_recursion():
     mem = NonMonotoneMemory("avg", 0, 0.5)
     f = np.array([[0.0]])
-    avg_reference_update(mem, f)
+    mem.begin_iteration(f, (1,))
     assert mem.q == 1.0
-    avg_reference_update(mem, f)
+    mem.begin_iteration(f, (1,))
     assert mem.q == 1.5
-    avg_reference_update(mem, f)
+    mem.begin_iteration(f, (1,))
     assert mem.q == 1.75
 
 
 def test_avg_reference_scalar_example():
     mem = NonMonotoneMemory("avg", 0, 0.5)
-    avg_reference_update(mem, np.array([[10.0]]))
+    mem.begin_iteration(np.array([[10.0]]), (1,))
     assert mem.C[0, 0] == 10.0
-    avg_reference_update(mem, np.array([[4.0]]))
+    mem.begin_iteration(np.array([[4.0]]), (1,))
     assert mem.C[0, 0] == pytest.approx(6.0)
+    assert mem.reference is mem.C
 
 
 def test_avg_mu_zero_is_current_value():
     mem = NonMonotoneMemory("avg", 0, 0.0)
-    avg_reference_update(mem, np.array([[10.0, -3.0]]))
+    mem.begin_iteration(np.array([[10.0, -3.0]]), (1,))
     f = np.array([[4.0, 7.0]])
-    avg_reference_update(mem, f)
-    assert mem.C.tobytes() == f.tobytes()
+    mem.begin_iteration(f, (1,))
+    assert mem.reference.tobytes() == f.tobytes()
 
 
 def test_avg_streak_break_resets():
@@ -84,19 +82,19 @@ def test_avg_streak_break_resets():
 def test_max_window_reference():
     mem = NonMonotoneMemory("max", 4, 0.5)
     a = (1,)
-    # window holds accepted-iterate values {3, 5}; current value 2
+    # window holds the values {3, 5} of the last two iterations; current value 2
     mem.begin_iteration(np.array([[3.0]]), a)
-    mem.end_iteration(np.array([[3.0]]), a, accepted=True)
+    mem.end_iteration(np.array([[3.0]]))
     mem.begin_iteration(np.array([[5.0]]), a)
-    mem.end_iteration(np.array([[5.0]]), a, accepted=True)
+    mem.end_iteration(np.array([[5.0]]))
     mem.begin_iteration(np.array([[2.0]]), a)
-    assert mem.reference_rows(a)[0, 0] == 5.0
+    assert mem.reference[0, 0] == 5.0
     # a different tuple falls back to the current value
     mem2 = NonMonotoneMemory("max", 4, 0.5)
     mem2.begin_iteration(np.array([[3.0], [9.0]]), (1,))
-    mem2.end_iteration(np.array([[3.0], [9.0]]), (1,), accepted=True)
+    mem2.end_iteration(np.array([[3.0], [9.0]]))
     mem2.begin_iteration(np.array([[2.0], [4.0]]), (2,))
-    assert mem2.reference_rows((2,))[0, 0] == 4.0
+    assert mem2.reference[1, 0] == 4.0
 
 
 def test_max_window_does_not_reach_past_tuple_change():
@@ -105,20 +103,20 @@ def test_max_window_does_not_reach_past_tuple_change():
     mem = NonMonotoneMemory("max", 2, 0.5)
     f0, f1, f2 = np.array([[0.0], [10.0]]), np.array([[0.0], [5.0]]), np.array([[0.0], [4.0]])
     refs = []
-    for f, a, accepted in [(f0, (1,), True), (f1, (2,), True), (f2, (2,), False), (f2, (2,), False)]:
+    for f, a in [(f0, (1,)), (f1, (2,)), (f2, (2,)), (f2, (2,))]:
         mem.begin_iteration(f, a)
-        refs.append(float(mem.reference_rows((2,))[0, 0]))
-        mem.end_iteration(f, a, accepted=accepted)
+        refs.append(float(mem.reference[1, 0]))
+        mem.end_iteration(f)
     assert refs[1:] == [5.0, 5.0, 5.0]
 
 
 def test_max_window_depth_zero_is_current_value():
     mem = NonMonotoneMemory("max", 0, 0.5)
     mem.begin_iteration(np.array([[9.0]]), (1,))
-    mem.end_iteration(np.array([[9.0]]), (1,), accepted=True)
+    mem.end_iteration(np.array([[9.0]]))
     f = np.array([[2.0]])
     mem.begin_iteration(f, (1,))
-    assert mem.reference_rows((1,)).tobytes() == f.tobytes()
+    assert mem.reference.tobytes() == f.tobytes()
 
 
 def _ratio_fixture():
@@ -133,7 +131,7 @@ def test_reduction_ratio_arithmetic():
     cone = orthant(1)
     mem = NonMonotoneMemory("trm", 0, 0.5)
     mem.begin_iteration(np.array([[7.0]]), (1,))
-    rho = reduction_ratios("trm", mem, np.array([[6.0]]), (1,), s, models, cone)
+    rho = reduction_ratios(mem, np.array([[6.0]]), (1,), s, models, cone)
     assert rho[0] == pytest.approx(0.5)  # decrease 1 over prediction 2
 
 
@@ -145,7 +143,7 @@ def test_reduction_ratio_variants_reduce_to_trm():
     for variant, kwargs in [("trm", {}), ("max", {"n_memory": 0}), ("avg", {"mu": 0.0})]:
         mem = NonMonotoneMemory(variant, kwargs.get("n_memory", 0), kwargs.get("mu", 0.5))
         mem.begin_iteration(f_x, (1,))
-        out[variant] = reduction_ratios(variant, mem, f_new, (1,), s, models, cone)[0]
+        out[variant] = reduction_ratios(mem, f_new, (1,), s, models, cone)[0]
     assert out["trm"] == out["max"] == out["avg"]
 
 
@@ -154,7 +152,7 @@ def test_reduction_ratio_nonpositive_denominator():
     mem = NonMonotoneMemory("trm", 0, 0.5)
     mem.begin_iteration(np.array([[7.0]]), (1,))
     with pytest.raises(SolverInternalError):
-        reduction_ratios("trm", mem, np.array([[6.0]]), (1,), np.array([1.0, 0.0]),
+        reduction_ratios(mem, np.array([[6.0]]), (1,), np.array([1.0, 0.0]),
                          models, orthant(1))
 
 
@@ -213,14 +211,14 @@ def test_acceptance_means_reference_decrease():
 
 def test_sd_quadratic_converges():
     p = make_quadratic_plant(np.eye(2), box=(-5.0, 5.0))
-    res = run_sd(p, orthant(1), np.array([3.0, -2.0]), SolverConfig(variant="sd"))
+    res = run(p, orthant(1), np.array([3.0, -2.0]), SolverConfig(variant="sd"))
     assert res.converged
     assert np.linalg.norm(res.final_point) < 2e-3  # v = -x for this plant
 
 
 def test_sd_zero_direction_immediate():
     p = make_quadratic_plant(np.eye(2))
-    res = run_sd(p, orthant(1), np.zeros(2), SolverConfig(variant="sd"))
+    res = run(p, orthant(1), np.zeros(2), SolverConfig(variant="sd"))
     assert res.converged and res.iterations == 0
 
 
@@ -228,9 +226,8 @@ def test_cg_first_step_matches_sd():
     p = registry("jos1a_n5_m2")
     cone = orthant(2)
     x0 = np.full(5, 1.5)
-    cfg = SolverConfig(variant="sd", it_max=1)
-    r_sd = run_sd(p, cone, x0, cfg)
-    r_cg = run_cg(p, cone, x0, cfg)
+    r_sd = run(p, cone, x0, SolverConfig(variant="sd", it_max=1))
+    r_cg = run(p, cone, x0, SolverConfig(variant="cg", it_max=1))
     assert r_sd.final_point.tobytes() == r_cg.final_point.tobytes()
 
 
@@ -246,3 +243,9 @@ def test_summary_is_json_ready():
     res = run(p, orthant(2), np.array([4.0]), SolverConfig(variant="avg"))
     text = json.dumps(res.summary())
     assert json.loads(text)["algorithm"] == "avg"
+
+
+def test_public_api_resolves():
+    import setopt
+    missing = [name for name in setopt.__all__ if not hasattr(setopt, name)]
+    assert not missing

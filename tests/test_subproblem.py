@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from setopt.cone import orthant
+from setopt.cone import k2prime, orthant
 from setopt.partition import minimal_structure, structure_from_values
 from setopt.problems import make_quadratic_plant, registry
 from setopt.subproblem import (
@@ -219,3 +219,57 @@ def test_inner_minimax_bitwise_on_repeated_blocks(n):
         repeated = inner_minimax(ModelSet(G=g[order], H=h[order]), cone, radius, box_shift)
         assert repeated.t == pair.t
         assert repeated.s.tobytes() == pair.s.tobytes()
+
+
+def _phi_oracle(models, cone, S):
+    """phi at each row of S, straight from the model definition."""
+    vals = np.full(len(S), -np.inf)
+    for j in range(models.omega):
+        lin = S @ models.G[j].T
+        quad = lin + 0.5 * np.stack([np.sum((S @ h) * S, axis=1) for h in models.H[j]], axis=1)
+        vals = np.maximum(vals, np.maximum(cone.scalarize_rows(quad), cone.scalarize_rows(lin)))
+    return vals
+
+
+def _ball_points(n, radius, rng):
+    """41^3 grid points for n = 3, 2e5 uniform samples for n = 4 and 5."""
+    if n == 3:
+        axis = np.linspace(-radius, radius, 41)
+        pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        return pts[np.linalg.norm(pts, axis=1) <= radius]
+    d = rng.standard_normal((200_000, n))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return d * (radius * rng.uniform(size=(200_000, 1)) ** (1.0 / n))
+
+
+_MISSES_ORACLE = pytest.mark.xfail(
+    strict=True,
+    reason="known accuracy fault: without grid seeds (n > 3) the solver polishes "
+           "one start and misses the sampled minimum by up to 5e-2 on 5 of 40 calls")
+
+
+@pytest.mark.parametrize("n", [3, pytest.param(4, marks=_MISSES_ORACLE),
+                               pytest.param(5, marks=_MISSES_ORACLE)])
+def test_inner_minimax_oracle_higher_dim(n):
+    # Table-2 runs call the inner solver at n = 1-10; the grid seeds stop at n = 3
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(10):
+        omega, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        g = rng.normal(size=(omega, m, n)) * float(rng.choice([0.5, 1.0, 3.0]))
+        h = rng.normal(size=(omega, m, n, n)) * float(rng.choice([0.5, 1.0, 3.0]))
+        models = ModelSet(G=g, H=0.5 * (h + h.swapaxes(2, 3)))
+        cone = k2prime() if m == 2 and rng.uniform() < 0.5 else orthant(m)
+        radius = float(rng.choice([0.5, 1.0, 2.0]))
+        pts = _ball_points(n, radius, rng)
+        shift = (-radius * rng.uniform(0.1, 1.0, n), radius * rng.uniform(0.1, 1.0, n))
+        for box_shift in (None, shift):
+            feasible = pts
+            if box_shift is not None:
+                feasible = pts[np.all(pts >= box_shift[0], axis=1)
+                               & np.all(pts <= box_shift[1], axis=1)]
+            res = inner_minimax(models, cone, radius, box_shift)
+            assert np.linalg.norm(res.s) <= radius + 1e-9
+            if box_shift is not None:
+                assert np.all(res.s >= box_shift[0] - 1e-12)
+                assert np.all(res.s <= box_shift[1] + 1e-12)
+            assert res.t <= float(_phi_oracle(models, cone, feasible).min()) + 1e-3
