@@ -92,7 +92,7 @@ def _result_record(problem_id: str, algorithm: str, index: int, x0, res: RunResu
         "x0": np.asarray(x0).tolist(),
         "converged": bool(res.converged),
         "iterations": int(res.iterations),
-        "cpu_time": float(res.wall_time),
+        "cpu_time": float(res.cpu_time),
         "mean_step_size": float(res.mean_step_size),
         "final_t": float(res.final_t) if np.isfinite(res.final_t) else None,
         "diagnostic": res.diagnostic,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -93,11 +94,7 @@ def solve(problem_id, algo, x0, cone_spec, config_path, trace):
     res = solvers.run(problem, kone, _parse_point(x0), config)
     if trace:
         for rec in res.trace:
-            click.echo(json.dumps({
-                "k": rec.k, "x": rec.x.tolist(), "omega": rec.omega, "t": rec.t,
-                "a": list(rec.a), "rho": list(rec.rho), "accepted": rec.accepted,
-                "step_norm": rec.step_norm,
-            }))
+            click.echo(json.dumps(dataclasses.asdict(rec), default=lambda arr: arr.tolist()))
     click.echo(json.dumps(res.summary(), indent=2))
 
 

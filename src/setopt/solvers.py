@@ -23,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .cone import Cone
 from .partition import PartitionCapError, partition_iter, structure_from_values
@@ -96,6 +97,7 @@ class RunResult:
     converged: bool
     iterations: int
     wall_time: float
+    cpu_time: float             # process CPU time of the loop
     final_point: np.ndarray
     final_t: float
     trace: list
@@ -110,6 +112,7 @@ class RunResult:
             "converged": self.converged,
             "iterations": self.iterations,
             "wall_time": self.wall_time,
+            "cpu_time": self.cpu_time,
             "final_point": np.asarray(self.final_point).tolist(),
             "final_t": self.final_t,
             "final_omega": self.final_omega,
@@ -231,7 +234,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     diagnostic = None
     t_last = float("nan")
     iterations = config.it_max
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     underflow_logged = False
     for k in range(config.it_max):
         try:
@@ -280,10 +283,10 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
             log.warning("trust radius underflow (%.3e) at iteration %d", omega, k)
             diagnostic = diagnostic or "omega_underflow"
             underflow_logged = True
-    wall = time.perf_counter() - start
+    wall, cpu = time.perf_counter() - start, time.process_time() - cpu_start
     steps = [r.step_norm for r in trace]
     return RunResult(
-        converged=converged, iterations=iterations, wall_time=wall,
+        converged=converged, iterations=iterations, wall_time=wall, cpu_time=cpu,
         final_point=x, final_t=t_last, trace=trace, algorithm=config.variant,
         final_omega=omega, mean_step_size=float(np.mean(steps)) if steps else 0.0,
         diagnostic=diagnostic,
@@ -293,26 +296,24 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
 # ---------------------------------------------------------------------------
 # first-order baselines
 
-def _project_simplex(y: np.ndarray) -> np.ndarray:
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, y.size + 1)
-    rho = np.nonzero(u * idx > css - 1.0)[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(y - theta, 0.0)
-
-
 def _prox_direction(rows: np.ndarray):
-    """Solve min_s max(rows @ s) + ||s||^2 / 2 through its simplex dual
-    (400 projected-gradient steps)."""
-    q = rows @ rows.T
-    lam = np.full(rows.shape[0], 1.0 / rows.shape[0])
-    if rows.shape[0] > 1:
-        lip = float(np.linalg.eigvalsh(q)[-1]) + 1e-12
-        for _ in range(400):
-            lam = _project_simplex(lam - (q @ lam) / lip)
-    v = -rows.T @ lam
-    val = float(np.max(rows @ v) + 0.5 * v @ v)
+    """Steepest-descent direction v and value of min_s max(rows @ s) + ||s||^2 / 2.
+
+    v = -p with p the min-norm element of conv(rows) (Fliege & Svaiter
+    2000), so val = -||v||^2 / 2.  p = R^T lam for the simplex weights
+    lam = u / sum(u), where u solves the NNLS problem
+    min_{u >= 0} ||[R^T; 1^T] u - e_{n+1}|| over the distinct rows R
+    (Lawson & Hanson 1974, ch. 23); sum(u) = 1 / (1 + ||p||^2) > 0.
+    The active-set loop can need more than scipy's default of 3 iterations
+    per column (3.5 seen at n = 10 with 0 outside the hull), so the cap
+    is ten times that.
+    """
+    R = np.unique(rows, axis=0)
+    rhs = np.zeros(R.shape[1] + 1)
+    rhs[-1] = 1.0
+    u, _ = nnls(np.vstack([R.T, np.ones(R.shape[0])]), rhs, maxiter=30 * R.shape[0])
+    v = -R.T @ (u / u.sum())
+    val = float(np.max(R @ v) + 0.5 * v @ v)
     return v, val
 
 
@@ -337,7 +338,7 @@ def _run_linesearch(problem: SetValuedProblem, cone: Cone, x0,
     iterations = config.it_max
     d_prev = None
     v_prev = None
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     for k in range(config.it_max):
         try:
             F_x = problem.eval_all(x)
@@ -407,10 +408,10 @@ def _run_linesearch(problem: SetValuedProblem, cone: Cone, x0,
             d_prev, v_prev = d, v
         else:
             d_prev = v_prev = None  # restart after a failed line search
-    wall = time.perf_counter() - start
+    wall, cpu = time.perf_counter() - start, time.process_time() - cpu_start
     steps = [r.step_norm for r in trace]
     return RunResult(
-        converged=converged, iterations=iterations, wall_time=wall,
+        converged=converged, iterations=iterations, wall_time=wall, cpu_time=cpu,
         final_point=x, final_t=-v_norm, trace=trace, algorithm=config.variant,
         final_omega=None, mean_step_size=float(np.mean(steps)) if steps else 0.0,
         diagnostic=diagnostic,

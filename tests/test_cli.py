@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 from click.testing import CliRunner
 
 from setopt.cli import main
+from setopt.solvers import IterationRecord
 
 
 def test_list_problems():
@@ -45,6 +47,7 @@ def test_solve_with_trace_and_config(tmp_path):
     assert trace_lines
     head = json.loads(trace_lines[0])
     assert head["k"] == 0 and "rho" in head
+    assert list(head) == [f.name for f in dataclasses.fields(IterationRecord)]
     summary = json.loads("\n".join(lines[len(trace_lines):]))
     assert summary["algorithm"] == "max"
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from setopt.bench import _result_record
 from setopt.cone import orthant
 from setopt.problems import make_quadratic_plant, registry
 from setopt.solvers import (
     NonMonotoneMemory,
+    RunResult,
     SolverConfig,
     SolverInternalError,
+    _prox_direction,
     accept_and_update,
     reduction_ratios,
     run,
@@ -229,6 +233,95 @@ def test_cg_first_step_matches_sd():
     r_sd = run(p, cone, x0, SolverConfig(variant="sd", it_max=1))
     r_cg = run(p, cone, x0, SolverConfig(variant="cg", it_max=1))
     assert r_sd.final_point.tobytes() == r_cg.final_point.tobytes()
+
+
+def _hull_distance(rows: np.ndarray, p: np.ndarray) -> float:
+    """||rows^T lam - p||_inf for the simplex weights lam that an LP finds
+    minimising it: an upper bound on the distance from p to conv(rows)."""
+    k, n = rows.shape
+    cost = np.r_[np.zeros(k), 1.0]
+    a_ub = np.block([[rows.T, -np.ones((n, 1))], [-rows.T, -np.ones((n, 1))]])
+    b_ub = np.r_[p, -p]
+    a_eq = np.r_[np.ones(k), 0.0][None, :]
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
+                  bounds=[(0, None)] * (k + 1), method="highs")
+    assert res.status == 0
+    lam = np.maximum(res.x[:k], 0.0)
+    return float(np.max(np.abs(rows.T @ (lam / lam.sum()) - p)))
+
+
+def _oracle_row_sets():
+    """Seeded row sets, n = 1-10, up to 60 rows, row norms 1e-2 to 1e3.
+
+    Even sets put 0 inside the hull (the last row is minus a positive
+    combination of the others); odd sets keep every row in the open
+    half-space {r : r . c > 0} of a unit vector c, so 0 lies outside.
+    """
+    rng = np.random.default_rng(20260418)
+    for case in range(40):
+        n = 1 + case % 10
+        k = int(rng.integers(1, 61))
+        dirs = rng.standard_normal((k, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        if case % 2:
+            c = rng.standard_normal(n)
+            c /= np.linalg.norm(c)
+            dirs = dirs - np.minimum(dirs @ c - 0.1, 0.0)[:, None] * c
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        rows = dirs * 10.0 ** rng.uniform(-2.0, 3.0, size=(k, 1))
+        if case % 2 == 0:
+            k = max(k, 2)
+            rows = np.vstack([rows[:k - 1], -rng.uniform(0.1, 1.0, k - 1) @ rows[:k - 1]])
+        yield case % 2 == 0, rows
+
+
+def test_prox_direction_oracle():
+    checked = {True: 0, False: 0}
+    for zero_inside, rows in _oracle_row_sets():
+        v, val = _prox_direction(rows)
+        p = -v
+        scale = float(np.max(np.sum(rows * rows, axis=1)))
+        assert _hull_distance(rows, p) <= 1e-10 * np.sqrt(scale)
+        # p is the projection of 0 onto the hull: r . p >= |p|^2 for every row
+        assert np.all(rows @ p >= p @ p - 1e-10 * scale)
+        assert abs(val + 0.5 * v @ v) <= 1e-12 * scale
+        if zero_inside:
+            assert np.linalg.norm(v) <= 1e-10 * np.sqrt(scale)
+        else:
+            assert np.linalg.norm(v) > 0.0
+        checked[zero_inside] += 1
+        stacked = _prox_direction(np.vstack([rows, rows, rows]))
+        assert stacked[0].tobytes() == v.tobytes() and stacked[1] == val
+    assert checked[True] == checked[False] == 20
+
+
+def test_prox_direction_single_row_and_1d():
+    rng = np.random.default_rng(7)
+    for n in range(1, 11):
+        row = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 3.0)
+        v, _ = _prox_direction(row[None, :])
+        np.testing.assert_array_max_ulp(v, -row, maxulp=4)
+    for a, b in [(1.0, 1.0), (1e3, 1e-2), (1e-2, 1e3), (0.37, 52.0)]:
+        v, _ = _prox_direction(np.array([[a], [-b]]))
+        assert np.linalg.norm(v) < 1e-12
+
+
+def test_sd_cg_stop_where_dual_loop_missed_criticality():
+    # the 400-step simplex-dual loop reported |v| = 0.38 here; the exact
+    # min-norm element of the scalarised rows has |v| below 1e-15
+    p = registry("modified_ex53_n2_m2")
+    x0 = np.array([8.822137670766843, 12.706533650869709])
+    for variant in ("sd", "cg"):
+        res = run(p, orthant(2), x0, SolverConfig(variant=variant, it_max=1))
+        assert res.converged and res.iterations == 0
+        assert -res.final_t < 1e-10
+
+
+def test_record_cpu_time_is_process_time():
+    fake = RunResult(converged=True, iterations=3, wall_time=2.0, cpu_time=0.25,
+                     final_point=np.zeros(2), final_t=0.0, trace=[], algorithm="sd")
+    rec = _result_record("plant", "sd", 0, [1.0, 1.0], fake)
+    assert rec["cpu_time"] == 0.25
 
 
 def test_run_dispatches_sd_cg():
