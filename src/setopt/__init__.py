@@ -15,12 +15,10 @@ from .partition import (
     structure_from_values,
 )
 from .problems import (
-    DerivativeBundle,
     DerivativeTable,
     DomainError,
     SetValuedProblem,
     UnknownProblemError,
-    derivatives,
     from_functions,
     problem_ids,
     registry,
@@ -49,9 +47,8 @@ __all__ = [
     "Cone", "ConeError", "Region", "orthant", "k2prime", "preset",
     "MinimalStructure", "PartitionCapError", "minimal_elements",
     "minimal_structure", "structure_from_values", "partition_iter",
-    "SetValuedProblem", "DerivativeBundle", "DerivativeTable", "DomainError",
-    "UnknownProblemError", "derivatives", "from_functions", "problem_ids",
-    "registry",
+    "SetValuedProblem", "DerivativeTable", "DomainError",
+    "UnknownProblemError", "from_functions", "problem_ids", "registry",
     "ModelSet", "SubproblemSolution", "InnerSolveFailure", "inner_minimax",
     "predicted_reduction", "theta_and_step", "criticality_value",
     "SolverConfig", "RunResult", "IterationRecord", "NonMonotoneMemory",

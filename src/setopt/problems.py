@@ -32,14 +32,6 @@ class UnknownProblemError(KeyError):
 
 
 @dataclass(frozen=True)
-class DerivativeBundle:
-    """Jacobian (m, n) and symmetrized Hessians (m, n, n) of one f^i."""
-
-    jacobian: np.ndarray
-    hessians: np.ndarray
-
-
-@dataclass(frozen=True)
 class SetValuedProblem:
     """A finite family of vector objectives on a box.
 
@@ -151,28 +143,6 @@ def derivatives_all(problem: SetValuedProblem, x):
     x = np.asarray(x, dtype=float).reshape(problem.n)
     c = _fd_center(problem, x, with_hessian=True)
     return _jac_all_at(problem, c), _hess_all_at(problem, c)
-
-
-def derivatives(problem: SetValuedProblem, i: int, x) -> DerivativeBundle:
-    """Derivative bundle of f^i at x; analytic Jacobian used when present."""
-    x = np.asarray(x, dtype=float).reshape(problem.n)
-    if problem.analytic_jacobian is not None:
-        jac_fn = problem.analytic_jacobian
-        c = _fd_center(problem, x, with_hessian=True)
-        jac = np.asarray(jac_fn(i, c), dtype=float).reshape(problem.m, problem.n)
-        d = _hess_steps(c)
-        hess = np.empty((problem.m, problem.n, problem.n))
-        for j in range(problem.n):
-            step = (c[j] + d[j]) - c[j]
-            e = np.zeros(problem.n)
-            e[j] = step
-            jp = np.asarray(jac_fn(i, c + e), dtype=float)
-            jm = np.asarray(jac_fn(i, c - e), dtype=float)
-            hess[:, :, j] = (jp - jm) / (2.0 * step)
-        hess = 0.5 * (hess + hess.swapaxes(1, 2))
-        return DerivativeBundle(jacobian=jac, hessians=hess)
-    jac, hess = derivatives_all(problem, x)
-    return DerivativeBundle(jacobian=jac[i - 1], hessians=hess[i - 1])
 
 
 class DerivativeTable:

@@ -10,14 +10,13 @@ optimal value t is never positive; t < 0 certifies that the current point
 is not critical and s is a common descent direction for every selected
 objective.
 
-The inner solver runs four deterministic stages: a multistart projected
-subgradient method (geometric step schedule), seeded for n <= 3 with the
-best points of a coarse grid over the ball; a polish of the best few
-points by exact line searches along the coordinates and the last move;
-and for n = 2 a golden-section sweep of the trust-ball rim.  Each stage
-lowers t on some real calls, so none is redundant.  The constraints are
-max-of-quadratics and may be nonconvex; the contract is feasibility plus
-phi(s) <= 0, not global optimality.
+The inner solver writes the problem in epigraph form, minimize tau
+subject to tau >= each branch of phi, the ball and the box shift as
+bounds, and solves it with SLSQP (Kraft 1988) and analytic Jacobians from
+the 4 best of a fixed set of cheap starts; the end points are projected
+onto the feasible set and phi is evaluated there again.  The branches are
+max-of-quadratics and may be nonconvex, hence the multistart; the contract
+is feasibility plus phi(s) <= 0, not global optimality.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .cone import Cone
 from .partition import MinimalStructure, partition_iter
@@ -34,7 +34,11 @@ from .problems import DerivativeTable, SetValuedProblem
 
 log = logging.getLogger(__name__)
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+_N_STARTS = 4
+# ftol is absolute and also bounds the constraint violation, which round-off
+# keeps above it when branch values are large; such solves settle in ~20 steps.
+_SLSQP_MAXITER = 30
+_SLSQP_FTOL = 1e-12
 
 
 class InnerSolveFailure(RuntimeError):
@@ -73,8 +77,8 @@ class _Branches:
     """Stacked scalarized branches: rows R (B, n) and curvatures (B, n, n).
 
     A branch that repeats an earlier one bit for bit (row and curvature
-    together) is kept once, at its first position, so phi, its subgradients
-    and the starts built from R are the same as on the full stack.
+    together) is kept once, at its first position, so phi and the starts
+    built from R are the same as on the full stack.
     """
 
     R: np.ndarray
@@ -97,28 +101,10 @@ class _Branches:
         tmp = (self.WH.reshape(n_branches * n, n) @ S.T).reshape(n_branches, n, -1)
         return np.einsum("ki,bik->kb", S, tmp)
 
-    def phi(self, S: np.ndarray):
-        """phi and one subgradient per row of the (k, n) batch S."""
-        lin = S @ self.R.T
-        quad = lin + 0.5 * self._quad_terms(S)
-        vals = np.concatenate([quad, lin], axis=1)
-        idx = np.argmax(vals, axis=1)
-        phi = vals[np.arange(len(S)), idx]
-        b = idx % self.R.shape[0]
-        grads = self.R[b].copy()
-        is_quad = idx < self.R.shape[0]
-        if np.any(is_quad):
-            sel = np.nonzero(is_quad)[0]
-            grads[sel] += np.einsum("kij,kj->ki", self.WH[b[sel]], S[sel])
-        return phi, grads
-
     def phi_values(self, S: np.ndarray) -> np.ndarray:
         lin = S @ self.R.T
         quad = lin + 0.5 * self._quad_terms(S)
         return np.maximum(quad.max(axis=1), lin.max(axis=1))
-
-    def phi_single(self, s: np.ndarray) -> float:
-        return float(self.phi_values(s[None, :])[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,140 +126,43 @@ def _project(S: np.ndarray, radius: float, box_shift) -> np.ndarray:
     return S
 
 
-def _line_interval(s: np.ndarray, d: np.ndarray, radius: float, box_shift):
-    """Feasible step range [tl, tu] for s + t d inside ball and box."""
-    dd = float(d @ d)
-    sd = float(s @ d)
-    disc = sd * sd - dd * (float(s @ s) - radius ** 2)
-    if dd <= 0.0 or disc < 0.0:
-        return 0.0, 0.0
-    root = np.sqrt(disc)
-    tl, tu = (-sd - root) / dd, (-sd + root) / dd
-    if box_shift is not None:
-        for i in range(s.size):
-            if d[i] > 0.0:
-                tl = max(tl, (box_shift[0][i] - s[i]) / d[i])
-                tu = min(tu, (box_shift[1][i] - s[i]) / d[i])
-            elif d[i] < 0.0:
-                tl = max(tl, (box_shift[1][i] - s[i]) / d[i])
-                tu = min(tu, (box_shift[0][i] - s[i]) / d[i])
-    return tl, tu
+def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray,
+                    radius: float, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """SLSQP on the epigraph form of min phi, once from each start.
 
-
-def _golden_section(f, lo_t: float, hi_t: float, n_iter: int):
-    """Golden-section refinement of f on [lo_t, hi_t]; returns the two
-    final probes as (f, t) pairs."""
-    x1 = hi_t - _INV_PHI * (hi_t - lo_t)
-    x2 = lo_t + _INV_PHI * (hi_t - lo_t)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(n_iter):
-        if f1 <= f2:
-            hi_t, x2, f2 = x2, x1, f1
-            x1 = hi_t - _INV_PHI * (hi_t - lo_t)
-            f1 = f(x1)
-        else:
-            lo_t, x1, f1 = x1, x2, f2
-            x2 = lo_t + _INV_PHI * (hi_t - lo_t)
-            f2 = f(x2)
-    return (f1, x1), (f2, x2)
-
-
-def _line_search(branches: _Branches, s: np.ndarray, d: np.ndarray,
-                 radius: float, box_shift):
-    """Global 1-D minimization of phi along s + t d over the feasible range.
-
-    Along a line every branch is a quadratic in t, so the scan evaluates
-    all branch vertices plus a dense sample and polishes the best bracket
-    by golden section.  Returns (t_best, phi_best).
+    Minimizes tau over z = (s, tau) subject to tau >= q_b(s) and
+    tau >= lin_b(s) for every branch b, s.s <= radius^2 and lower <= s <=
+    upper.  The end points may violate the constraints by round-off, so the
+    caller projects them.
     """
-    tl, tu = _line_interval(s, d, radius, box_shift)
-    if not (tu - tl > 0.0 and np.isfinite(tl) and np.isfinite(tu)):
-        return 0.0, branches.phi_single(s)
-    lin_s = branches.R @ s
-    whs = branches.WH @ s
-    quad_s = lin_s + 0.5 * (s @ whs.T)
-    rd = branches.R @ d
-    a = np.concatenate([0.5 * (d @ (branches.WH @ d).T), np.zeros(len(rd))])
-    b = np.concatenate([rd + whs @ d, rd])
-    c = np.concatenate([quad_s, lin_s])
+    R = branches.R
+    n_b, n = R.shape
+    sym = 0.5 * (branches.WH + branches.WH.transpose(0, 2, 1))
+    r2 = radius * radius
+    e_tau = np.zeros(n + 1)
+    e_tau[n] = 1.0
 
-    def f(t):
-        return float(np.max((a * t + b) * t + c))
+    def cons(z):
+        s, tau = z[:n], z[n]
+        lin = R @ s
+        return np.concatenate([tau - lin - 0.5 * ((sym @ s) @ s), tau - lin, [r2 - s @ s]])
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        verts = np.where(a > 0.0, -b / (2.0 * a), np.nan)
-    cand = np.concatenate([np.linspace(tl, tu, 65), verts[np.isfinite(verts)], [0.0]])
-    cand = np.clip(cand, tl, tu)
-    vals = np.max((a[:, None] * cand + b[:, None]) * cand + c[:, None], axis=0)
-    k = int(np.argmin(vals))
-    t0, f0 = float(cand[k]), float(vals[k])
-    cell = (tu - tl) / 64.0
-    probes = _golden_section(f, max(tl, t0 - cell), min(tu, t0 + cell), 40)
-    best = min([(f0, t0), *probes], key=lambda p: p[0])
-    return best[1], best[0]
+    def cons_jac(z):
+        s = z[:n]
+        jac = np.zeros((2 * n_b + 1, n + 1))
+        jac[:n_b, :n] = -(R + sym @ s)
+        jac[n_b:2 * n_b, :n] = -R
+        jac[:2 * n_b, n] = 1.0
+        jac[-1, :n] = -2.0 * s
+        return jac
 
-
-def _polish(branches: _Branches, s: np.ndarray, radius: float, box_shift,
-            max_sweeps: int):
-    """Iterated line searches along coordinates and the recent move."""
-    n = s.size
-    s = s.copy()
-    phi_s = branches.phi_single(s)
-    eye = np.eye(n)
-    for _ in range(max_sweeps):
-        s_before = s.copy()
-        improved = False
-        for i in range(n):
-            t, val = _line_search(branches, s, eye[i], radius, box_shift)
-            if val < phi_s - 1e-15 and t != 0.0:
-                s[i] += t
-                phi_s = val
-                improved = True
-        move = s - s_before
-        if np.linalg.norm(move) > 0.0:
-            t, val = _line_search(branches, s, move, radius, box_shift)
-            if val < phi_s - 1e-15 and t != 0.0:
-                s = s + t * move
-                phi_s = val
-                improved = True
-        if not improved:
-            break
-    return s, phi_s
-
-
-def _rim_sweep(branches: _Branches, radius: float, box_shift):
-    """For n = 2, scan the projected trust-ball rim over the angle."""
-    theta = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
-    pts = radius * np.column_stack([np.cos(theta), np.sin(theta)])
-    pts = _project(pts, radius, box_shift)
-    vals = branches.phi_values(pts)
-    k = int(np.argmin(vals))
-
-    def f(t):
-        p = _project(radius * np.array([[np.cos(t), np.sin(t)]]), radius, box_shift)
-        return float(branches.phi_values(p)[0])
-
-    cell = 2.0 * np.pi / 256.0
-    probes = _golden_section(f, theta[k] - cell, theta[k] + cell, 30)
-    val, ang = min([(float(vals[k]), theta[k]), *probes], key=lambda p: p[0])
-    s = _project(radius * np.array([[np.cos(ang), np.sin(ang)]]), radius, box_shift)[0]
-    return s, val
-
-
-def _grid_seeds(branches: _Branches, radius: float, box_shift, n: int, top: int = 12):
-    """Coarse feasible grid scan; returns the best few points as seeds."""
-    per_axis = 41 if n == 2 else 13
-    axes = [np.linspace(-radius, radius, per_axis)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in mesh])
-    pts = pts[np.linalg.norm(pts, axis=1) <= radius]
-    if box_shift is not None:
-        pts = pts[np.all(pts >= box_shift[0], axis=1) & np.all(pts <= box_shift[1], axis=1)]
-    if len(pts) == 0:
-        return np.empty((0, n))
-    vals = branches.phi_values(pts)
-    order = np.argsort(vals, kind="stable")[:top]
-    return pts[order]
+    bounds = [*zip(lower, upper), (None, None)]
+    constraints = {"type": "ineq", "fun": cons, "jac": cons_jac}
+    options = {"maxiter": _SLSQP_MAXITER, "ftol": _SLSQP_FTOL}
+    return np.array([minimize(lambda z: z[n], np.append(s0, t0), jac=lambda z: e_tau,
+                              method="SLSQP", bounds=bounds, constraints=constraints,
+                              options=options).x[:n]
+                     for s0, t0 in zip(starts, phi0)])
 
 
 @dataclass(frozen=True)
@@ -285,12 +174,11 @@ class InnerResult:
 def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None) -> InnerResult:
     """Minimize phi over the ball of the given radius and the box shift.
 
-    Deterministic: starts at 0, at the ball point of steepest descent of
-    every linear branch, along 8 fixed directions and, for n <= 3, at the
-    best grid points; then runs 200 steps of the projected subgradient
-    schedule (radius/4, factor 0.7), polishes the best 3 points (n <= 3,
-    5 sweeps) or the best point (2 sweeps), and for n = 2 sweeps the rim.
-    Always returns phi(s) <= phi(0) = 0.
+    Deterministic: projects the cheap starts (0, the ball point of steepest
+    descent of every distinct linear branch, 8 fixed directions), runs the
+    epigraph SLSQP solve from the 4 with the lowest phi, projects the end
+    points and returns the lowest phi among them and the best start.
+    Always returns a feasible s with phi(s) <= phi(0) = 0.
     """
     if not (np.all(np.isfinite(models.G)) and np.all(np.isfinite(models.H))):
         raise InnerSolveFailure("non-finite model data")
@@ -299,58 +187,26 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None) -
         return InnerResult(np.zeros(n), 0.0)
     branches = _Branches.build(models, cone)
 
-    starts = [np.zeros(n)]
     norms = np.linalg.norm(branches.R, axis=1)
-    for row, nrm in zip(branches.R, norms):
-        if nrm > 0.0:
-            starts.append(-radius * row / nrm)
-    starts.extend(radius * d for d in _fixed_directions(n))
-    if n <= 3:
-        starts.extend(_grid_seeds(branches, radius, box_shift, n))
-    S = _project(np.array(starts), radius, box_shift)
-
-    best_phi = branches.phi_values(S)
-    best_S = S.copy()
-    alpha = radius / 4.0
-    for _ in range(200):
-        if alpha < 1e-12 * radius:
-            break  # remaining moves are below float resolution
-        phi, grads = branches.phi(S)
-        improved = phi < best_phi
-        best_phi = np.where(improved, phi, best_phi)
-        best_S[improved] = S[improved]
-        gnorm = np.linalg.norm(grads, axis=1)
-        move = gnorm > 0.0
-        S = S - alpha * np.where(move[:, None], grads / np.maximum(gnorm, 1e-300)[:, None], 0.0)
-        S = _project(S, radius, box_shift)
-        alpha *= 0.7
+    moving = norms > 0.0
+    starts = np.concatenate([np.zeros((1, n)),
+                             -radius * branches.R[moving] / norms[moving, None],
+                             radius * _fixed_directions(n)])
+    S = _project(starts, radius, box_shift)
     phi = branches.phi_values(S)
-    improved = phi < best_phi
-    best_phi = np.where(improved, phi, best_phi)
-    best_S[improved] = S[improved]
+    order = np.argsort(phi, kind="stable")[:_N_STARTS]
+    S, phi = S[order], phi[order]
 
-    order = np.argsort(best_phi, kind="stable")
-    n_polish = 3 if n <= 3 else 1
-    max_sweeps = 5 if n <= 3 else 2
-    picked: list[np.ndarray] = []
-    for k in order:
-        if len(picked) == n_polish:
-            break
-        if all(np.linalg.norm(best_S[k] - q) > 1e-9 * (1.0 + radius) for q in picked):
-            picked.append(best_S[k])
-    s_best = best_S[order[0]]
-    t_best = float(best_phi[order[0]])
-    for cand in picked:
-        s_c, t_c = _polish(branches, cand, radius, box_shift, max_sweeps)
-        if t_c < t_best:
-            s_best, t_best = s_c, t_c
-    if n == 2:
-        s_r, t_r = _rim_sweep(branches, radius, box_shift)
-        if t_r < t_best:
-            s_best, t_best = s_r, t_r
-    if not np.isfinite(t_best):
+    lower, upper = np.full(n, -radius), np.full(n, radius)
+    if box_shift is not None:
+        lower, upper = np.maximum(lower, box_shift[0]), np.minimum(upper, box_shift[1])
+    ends = _epigraph_slsqp(branches, S, phi, radius, lower, upper)
+    cand = np.concatenate([S[:1], _project(ends, radius, box_shift)])
+    vals = branches.phi_values(cand)
+    k = int(np.nanargmin(vals))
+    if not np.isfinite(vals[k]):
         raise InnerSolveFailure("non-finite subproblem value")
-    return InnerResult(s_best, t_best)
+    return InnerResult(cand[k], float(vals[k]))
 
 
 def predicted_reduction(models: ModelSet, cone: Cone, j: int, s: np.ndarray) -> float:

@@ -7,10 +7,8 @@ from setopt.problems import (
     DomainError,
     UnknownProblemError,
     DerivativeTable,
-    derivatives,
     derivatives_all,
     fd_jacobian_all,
-    from_functions,
     make_linear_plant,
     make_quadratic_plant,
     make_sphere_helper_plant,
@@ -160,28 +158,27 @@ def test_log_tan_clamp_counter():
 def test_linear_plant_derivatives():
     c = np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -1.0]])
     p = make_linear_plant(c)
-    b = derivatives(p, 1, [0.3, -0.4, 2.0])
-    assert np.allclose(b.jacobian, c, atol=1e-8)
-    assert np.allclose(b.hessians, 0.0, atol=1e-8)
+    jac, hess = derivatives_all(p, [0.3, -0.4, 2.0])
+    assert np.allclose(jac[0], c, atol=1e-8)
+    # FD of FD Jacobians: rounding of order eps^(2/3) / hess step, as below
+    assert np.allclose(hess[0], 0.0, atol=1e-5)
 
 
 def test_quadratic_plant_hessian():
     a = np.array([[2.0, 1.0], [1.0, 4.0]])
     p = make_quadratic_plant(a)
-    b = derivatives(p, 1, [0.7, -1.3])
-    assert np.allclose(b.hessians[0], a, atol=1e-5)
-    # FD-only twin of the same function
-    twin = from_functions("quad_fd", 2, 1, [lambda x: np.array([0.5 * x @ a @ x])],
-                          (-10.0, 10.0))
-    bt = derivatives(twin, 1, [0.7, -1.3])
-    assert np.allclose(bt.hessians[0], a, atol=1e-5)
-    assert np.allclose(bt.jacobian[0], a @ [0.7, -1.3], atol=1e-6)
+    x = np.array([0.7, -1.3])
+    jac, hess = derivatives_all(p, x)
+    assert np.allclose(hess[0, 0], a, atol=1e-5)
+    assert np.allclose(jac[0, 0], a @ x, atol=1e-6)
 
 
 def test_sphere_helper_slope():
+    # f(x) = (x - 1/2)^2: slope 2 (x - 1/2) = 0.5 and curvature 2 at x = 0.75
     p = make_sphere_helper_plant()
-    b = derivatives(p, 1, [0.75])
-    assert b.jacobian[0, 0] == pytest.approx(0.5, abs=1e-7)
+    jac, hess = derivatives_all(p, [0.75])
+    assert jac[0, 0, 0] == pytest.approx(0.5, abs=1e-7)
+    assert hess[0, 0, 0, 0] == pytest.approx(2.0, abs=1e-5)
     fd = fd_jacobian_all(p, [0.75])
     assert fd[0, 0, 0] == pytest.approx(0.5, abs=1e-7)
 

@@ -229,9 +229,14 @@ def test_sd_zero_direction_immediate():
 def test_cg_first_step_matches_sd():
     p = registry("jos1a_n5_m2")
     cone = orthant(2)
-    x0 = np.full(5, 1.5)
+    # off the segment between the two objectives' minimisers 0 and (2, ..., 2),
+    # so x0 is not critical and both methods take a step
+    x0 = np.array([1.5, -1.0, 0.5, 1.0, -0.5])
     r_sd = run(p, cone, x0, SolverConfig(variant="sd", it_max=1))
     r_cg = run(p, cone, x0, SolverConfig(variant="cg", it_max=1))
+    for r in (r_sd, r_cg):
+        assert r.iterations == 1
+        assert not np.array_equal(r.final_point, x0)
     assert r_sd.final_point.tobytes() == r_cg.final_point.tobytes()
 
 

@@ -167,8 +167,10 @@ def test_grid_oracle_battery_small():
         models = ModelSet(G=g, H=0.5 * (h + h.swapaxes(2, 3)))
         cone = cone_cache[m]
         radius = float(rng.choice([0.5, 1.0, 2.0]))
-        res = inner_minimax(models, cone, radius)
-        assert res.t <= grid_oracle(models, cone, radius) + 1e-3
+        shift = (-radius * rng.uniform(0.0, 1.0, 2), radius * rng.uniform(0.0, 1.0, 2))
+        for box_shift in (None, shift):
+            res = inner_minimax(models, cone, radius, box_shift)
+            assert res.t <= grid_oracle(models, cone, radius, box_shift) + 1e-3
 
 
 def _random_models(rng, blocks, m, n):
@@ -205,7 +207,6 @@ def test_branches_keep_first_of_bitwise_duplicates():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_inner_minimax_bitwise_on_repeated_blocks(n):
-    # n = 2 runs the grid-seed and rim stages, n = 3 the grid only, n = 5 neither
     rng = np.random.default_rng(100 + n)
     cone = orthant(2)
     for trial in range(4):
@@ -242,16 +243,9 @@ def _ball_points(n, radius, rng):
     return d * (radius * rng.uniform(size=(200_000, 1)) ** (1.0 / n))
 
 
-_MISSES_ORACLE = pytest.mark.xfail(
-    strict=True,
-    reason="known accuracy fault: without grid seeds (n > 3) the solver polishes "
-           "one start and misses the sampled minimum by up to 5e-2 on 5 of 40 calls")
-
-
-@pytest.mark.parametrize("n", [3, pytest.param(4, marks=_MISSES_ORACLE),
-                               pytest.param(5, marks=_MISSES_ORACLE)])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_inner_minimax_oracle_higher_dim(n):
-    # Table-2 runs call the inner solver at n = 1-10; the grid seeds stop at n = 3
+    # Table-2 runs call the inner solver at n = 1-10
     rng = np.random.default_rng(1000 + n)
     for _ in range(10):
         omega, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
