@@ -126,13 +126,11 @@ def run_matrix(config: ExperimentConfig, store_path: str, cone: Cone | None = No
                     res = run(problem, kone, x0, SolverConfig(variant=algo, it_max=config.it_max))
                     rec = _result_record(pid, algo, idx, x0, res)
                 except Exception as exc:  # noqa: BLE001 -- failures become records
-                    rec = {
-                        "problem": pid, "algorithm": algo, "point_index": idx,
-                        "x0": np.asarray(x0).tolist(), "converged": False,
-                        "iterations": config.it_max, "cpu_time": 0.0,
-                        "mean_step_size": 0.0, "final_t": None,
-                        "diagnostic": f"{type(exc).__name__}: {exc}",
-                    }
+                    res = RunResult(converged=False, iterations=config.it_max, wall_time=0.0,
+                                    cpu_time=0.0, final_point=x0, final_t=float("nan"),
+                                    trace=[], algorithm=algo,
+                                    diagnostic=f"{type(exc).__name__}: {exc}")
+                    rec = _result_record(pid, algo, idx, x0, res)
                 fh.write(json.dumps(rec) + "\n")
                 fh.flush()
                 new_records.append(rec)

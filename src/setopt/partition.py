@@ -3,7 +3,8 @@
 Given the family values F(x) = {f^1(x), ..., f^p(x)} and an ordering cone,
 this module finds the cone-minimal and weakly minimal members, groups the
 weakly minimal indices by (near-)equal value, and enumerates the Cartesian
-product of those groups, one factor per distinct minimal value.
+product of those groups, one factor per distinct minimal value, or only its
+first tuple when the members share their derivatives (offset families).
 """
 
 from __future__ import annotations
@@ -137,3 +138,16 @@ def partition_iter(structure: MinimalStructure, cap: int = PARTITION_CAP):
             f"partition set has {count} elements (group sizes {sizes}), cap is {cap}"
         )
     return itertools.product(*structure.groups)
+
+
+def candidate_tuples(problem, structure: MinimalStructure):
+    """The index tuples whose models a solver must compare.
+
+    The members of an offset family (``problem.offsets`` set) share one
+    Jacobian and Hessian, so every tuple of the group product gives the
+    same models, and the lexicographic tie rule keeps the first: each
+    group's first member.  Otherwise this is ``partition_iter``.
+    """
+    if problem.offsets is not None:
+        return [tuple(g[0] for g in structure.groups)]
+    return partition_iter(structure)

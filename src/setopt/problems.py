@@ -1,14 +1,18 @@
 """Test-problem registry and derivative evaluation.
 
 Each problem is a family F(x) = {f^1(x), ..., f^p(x)} of smooth maps
-R^n -> R^m together with a domain box.  The shipped instances follow a
-common pattern: a base multiobjective function plus a per-index offset
-built from a fixed 10x10 grid of angle pairs (phi_i, psi_i), giving
-p = 100 members (one instance uses p = 5 with interpolation weights).
+R^n -> R^m together with a domain box.  Most shipped instances follow a
+common pattern: a base multiobjective function plus a constant per-index
+offset built from a fixed 10x10 grid of angle pairs (phi_i, psi_i), giving
+p = 100 members.  Their evaluator returns the base alone and
+``SetValuedProblem.offsets`` holds the (p, m) offsets; two instances
+(``modified_ex51``, ``modified_ex53``) and the plants evaluate the whole
+family.
 
-Derivatives are central finite differences; a handful of smoke-test
-plants carry analytic Jacobians so the FD machinery can be checked
-against closed forms.
+Derivatives are central finite differences of what the evaluator returns,
+so the members of an offset family share one bitwise Jacobian and
+Hessian.  A handful of smoke-test plants carry analytic Jacobians so the
+FD machinery can be checked against closed forms.
 """
 
 from __future__ import annotations
@@ -35,8 +39,11 @@ class UnknownProblemError(KeyError):
 class SetValuedProblem:
     """A finite family of vector objectives on a box.
 
-    ``evaluator(x)`` returns the full (p, m) value matrix; ``eval(i, x)``
-    picks the 1-based row i.  Evaluation is deterministic and reentrant.
+    With ``offsets`` None, ``evaluator(x)`` returns the full (p, m) value
+    matrix.  Otherwise it returns the (m,) base and F(x) is the base plus
+    each constant row of the (p, m) ``offsets``.  ``eval_all`` gives F(x);
+    ``eval(i, x)`` picks the 1-based row i.  Evaluation is deterministic
+    and reentrant.
     """
 
     name: str
@@ -49,13 +56,21 @@ class SetValuedProblem:
     phi_psi: np.ndarray | None = None
     notes: str = ""
     clamp_events: int = 0
+    offsets: np.ndarray | None = None
 
-    def eval_all(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(self.n)
-        vals = np.asarray(self.evaluator(x), dtype=float).reshape(self.p, self.m)
+    def _evaluate(self, x: np.ndarray) -> np.ndarray:
+        """The evaluator's output at x: the (m,) base of an offset family,
+        else the (p, m) values.  A finite offset added to a finite base
+        stays finite, so checking this output checks F(x)."""
+        shape = (self.p, self.m) if self.offsets is None else (self.m,)
+        vals = np.asarray(self.evaluator(x), dtype=float).reshape(shape)
         if not np.all(np.isfinite(vals)):
             raise DomainError(f"{self.name}: non-finite value at x={x.tolist()}")
         return vals
+
+    def eval_all(self, x) -> np.ndarray:
+        vals = self._evaluate(np.asarray(x, dtype=float).reshape(self.n))
+        return vals if self.offsets is None else vals[None, :] + self.offsets
 
     def eval(self, i: int, x) -> np.ndarray:
         if not 1 <= i <= self.p:
@@ -108,41 +123,51 @@ def _fd_center(problem: SetValuedProblem, x: np.ndarray, with_hessian: bool) -> 
     return center
 
 
-def _jac_all_at(problem: SetValuedProblem, c: np.ndarray) -> np.ndarray:
+def _jac_at(problem: SetValuedProblem, c: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of the evaluator's output, (..., m, n)."""
     h = _grad_steps(c)
-    jac = np.empty((problem.p, problem.m, problem.n))
+    cols = []
     for j in range(problem.n):
         step = (c[j] + h[j]) - c[j]  # exactly representable step
         e = np.zeros(problem.n)
         e[j] = step
-        jac[:, :, j] = (problem.eval_all(c + e) - problem.eval_all(c - e)) / (2.0 * step)
-    return jac
+        cols.append((problem._evaluate(c + e) - problem._evaluate(c - e)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
 
 
-def _hess_all_at(problem: SetValuedProblem, c: np.ndarray) -> np.ndarray:
+def _hess_at(problem: SetValuedProblem, c: np.ndarray) -> np.ndarray:
+    """Central differences of ``_jac_at``, symmetrised, (..., m, n, n)."""
     d = _hess_steps(c)
-    hess = np.empty((problem.p, problem.m, problem.n, problem.n))
+    cols = []
     for j in range(problem.n):
         step = (c[j] + d[j]) - c[j]
         e = np.zeros(problem.n)
         e[j] = step
-        jp = _jac_all_at(problem, c + e)
-        jm = _jac_all_at(problem, c - e)
-        hess[:, :, :, j] = (jp - jm) / (2.0 * step)
-    return 0.5 * (hess + hess.swapaxes(2, 3))
+        cols.append((_jac_at(problem, c + e) - _jac_at(problem, c - e)) / (2.0 * step))
+    hess = np.stack(cols, axis=-1)
+    return 0.5 * (hess + hess.swapaxes(-2, -1))
+
+
+def _family(problem: SetValuedProblem, arr: np.ndarray) -> np.ndarray:
+    """Broadcast a base derivative to every member (a view, no copy)."""
+    return arr if problem.offsets is None else np.broadcast_to(arr, (problem.p, *arr.shape))
 
 
 def fd_jacobian_all(problem: SetValuedProblem, x) -> np.ndarray:
     """Central-difference Jacobians of all p functions, shape (p, m, n)."""
     x = np.asarray(x, dtype=float).reshape(problem.n)
-    return _jac_all_at(problem, _fd_center(problem, x, with_hessian=False))
+    return _family(problem, _jac_at(problem, _fd_center(problem, x, with_hessian=False)))
 
 
 def derivatives_all(problem: SetValuedProblem, x):
-    """Jacobians (p, m, n) and Hessians (p, m, n, n) of the whole family."""
+    """Jacobians (p, m, n) and Hessians (p, m, n, n) of the whole family.
+
+    The members of an offset family share the derivatives of the base:
+    every member's block is the same read-only view.
+    """
     x = np.asarray(x, dtype=float).reshape(problem.n)
     c = _fd_center(problem, x, with_hessian=True)
-    return _jac_all_at(problem, c), _hess_all_at(problem, c)
+    return _family(problem, _jac_at(problem, c)), _family(problem, _hess_at(problem, c))
 
 
 class DerivativeTable:
@@ -225,24 +250,25 @@ def _uniform_box(n, lo, hi):
 def _zdt1(n: int) -> SetValuedProblem:
     i = np.arange(1, 101)
     c16 = np.cos(4.0 * np.pi * i / 100.0) ** 16
-    p1 = (0.02 + 0.02 * c16) * np.cos(2.0 * np.pi * i / 100.0)
-    p2 = 0.15 + 0.15 * c16 * np.sin(2.0 * np.pi * i / 100.0)
+    offsets = np.column_stack([(0.02 + 0.02 * c16) * np.cos(2.0 * np.pi * i / 100.0),
+                               0.15 + 0.15 * c16 * np.sin(2.0 * np.pi * i / 100.0)])
 
     def evaluator(x):
         f1 = x[0]
         g = 1.0 + 9.0 * np.sum(x[1:])
         with np.errstate(invalid="ignore"):
             h = 1.0 - np.sqrt(f1 / g)
-        return np.column_stack([f1 + p1, g * h + p2])
+        return np.array([f1, g * h])
 
-    return SetValuedProblem(f"zdt1_n{n}_m2", n, 2, 100, _uniform_box(n, 0.0, 1.0), evaluator)
+    return SetValuedProblem(f"zdt1_n{n}_m2", n, 2, 100, _uniform_box(n, 0.0, 1.0), evaluator,
+                            offsets=offsets)
 
 
 def _zdt4(n: int = 10) -> SetValuedProblem:
     i = np.arange(1, 101)
     c16 = np.cos(4.0 * np.pi * i / 100.0) ** 16
-    p1 = 1.0 + c16 * np.cos(2.0 * np.pi * i / 100.0)
-    p2 = 1.0 + c16 * np.sin(2.0 * np.pi * i / 100.0)
+    offsets = np.column_stack([1.0 + c16 * np.cos(2.0 * np.pi * i / 100.0),
+                               1.0 + c16 * np.sin(2.0 * np.pi * i / 100.0)])
     lo = np.array([0.01] + [-5.0] * (n - 1))
     hi = np.array([1.0] + [5.0] * (n - 1))
 
@@ -251,9 +277,9 @@ def _zdt4(n: int = 10) -> SetValuedProblem:
         g = 1.0 + 10.0 * (n - 1) + np.sum(x[1:] ** 2 - 10.0 * np.cos(4.0 * np.pi * x[1:]))
         with np.errstate(invalid="ignore"):
             h = 1.0 - np.sqrt(f1 / g)
-        return np.column_stack([f1 + p1, g * h + p2])
+        return np.array([f1, g * h])
 
-    return SetValuedProblem(f"zdt4_n{n}_m2", n, 2, 100, (lo, hi), evaluator)
+    return SetValuedProblem(f"zdt4_n{n}_m2", n, 2, 100, (lo, hi), evaluator, offsets=offsets)
 
 
 def _dtlz_g_rastrigin(xm: np.ndarray) -> float:
@@ -278,10 +304,10 @@ def _dtlz1(n: int = 6, m: int = 4) -> SetValuedProblem:
             0.25 * g1 * x[0] * (1.0 - x[1]),
             0.5 * (1.0 - x[0]) * g1,
         ])
-        return base[None, :] + pert
+        return base
 
     return SetValuedProblem(f"dtlz1_n{n}_m{m}", n, m, 100, _uniform_box(n, 0.0, 1.0),
-                            evaluator, phi_psi=grid, clamp_events=n_clamped)
+                            evaluator, phi_psi=grid, clamp_events=n_clamped, offsets=pert)
 
 
 def _dtlz3(n: int = 5, m: int = 4) -> SetValuedProblem:
@@ -304,11 +330,11 @@ def _dtlz3(n: int = 5, m: int = 4) -> SetValuedProblem:
             g1 * c[0] * c[0],
             g1 * s[0],
         ])
-        return base[None, :] + pert
+        return base
 
     return SetValuedProblem(
         f"dtlz3_n{n}_m{m}", n, m, 100, _uniform_box(n, 0.0, 1.0), evaluator,
-        phi_psi=grid,
+        phi_psi=grid, offsets=pert,
         notes="first offset component uses cos(psi_i); third base row is cos^2(x1*pi/2)")
 
 
@@ -326,10 +352,10 @@ def _fdsa(n: int = 2, m: int = 3) -> SetValuedProblem:
         g1 = np.sum(k * (x - k) ** 4) / n ** 2
         g2 = np.exp(np.sum(x) / n) + np.dot(x, x)
         g3 = np.sum(k * (n - k + 1) * np.exp(-x)) / (n * (n + 1))
-        return np.array([g1, g2, g3])[None, :] + pert
+        return np.array([g1, g2, g3])
 
     return SetValuedProblem(f"fdsa_n{n}_m{m}", n, m, 100, _uniform_box(n, -2.0, 2.0),
-                            evaluator, phi_psi=grid)
+                            evaluator, phi_psi=grid, offsets=pert)
 
 
 def _dtlz5(n: int, m: int) -> SetValuedProblem:
@@ -353,10 +379,10 @@ def _dtlz5(n: int, m: int) -> SetValuedProblem:
         for j in range(2, m):
             base[j - 1] = (1.0 + g) * np.prod(c[: m - j]) * s[m - j]
         base[m - 1] = (1.0 + g) * s[0]
-        return base[None, :] + pert
+        return base
 
     return SetValuedProblem(f"dtlz5_n{n}_m{m}", n, m, 100, _uniform_box(n, 0.0, 1.0),
-                            evaluator, phi_psi=grid)
+                            evaluator, phi_psi=grid, offsets=pert)
 
 
 def _dgo1() -> SetValuedProblem:
@@ -366,9 +392,10 @@ def _dgo1() -> SetValuedProblem:
 
     def evaluator(x):
         g = np.array([np.sin(x[0]), np.sin(x[0] + 0.7)])
-        return g[None, :] + pert
+        return g
 
-    return SetValuedProblem("dgo1_n1_m2", 1, 2, 100, _uniform_box(1, -10.0, 13.0), evaluator)
+    return SetValuedProblem("dgo1_n1_m2", 1, 2, 100, _uniform_box(1, -10.0, 13.0), evaluator,
+                            offsets=pert)
 
 
 def _dgo2() -> SetValuedProblem:
@@ -379,9 +406,10 @@ def _dgo2() -> SetValuedProblem:
     def evaluator(x):
         with np.errstate(invalid="ignore"):
             g = np.array([x[0] ** 2, 9.0 - np.sqrt(81.0 - x[0] ** 2)])
-        return g[None, :] + pert
+        return g
 
-    return SetValuedProblem("dgo2_n1_m2", 1, 2, 100, _uniform_box(1, -9.0, 9.0), evaluator)
+    return SetValuedProblem("dgo2_n1_m2", 1, 2, 100, _uniform_box(1, -9.0, 9.0), evaluator,
+                            offsets=pert)
 
 
 def _hil(n: int = 2) -> SetValuedProblem:
@@ -396,9 +424,10 @@ def _hil(n: int = 2) -> SetValuedProblem:
                                  + 25.0 * np.sin(2.0 * np.pi * x[1])) \
             * (1.0 + 0.5 * np.cos(2.0 * np.pi * x[0]))
         g = np.array([np.cos(ang), np.sin(ang)])
-        return g[None, :] + pert
+        return g
 
-    return SetValuedProblem(f"hil_n{n}_m2", n, 2, 100, _uniform_box(n, 0.0, 5.0), evaluator)
+    return SetValuedProblem(f"hil_n{n}_m2", n, 2, 100, _uniform_box(n, 0.0, 5.0), evaluator,
+                            offsets=pert)
 
 
 def _jos1a(n: int = 5) -> SetValuedProblem:
@@ -408,9 +437,10 @@ def _jos1a(n: int = 5) -> SetValuedProblem:
 
     def evaluator(x):
         g = np.array([np.dot(x, x) / n, np.sum((x - 2.0) ** 2) / n])
-        return g[None, :] + pert
+        return g
 
-    return SetValuedProblem(f"jos1a_n{n}_m2", n, 2, 100, _uniform_box(n, -2.0, 2.0), evaluator)
+    return SetValuedProblem(f"jos1a_n{n}_m2", n, 2, 100, _uniform_box(n, -2.0, 2.0), evaluator,
+                            offsets=pert)
 
 
 def _rosenbrock(n: int = 4, m: int = 3) -> SetValuedProblem:
@@ -429,10 +459,10 @@ def _rosenbrock(n: int = 4, m: int = 3) -> SetValuedProblem:
             100.0 * (x[2] - x[1] ** 2) ** 2 + (x[2] - 1.0) ** 2,
             100.0 * (x[3] - x[2] ** 2) ** 2 + (x[3] - 1.0) ** 2,
         ])
-        return base[None, :] + pert
+        return base
 
     return SetValuedProblem(f"rosenbrock_n{n}_m{m}", n, m, 100, _uniform_box(n, -2.0, 2.0),
-                            evaluator, phi_psi=grid)
+                            evaluator, phi_psi=grid, offsets=pert)
 
 
 def _brown_dennis(n: int = 4, m: int = 5) -> SetValuedProblem:
@@ -452,10 +482,10 @@ def _brown_dennis(n: int = 4, m: int = 5) -> SetValuedProblem:
         first[2] = x[0] + t[2] * x[2] - np.exp(t[2])  # third row pairs t with x3
         second = x[2] + x[3] * np.sin(t) - np.cos(t)
         base = first ** 2 + second ** 2
-        return base[None, :] + pert
+        return base
 
     return SetValuedProblem(f"brown_dennis_n{n}_m{m}", n, m, 100, (lo, hi), evaluator,
-                            phi_psi=grid, clamp_events=n_clamped)
+                            phi_psi=grid, clamp_events=n_clamped, offsets=pert)
 
 
 def _trigonometric(n: int = 4, m: int = 4) -> SetValuedProblem:
@@ -475,11 +505,11 @@ def _trigonometric(n: int = 4, m: int = 4) -> SetValuedProblem:
             (3.0 - np.cos(cum[2]) + 3.0 * (1.0 - np.cos(x[2])) - np.sin(x[2])) ** 2,
             4.0 - np.cos(cum[3]) + 4.0 * (1.0 - np.cos(x[3])) - np.sin(x[3]),
         ])
-        return base[None, :] + pert
+        return base
 
     return SetValuedProblem(f"trigonometric_n{n}_m{m}", n, m, 100,
                             _uniform_box(n, -1.0, 1.0), evaluator,
-                            phi_psi=grid, clamp_events=n_clamped,
+                            phi_psi=grid, clamp_events=n_clamped, offsets=pert,
                             notes="fourth base component is not squared")
 
 
@@ -494,10 +524,10 @@ def _das_dennis(n: int = 5) -> SetValuedProblem:
             np.dot(x, x),
             3.0 * x[0] + 2.0 * x[1] - x[2] / 3.0 + 0.01 * (x[3] - x[4]) ** 3,
         ])
-        return base[None, :] + pert
+        return base
 
     return SetValuedProblem(f"das_dennis_n{n}_m2", n, 2, 100,
-                            _uniform_box(n, -20.0, 20.0), evaluator)
+                            _uniform_box(n, -20.0, 20.0), evaluator, offsets=pert)
 
 
 def _modified_ex51() -> SetValuedProblem:
@@ -539,10 +569,10 @@ def _sphere() -> SetValuedProblem:
         gr = (np.sqrt(np.dot(x, x)) - 0.5) ** 2
         v = np.pi * (1.0 + 2.0 * g3 * x[1]) / (4.0 * (1.0 + gr))
         base = (1.0 + g3) * np.array([np.cos(u) * np.cos(v), np.cos(u) * np.sin(v), np.sin(u)])
-        return base[None, :] + pert
+        return base
 
     return SetValuedProblem("sphere_n3_m3", 3, 3, 100, _uniform_box(3, 0.0, 1.0),
-                            evaluator, phi_psi=grid)
+                            evaluator, phi_psi=grid, offsets=pert)
 
 
 _BUILDERS = {

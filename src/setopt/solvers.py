@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .cone import Cone
-from .partition import PartitionCapError, partition_iter, structure_from_values
+from .partition import PartitionCapError, candidate_tuples, structure_from_values
 from .problems import DerivativeTable, DomainError, SetValuedProblem
 from .subproblem import (
     InnerSolveFailure,
@@ -350,7 +350,7 @@ def _run_linesearch(problem: SetValuedProblem, cone: Cone, x0,
             break
         best = None
         try:
-            for a in partition_iter(structure):
+            for a in candidate_tuples(problem, structure):
                 rows = _scalarized_rows(cone, jac, a)
                 v, val = _prox_direction(rows)
                 if best is None or val < best[0] - 1e-12:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .cone import Cone
-from .partition import MinimalStructure, partition_iter
+from .partition import MinimalStructure, candidate_tuples
 from .problems import DerivativeTable, SetValuedProblem
 
 log = logging.getLogger(__name__)
@@ -220,9 +220,10 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
     """Solve the inner problem for every partition element, keep the best.
 
     Ties within 1e-12 of the best value resolve to the earliest tuple in
-    lexicographic order.  A per-tuple inner failure contributes (s=0, t=0)
-    so it never fabricates descent; the result is marked infeasible only
-    when every tuple fails.
+    lexicographic order.  In an offset family every tuple has the same
+    models, so only that earliest tuple is solved (``candidate_tuples``).
+    A per-tuple inner failure contributes (s=0, t=0) so it never fabricates
+    descent; the result is marked infeasible only when every tuple fails.
     """
     x = np.asarray(x, dtype=float).reshape(problem.n)
     if table is None:
@@ -234,7 +235,7 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
 
     best = None
     any_ok = False
-    for a in partition_iter(structure):
+    for a in candidate_tuples(problem, structure):
         idx = [ai - 1 for ai in a]
         models = ModelSet(G=jac_all[idx], H=hess_all[idx])
         try:

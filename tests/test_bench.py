@@ -69,6 +69,25 @@ def test_run_matrix_completes_partial_store(tmp_path):
     assert len(keys) == 6
 
 
+def test_run_matrix_records_a_raising_run(tmp_path, monkeypatch):
+    import setopt.bench as bench
+
+    config = _tiny_config()
+    ok = run_matrix(config, str(tmp_path / "ok.jsonl"))
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(bench, "run", boom)
+    failed = run_matrix(config, str(tmp_path / "failed.jsonl"))
+    assert [list(r) for r in failed] == [list(r) for r in ok]
+    for rec, good in zip(failed, ok):
+        assert rec["x0"] == good["x0"] and rec["point_index"] == good["point_index"]
+        assert rec["converged"] is False and rec["iterations"] == config.it_max
+        assert rec["cpu_time"] == 0.0 and rec["mean_step_size"] == 0.0
+        assert rec["final_t"] is None and rec["diagnostic"] == "RuntimeError: boom"
+
+
 def test_record_store_roundtrip_exact(tmp_path):
     store = str(tmp_path / "store.jsonl")
     config = _tiny_config()

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from setopt.bench import _problem_seed, sample_points
+from setopt.cone import orthant
 from setopt.problems import (
     DomainError,
     UnknownProblemError,
@@ -15,6 +17,7 @@ from setopt.problems import (
     problem_ids,
     registry,
 )
+from setopt.solvers import VARIANTS, SolverConfig, run
 
 EXPECTED_IDS = {
     "zdt1_n2_m2", "zdt1_n5_m2", "zdt1_n8_m2", "zdt1_n10_m2", "zdt4_n10_m2",
@@ -221,3 +224,38 @@ def test_derivative_table_caches():
     j2, h2 = table.bundle_arrays(x)
     assert j1 is j2 and h1 is h2
     assert table.jacobians(x) is j1
+
+
+FULL_EVALUATORS = {"modified_ex51_n1_m2", "modified_ex53_n2_m2"}
+
+
+def _distinct_blocks(arr) -> int:
+    return len({block.tobytes() for block in arr})
+
+
+def test_offset_families_share_bitwise_derivatives():
+    for pid in problem_ids():
+        p = registry(pid)
+        assert (p.offsets is None) == (pid in FULL_EVALUATORS)
+        x = sample_points(p.domain_box, 1, _problem_seed(3, pid))[0]
+        jac, hess = derivatives_all(p, x)
+        assert jac.shape == (p.p, p.m, p.n) and hess.shape == (p.p, p.m, p.n, p.n)
+        counts = (_distinct_blocks(jac), _distinct_blocks(hess),
+                  _distinct_blocks(fd_jacobian_all(p, x)))
+        if p.offsets is None:
+            assert min(counts) > 1, pid
+        else:
+            assert counts == (1, 1, 1), pid
+    ex53 = registry("modified_ex53_n2_m2")
+    jac, hess = derivatives_all(ex53, [0.3, -1.2])
+    assert _distinct_blocks(jac) == _distinct_blocks(hess) == ex53.p
+
+
+def test_fdsa_runs_every_method():
+    # its offsets pair exactly: 22 groups of 2, 4,194,304 tuples at every start
+    p = registry("fdsa_n2_m3")
+    for x0 in sample_points(p.domain_box, 3, _problem_seed(1, p.name)):
+        for variant in VARIANTS:
+            res = run(p, orthant(3), x0, SolverConfig(variant=variant))
+            assert res.diagnostic is None or "PartitionCapError" not in res.diagnostic
+            assert res.iterations > 0 and res.trace

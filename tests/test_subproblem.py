@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from setopt.cone import k2prime, orthant
-from setopt.partition import minimal_structure, structure_from_values
-from setopt.problems import make_quadratic_plant, registry
+from setopt.partition import PARTITION_CAP, minimal_structure, structure_from_values
+from setopt.problems import derivatives_all, make_quadratic_plant, registry
 from setopt.subproblem import (
     ModelSet,
     _Branches,
@@ -141,6 +141,24 @@ def test_theta_tie_break_lexicographic():
         (-2.0, 2.0))
     sol = theta_and_step(p, orthant(2), np.array([0.0]), st, 1.0, box=p.domain_box)
     assert sol.a_star == (1, 3)
+
+
+def test_theta_solves_first_tuple_of_offset_family():
+    # fdsa's raw group product is 2^22 tuples; every tuple has the same models
+    p = registry("fdsa_n2_m3")
+    cone = orthant(3)
+    x = np.array([0.33, -0.93])
+    st = minimal_structure(p, cone, x)
+    assert st.partition_count() > PARTITION_CAP
+    box_shift = (p.domain_box[0] - x, p.domain_box[1] - x)
+    sol = theta_and_step(p, cone, x, st, 1.0, box=p.domain_box)
+    first = tuple(g[0] for g in st.groups)
+    assert sol.a_star == first
+    jac, hess = derivatives_all(p, x)
+    i = first[0] - 1
+    alone = inner_minimax(ModelSet(G=jac[[i]], H=hess[[i]]), cone, 1.0, box_shift)
+    assert sol.t_star == alone.t < 0.0
+    assert sol.s_star.tobytes() == alone.s.tobytes()
 
 
 def test_theta_uses_box_rows():
