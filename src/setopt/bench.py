@@ -352,8 +352,6 @@ def cone_experiment(problem_id: str, x0, cones: dict, it_max: int = 100,
             clouds = []
             for pi, p in enumerate(seen):
                 phase = "initial" if pi == 0 else ("final" if pi == len(seen) - 1 else "intermediate")
-                if len(seen) == 1:
-                    phase = "initial"
                 clouds.append({
                     "phase": phase,
                     "x": p.tolist(),

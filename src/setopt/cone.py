@@ -81,10 +81,6 @@ class Cone:
     def m(self) -> int:
         return self.dual_normals.shape[1]
 
-    @property
-    def n_normals(self) -> int:
-        return self.dual_normals.shape[0]
-
     def scalarize(self, y) -> float:
         """Signed distance of y to -K: ``max_j w_j^T y``."""
         return float(np.max(self.dual_normals @ np.asarray(y, dtype=float)))

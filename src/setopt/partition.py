@@ -3,8 +3,8 @@
 Given the family values F(x) = {f^1(x), ..., f^p(x)} and an ordering cone,
 this module finds the cone-minimal and weakly minimal members, groups the
 weakly minimal indices by (near-)equal value, and enumerates the Cartesian
-product of those groups, one factor per distinct minimal value, or only its
-first tuple when the members share their derivatives (offset families).
+product of those groups, one factor per distinct minimal value.  ``best_tuple``
+is the one search over that product that every solver uses.
 """
 
 from __future__ import annotations
@@ -140,14 +140,24 @@ def partition_iter(structure: MinimalStructure, cap: int = PARTITION_CAP):
     return itertools.product(*structure.groups)
 
 
-def candidate_tuples(problem, structure: MinimalStructure):
-    """The index tuples whose models a solver must compare.
+def best_tuple(problem, structure: MinimalStructure, solve):
+    """The index tuple a* whose ``solve(a)`` value is least, and ``solve(a*)``.
 
-    The members of an offset family (``problem.offsets`` set) share one
-    Jacobian and Hessian, so every tuple of the group product gives the
-    same models, and the lexicographic tie rule keeps the first: each
-    group's first member.  Otherwise this is ``partition_iter``.
+    ``solve(a)`` returns a sequence whose first item is the value to
+    minimize.  Ties within 1e-12 of the best value resolve to the earliest
+    tuple in lexicographic order.  The members of an offset family
+    (``problem.offsets`` set) share one Jacobian and Hessian, so every
+    tuple of the group product gives the same value and the tie rule keeps
+    the first: only that tuple, each group's first member, is solved.
+    Otherwise every tuple of ``partition_iter`` is, within its cap.
     """
     if problem.offsets is not None:
-        return [tuple(g[0] for g in structure.groups)]
-    return partition_iter(structure)
+        tuples = [tuple(g[0] for g in structure.groups)]
+    else:
+        tuples = partition_iter(structure)
+    a_star = best = None
+    for a in tuples:
+        res = solve(a)
+        if best is None or res[0] < best[0] - 1e-12:
+            a_star, best = tuple(a), res
+    return a_star, best

@@ -1,8 +1,9 @@
 """Trust-region drivers with monotone and non-monotone step acceptance,
 plus steepest-descent and conjugate-gradient baselines.
 
-The three trust-region variants share one loop and differ only in the
-reference matrix the reduction ratio compares against:
+All five variants run in one loop (``run``) with one stop test.  The
+three trust-region variants differ only in the reference matrix the
+reduction ratio compares against:
 
 * ``trm``  — the current values F(x_k),
 * ``max``  — a componentwise maximum over the values F(x_j) of the last
@@ -26,14 +27,9 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .cone import Cone
-from .partition import PartitionCapError, candidate_tuples, structure_from_values
+from .partition import PartitionCapError, best_tuple, structure_from_values
 from .problems import DerivativeTable, DomainError, SetValuedProblem
-from .subproblem import (
-    InnerSolveFailure,
-    ModelSet,
-    predicted_reduction,
-    theta_and_step,
-)
+from .subproblem import ModelSet, predicted_reduction, scalarized_rows, theta_and_step
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +72,8 @@ class SolverConfig:
             raise ValueError("need 0 < omega0 <= omega_max")
         if not (0.0 <= self.mu < 1.0):
             raise ValueError("need 0 <= mu < 1")
+        if not (0.0 < self.nu < 1.0):
+            raise ValueError("need 0 < nu < 1")
         if self.n_memory < 0 or self.it_max < 1 or self.eps <= 0.0:
             raise ValueError("bad n_memory, it_max, or eps")
 
@@ -211,91 +209,6 @@ def accept_and_update(rho: np.ndarray, omega: float, config: SolverConfig):
     return accepted, omega_next
 
 
-def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
-        observer=None) -> RunResult:
-    """Trust-region loop: partition, trial step, ratios, radius update.
-
-    Trial steps solve the box-constrained subproblem at the current
-    radius, and the run stops when its value satisfies |t| < eps; the
-    next iterate always stays inside the domain box.
-    """
-    if config.variant in ("sd", "cg"):
-        return _run_linesearch(problem, cone, x0, config, observer)
-    lo, hi = problem.domain_box
-    x = np.asarray(x0, dtype=float).reshape(problem.n)
-    if np.any(x < lo) or np.any(x > hi):
-        raise ValueError("x0 lies outside the domain box")
-    table = DerivativeTable(problem)
-    memory = NonMonotoneMemory(config.variant, config.n_memory if config.variant == "max" else 0,
-                               config.mu)
-    omega = config.omega0
-    trace: list[IterationRecord] = []
-    converged = False
-    diagnostic = None
-    t_last = float("nan")
-    iterations = config.it_max
-    start, cpu_start = time.perf_counter(), time.process_time()
-    underflow_logged = False
-    for k in range(config.it_max):
-        try:
-            F_x = problem.eval_all(x)
-            structure = structure_from_values(F_x, cone)
-            sol = theta_and_step(problem, cone, x, structure, omega, box=(lo, hi), table=table)
-        except (DomainError, PartitionCapError, InnerSolveFailure) as exc:
-            diagnostic = f"{type(exc).__name__}: {exc}"
-            iterations = k
-            break
-        t_last = sol.t_star
-        if not sol.feasible and diagnostic is None:
-            diagnostic = "inner solver failed for every partition element"
-        if abs(sol.t_star) < config.eps:
-            converged = True
-            iterations = k
-            break
-        memory.begin_iteration(F_x, sol.a_star)
-        x_trial = np.clip(x + sol.s_star, lo, hi)
-        try:
-            F_new = problem.eval_all(x_trial)
-            rho = reduction_ratios(memory, F_new, sol.a_star, sol.s_star, sol.models, cone)
-        except (DomainError, SolverInternalError) as exc:
-            diagnostic = f"{type(exc).__name__}: {exc}"
-            iterations = k
-            break
-        accepted, omega_next = accept_and_update(rho, omega, config)
-        record = IterationRecord(
-            k=k, x=x.copy(), omega=omega, t=sol.t_star, a=sol.a_star,
-            rho=tuple(float(r) for r in rho), accepted=accepted,
-            step_norm=float(np.linalg.norm(x_trial - x)) if accepted else 0.0,
-        )
-        trace.append(record)
-        if observer is not None:
-            observer({
-                "record": record, "F_x": F_x, "F_new": F_new,
-                "reference_full": memory.reference.copy(),
-                "C": None if memory.C is None else memory.C.copy(),
-                "structure": structure, "solution": sol,
-            })
-        memory.end_iteration(F_x)
-        if accepted:
-            x = x_trial
-        omega = omega_next
-        if omega < OMEGA_UNDERFLOW and not underflow_logged:
-            log.warning("trust radius underflow (%.3e) at iteration %d", omega, k)
-            diagnostic = diagnostic or "omega_underflow"
-            underflow_logged = True
-    wall, cpu = time.perf_counter() - start, time.process_time() - cpu_start
-    steps = [r.step_norm for r in trace]
-    return RunResult(
-        converged=converged, iterations=iterations, wall_time=wall, cpu_time=cpu,
-        final_point=x, final_t=t_last, trace=trace, algorithm=config.variant,
-        final_omega=omega, mean_step_size=float(np.mean(steps)) if steps else 0.0,
-        diagnostic=diagnostic,
-    )
-
-
-# ---------------------------------------------------------------------------
-# first-order baselines
-
 def _prox_direction(rows: np.ndarray):
     """Steepest-descent direction v and value of min_s max(rows @ s) + ||s||^2 / 2.
 
@@ -317,102 +230,129 @@ def _prox_direction(rows: np.ndarray):
     return v, val
 
 
-def _scalarized_rows(cone: Cone, jac: np.ndarray, a: tuple) -> np.ndarray:
-    blocks = jac[[ai - 1 for ai in a]]
-    return np.einsum("lm,jmn->jln", cone.dual_normals, blocks).reshape(-1, jac.shape[2])
+def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
+        observer=None) -> RunResult:
+    """One loop for all five variants: partition, step problem, step rule.
 
-
-def _run_linesearch(problem: SetValuedProblem, cone: Cone, x0,
-                    config: SolverConfig, observer=None) -> RunResult:
-    """Shared loop for SD and CG with Armijo backtracking on the box."""
+    The step problem is the box-constrained min-max subproblem at the
+    current radius for the trust-region variants, and the box-free
+    steepest-descent direction v for SD and CG; t is its value, t* or
+    -|v|, and the run stops when |t| < eps.  The step rule is the ratio
+    test with the radius update, or Armijo backtracking along v (SD) or
+    the conjugate direction (CG).  Iterates always stay inside the domain
+    box.
+    """
     lo, hi = problem.domain_box
     x = np.asarray(x0, dtype=float).reshape(problem.n)
     if np.any(x < lo) or np.any(x > hi):
         raise ValueError("x0 lies outside the domain box")
     table = DerivativeTable(problem)
-    use_cg = config.variant == "cg"
+    trust_region = config.variant not in ("sd", "cg")
+    memory = NonMonotoneMemory(config.variant, config.n_memory if config.variant == "max" else 0,
+                               config.mu)
+    omega = config.omega0 if trust_region else None
+    d_prev = v_prev = None
     trace: list[IterationRecord] = []
     converged = False
     diagnostic = None
-    v_norm = float("nan")
+    t = float("nan")
     iterations = config.it_max
-    d_prev = None
-    v_prev = None
     start, cpu_start = time.perf_counter(), time.process_time()
+    underflow_logged = False
     for k in range(config.it_max):
         try:
             F_x = problem.eval_all(x)
             structure = structure_from_values(F_x, cone)
-            jac = table.jacobians(x)
+            if trust_region:
+                sol = theta_and_step(problem, cone, x, structure, omega, box=(lo, hi), table=table)
+                a, t = sol.a_star, sol.t_star
+                if not sol.feasible and diagnostic is None:
+                    diagnostic = "inner solver failed for every partition element"
+            else:
+                jac = table.jacobians(x)
+
+                def direction(a):
+                    v, val = _prox_direction(scalarized_rows(cone, jac[[ai - 1 for ai in a]]))
+                    return val, v
+
+                a, (_, v) = best_tuple(problem, structure, direction)
+                t = -float(np.linalg.norm(v))
         except (DomainError, PartitionCapError) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"
             iterations = k
             break
-        best = None
-        try:
-            for a in candidate_tuples(problem, structure):
-                rows = _scalarized_rows(cone, jac, a)
-                v, val = _prox_direction(rows)
-                if best is None or val < best[0] - 1e-12:
-                    best = (val, tuple(a), v)
-        except PartitionCapError as exc:
-            diagnostic = f"PartitionCapError: {exc}"
-            iterations = k
-            break
-        _, a, v = best
-        v_norm = float(np.linalg.norm(v))
-        if v_norm < config.eps:
+        if abs(t) < config.eps:
             converged = True
             iterations = k
             break
-        idx = [ai - 1 for ai in a]
-        blocks = jac[idx]
-        if use_cg:
-            if d_prev is None:
-                d = v
-            else:
+        if trust_region:
+            memory.begin_iteration(F_x, a)
+            x_trial = np.clip(x + sol.s_star, lo, hi)
+            try:
+                F_new = problem.eval_all(x_trial)
+                rho = reduction_ratios(memory, F_new, a, sol.s_star, sol.models, cone)
+            except (DomainError, SolverInternalError) as exc:
+                diagnostic = f"{type(exc).__name__}: {exc}"
+                iterations = k
+                break
+            accepted, omega_next = accept_and_update(rho, omega, config)
+            rho = tuple(float(r) for r in rho)
+            memory.end_iteration(F_x)
+            omega_k, omega = omega, omega_next
+            if omega < OMEGA_UNDERFLOW and not underflow_logged:
+                log.warning("trust radius underflow (%.3e) at iteration %d", omega, k)
+                diagnostic = diagnostic or "omega_underflow"
+                underflow_logged = True
+            if observer is not None:
+                details = {"F_new": F_new, "reference_full": memory.reference.copy(),
+                           "C": None if memory.C is None else memory.C.copy(),
+                           "structure": structure, "solution": sol}
+        else:
+            idx = [ai - 1 for ai in a]
+            blocks = jac[idx]
+            d = v
+            if config.variant == "cg" and d_prev is not None:
                 denom = float(d_prev @ v_prev)
                 beta_cd = float(v @ v) / denom if denom > 1e-300 else 0.0
                 d = v + 0.99 * (1.0 - config.sigma) * beta_cd * d_prev
                 if not np.all(cone.scalarize_rows(blocks @ d) < 0.0):
                     d = v  # restart when the combined direction loses descent
-        else:
-            d = v
-        slopes = cone.scalarize_rows(blocks @ d)
-        step = 1.0
-        moved = False
-        x_new = x
-        while step > 1e-14:
-            cand = np.clip(x + step * d, lo, hi)
-            try:
-                F_cand = problem.eval_all(cand)
-            except DomainError:
+            slopes = cone.scalarize_rows(blocks @ d)
+            step = 1.0
+            accepted = False
+            x_trial = x
+            while step > 1e-14:
+                cand = np.clip(x + step * d, lo, hi)
+                try:
+                    F_cand = problem.eval_all(cand)
+                except DomainError:
+                    step *= config.nu
+                    continue
+                decrease = cone.scalarize_rows(F_cand[idx] - F_x[idx])
+                if np.all(decrease <= config.rho_armijo * step * slopes):
+                    accepted = True
+                    x_trial = cand
+                    break
                 step *= config.nu
-                continue
-            decrease = cone.scalarize_rows(F_cand[idx] - F_x[idx])
-            if np.all(decrease <= config.rho_armijo * step * slopes):
-                moved = True
-                x_new = cand
-                break
-            step *= config.nu
+            rho = ()
+            omega_k = step if accepted else 0.0
+            # restart CG after a failed line search
+            d_prev, v_prev = (d, v) if accepted else (None, None)
+            details = {"direction": v}
         record = IterationRecord(
-            k=k, x=x.copy(), omega=step if moved else 0.0, t=-v_norm, a=a,
-            rho=(), accepted=moved,
-            step_norm=float(np.linalg.norm(x_new - x)) if moved else 0.0,
+            k=k, x=x.copy(), omega=omega_k, t=t, a=a, rho=rho, accepted=accepted,
+            step_norm=float(np.linalg.norm(x_trial - x)) if accepted else 0.0,
         )
         trace.append(record)
         if observer is not None:
-            observer({"record": record, "F_x": F_x, "direction": v})
-        if moved:
-            x = x_new
-            d_prev, v_prev = d, v
-        else:
-            d_prev = v_prev = None  # restart after a failed line search
+            observer({"record": record, "F_x": F_x, **details})
+        if accepted:
+            x = x_trial
     wall, cpu = time.perf_counter() - start, time.process_time() - cpu_start
     steps = [r.step_norm for r in trace]
     return RunResult(
         converged=converged, iterations=iterations, wall_time=wall, cpu_time=cpu,
-        final_point=x, final_t=-v_norm, trace=trace, algorithm=config.variant,
-        final_omega=None, mean_step_size=float(np.mean(steps)) if steps else 0.0,
+        final_point=x, final_t=t, trace=trace, algorithm=config.variant,
+        final_omega=omega, mean_step_size=float(np.mean(steps)) if steps else 0.0,
         diagnostic=diagnostic,
     )

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .cone import Cone
-from .partition import MinimalStructure, candidate_tuples
+from .partition import MinimalStructure, best_tuple
 from .problems import DerivativeTable, SetValuedProblem
 
 log = logging.getLogger(__name__)
@@ -61,6 +61,11 @@ class ModelSet:
         return self.G[j] @ s + 0.5 * np.einsum("rab,a,b->r", self.H[j], s, s)
 
 
+def scalarized_rows(cone: Cone, G: np.ndarray) -> np.ndarray:
+    """Rows w^T G_j (omega * q, n) for every block j and dual normal w."""
+    return np.einsum("lm,jmn->jln", cone.dual_normals, G).reshape(-1, G.shape[2])
+
+
 @dataclass
 class SubproblemSolution:
     """Winning tuple a*, trial step s*, and criticality value t* <= 0."""
@@ -86,10 +91,9 @@ class _Branches:
 
     @classmethod
     def build(cls, models: ModelSet, cone: Cone) -> "_Branches":
-        w = cone.dual_normals
         n = models.G.shape[2]
-        rows = np.einsum("lm,jmn->jln", w, models.G).reshape(-1, n)
-        wh = np.einsum("lr,jrab->jlab", w, models.H).reshape(-1, n, n)
+        rows = scalarized_rows(cone, models.G)
+        wh = np.einsum("lr,jrab->jlab", cone.dual_normals, models.H).reshape(-1, n, n)
         key = np.concatenate([rows, wh.reshape(len(rows), -1)], axis=1).view(np.uint64)
         _, first = np.unique(key, axis=0, return_index=True)
         keep = np.sort(first)
@@ -217,13 +221,12 @@ def predicted_reduction(models: ModelSet, cone: Cone, j: int, s: np.ndarray) -> 
 def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalStructure,
                    radius: float, box=None,
                    table: DerivativeTable | None = None) -> SubproblemSolution:
-    """Solve the inner problem for every partition element, keep the best.
+    """Solve the inner problem for the partition elements, keep the best.
 
-    Ties within 1e-12 of the best value resolve to the earliest tuple in
-    lexicographic order.  In an offset family every tuple has the same
-    models, so only that earliest tuple is solved (``candidate_tuples``).
-    A per-tuple inner failure contributes (s=0, t=0) so it never fabricates
-    descent; the result is marked infeasible only when every tuple fails.
+    ``best_tuple`` picks the tuple: the least t, ties to the earliest tuple
+    in lexicographic order, one tuple for an offset family.  A per-tuple
+    inner failure contributes (s=0, t=0) so it never fabricates descent;
+    the result is marked infeasible only when every tuple fails.
     """
     x = np.asarray(x, dtype=float).reshape(problem.n)
     if table is None:
@@ -233,26 +236,26 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
     if box is not None:
         box_shift = (np.asarray(box[0], float) - x, np.asarray(box[1], float) - x)
 
-    best = None
-    any_ok = False
-    for a in candidate_tuples(problem, structure):
+    solved = []
+
+    def solve(a):
         idx = [ai - 1 for ai in a]
         models = ModelSet(G=jac_all[idx], H=hess_all[idx])
         try:
             res = inner_minimax(models, cone, radius, box_shift)
-            ok = True
         except InnerSolveFailure:
             res = InnerResult(np.zeros(problem.n), 0.0)
-            ok = False
-        any_ok = any_ok or ok
-        if best is None or res.t < best[1] - 1e-12:
-            best = (a, res.t, res.s, models)
-    a_star, t_star, s_star, models = best
+            solved.append(False)
+        else:
+            solved.append(True)
+        return res.t, res.s, models
+
+    a_star, (t_star, s_star, models) = best_tuple(problem, structure, solve)
     if t_star > 0.0:
         log.debug("clamping positive subproblem value %.3e to 0", t_star)
         t_star = 0.0
-    return SubproblemSolution(a_star=tuple(a_star), s_star=s_star, t_star=t_star,
-                              feasible=any_ok, models=models)
+    return SubproblemSolution(a_star=a_star, s_star=s_star, t_star=t_star,
+                              feasible=any(solved), models=models)
 
 
 def criticality_value(problem: SetValuedProblem, cone: Cone, x, structure: MinimalStructure,
@@ -262,8 +265,10 @@ def criticality_value(problem: SetValuedProblem, cone: Cone, x, structure: Minim
 
     The sign of the optimal value does not depend on the radius; the fixed
     radius pins the scale so that a tolerance test |t| < eps is meaningful.
-    ``run()`` does not stop on this value: it stops on the box-constrained
-    value at the current radius, which can vanish at a point that this
-    certificate shows is not critical (a box wall, or a collapsed radius).
+    ``run()`` does not stop on this value.  Its one stop test |t| < eps
+    reads, for the trust-region variants, the box-constrained value at the
+    current radius, which can vanish at a point that this certificate shows
+    is not critical (a box wall, or a collapsed radius); for SD and CG it
+    reads -|v| of the box-free steepest-descent direction.
     """
     return theta_and_step(problem, cone, x, structure, radius, box=None, table=table)

@@ -30,6 +30,9 @@ def test_config_validation():
         SolverConfig(mu=1.0)
     with pytest.raises(ValueError):
         SolverConfig(variant="newton")
+    for nu in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            SolverConfig(nu=nu)
 
 
 def test_accept_and_update_examples():
@@ -347,3 +350,21 @@ def test_public_api_resolves():
     import setopt
     missing = [name for name in setopt.__all__ if not hasattr(setopt, name)]
     assert not missing
+
+
+@pytest.mark.parametrize("variant", ["trm", "max", "avg", "sd", "cg"])
+def test_observer_sees_every_record_in_order(variant):
+    p = registry("dgo2_n1_m2")
+    events = []
+    res = run(p, orthant(2), np.array([4.0]), SolverConfig(variant=variant, it_max=3),
+              observer=events.append)
+    assert res.trace
+    assert len(events) == len(res.trace)
+    for k, (event, record) in enumerate(zip(events, res.trace)):
+        assert event["record"] is record and record.k == k
+        assert event["F_x"].shape == (p.p, p.m)
+    if variant in ("sd", "cg"):
+        keys = {"record", "F_x", "direction"}
+    else:
+        keys = {"record", "F_x", "F_new", "reference_full", "C", "structure", "solution"}
+    assert all(set(event) == keys for event in events)

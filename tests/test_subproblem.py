@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import setopt.subproblem as subproblem
 from setopt.cone import k2prime, orthant
 from setopt.partition import PARTITION_CAP, minimal_structure, structure_from_values
-from setopt.problems import derivatives_all, make_quadratic_plant, registry
+from setopt.problems import derivatives_all, from_functions, make_quadratic_plant, registry
+from setopt.solvers import SolverConfig, run
 from setopt.subproblem import (
+    InnerSolveFailure,
     ModelSet,
     _Branches,
     criticality_value,
@@ -141,6 +144,54 @@ def test_theta_tie_break_lexicographic():
         (-2.0, 2.0))
     sol = theta_and_step(p, orthant(2), np.array([0.0]), st, 1.0, box=p.domain_box)
     assert sol.a_star == (1, 3)
+
+
+def _ties_plant():
+    """Two equal-value groups {1, 2} and {3, 4} at x = 0; all 4 tuples tie."""
+    rows = [np.array([0.0, 0.0]), np.array([0.0, 0.0]),
+            np.array([1.0, -1.0]), np.array([1.0, -1.0])]
+    p = from_functions(
+        "ties", 1, 2, [lambda x, r=r: r + x[0] * np.array([1.0, 1.0]) for r in rows],
+        (-2.0, 2.0))
+    return p, minimal_structure(p, orthant(2), np.array([0.0]))
+
+
+@pytest.mark.parametrize("variant", ["sd", "cg"])
+def test_sd_cg_tie_break_lexicographic(variant):
+    p, _ = _ties_plant()
+    res = run(p, orthant(2), np.array([0.0]), SolverConfig(variant=variant, it_max=1))
+    assert len(res.trace) == 1
+    assert res.trace[0].a == (1, 3)
+
+
+def test_theta_every_tuple_failing_is_infeasible(monkeypatch):
+    def fail(*args, **kwargs):
+        raise InnerSolveFailure("forced")
+
+    monkeypatch.setattr(subproblem, "inner_minimax", fail)
+    p, st = _ties_plant()
+    sol = theta_and_step(p, orthant(2), np.array([0.0]), st, 1.0, box=p.domain_box)
+    assert sol.feasible is False
+    assert sol.t_star == 0.0 and not np.any(sol.s_star)
+    res = run(p, orthant(2), np.array([0.0]), SolverConfig(variant="trm"))
+    assert res.diagnostic == "inner solver failed for every partition element"
+
+
+def test_theta_first_tuple_failing_falls_to_next(monkeypatch):
+    original = subproblem.inner_minimax
+    calls = []
+
+    def fail_first(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise InnerSolveFailure("forced")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(subproblem, "inner_minimax", fail_first)
+    p, st = _ties_plant()
+    sol = theta_and_step(p, orthant(2), np.array([0.0]), st, 1.0, box=p.domain_box)
+    assert sol.feasible is True
+    assert sol.a_star == (1, 4) and sol.t_star < 0.0
 
 
 def test_theta_solves_first_tuple_of_offset_family():
