@@ -25,6 +25,17 @@ def _resolve_cone(spec: str | None, m: int) -> cone_mod.Cone:
     return cone_mod.preset(spec)
 
 
+def _read_config(path: str, build):
+    """``build`` applied to the text of the file at ``path``; a config it
+    rejects is a usage error on ``--config``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return build(text)
+    except (TypeError, ValueError) as exc:
+        raise click.BadParameter(str(exc), param_hint="'--config'") from exc
+
+
 @click.group()
 def main():
     """Solvers and benchmarks for set optimization with finite families."""
@@ -42,16 +53,18 @@ def list_problems():
 @click.option("--point", required=True, help="coordinates, e.g. '0.1,0.2'")
 @click.option("--cone", "cone_spec", default=None, help="preset name or JSON file")
 def inspect(problem_id, point, cone_spec):
-    """Minimal structure at a point: omega, groups, partition size."""
+    """Minimal structure at a point: omega, groups, partition size, regularity hint."""
     problem = problems.registry(problem_id)
     kone = _resolve_cone(cone_spec, problem.m)
-    x = _parse_point(point)
-    structure = partition.minimal_structure(problem, kone, x)
+    values = problem.eval_all(_parse_point(point))
+    structure = partition.structure_from_values(values, kone)
+    min_idx, wmin_idx = partition.minimal_elements(
+        values, kone, partition.grouping_tolerance(values))
     click.echo(json.dumps({
         "omega": structure.omega,
         "groups": [list(g) for g in structure.groups],
         "partition_size": structure.partition_count(),
-        "is_regular_hint": structure.is_regular_hint,
+        "is_regular_hint": min_idx == wmin_idx,
     }, indent=2))
 
 
@@ -86,11 +99,10 @@ def solve(problem_id, algo, x0, cone_spec, config_path, trace):
     """Run one solver from one point and print the result as JSON."""
     problem = problems.registry(problem_id)
     kone = _resolve_cone(cone_spec, problem.m)
-    overrides = {}
+    config = solvers.SolverConfig(variant=algo)
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-    config = solvers.SolverConfig(variant=algo, **overrides)
+        config = _read_config(
+            config_path, lambda text: solvers.SolverConfig(variant=algo, **json.loads(text)))
     res = solvers.run(problem, kone, _parse_point(x0), config)
     if trace:
         for rec in res.trace:
@@ -103,8 +115,7 @@ def solve(problem_id, algo, x0, cone_spec, config_path, trace):
 @click.option("--out", "store_path", required=True, help="JSON-lines record store")
 def run_experiment(config_path, store_path):
     """Fill the (problem x algorithm x point) record store; resumable."""
-    with open(config_path, "r", encoding="utf-8") as fh:
-        config = bench.ExperimentConfig.from_json(fh.read())
+    config = _read_config(config_path, bench.ExperimentConfig.from_json)
     records = bench.run_matrix(config, store_path)
     click.echo(f"store has {len(records)} records at {store_path}")
 
@@ -115,8 +126,7 @@ def run_experiment(config_path, store_path):
 @click.option("--csv", "csv_path", required=True)
 def table(store_path, config_path, csv_path):
     """Aggregate the record store into a metrics table CSV."""
-    with open(config_path, "r", encoding="utf-8") as fh:
-        config = bench.ExperimentConfig.from_json(fh.read())
+    config = _read_config(config_path, bench.ExperimentConfig.from_json)
     rows = bench.build_table(bench.load_records(store_path), config)
     bench.emit_table_csv(rows, csv_path)
     click.echo(f"wrote {csv_path}")
@@ -129,8 +139,7 @@ def table(store_path, config_path, csv_path):
 @click.option("--svg", "svg_path", required=True)
 def profile(store_path, config_path, metric, svg_path):
     """Performance-profile staircase plot for one metric."""
-    with open(config_path, "r", encoding="utf-8") as fh:
-        config = bench.ExperimentConfig.from_json(fh.read())
+    config = _read_config(config_path, bench.ExperimentConfig.from_json)
     curves = bench.profile(bench.load_records(store_path), metric, config)
     bench.emit_profile_svg(curves, metric, svg_path)
     click.echo(f"wrote {svg_path}")

@@ -1,10 +1,10 @@
-"""Minimal elements of a finite vector set and the partition structure.
+"""Weakly minimal members of a finite vector set and the partition structure.
 
 Given the family values F(x) = {f^1(x), ..., f^p(x)} and an ordering cone,
-this module finds the cone-minimal and weakly minimal members, groups the
-weakly minimal indices by (near-)equal value, and enumerates the Cartesian
-product of those groups, one factor per distinct minimal value.  ``best_tuple``
-is the one search over that product that every solver uses.
+this module finds the weakly minimal members, groups their indices by
+(near-)equal value, and enumerates the Cartesian product of those groups,
+one factor per distinct weakly minimal value.  ``best_tuple`` is the one
+search over that product that every solver uses.
 """
 
 from __future__ import annotations
@@ -29,15 +29,11 @@ class MinimalStructure:
 
     ``values[j]`` is the representative vector of group j, ``groups[j]`` the
     1-based function indices attaining it, ``omega`` the number of groups.
-    ``is_regular_hint`` records whether minimal and weakly minimal index
-    sets coincided at this point (a necessary sign of regularity, not a
-    proof of it).
     """
 
     values: tuple
     groups: tuple
     omega: int
-    is_regular_hint: bool
 
     def group_sizes(self) -> tuple:
         return tuple(len(g) for g in self.groups)
@@ -49,6 +45,11 @@ class MinimalStructure:
         return count
 
 
+def grouping_tolerance(values) -> float:
+    """Sup-norm distance within which two rows of ``values`` are one value."""
+    return 1e-8 * (1.0 + float(np.max(np.abs(values))))
+
+
 def _sup_distances(vals: np.ndarray) -> np.ndarray:
     """(k, k) sup-norm distances between the rows of a (k, m) array."""
     cols = vals.T
@@ -56,6 +57,19 @@ def _sup_distances(vals: np.ndarray) -> np.ndarray:
     for col in cols[1:]:
         np.maximum(dist, np.abs(col[:, None] - col[None, :]), out=dist)
     return dist
+
+
+def _dominated(vals: np.ndarray, cone: Cone, strict: bool) -> np.ndarray:
+    """[i, j]: vals[j] <_K vals[i] if ``strict``, else vals[j] <=_K vals[i];
+    False for i == j.  One pass per dual normal compares w_l^T (vals[i] -
+    vals[j]) with the cone tolerance."""
+    tol = cone.tolerance
+    out = np.ones((vals.shape[0],) * 2, dtype=bool)
+    for col in (vals @ cone.dual_normals.T).T:
+        diff = col[:, None] - col[None, :]
+        out &= diff > tol if strict else diff >= -tol
+    np.fill_diagonal(out, False)
+    return out
 
 
 def minimal_elements(values, cone: Cone, value_tol: float = 0.0):
@@ -66,45 +80,22 @@ def minimal_elements(values, cone: Cone, value_tol: float = 0.0):
     no row is strictly <_K it.  Minimal indices are always a subset of the
     weakly minimal ones.
     """
-    min_idx, wmin_idx, _ = _minimal_and_distances(
-        np.atleast_2d(np.asarray(values, dtype=float)), cone, value_tol)
-    return min_idx, wmin_idx
-
-
-def _minimal_and_distances(vals: np.ndarray, cone: Cone, value_tol: float):
-    """``minimal_elements`` plus the sup-norm distance matrix of the rows."""
-    n = vals.shape[0]
-    tol = cone.tolerance
-    # [i, j]: vals[j] <=_K vals[i], resp. vals[j] <_K vals[i], one dual
-    # normal at a time: w_l^T (vals[i] - vals[j]) against the cone tolerance
-    dominates_leq = np.ones((n, n), dtype=bool)
-    dominates_lt = np.ones((n, n), dtype=bool)
-    for col in (vals @ cone.dual_normals.T).T:
-        diff = col[:, None] - col[None, :]
-        dominates_leq &= diff >= -tol
-        dominates_lt &= diff > tol
-    dist = _sup_distances(vals)
-    strict_leq = dominates_leq & ~(dist <= value_tol)
-    np.fill_diagonal(strict_leq, False)
-    np.fill_diagonal(dominates_lt, False)
-    min_idx = np.flatnonzero(~strict_leq.any(axis=1)).tolist()
-    wmin_idx = np.flatnonzero(~dominates_lt.any(axis=1)).tolist()
-    return min_idx, wmin_idx, dist
-
-
-def structure_from_values(values: np.ndarray, cone: Cone, value_tol: float | None = None) -> MinimalStructure:
-    """Build the minimal structure from an already evaluated (p, m) array."""
     vals = np.atleast_2d(np.asarray(values, dtype=float))
-    if value_tol is None:
-        scale = 1.0 + float(np.max(np.abs(vals)))
-        value_tol = 1e-8 * scale
-    min_idx, wmin_idx, dist = _minimal_and_distances(vals, cone, value_tol)
+    leq = _dominated(vals, cone, strict=False) & ~(_sup_distances(vals) <= value_tol)
+    lt = _dominated(vals, cone, strict=True)
+    return np.flatnonzero(~leq.any(axis=1)).tolist(), np.flatnonzero(~lt.any(axis=1)).tolist()
+
+
+def structure_from_values(values: np.ndarray, cone: Cone) -> MinimalStructure:
+    """Group the weakly minimal rows of an evaluated (p, m) array by value,
+    within ``grouping_tolerance`` in sup norm."""
+    vals = np.atleast_2d(np.asarray(values, dtype=float))
+    wmin_idx = np.flatnonzero(~_dominated(vals, cone, strict=True).any(axis=1))
     # Greedy grouping: each weakly minimal row, in index order, joins the
-    # first group leader within its own tolerance, or leads a new group.
-    # close[i, r]: row r lies within row i's tolerance of row i.
+    # first group leader within the tolerance, or leads a new group.
+    # close[i, r]: rows i and r are within the tolerance.
     wv = vals[wmin_idx]
-    tol = np.maximum(1e-8 * (1.0 + np.max(np.abs(wv), axis=1)), value_tol)
-    close = dist[np.ix_(wmin_idx, wmin_idx)] <= tol[:, None]
+    close = _sup_distances(wv) <= grouping_tolerance(vals)
     np.fill_diagonal(close, True)
     earlier = np.tril(close, -1)
     # A row close to no earlier row leads; a row close to an earlier such
@@ -114,28 +105,27 @@ def structure_from_values(values: np.ndarray, cone: Cone, value_tol: float | Non
         leads[i] = not (earlier[i] & leads).any()
     label = (np.cumsum(leads) - 1)[np.argmax(np.tril(close) & leads, axis=1)]
     groups: list[list[int]] = [[] for _ in range(int(leads.sum()))]
-    for i, g in zip(wmin_idx, label.tolist()):
+    for i, g in zip(wmin_idx.tolist(), label.tolist()):
         groups[g].append(i + 1)
     return MinimalStructure(
         values=tuple(wv[leads]),
         groups=tuple(tuple(g) for g in groups),
         omega=len(groups),
-        is_regular_hint=set(min_idx) == set(wmin_idx),
     )
 
 
-def minimal_structure(problem, cone: Cone, x, value_tol: float | None = None) -> MinimalStructure:
+def minimal_structure(problem, cone: Cone, x) -> MinimalStructure:
     """Evaluate F(x) and group its weakly minimal values."""
-    return structure_from_values(problem.eval_all(x), cone, value_tol)
+    return structure_from_values(problem.eval_all(x), cone)
 
 
-def partition_iter(structure: MinimalStructure, cap: int = PARTITION_CAP):
+def partition_iter(structure: MinimalStructure):
     """Yield every index tuple of the group product in lexicographic order."""
     count = structure.partition_count()
-    if count > cap:
+    if count > PARTITION_CAP:
         sizes = structure.group_sizes()
         raise PartitionCapError(
-            f"partition set has {count} elements (group sizes {sizes}), cap is {cap}"
+            f"partition set has {count} elements (group sizes {sizes}), cap is {PARTITION_CAP}"
         )
     return itertools.product(*structure.groups)
 

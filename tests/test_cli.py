@@ -1,9 +1,13 @@
 import dataclasses
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from setopt.cli import main
+from setopt.cone import orthant
+from setopt.partition import grouping_tolerance, minimal_elements
+from setopt.problems import registry
 from setopt.solvers import IterationRecord
 
 
@@ -16,13 +20,19 @@ def test_list_problems():
 
 
 def test_inspect():
-    result = CliRunner().invoke(main, [
-        "inspect", "--problem", "dgo1_n1_m2", "--point", "0.5"])
-    assert result.exit_code == 0
-    data = json.loads(result.output)
-    assert data["omega"] >= 1
-    assert data["partition_size"] >= 1
-    assert all(isinstance(g, list) for g in data["groups"])
+    # one point where the minimal and weakly minimal sets coincide, one where not
+    for problem_id, point, regular in (("dgo1_n1_m2", 0.5, True),
+                                       ("modified_ex51_n1_m2", 5.0, False)):
+        result = CliRunner().invoke(main, [
+            "inspect", "--problem", problem_id, "--point", str(point)])
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert data["omega"] >= 1
+        assert data["partition_size"] >= 1
+        assert all(isinstance(g, list) for g in data["groups"])
+        values = registry(problem_id).eval_all([point])
+        min_idx, wmin_idx = minimal_elements(values, orthant(2), grouping_tolerance(values))
+        assert data["is_regular_hint"] is (set(min_idx) == set(wmin_idx)) is regular
 
 
 def test_criticality():
@@ -50,6 +60,35 @@ def test_solve_with_trace_and_config(tmp_path):
     assert list(head) == [f.name for f in dataclasses.fields(IterationRecord)]
     summary = json.loads("\n".join(lines[len(trace_lines):]))
     assert summary["algorithm"] == "max"
+
+
+@pytest.mark.parametrize("field, value", [("nu", 1.0), ("variant", "sd"), ("radius", 2.0)])
+def test_solve_bad_config_is_usage_error(tmp_path, field, value):
+    # out of range, set by --algo, and not a SolverConfig field
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    result = CliRunner().invoke(main, [
+        "solve", "--problem", "dgo2_n1_m2", "--algo", "sd", "--x0", "4.0",
+        "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert "--config" in result.output and field in result.output
+
+
+@pytest.mark.parametrize("command", ["run", "table", "profile"])
+def test_experiment_unknown_key_is_usage_error(tmp_path, command):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"problem_ids": ["dgo2_n1_m2"], "it_mx": 5}))
+    store = tmp_path / "store.jsonl"
+    store.write_text("")
+    args = {
+        "run": ["--out", str(store)],
+        "table": ["--store", str(store), "--csv", str(tmp_path / "t.csv")],
+        "profile": ["--store", str(store), "--metric", "nonconv",
+                    "--svg", str(tmp_path / "p.svg")],
+    }[command]
+    result = CliRunner().invoke(main, [command, "--config", str(cfg), *args])
+    assert result.exit_code == 2, result.output
+    assert "--config" in result.output and "it_mx" in result.output
 
 
 def test_experiment_pipeline(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from setopt.cone import k2prime, orthant
 from setopt.partition import (
     PartitionCapError,
+    grouping_tolerance,
     minimal_elements,
     minimal_structure,
     partition_iter,
@@ -84,7 +85,9 @@ def test_structure_grouping_by_equality():
     st = minimal_structure(problem, orthant(2), [0.0])
     assert st.omega == 1
     assert st.groups == ((1, 2),)
-    assert st.is_regular_hint
+    vals = problem.eval_all([0.0])
+    mi, wmi = minimal_elements(vals, orthant(2), grouping_tolerance(vals))
+    assert mi == wmi == [0, 1]
 
 
 def test_structure_matches_oracle_random_points():
@@ -175,35 +178,32 @@ def test_partition_cap_error():
         list(partition_iter(Big()))
 
 
-def reference_grouping(values, cone, value_tol=None):
+def reference_grouping(values, cone):
     """The pairwise greedy loop that ``structure_from_values`` vectorises:
     each weakly minimal row, in index order, joins the first representative
-    within max(its own tolerance, value_tol) in sup norm, or becomes one."""
+    within 1e-8 (1 + max |values|) in sup norm, or becomes one."""
     vals = np.atleast_2d(np.asarray(values, dtype=float))
-    if value_tol is None:
-        value_tol = 1e-8 * (1.0 + float(np.max(np.abs(vals))))
-    min_idx, wmin_idx = minimal_elements(vals, cone, value_tol=value_tol)
+    tol = 1e-8 * (1.0 + float(np.max(np.abs(vals))))
+    _, wmin_idx = minimal_elements(vals, cone)
     reps, groups = [], []
     for i in wmin_idx:
-        tol_i = 1e-8 * (1.0 + float(np.max(np.abs(vals[i]))))
         for rep, grp in zip(reps, groups):
-            if float(np.max(np.abs(vals[i] - rep))) <= max(tol_i, value_tol):
+            if float(np.max(np.abs(vals[i] - rep))) <= tol:
                 grp.append(i + 1)
                 break
         else:
             reps.append(vals[i].copy())
             groups.append([i + 1])
-    return reps, tuple(tuple(g) for g in groups), set(min_idx) == set(wmin_idx)
+    return reps, tuple(tuple(g) for g in groups)
 
 
-def assert_matches_reference(vals, cone, value_tol=None):
-    st = structure_from_values(vals, cone, value_tol)
-    reps, groups, regular = reference_grouping(vals, cone, value_tol)
+def assert_matches_reference(vals, cone):
+    st = structure_from_values(vals, cone)
+    reps, groups = reference_grouping(vals, cone)
     assert st.groups == groups
     assert st.omega == len(groups)
     assert len(st.values) == len(reps)
     assert all(u.tobytes() == v.tobytes() for u, v in zip(st.values, reps))
-    assert st.is_regular_hint == regular
     return st
 
 
@@ -232,20 +232,3 @@ def test_grouping_chained_near_tie():
     assert st.groups == ((1, 2, 3), (4,))
     st = assert_matches_reference(vals[:3], orthant(2))
     assert st.groups == ((1, 2), (3,))
-
-
-def test_grouping_asymmetric_tolerance():
-    # each row is judged with its own tolerance 1e-8 (1 + max|row|); find a
-    # pair whose distance lies between the two, so closeness is one-sided
-    cone = orthant(2)
-    for scale in (1.0, 3.0, 7.5, 40.0, 1e3, 2.5e4):
-        a = np.array([scale, -scale])
-        base = scale + 1e-8 * (1.0 + scale)
-        for k in range(-3, 4):
-            b = np.array([base + k * np.spacing(base), -scale])
-            vals = np.array([a, b])
-            forward = assert_matches_reference(vals, cone, value_tol=0.0)
-            backward = assert_matches_reference(vals[::-1], cone, value_tol=0.0)
-            if forward.omega != backward.omega:
-                return
-    pytest.fail("no pair with one-sided closeness found")
