@@ -9,15 +9,20 @@ p = 100 members.  Their evaluator returns the base alone and
 (``modified_ex51``, ``modified_ex53``) and the plants evaluate the whole
 family.
 
+Every evaluator works over the last axis of its input: a point (n,)
+gives one value and a batch (k, n) gives k values, row by row.
 Derivatives are central finite differences of what the evaluator returns,
 so the members of an offset family share one bitwise Jacobian and
-Hessian.  A handful of smoke-test plants carry analytic Jacobians so the
-FD machinery can be checked against closed forms.
+Hessian; the whole stencil of a Jacobian, or of a Jacobian and Hessian,
+goes to the evaluator in one call.  A handful of smoke-test plants carry
+analytic Jacobians so the FD machinery can be checked against closed
+forms.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +46,13 @@ class SetValuedProblem:
 
     With ``offsets`` None, ``evaluator(x)`` returns the full (p, m) value
     matrix.  Otherwise it returns the (m,) base and F(x) is the base plus
-    each constant row of the (p, m) ``offsets``.  ``eval_all`` gives F(x);
-    ``eval(i, x)`` picks the 1-based row i.  Evaluation is deterministic
-    and reentrant.
+    each constant row of the (p, m) ``offsets``.  On a (k, n) batch it
+    returns (k, p, m) or (k, m), each row bitwise the value at that point
+    alone.  ``eval_all`` gives F(x); ``eval(i, x)`` picks the 1-based row
+    i.  Evaluation is deterministic and reentrant.  ``phi_psi`` keeps the
+    (phi_i, psi_i) angle grid an offset family was built from, so its
+    offsets can be checked against their definition; the solvers never
+    read it.
     """
 
     name: str
@@ -55,16 +64,19 @@ class SetValuedProblem:
     analytic_jacobian: object = None
     phi_psi: np.ndarray | None = None
     notes: str = ""
-    clamp_events: int = 0
     offsets: np.ndarray | None = None
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        """The evaluator's output at x: the (m,) base of an offset family,
-        else the (p, m) values.  A finite offset added to a finite base
-        stays finite, so checking this output checks F(x)."""
+        """The evaluator's output at a point or each row of a batch: the
+        (m,) base of an offset family, else the (p, m) values.  A finite
+        offset added to a finite base stays finite, so checking this output
+        checks F(x).  The error names the first row with a non-finite
+        value, the point a one-by-one evaluation would have stopped at."""
         shape = (self.p, self.m) if self.offsets is None else (self.m,)
-        vals = np.asarray(self.evaluator(x), dtype=float).reshape(shape)
-        if not np.all(np.isfinite(vals)):
+        vals = np.asarray(self.evaluator(x), dtype=float).reshape(x.shape[:-1] + shape)
+        if not np.isfinite(vals).all():
+            if x.ndim > 1:
+                x = x[np.argmin(np.isfinite(vals).reshape(len(x), -1).all(axis=1))]
             raise DomainError(f"{self.name}: non-finite value at x={x.tolist()}")
         return vals
 
@@ -96,6 +108,8 @@ def from_functions(name, n, m, fns, box, analytic_jacobian=None) -> SetValuedPro
         if np.isscalar(box[0]) else (np.asarray(box[0], float), np.asarray(box[1], float))
 
     def evaluator(x):
+        if x.ndim > 1:
+            return np.array([evaluator(row) for row in x])
         return np.stack([np.atleast_1d(np.asarray(f(x), dtype=float)) for f in fns])
 
     return SetValuedProblem(name, n, m, len(fns), (lo, hi), evaluator,
@@ -123,29 +137,37 @@ def _fd_center(problem: SetValuedProblem, x: np.ndarray, with_hessian: bool) -> 
     return center
 
 
-def _jac_at(problem: SetValuedProblem, c: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of the evaluator's output, (..., m, n)."""
-    h = _grad_steps(c)
-    cols = []
-    for j in range(problem.n):
-        step = (c[j] + h[j]) - c[j]  # exactly representable step
-        e = np.zeros(problem.n)
-        e[j] = step
-        cols.append((problem._evaluate(c + e) - problem._evaluate(c - e)) / (2.0 * step))
-    return np.stack(cols, axis=-1)
+def _stencil(centres: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Central-difference points around each of the (r, n) centres, (r, n, 2, n).
+
+    ``[i, j, 0]`` is centre i plus ``steps[i, j]`` along axis j and
+    ``[i, j, 1]`` the same minus; flattened, this is the order in which a
+    loop over centres and axes visits them.
+    """
+    r, n = centres.shape
+    e = np.zeros((r, n, n))
+    e.reshape(r, n * n)[:, :: n + 1] = steps
+    c = centres[:, None, :]
+    points = np.empty((r, n, 2, n))
+    np.add(c, e, out=points[:, :, 0])
+    np.subtract(c, e, out=points[:, :, 1])
+    return points
 
 
-def _hess_at(problem: SetValuedProblem, c: np.ndarray) -> np.ndarray:
-    """Central differences of ``_jac_at``, symmetrised, (..., m, n, n)."""
-    d = _hess_steps(c)
-    cols = []
-    for j in range(problem.n):
-        step = (c[j] + d[j]) - c[j]
-        e = np.zeros(problem.n)
-        e[j] = step
-        cols.append((_jac_at(problem, c + e) - _jac_at(problem, c - e)) / (2.0 * step))
-    hess = np.stack(cols, axis=-1)
-    return 0.5 * (hess + hess.swapaxes(-2, -1))
+def _differences(vals: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """(f(+) - f(-)) / (2 step) per axis j from stencil values (r, n, 2, ...),
+    with j moved last: a new C-ordered (r, ..., n) array."""
+    r, n = steps.shape
+    d = (vals[:, :, 0] - vals[:, :, 1]) / (2.0 * steps).reshape(r, n, *[1] * (vals.ndim - 3))
+    return d.transpose(0, *range(2, d.ndim), 1).copy()
+
+
+def _jacobians(problem: SetValuedProblem, centres: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobians of the evaluator's output at each of
+    the (r, n) centres, (r, ..., m, n), from one evaluator call."""
+    steps = (centres + _grad_steps(centres)) - centres  # exactly representable steps
+    vals = problem._evaluate(_stencil(centres, steps).reshape(-1, problem.n))
+    return _differences(vals.reshape(*steps.shape, 2, *vals.shape[1:]), steps)
 
 
 def _family(problem: SetValuedProblem, arr: np.ndarray) -> np.ndarray:
@@ -156,18 +178,26 @@ def _family(problem: SetValuedProblem, arr: np.ndarray) -> np.ndarray:
 def fd_jacobian_all(problem: SetValuedProblem, x) -> np.ndarray:
     """Central-difference Jacobians of all p functions, shape (p, m, n)."""
     x = np.asarray(x, dtype=float).reshape(problem.n)
-    return _family(problem, _jac_at(problem, _fd_center(problem, x, with_hessian=False)))
+    c = _fd_center(problem, x, with_hessian=False)
+    return _family(problem, _jacobians(problem, c[None])[0])
 
 
 def derivatives_all(problem: SetValuedProblem, x):
     """Jacobians (p, m, n) and Hessians (p, m, n, n) of the whole family.
 
     The members of an offset family share the derivatives of the base:
-    every member's block is the same read-only view.
+    every member's block is the same read-only view.  The Hessian is the
+    symmetrised central differences of the Jacobians at the 2n points
+    c +- d_j e_j; those Jacobians and the one at the centre c come from
+    one evaluator call.
     """
     x = np.asarray(x, dtype=float).reshape(problem.n)
     c = _fd_center(problem, x, with_hessian=True)
-    return _family(problem, _jac_at(problem, c)), _family(problem, _hess_at(problem, c))
+    steps = ((c + _hess_steps(c)) - c)[None]
+    centres = np.concatenate((c[None], _stencil(c[None], steps).reshape(-1, problem.n)))
+    jac = _jacobians(problem, centres)
+    hess = _differences(jac[1:].reshape(1, problem.n, 2, *jac.shape[1:]), steps)[0]
+    return _family(problem, jac[0]), _family(problem, 0.5 * (hess + hess.swapaxes(-2, -1)))
 
 
 class DerivativeTable:
@@ -224,16 +254,11 @@ def _grid_sphere() -> np.ndarray:
     return _pair_grid(phis, psis)
 
 
-def _log_tan_half(psi: np.ndarray):
-    """log(tan(psi/2)) with the argument clamped into (delta, pi - delta).
-
-    Returns the values and the number of clamped entries; the grids that
-    feed this may hit 0, pi, or exceed pi, where the raw expression is
-    non-finite.
-    """
-    clipped = np.clip(psi, _CLAMP_DELTA, np.pi - _CLAMP_DELTA)
-    n_clamped = int(np.sum(clipped != psi))
-    return np.log(np.tan(clipped / 2.0)), n_clamped
+def _log_tan_half(psi: np.ndarray) -> np.ndarray:
+    """log(tan(psi/2)) with the argument clamped into (delta, pi - delta);
+    the grids that feed this may hit 0, pi, or exceed pi, where the raw
+    expression is non-finite."""
+    return np.log(np.tan(np.clip(psi, _CLAMP_DELTA, np.pi - _CLAMP_DELTA) / 2.0))
 
 
 def _box(lo, hi):
@@ -242,6 +267,37 @@ def _box(lo, hi):
 
 def _uniform_box(n, lo, hi):
     return _box([lo] * n, [hi] * n)
+
+
+# ---------------------------------------------------------------------------
+# helpers that keep a batch row bitwise equal to the same point alone
+#
+# An evaluator unpacks components as ``x0, x1, ... = x.T``: numpy scalars for
+# a point, (k,) views for a batch.  ``np.array([...]).T`` puts the results
+# back on the last axis.
+
+_libm_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _pow(a, e):
+    """a ** e for a component that is a numpy scalar at a single point.
+
+    numpy's scalar power calls libm ``pow``, but its array power takes
+    other paths (a plain square for e = 2, SIMD code otherwise) whose last
+    bit differs on some inputs.  So an array goes through libm ``pow``
+    element by element.  Terms that are array powers at a single point too
+    keep ``**``.
+    """
+    if isinstance(a, np.ndarray):
+        return _libm_pow(a, e).astype(float)
+    return a ** e
+
+
+def _dot(x):
+    """x . x over the last axis: a row times a column is one BLAS ddot per
+    row, the bits of ``np.dot`` on a point (``np.vecdot`` would need
+    numpy 2)."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +310,11 @@ def _zdt1(n: int) -> SetValuedProblem:
                                0.15 + 0.15 * c16 * np.sin(2.0 * np.pi * i / 100.0)])
 
     def evaluator(x):
-        f1 = x[0]
-        g = 1.0 + 9.0 * np.sum(x[1:])
+        f1 = x.T[0]
+        g = 1.0 + 9.0 * x[..., 1:].sum(-1)
         with np.errstate(invalid="ignore"):
             h = 1.0 - np.sqrt(f1 / g)
-        return np.array([f1, g * h])
+        return np.array([f1, g * h]).T
 
     return SetValuedProblem(f"zdt1_n{n}_m2", n, 2, 100, _uniform_box(n, 0.0, 1.0), evaluator,
                             offsets=offsets)
@@ -273,41 +329,40 @@ def _zdt4(n: int = 10) -> SetValuedProblem:
     hi = np.array([1.0] + [5.0] * (n - 1))
 
     def evaluator(x):
-        f1 = x[0]
-        g = 1.0 + 10.0 * (n - 1) + np.sum(x[1:] ** 2 - 10.0 * np.cos(4.0 * np.pi * x[1:]))
+        f1, tail = x.T[0], x[..., 1:]
+        g = 1.0 + 10.0 * (n - 1) + (tail ** 2 - 10.0 * np.cos(4.0 * np.pi * tail)).sum(-1)
         with np.errstate(invalid="ignore"):
             h = 1.0 - np.sqrt(f1 / g)
-        return np.array([f1, g * h])
+        return np.array([f1, g * h]).T
 
     return SetValuedProblem(f"zdt4_n{n}_m2", n, 2, 100, (lo, hi), evaluator, offsets=offsets)
 
 
-def _dtlz_g_rastrigin(xm: np.ndarray) -> float:
-    return 100.0 * (xm.size + np.sum((xm - 0.5) ** 2 - np.cos(20.0 * np.pi * (xm - 0.5))))
+def _dtlz_g_rastrigin(xm: np.ndarray):
+    return 100.0 * (xm.shape[-1] + ((xm - 0.5) ** 2 - np.cos(20.0 * np.pi * (xm - 0.5))).sum(-1))
 
 
 def _dtlz1(n: int = 6, m: int = 4) -> SetValuedProblem:
     grid = _grid_pi5()
     phi, psi = grid[:, 0], grid[:, 1]
-    logtan, n_clamped = _log_tan_half(psi)
     pert = np.zeros((100, m))
     pert[:, 0] = np.cos(phi) * np.sin(psi)
     pert[:, 1] = np.sin(phi) * np.sin(psi)
-    pert[:, 2] = np.cos(psi) + logtan + 0.2 * phi
+    pert[:, 2] = np.cos(psi) + _log_tan_half(psi) + 0.2 * phi
     ell = n - m + 1
 
     def evaluator(x):
-        g1 = 1.0 + _dtlz_g_rastrigin(x[n - ell:])
-        base = np.array([
-            g1 * x[0] * x[1] * x[2],
-            g1 * x[0] * x[1] * (1.0 - x[2]),
-            0.25 * g1 * x[0] * (1.0 - x[1]),
-            0.5 * (1.0 - x[0]) * g1,
-        ])
-        return base
+        g1 = 1.0 + _dtlz_g_rastrigin(x[..., n - ell:])
+        x0, x1, x2 = x.T[:3]
+        return np.array([
+            g1 * x0 * x1 * x2,
+            g1 * x0 * x1 * (1.0 - x2),
+            0.25 * g1 * x0 * (1.0 - x1),
+            0.5 * (1.0 - x0) * g1,
+        ]).T
 
     return SetValuedProblem(f"dtlz1_n{n}_m{m}", n, m, 100, _uniform_box(n, 0.0, 1.0),
-                            evaluator, phi_psi=grid, clamp_events=n_clamped, offsets=pert)
+                            evaluator, phi_psi=grid, offsets=pert)
 
 
 def _dtlz3(n: int = 5, m: int = 4) -> SetValuedProblem:
@@ -321,16 +376,15 @@ def _dtlz3(n: int = 5, m: int = 4) -> SetValuedProblem:
     ell = n - m + 1
 
     def evaluator(x):
-        g1 = 1.0 + _dtlz_g_rastrigin(x[n - ell:])
-        c = np.cos(x * np.pi / 2.0)
-        s = np.sin(x * np.pi / 2.0)
-        base = np.array([
+        g1 = 1.0 + _dtlz_g_rastrigin(x[..., n - ell:])
+        c = np.cos(x * np.pi / 2.0).T
+        s = np.sin(x * np.pi / 2.0).T
+        return np.array([
             g1 * c[0] * c[1] * c[2],
             g1 * c[0] * c[1] * s[2],
             g1 * c[0] * c[0],
             g1 * s[0],
-        ])
-        return base
+        ]).T
 
     return SetValuedProblem(
         f"dtlz3_n{n}_m{m}", n, m, 100, _uniform_box(n, 0.0, 1.0), evaluator,
@@ -349,10 +403,10 @@ def _fdsa(n: int = 2, m: int = 3) -> SetValuedProblem:
     k = np.arange(1, n + 1)
 
     def evaluator(x):
-        g1 = np.sum(k * (x - k) ** 4) / n ** 2
-        g2 = np.exp(np.sum(x) / n) + np.dot(x, x)
-        g3 = np.sum(k * (n - k + 1) * np.exp(-x)) / (n * (n + 1))
-        return np.array([g1, g2, g3])
+        g1 = (k * (x - k) ** 4).sum(-1) / n ** 2
+        g2 = np.exp(x.sum(-1) / n) + _dot(x)
+        g3 = (k * (n - k + 1) * np.exp(-x)).sum(-1) / (n * (n + 1))
+        return np.array([g1, g2, g3]).T
 
     return SetValuedProblem(f"fdsa_n{n}_m{m}", n, m, 100, _uniform_box(n, -2.0, 2.0),
                             evaluator, phi_psi=grid, offsets=pert)
@@ -368,18 +422,16 @@ def _dtlz5(n: int, m: int) -> SetValuedProblem:
     ell = n - m + 1
 
     def evaluator(x):
-        g = np.sum((x[n - ell:] - 0.5) ** 2)
-        theta = np.empty(m - 1)
-        theta[0] = x[0]
-        theta[1:] = (1.0 + g * x[1:m - 1]) / (2.0 * (1.0 + g))
+        g = ((x[..., n - ell:] - 0.5) ** 2).sum(-1)
+        xt = x.T
+        theta = np.array([xt[0], *((1.0 + g * xt[1:m - 1]) / (2.0 * (1.0 + g)))])
         ang = theta * np.pi / 2.0
         c, s = np.cos(ang), np.sin(ang)
-        base = np.empty(m)
-        base[0] = (1.0 + g) * np.prod(c)
-        for j in range(2, m):
-            base[j - 1] = (1.0 + g) * np.prod(c[: m - j]) * s[m - j]
-        base[m - 1] = (1.0 + g) * s[0]
-        return base
+        return np.array([
+            (1.0 + g) * c.prod(0),
+            *((1.0 + g) * c[: m - j].prod(0) * s[m - j] for j in range(2, m)),
+            (1.0 + g) * s[0],
+        ]).T
 
     return SetValuedProblem(f"dtlz5_n{n}_m{m}", n, m, 100, _uniform_box(n, 0.0, 1.0),
                             evaluator, phi_psi=grid, offsets=pert)
@@ -391,8 +443,8 @@ def _dgo1() -> SetValuedProblem:
     pert = np.column_stack([np.sin(a + np.cos(a)), np.cos(a + np.sin(a))])
 
     def evaluator(x):
-        g = np.array([np.sin(x[0]), np.sin(x[0] + 0.7)])
-        return g
+        x0 = x.T[0]
+        return np.array([np.sin(x0), np.sin(x0 + 0.7)]).T
 
     return SetValuedProblem("dgo1_n1_m2", 1, 2, 100, _uniform_box(1, -10.0, 13.0), evaluator,
                             offsets=pert)
@@ -404,9 +456,9 @@ def _dgo2() -> SetValuedProblem:
     pert = np.column_stack([np.sin(a + np.cos(a)), np.cos(a + np.sin(2.0 * a))])
 
     def evaluator(x):
+        sq = _pow(x.T[0], 2)
         with np.errstate(invalid="ignore"):
-            g = np.array([x[0] ** 2, 9.0 - np.sqrt(81.0 - x[0] ** 2)])
-        return g
+            return np.array([sq, 9.0 - np.sqrt(81.0 - sq)]).T
 
     return SetValuedProblem("dgo2_n1_m2", 1, 2, 100, _uniform_box(1, -9.0, 9.0), evaluator,
                             offsets=pert)
@@ -420,11 +472,11 @@ def _hil(n: int = 2) -> SetValuedProblem:
     pert = np.column_stack([amp * np.cos(a), amp * np.sin(a)])
 
     def evaluator(x):
-        ang = (np.pi / 180.0) * (45.0 + 40.0 * np.sin(2.0 * np.pi * x[0])
-                                 + 25.0 * np.sin(2.0 * np.pi * x[1])) \
-            * (1.0 + 0.5 * np.cos(2.0 * np.pi * x[0]))
-        g = np.array([np.cos(ang), np.sin(ang)])
-        return g
+        x0, x1 = x.T
+        ang = (np.pi / 180.0) * (45.0 + 40.0 * np.sin(2.0 * np.pi * x0)
+                                 + 25.0 * np.sin(2.0 * np.pi * x1)) \
+            * (1.0 + 0.5 * np.cos(2.0 * np.pi * x0))
+        return np.array([np.cos(ang), np.sin(ang)]).T
 
     return SetValuedProblem(f"hil_n{n}_m2", n, 2, 100, _uniform_box(n, 0.0, 5.0), evaluator,
                             offsets=pert)
@@ -436,8 +488,7 @@ def _jos1a(n: int = 5) -> SetValuedProblem:
     pert = np.column_stack([0.1 * np.cos(a), 50.0 * np.sin(a)])
 
     def evaluator(x):
-        g = np.array([np.dot(x, x) / n, np.sum((x - 2.0) ** 2) / n])
-        return g
+        return np.array([_dot(x) / n, ((x - 2.0) ** 2).sum(-1) / n]).T
 
     return SetValuedProblem(f"jos1a_n{n}_m2", n, 2, 100, _uniform_box(n, -2.0, 2.0), evaluator,
                             offsets=pert)
@@ -454,12 +505,9 @@ def _rosenbrock(n: int = 4, m: int = 3) -> SetValuedProblem:
     ])
 
     def evaluator(x):
-        base = np.array([
-            100.0 * (x[1] - x[0] ** 2) ** 2 + (x[1] - 1.0) ** 2,
-            100.0 * (x[2] - x[1] ** 2) ** 2 + (x[2] - 1.0) ** 2,
-            100.0 * (x[3] - x[2] ** 2) ** 2 + (x[3] - 1.0) ** 2,
-        ])
-        return base
+        xt = x.T
+        return np.array([100.0 * _pow(xt[j + 1] - _pow(xt[j], 2), 2) + _pow(xt[j + 1] - 1.0, 2)
+                         for j in range(3)]).T
 
     return SetValuedProblem(f"rosenbrock_n{n}_m{m}", n, m, 100, _uniform_box(n, -2.0, 2.0),
                             evaluator, phi_psi=grid, offsets=pert)
@@ -468,48 +516,46 @@ def _rosenbrock(n: int = 4, m: int = 3) -> SetValuedProblem:
 def _brown_dennis(n: int = 4, m: int = 5) -> SetValuedProblem:
     grid = _grid_2pi5()
     phi, psi = grid[:, 0], grid[:, 1]
-    logtan, n_clamped = _log_tan_half(psi)
     pert = np.zeros((100, m))
     pert[:, 0] = np.cos(phi) * np.sin(psi)
     pert[:, 1] = np.sin(phi) * np.sin(psi)
-    pert[:, 2] = np.cos(psi) + logtan + 0.5 * phi
+    pert[:, 2] = np.cos(psi) + _log_tan_half(psi) + 0.5 * phi
     t = np.arange(1, m + 1) / 5.0
     lo = np.array([-25.0, -5.0, -5.0, -1.0])
     hi = np.array([25.0, 5.0, 5.0, 1.0])
+    exp_t, exp_t3, sin_t, cos_t = np.exp(t), np.exp(t[2]), np.sin(t), np.cos(t)
 
     def evaluator(x):
-        first = x[0] + t * x[1] - np.exp(t)
-        first[2] = x[0] + t[2] * x[2] - np.exp(t[2])  # third row pairs t with x3
-        second = x[2] + x[3] * np.sin(t) - np.cos(t)
-        base = first ** 2 + second ** 2
-        return base
+        first = x[..., :1] + t * x[..., 1:2] - exp_t
+        first[..., 2] = x.T[0] + t[2] * x.T[2] - exp_t3  # third row pairs t with x3
+        second = x[..., 2:3] + x[..., 3:4] * sin_t - cos_t
+        return first ** 2 + second ** 2
 
     return SetValuedProblem(f"brown_dennis_n{n}_m{m}", n, m, 100, (lo, hi), evaluator,
-                            phi_psi=grid, clamp_events=n_clamped, offsets=pert)
+                            phi_psi=grid, offsets=pert)
 
 
 def _trigonometric(n: int = 4, m: int = 4) -> SetValuedProblem:
     grid = _grid_2pi5()
     phi, psi = grid[:, 0], grid[:, 1]
-    logtan, n_clamped = _log_tan_half(psi)
     pert = np.zeros((100, m))
     pert[:, 0] = np.cos(phi) * np.sin(psi)
     pert[:, 1] = np.sin(phi) * np.sin(psi)
-    pert[:, 2] = np.cos(psi) + logtan + 0.2 * phi
+    pert[:, 2] = np.cos(psi) + _log_tan_half(psi) + 0.2 * phi
 
     def evaluator(x):
-        cum = np.cumsum(x)
-        base = np.array([
-            (1.0 - np.cos(x[0]) + (1.0 - np.cos(x[0])) - np.sin(x[0])) ** 2,
-            (2.0 - np.cos(cum[1]) + 2.0 * (1.0 - np.cos(x[1])) - np.sin(x[1])) ** 2,
-            (3.0 - np.cos(cum[2]) + 3.0 * (1.0 - np.cos(x[2])) - np.sin(x[2])) ** 2,
-            4.0 - np.cos(cum[3]) + 4.0 * (1.0 - np.cos(x[3])) - np.sin(x[3]),
-        ])
-        return base
+        x0, x1, x2, x3 = x.T
+        cum = x.cumsum(-1).T
+        return np.array([
+            _pow(1.0 - np.cos(x0) + (1.0 - np.cos(x0)) - np.sin(x0), 2),
+            _pow(2.0 - np.cos(cum[1]) + 2.0 * (1.0 - np.cos(x1)) - np.sin(x1), 2),
+            _pow(3.0 - np.cos(cum[2]) + 3.0 * (1.0 - np.cos(x2)) - np.sin(x2), 2),
+            4.0 - np.cos(cum[3]) + 4.0 * (1.0 - np.cos(x3)) - np.sin(x3),
+        ]).T
 
     return SetValuedProblem(f"trigonometric_n{n}_m{m}", n, m, 100,
                             _uniform_box(n, -1.0, 1.0), evaluator,
-                            phi_psi=grid, clamp_events=n_clamped, offsets=pert,
+                            phi_psi=grid, offsets=pert,
                             notes="fourth base component is not squared")
 
 
@@ -520,11 +566,11 @@ def _das_dennis(n: int = 5) -> SetValuedProblem:
     pert = np.column_stack([shift, shift])
 
     def evaluator(x):
-        base = np.array([
-            np.dot(x, x),
-            3.0 * x[0] + 2.0 * x[1] - x[2] / 3.0 + 0.01 * (x[3] - x[4]) ** 3,
-        ])
-        return base
+        x0, x1, x2, x3, x4 = x.T
+        return np.array([
+            _dot(x),
+            3.0 * x0 + 2.0 * x1 - x2 / 3.0 + 0.01 * _pow(x3 - x4, 3),
+        ]).T
 
     return SetValuedProblem(f"das_dennis_n{n}_m2", n, 2, 100,
                             _uniform_box(n, -20.0, 20.0), evaluator, offsets=pert)
@@ -535,8 +581,9 @@ def _modified_ex51() -> SetValuedProblem:
     coeff = np.column_stack([np.ones(5), 1.0 - 2.0 * alpha])
 
     def evaluator(x):
-        base = np.array([x[0], 0.5 * x[0] * np.sin(x[0])])
-        return base[None, :] + np.cos(x[0]) ** 2 * coeff
+        x0 = x.T[0]
+        base = np.array([x0, 0.5 * x0 * np.sin(x0)]).T
+        return base[..., None, :] + _pow(np.cos(x0), 2)[..., None, None] * coeff
 
     return SetValuedProblem("modified_ex51_n1_m2", 1, 2, 5,
                             _uniform_box(1, 2.0, 10.0), evaluator)
@@ -545,12 +592,13 @@ def _modified_ex51() -> SetValuedProblem:
 def _modified_ex53() -> SetValuedProblem:
     w = np.pi * (np.arange(1, 101) - 1.0) / 50.0
     sw, cw = np.sin(w), np.cos(w)
+    sw3, cw3 = sw ** 3, cw ** 3
 
     def evaluator(x):
-        x1, x2 = x[0], x[1]
-        f1 = np.exp(x1 / 2.0) * np.cos(x2) + x1 * np.cos(x2) * sw - x2 * np.sin(x2) * cw ** 3
-        f2 = np.exp(x2 / 20.0) * np.sin(x1) + x1 * np.sin(x2) * sw ** 3 + x2 * np.cos(x2) * cw
-        return np.column_stack([f1, f2])
+        x1, x2 = (v[..., None] for v in x.T)
+        f1 = np.exp(x1 / 2.0) * np.cos(x2) + x1 * np.cos(x2) * sw - x2 * np.sin(x2) * cw3
+        f2 = np.exp(x2 / 20.0) * np.sin(x1) + x1 * np.sin(x2) * sw3 + x2 * np.cos(x2) * cw
+        return np.stack([f1, f2], axis=-1)
 
     return SetValuedProblem("modified_ex53_n2_m2", 2, 2, 100,
                             _uniform_box(2, -20.0, 20.0), evaluator)
@@ -564,12 +612,13 @@ def _sphere() -> SetValuedProblem:
     ]) / 16.0
 
     def evaluator(x):
-        g3 = (x[2] - 0.5) ** 2
-        u = np.pi * x[0] / 2.0
-        gr = (np.sqrt(np.dot(x, x)) - 0.5) ** 2
-        v = np.pi * (1.0 + 2.0 * g3 * x[1]) / (4.0 * (1.0 + gr))
-        base = (1.0 + g3) * np.array([np.cos(u) * np.cos(v), np.cos(u) * np.sin(v), np.sin(u)])
-        return base
+        x0, x1, x2 = x.T
+        g3 = _pow(x2 - 0.5, 2)
+        u = np.pi * x0 / 2.0
+        gr = _pow(np.sqrt(_dot(x)) - 0.5, 2)
+        v = np.pi * (1.0 + 2.0 * g3 * x1) / (4.0 * (1.0 + gr))
+        return ((1.0 + g3) * np.array([np.cos(u) * np.cos(v), np.cos(u) * np.sin(v),
+                                       np.sin(u)])).T
 
     return SetValuedProblem("sphere_n3_m3", 3, 3, 100, _uniform_box(3, 0.0, 1.0),
                             evaluator, phi_psi=grid, offsets=pert)

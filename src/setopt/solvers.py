@@ -259,10 +259,12 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     iterations = config.it_max
     start, cpu_start = time.perf_counter(), time.process_time()
     underflow_logged = False
+    moved = True
     for k in range(config.it_max):
         try:
-            F_x = problem.eval_all(x)
-            structure = structure_from_values(F_x, cone)
+            if moved:  # after a rejected step F(x) and the partition are unchanged
+                F_x = problem.eval_all(x)
+                structure = structure_from_values(F_x, cone)
             if trust_region:
                 sol = theta_and_step(problem, cone, x, structure, omega, box=(lo, hi), table=table)
                 a, t = sol.a_star, sol.t_star
@@ -346,6 +348,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
         trace.append(record)
         if observer is not None:
             observer({"record": record, "F_x": F_x, **details})
+        moved = accepted
         if accepted:
             x = x_trial
     wall, cpu = time.perf_counter() - start, time.process_time() - cpu_start

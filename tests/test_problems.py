@@ -9,8 +9,13 @@ from setopt.problems import (
     DomainError,
     UnknownProblemError,
     DerivativeTable,
+    _fd_center,
+    _family,
+    _grad_steps,
+    _hess_steps,
     derivatives_all,
     fd_jacobian_all,
+    from_functions,
     make_linear_plant,
     make_quadratic_plant,
     make_sphere_helper_plant,
@@ -152,10 +157,16 @@ def test_log_tan_clamp_counter():
     # the pi/5 grid contains psi = 0 and psi >= pi where log(tan(psi/2))
     # is non-finite without the clamp
     p = registry("dtlz1_n6_m4")
-    assert p.clamp_events > 0
+    phi, psi = p.phi_psi.T
+    clamped = np.clip(psi, 1e-9, np.pi - 1e-9)
+    assert np.sum(clamped != psi) > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(np.log(np.tan(psi / 2.0))))
+    assert np.array_equal(p.offsets[:, 2],
+                          np.cos(psi) + np.log(np.tan(clamped / 2.0)) + 0.2 * phi)
     assert np.all(np.isfinite(p.eval_all(np.full(6, 0.3))))
-    bd = registry("brown_dennis_n4_m5")
-    assert bd.clamp_events == 0  # its psi grid stays inside (0, pi)
+    psi = registry("brown_dennis_n4_m5").phi_psi[:, 1]
+    assert np.array_equal(np.clip(psi, 1e-9, np.pi - 1e-9), psi)  # its psi grid stays inside (0, pi)
 
 
 def test_linear_plant_derivatives():
@@ -259,3 +270,100 @@ def test_fdsa_runs_every_method():
             res = run(p, orthant(3), x0, SolverConfig(variant=variant))
             assert res.diagnostic is None or "PartitionCapError" not in res.diagnostic
             assert res.iterations > 0 and res.trace
+
+
+# -- the batched stencil against one-point-at-a-time differences -----------
+
+def _looped_jac(problem, c):
+    """Central differences one evaluator call per point, as before batching."""
+    h = _grad_steps(c)
+    cols = []
+    for j in range(problem.n):
+        step = (c[j] + h[j]) - c[j]
+        e = np.zeros(problem.n)
+        e[j] = step
+        cols.append((problem._evaluate(c + e) - problem._evaluate(c - e)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
+def _looped_hess(problem, c):
+    d = _hess_steps(c)
+    cols = []
+    for j in range(problem.n):
+        step = (c[j] + d[j]) - c[j]
+        e = np.zeros(problem.n)
+        e[j] = step
+        cols.append((_looped_jac(problem, c + e) - _looped_jac(problem, c - e)) / (2.0 * step))
+    hess = np.stack(cols, axis=-1)
+    return 0.5 * (hess + hess.swapaxes(-2, -1))
+
+
+def _guard_points(p):
+    """Seeded interior points, points within 1e-5 of each wall, box corners."""
+    lo, hi = p.domain_box
+    seeded = sample_points(p.domain_box, 4, _problem_seed(17, p.name))
+    points = list(seeded)
+    for j in range(p.n):
+        for i, wall in enumerate((lo[j] + 1e-5, hi[j] - 1e-5)):
+            x = seeded[i].copy()
+            x[j] = wall
+            points.append(x)
+    corners = list(itertools.product(*zip(lo, hi)))
+    points += [np.array(corners[i]) for i in range(0, len(corners), max(1, len(corners) // 4))]
+    return points
+
+
+def _same(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("pid", sorted(EXPECTED_IDS))
+def test_batched_stencil_is_bitwise_looped(pid):
+    p = registry(pid)
+    points = _guard_points(p)
+    # every row of a batch is the point alone, bit for bit; a last-bit
+    # difference shows on a few inputs in a thousand, hence the many rows
+    many = np.concatenate([points, sample_points(p.domain_box, 1000, _problem_seed(19, pid))])
+    for row, x in zip(p._evaluate(many), many):
+        assert _same(row, p._evaluate(x)), x
+    for x in points:
+        single = p._evaluate(x)
+        assert _same(p.eval_all(x), single if p.offsets is None else single + p.offsets)
+        c = _fd_center(p, x, with_hessian=False)
+        assert _same(fd_jacobian_all(p, x), _family(p, _looped_jac(p, c))), x
+        c = _fd_center(p, x, with_hessian=True)
+        jac, hess = derivatives_all(p, x)
+        assert _same(jac, _family(p, _looped_jac(p, c))), x
+        assert _same(hess, _family(p, _looped_hess(p, c))), x
+
+
+def _holed_plant(threshold):
+    """f(x) = x0^2 + x0 x1, non-finite where x1 < threshold."""
+    return from_functions(
+        "holed_plant", 2, 1,
+        [lambda x: np.array([np.nan if x[1] < threshold else x[0] ** 2 + x[0] * x[1]])],
+        (-10.0, 10.0))
+
+
+def _error_text(fn) -> str:
+    with pytest.raises(DomainError) as info:
+        fn()
+    return str(info.value)
+
+
+def test_domain_error_names_first_bad_stencil_point():
+    x = np.array([0.5, 0.5])
+    h, d = _grad_steps(x), _hess_steps(x)
+    # inside the Jacobian stencil: the point x - h e1 is the first one that fails
+    p = _holed_plant(0.5 - 0.5 * h[1])
+    looped = _error_text(lambda: _looped_jac(p, x))
+    step = (x[1] + h[1]) - x[1]
+    assert looped == f"holed_plant: non-finite value at x={[0.5, float(x[1] - step)]}"
+    assert _error_text(lambda: fd_jacobian_all(p, x)) == looped
+    assert _error_text(lambda: derivatives_all(p, x)) == looped
+    # only around the Hessian point x - d e1: the Jacobian is finite
+    p = _holed_plant(0.5 - 0.5 * d[1])
+    assert np.all(np.isfinite(fd_jacobian_all(p, x)))
+    looped = _error_text(lambda: (_looped_jac(p, x), _looped_hess(p, x)))
+    assert _error_text(lambda: derivatives_all(p, x)) == looped
