@@ -36,6 +36,10 @@ class DomainError(ValueError):
     """A component function evaluated to a non-finite value."""
 
 
+def _non_finite(name: str, x: np.ndarray) -> DomainError:
+    return DomainError(f"{name}: non-finite value at x={x.tolist()}")
+
+
 class UnknownProblemError(KeyError):
     """The requested problem id is not in the registry."""
 
@@ -77,7 +81,7 @@ class SetValuedProblem:
         if not np.isfinite(vals).all():
             if x.ndim > 1:
                 x = x[np.argmin(np.isfinite(vals).reshape(len(x), -1).all(axis=1))]
-            raise DomainError(f"{self.name}: non-finite value at x={x.tolist()}")
+            raise _non_finite(self.name, x)
         return vals
 
     def eval_all(self, x) -> np.ndarray:
@@ -109,7 +113,14 @@ def from_functions(name, n, m, fns, box, analytic_jacobian=None) -> SetValuedPro
 
     def evaluator(x):
         if x.ndim > 1:
-            return np.array([evaluator(row) for row in x])
+            # one point at a time, stopping where a looped evaluation would:
+            # a later point may raise instead of returning a non-finite value
+            rows = []
+            for row in x:
+                rows.append(evaluator(row))
+                if not np.isfinite(rows[-1]).all():
+                    raise _non_finite(name, row)
+            return np.array(rows)
         return np.stack([np.atleast_1d(np.asarray(f(x), dtype=float)) for f in fns])
 
     return SetValuedProblem(name, n, m, len(fns), (lo, hi), evaluator,

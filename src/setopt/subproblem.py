@@ -17,6 +17,12 @@ the 4 best of a fixed set of cheap starts; the end points are projected
 onto the feasible set and phi is evaluated there again.  The branches are
 max-of-quadratics and may be nonconvex, hence the multistart; the contract
 is feasibility plus phi(s) <= 0, not global optimality.
+
+SLSQP runs as scipy's compiled core, driven through its reverse-
+communication interface (``scipy.optimize._slsqplib.slsqp``, scipy >= 1.16)
+without the ``minimize`` wrapper: every input the core sees is bit for bit
+what ``minimize(method="SLSQP")`` would pass, and a test keeps that
+``minimize`` form as the reference.
 """
 
 from __future__ import annotations
@@ -26,11 +32,16 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .cone import Cone
 from .partition import MinimalStructure, best_tuple
 from .problems import DerivativeTable, SetValuedProblem
+
+try:
+    from scipy.optimize._slsqplib import slsqp as _slsqp
+except ImportError as exc:  # before 1.16 scipy ran SLSQP as Fortran, without this interface
+    raise ImportError("setopt needs scipy>=1.16 for the SLSQP reverse-communication "
+                      "interface (scipy.optimize._slsqplib.slsqp)") from exc
 
 log = logging.getLogger(__name__)
 
@@ -77,6 +88,16 @@ class SubproblemSolution:
     models: ModelSet | None = field(default=None, repr=False)
 
 
+def _first_of_each(rows: np.ndarray) -> list:
+    """Ascending indices of the first row of each distinct bit pattern."""
+    key = rows.tobytes()
+    width = len(key) // len(rows)
+    first = {}
+    for i in range(len(rows)):
+        first.setdefault(key[i * width:(i + 1) * width], i)
+    return list(first.values())
+
+
 @dataclass(frozen=True)
 class _Branches:
     """Stacked scalarized branches: rows R (B, n) and curvatures (B, n, n).
@@ -94,9 +115,7 @@ class _Branches:
         n = models.G.shape[2]
         rows = scalarized_rows(cone, models.G)
         wh = np.einsum("lr,jrab->jlab", cone.dual_normals, models.H).reshape(-1, n, n)
-        key = np.concatenate([rows, wh.reshape(len(rows), -1)], axis=1).view(np.uint64)
-        _, first = np.unique(key, axis=0, return_index=True)
-        keep = np.sort(first)
+        keep = _first_of_each(np.concatenate([rows, wh.reshape(len(rows), -1)], axis=1))
         return cls(R=rows[keep], WH=wh[keep])
 
     def _quad_terms(self, S: np.ndarray) -> np.ndarray:
@@ -130,49 +149,91 @@ def _project(S: np.ndarray, radius: float, box_shift) -> np.ndarray:
     return S
 
 
-def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray,
-                    radius: float, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray, radius: float,
+                    lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, tuple]:
     """SLSQP on the epigraph form of min phi, once from each start.
 
     Minimizes tau over z = (s, tau) subject to tau >= q_b(s) and
     tau >= lin_b(s) for every branch b, s.s <= radius^2 and lower <= s <=
-    upper.  The end points may violate the constraints by round-off, so the
-    caller projects them.
+    upper.  Returns the end points s and one (exit mode, iterations) pair
+    per start.  The end points may violate the constraints by round-off, so
+    the caller projects them.
+
+    The loop is scipy 1.17's ``_slsqp_py._minimize_slsqp`` with the wrapper
+    work taken out: the objective is tau, so f = z[n] and its gradient is
+    the constant e_tau; the tau column and the -R rows of the constraint
+    Jacobian C are constant and written once; a gradient request (mode -1)
+    refills the curvature rows and the ball row, a function request (mode 1)
+    the constraint values d, with the expressions of the ``minimize`` form.
     """
     R = branches.R
     n_b, n = R.shape
     sym = 0.5 * (branches.WH + branches.WH.transpose(0, 2, 1))
     r2 = radius * radius
-    e_tau = np.zeros(n + 1)
-    e_tau[n] = 1.0
+    m, nz = 2 * n_b + 1, n + 1
+    g = np.zeros(nz)
+    g[n] = 1.0
+    # tau is unbounded: +-inf when clipping the start, NaN for the core
+    lo, hi = np.append(lower, -np.inf), np.append(upper, np.inf)
+    xl, xu = np.append(lower, np.nan), np.append(upper, np.nan)
+    C = np.zeros((m, nz), order="F")
+    C[n_b:2 * n_b, :n] = -R
+    C[:2 * n_b, n] = 1.0
+    d = np.zeros(m)
+    # _minimize_slsqp's worst-case workspace with meq = 0 and mieq = m > 0,
+    # and its index and multiplier arrays of m + 2 nz + 2 (scipy 1.17.1,
+    # scipy/optimize/_slsqp_py.py, lines 481-509)
+    n_work = nz * (nz + 1) // 2 + 3 * m * nz + 9 * m + 8 * nz * nz + 35 * nz + 28
 
-    def cons(z):
+    def normals(z):
+        s = z[:n]
+        C[:n_b, :n] = -(R + sym @ s)
+        C[-1, :n] = -2.0 * s
+
+    def values(z):
         s, tau = z[:n], z[n]
         lin = R @ s
-        return np.concatenate([tau - lin - 0.5 * ((sym @ s) @ s), tau - lin, [r2 - s @ s]])
+        d[:n_b] = tau - lin - 0.5 * ((sym @ s) @ s)
+        d[n_b:2 * n_b] = tau - lin
+        d[-1] = r2 - s @ s
 
-    def cons_jac(z):
-        s = z[:n]
-        jac = np.zeros((2 * n_b + 1, n + 1))
-        jac[:n_b, :n] = -(R + sym @ s)
-        jac[n_b:2 * n_b, :n] = -R
-        jac[:2 * n_b, n] = 1.0
-        jac[-1, :n] = -2.0 * s
-        return jac
-
-    bounds = [*zip(lower, upper), (None, None)]
-    constraints = {"type": "ineq", "fun": cons, "jac": cons_jac}
-    options = {"maxiter": _SLSQP_MAXITER, "ftol": _SLSQP_FTOL}
-    return np.array([minimize(lambda z: z[n], np.append(s0, t0), jac=lambda z: e_tau,
-                              method="SLSQP", bounds=bounds, constraints=constraints,
-                              options=options).x[:n]
-                     for s0, t0 in zip(starts, phi0)])
+    ends, statuses = [], []
+    for s0, t0 in zip(starts, phi0):
+        z = np.clip(np.append(s0, t0), lo, hi)
+        state = {"acc": _SLSQP_FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0,
+                 "h2": 0.0, "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0,
+                 "tol": 10.0 * _SLSQP_FTOL, "exact": 0, "inconsistent": 0, "reset": 0,
+                 "iter": 0, "itermax": _SLSQP_MAXITER, "line": 0, "m": m, "meq": 0,
+                 "mode": 0, "n": nz}
+        mult = np.zeros(m + 2 * nz + 2)
+        indices = np.zeros(m + 2 * nz + 2, dtype=np.int32)
+        work = np.zeros(n_work)
+        fz = z[n]
+        normals(z)
+        values(z)
+        while True:
+            _slsqp(state, fz, g, C, d, z, mult, xl, xu, work, indices)
+            mode = state["mode"]
+            if mode == 1:
+                fz = z[n]
+                values(z)
+            elif mode == -1:
+                normals(z)
+            else:
+                break
+        ends.append(z[:n])
+        statuses.append((mode, state["iter"]))
+    return np.array(ends), tuple(statuses)
 
 
 @dataclass(frozen=True)
 class InnerResult:
+    """Step s and value t; ``statuses`` holds one (SLSQP exit mode,
+    iterations) pair per start (empty when no start was solved)."""
+
     s: np.ndarray
     t: float
+    statuses: tuple = ()
 
 
 def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None) -> InnerResult:
@@ -181,8 +242,9 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None) -
     Deterministic: projects the cheap starts (0, the ball point of steepest
     descent of every distinct linear branch, 8 fixed directions), runs the
     epigraph SLSQP solve from the 4 with the lowest phi, projects the end
-    points and returns the lowest phi among them and the best start.
-    Always returns a feasible s with phi(s) <= phi(0) = 0.
+    points and returns the lowest phi among them and the best start, with
+    each solve's SLSQP exit mode and iteration count.  Always returns a
+    feasible s with phi(s) <= phi(0) = 0.
     """
     if not (np.all(np.isfinite(models.G)) and np.all(np.isfinite(models.H))):
         raise InnerSolveFailure("non-finite model data")
@@ -204,13 +266,13 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None) -
     lower, upper = np.full(n, -radius), np.full(n, radius)
     if box_shift is not None:
         lower, upper = np.maximum(lower, box_shift[0]), np.minimum(upper, box_shift[1])
-    ends = _epigraph_slsqp(branches, S, phi, radius, lower, upper)
+    ends, statuses = _epigraph_slsqp(branches, S, phi, radius, lower, upper)
     cand = np.concatenate([S[:1], _project(ends, radius, box_shift)])
     vals = branches.phi_values(cand)
     k = int(np.nanargmin(vals))
     if not np.isfinite(vals[k]):
         raise InnerSolveFailure("non-finite subproblem value")
-    return InnerResult(cand[k], float(vals[k]))
+    return InnerResult(cand[k], float(vals[k]), statuses)
 
 
 def predicted_reduction(models: ModelSet, cone: Cone, j: int, s: np.ndarray) -> float:

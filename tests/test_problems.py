@@ -367,3 +367,21 @@ def test_domain_error_names_first_bad_stencil_point():
     assert np.all(np.isfinite(fd_jacobian_all(p, x)))
     looped = _error_text(lambda: (_looped_jac(p, x), _looped_hess(p, x)))
     assert _error_text(lambda: derivatives_all(p, x)) == looped
+    # non-finite at the first stencil point x + h e0, raising at the last, x - h e1:
+    # the batch stops where the loop did, so the raise is never reached
+    p = _raising_plant(0.5 + 0.5 * h[0], 0.5 - 0.5 * h[1])
+    looped = _error_text(lambda: _looped_jac(p, x))
+    step = (x[0] + h[0]) - x[0]
+    assert looped == f"raising_plant: non-finite value at x={[float(x[0] + step), 0.5]}"
+    assert _error_text(lambda: fd_jacobian_all(p, x)) == looped
+    assert _error_text(lambda: derivatives_all(p, x)) == looped
+
+
+def _raising_plant(nan_above, raise_below):
+    """f(x) = x0 x1, non-finite where x0 > nan_above, raising where x1 < raise_below."""
+    def f(x):
+        if x[1] < raise_below:
+            raise ZeroDivisionError("evaluated past the first non-finite point")
+        return np.array([np.nan if x[0] > nan_above else x[0] * x[1]])
+
+    return from_functions("raising_plant", 2, 1, [f], (-10.0, 10.0))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import setopt.subproblem as subproblem
 from setopt.cone import k2prime, orthant
@@ -336,3 +337,117 @@ def test_inner_minimax_oracle_higher_dim(n):
                 assert np.all(res.s >= box_shift[0] - 1e-12)
                 assert np.all(res.s <= box_shift[1] + 1e-12)
             assert res.t <= float(_phi_oracle(models, cone, feasible).min()) + 1e-3
+
+
+# -- the SLSQP driver against scipy's public minimize ------------------------
+
+def _epigraph_minimize(branches, starts, phi0, radius, lower, upper):
+    """The epigraph solve through ``minimize(method="SLSQP")``: the reference
+    that ``_epigraph_slsqp`` must match bit for bit."""
+    R = branches.R
+    n_b, n = R.shape
+    sym = 0.5 * (branches.WH + branches.WH.transpose(0, 2, 1))
+    r2 = radius * radius
+    e_tau = np.zeros(n + 1)
+    e_tau[n] = 1.0
+
+    def cons(z):
+        s, tau = z[:n], z[n]
+        lin = R @ s
+        return np.concatenate([tau - lin - 0.5 * ((sym @ s) @ s), tau - lin, [r2 - s @ s]])
+
+    def cons_jac(z):
+        s = z[:n]
+        jac = np.zeros((2 * n_b + 1, n + 1))
+        jac[:n_b, :n] = -(R + sym @ s)
+        jac[n_b:2 * n_b, :n] = -R
+        jac[:2 * n_b, n] = 1.0
+        jac[-1, :n] = -2.0 * s
+        return jac
+
+    bounds = [*zip(lower, upper), (None, None)]
+    constraints = {"type": "ineq", "fun": cons, "jac": cons_jac}
+    options = {"maxiter": subproblem._SLSQP_MAXITER, "ftol": subproblem._SLSQP_FTOL}
+    res = [minimize(lambda z: z[n], np.append(s0, t0), jac=lambda z: e_tau, method="SLSQP",
+                    bounds=bounds, constraints=constraints, options=options)
+           for s0, t0 in zip(starts, phi0)]
+    return np.array([r.x[:n] for r in res]), tuple((r.status, r.nit) for r in res)
+
+
+def _seeded_epigraph_cases(count):
+    """Seeded branch sets: n = 1-10, 1-60 branches, indefinite curvatures,
+    every other case with a box shift that cuts the ball, every third with
+    branch magnitudes of 1e3-1e6."""
+    rng = np.random.default_rng(2024)
+    for k in range(count):
+        n, n_b = 1 + k % 10, int(rng.integers(1, 61))
+        scale = 10.0 ** rng.uniform(3.0, 6.0) if k % 3 == 0 else 1.0
+        branches = _Branches(R=scale * rng.normal(size=(n_b, n)),
+                             WH=scale * rng.normal(size=(n_b, n, n)))
+        radius = float(rng.uniform(0.2, 3.0))
+        lower, upper = np.full(n, -radius), np.full(n, radius)
+        box_shift = None
+        if k % 2:
+            box_shift = (-radius * rng.uniform(0.05, 0.8, n), radius * rng.uniform(0.05, 0.8, n))
+            lower, upper = np.maximum(lower, box_shift[0]), np.minimum(upper, box_shift[1])
+        starts = subproblem._project(rng.uniform(-radius, radius, (4, n)), radius, box_shift)
+        yield branches, starts, branches.phi_values(starts), radius, lower, upper
+
+
+def test_epigraph_driver_is_bitwise_minimize():
+    modes = set()
+    for case in _seeded_epigraph_cases(60):
+        ends, statuses = subproblem._epigraph_slsqp(*case)
+        ref_ends, ref_statuses = _epigraph_minimize(*case)
+        assert ends.tobytes() == ref_ends.tobytes()
+        assert statuses == ref_statuses
+        modes.update(mode for mode, _ in statuses)
+    # the non-zero exits are covered: positive directional derivative (8)
+    # and the iteration cap (9)
+    assert {0, 8, 9} <= modes
+
+
+def test_inner_minimax_reports_one_status_per_start():
+    rng = np.random.default_rng(8)
+    cone = orthant(2)
+    for trial in range(6):
+        n = 1 + trial
+        g, h = _random_models(rng, 3, 2, n)
+        box_shift = (-rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)) if trial % 2 else None
+        res = inner_minimax(ModelSet(G=g, H=h), cone, 1.0, box_shift)
+        assert len(res.statuses) == subproblem._N_STARTS
+        for mode, iterations in res.statuses:
+            assert type(mode) is int and type(iterations) is int
+            assert mode in {0, 2, 3, 4, 5, 6, 7, 8, 9}
+            assert 0 <= iterations <= subproblem._SLSQP_MAXITER
+    assert inner_minimax(zero_models(), orthant(1), 0.0).statuses == ()
+
+
+def _unique_keep(key):
+    """The branch dedup as first written: np.unique on the uint64 view."""
+    _, first = np.unique(key.view(np.uint64), axis=0, return_index=True)
+    return np.sort(first)
+
+
+def test_branch_dedup_matches_unique_form():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        width, distinct = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        base = rng.normal(size=(distinct, width))
+        # zeros of both signs: 0.0 and -0.0 are different bit patterns
+        base[rng.uniform(size=base.shape) < 0.3] = 0.0
+        base[rng.uniform(size=base.shape) < 0.2] = -0.0
+        key = base[rng.integers(0, distinct, size=int(rng.integers(1, 4 * distinct + 1)))]
+        assert subproblem._first_of_each(key) == _unique_keep(key).tolist()
+    key = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])
+    assert subproblem._first_of_each(key) == _unique_keep(key).tolist() == [0, 1]
+
+    cone = orthant(2)
+    g, h = _random_models(rng, 3, 2, 3)
+    order = [2, 0, 2, 1, 0, 0]
+    rows = subproblem.scalarized_rows(cone, g[order])
+    wh = np.einsum("lr,jrab->jlab", cone.dual_normals, h[order]).reshape(len(rows), 3, 3)
+    keep = _unique_keep(np.concatenate([rows, wh.reshape(len(rows), -1)], axis=1))
+    br = _Branches.build(ModelSet(G=g[order], H=h[order]), cone)
+    assert br.R.tobytes() == rows[keep].tobytes()
+    assert br.WH.tobytes() == wh[keep].tobytes()
