@@ -52,11 +52,11 @@ class SetValuedProblem:
     matrix.  Otherwise it returns the (m,) base and F(x) is the base plus
     each constant row of the (p, m) ``offsets``.  On a (k, n) batch it
     returns (k, p, m) or (k, m), each row bitwise the value at that point
-    alone.  ``eval_all`` gives F(x); ``eval(i, x)`` picks the 1-based row
-    i.  Evaluation is deterministic and reentrant.  ``phi_psi`` keeps the
-    (phi_i, psi_i) angle grid an offset family was built from, so its
-    offsets can be checked against their definition; the solvers never
-    read it.
+    alone.  ``eval_all`` gives F(x), (p, m), or (k, p, m) on a (k, n)
+    batch; ``eval(i, x)`` picks the 1-based row i of F(x).  Evaluation is
+    deterministic and reentrant.  ``phi_psi`` keeps the (phi_i, psi_i)
+    angle grid an offset family was built from, so its offsets can be
+    checked against their definition; the solvers never read it.
     """
 
     name: str
@@ -85,8 +85,9 @@ class SetValuedProblem:
         return vals
 
     def eval_all(self, x) -> np.ndarray:
-        vals = self._evaluate(np.asarray(x, dtype=float).reshape(self.n))
-        return vals if self.offsets is None else vals[None, :] + self.offsets
+        x = np.asarray(x, dtype=float)
+        vals = self._evaluate(x if x.ndim == 2 else x.reshape(self.n))
+        return vals if self.offsets is None else vals[..., None, :] + self.offsets
 
     def eval(self, i: int, x) -> np.ndarray:
         if not 1 <= i <= self.p:

@@ -178,10 +178,19 @@ class NonMonotoneMemory:
 
 def reduction_ratios(memory: NonMonotoneMemory, F_new: np.ndarray, a: tuple,
                      s: np.ndarray, models: ModelSet, cone: Cone) -> np.ndarray:
-    """Per-block ratios of scalarized actual to predicted reduction."""
+    """Per-block ratios of scalarized actual to predicted reduction.
+
+    The predicted reduction depends only on the block's (G_j, H_j), so it
+    is computed once per distinct pair of bit patterns: the members of an
+    offset family share one.
+    """
     rho = np.empty(len(a))
+    preds = {}
     for j, ai in enumerate(a):
-        pred = predicted_reduction(models, cone, j, s)
+        key = models.G[j].tobytes() + models.H[j].tobytes()
+        if key not in preds:
+            preds[key] = predicted_reduction(models, cone, j, s)
+        pred = preds[key]
         if pred <= 0.0:
             raise SolverInternalError(
                 f"nonpositive predicted reduction {pred:.3e} for block {j}"
@@ -209,6 +218,15 @@ def accept_and_update(rho: np.ndarray, omega: float, config: SolverConfig):
     return accepted, omega_next
 
 
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows in lexicographic order, as ``np.unique(rows, axis=0)``
+    gives them but without its structured-dtype sort: a stable sort, then
+    each row equal (==) to the one before it is dropped.  Of two rows equal
+    up to signed zeros the first in ``rows`` stays."""
+    R = rows[np.lexsort(rows.T[::-1])]
+    return R[np.concatenate(([True], np.any(R[1:] != R[:-1], axis=1)))]
+
+
 def _prox_direction(rows: np.ndarray):
     """Steepest-descent direction v and value of min_s max(rows @ s) + ||s||^2 / 2.
 
@@ -221,13 +239,66 @@ def _prox_direction(rows: np.ndarray):
     per column (3.5 seen at n = 10 with 0 outside the hull), so the cap
     is ten times that.
     """
-    R = np.unique(rows, axis=0)
+    R = _distinct_rows(rows)
     rhs = np.zeros(R.shape[1] + 1)
     rhs[-1] = 1.0
     u, _ = nnls(np.vstack([R.T, np.ones(R.shape[0])]), rhs, maxiter=30 * R.shape[0])
     v = -R.T @ (u / u.sum())
     val = float(np.max(R @ v) + 0.5 * v @ v)
     return v, val
+
+
+def _backtracking_steps(nu: float) -> np.ndarray:
+    """The Armijo steps 1, nu, nu^2, ... above 1e-14, in the order tried."""
+    steps = []
+    step = 1.0
+    while step > 1e-14:
+        steps.append(step)
+        step *= nu
+    return np.array(steps)
+
+
+def _armijo_step(problem: SetValuedProblem, cone: Cone, x: np.ndarray, d: np.ndarray,
+                 idx: list, F_x: np.ndarray, slopes: np.ndarray, steps: np.ndarray,
+                 rho_armijo: float):
+    """The first of ``steps`` whose point clip(x + step d) passes the Armijo
+    test on the blocks ``idx``, and that point; (None, x) when none does.
+
+    The candidates go to the evaluator in chunks of 1, 2, 4, ... points, one
+    ``eval_all`` call each, and every row is tested with the operations of a
+    one-point loop, so the step found is that loop's, bit for bit.  A chunk
+    whose evaluation raises is re-run one point at a time in that loop,
+    which skips a point that raises DomainError: an exception escapes only
+    where the loop would have met it.
+    """
+    lo, hi = problem.domain_box
+
+    def passes(F, chunk):
+        decrease = cone.scalarize_rows(F[:, idx] - F_x[idx])
+        return np.all(decrease <= (rho_armijo * chunk)[:, None] * slopes, axis=1)
+
+    start = 0
+    while start < len(steps):
+        chunk = steps[start:2 * start + 1]
+        cands = np.clip(x + chunk[:, None] * d, lo, hi)
+        try:
+            F = problem.eval_all(cands)
+        except Exception:
+            # not swallowed: the re-run raises whatever the loop would meet
+            for i, cand in enumerate(cands):
+                try:
+                    F_cand = problem.eval_all(cand)
+                except DomainError:
+                    continue
+                if passes(F_cand[None], chunk[i:i + 1])[0]:
+                    return float(chunk[i]), cand
+        else:
+            ok = passes(F, chunk)
+            if ok.any():
+                i = int(np.argmax(ok))
+                return float(chunk[i]), cands[i]
+        start += len(chunk)
+    return None, x
 
 
 def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
@@ -260,6 +331,8 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     start, cpu_start = time.perf_counter(), time.process_time()
     underflow_logged = False
     moved = True
+    if not trust_region:
+        steps = _backtracking_steps(config.nu)
     for k in range(config.it_max):
         try:
             if moved:  # after a rejected step F(x) and the partition are unchanged
@@ -312,30 +385,19 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
         else:
             idx = [ai - 1 for ai in a]
             blocks = jac[idx]
-            d = v
+            d, slopes = v, None
             if config.variant == "cg" and d_prev is not None:
                 denom = float(d_prev @ v_prev)
                 beta_cd = float(v @ v) / denom if denom > 1e-300 else 0.0
                 d = v + 0.99 * (1.0 - config.sigma) * beta_cd * d_prev
-                if not np.all(cone.scalarize_rows(blocks @ d) < 0.0):
-                    d = v  # restart when the combined direction loses descent
-            slopes = cone.scalarize_rows(blocks @ d)
-            step = 1.0
-            accepted = False
-            x_trial = x
-            while step > 1e-14:
-                cand = np.clip(x + step * d, lo, hi)
-                try:
-                    F_cand = problem.eval_all(cand)
-                except DomainError:
-                    step *= config.nu
-                    continue
-                decrease = cone.scalarize_rows(F_cand[idx] - F_x[idx])
-                if np.all(decrease <= config.rho_armijo * step * slopes):
-                    accepted = True
-                    x_trial = cand
-                    break
-                step *= config.nu
+                slopes = cone.scalarize_rows(blocks @ d)
+                if not np.all(slopes < 0.0):
+                    d, slopes = v, None  # restart when the combined direction loses descent
+            if slopes is None:
+                slopes = cone.scalarize_rows(blocks @ d)
+            step, x_trial = _armijo_step(problem, cone, x, d, idx, F_x, slopes, steps,
+                                         config.rho_armijo)
+            accepted = step is not None
             rho = ()
             omega_k = step if accepted else 0.0
             # restart CG after a failed line search

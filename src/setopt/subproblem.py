@@ -165,6 +165,9 @@ def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray, r
     Jacobian C are constant and written once; a gradient request (mode -1)
     refills the curvature rows and the ball row, a function request (mode 1)
     the constraint values d, with the expressions of the ``minimize`` form.
+    A gradient request comes at the point of the function request before
+    it, so the two share one stacked product sym @ s, recomputed whenever
+    s changes.
     """
     R = branches.R
     n_b, n = R.shape
@@ -185,15 +188,23 @@ def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray, r
     # scipy/optimize/_slsqp_py.py, lines 481-509)
     n_work = nz * (nz + 1) // 2 + 3 * m * nz + 9 * m + 8 * nz * nz + 35 * nz + 28
 
+    last = [None, None]  # the bytes of the last s and its sym @ s
+
+    def sym_s(s):
+        key = s.tobytes()
+        if key != last[0]:
+            last[:] = key, sym @ s
+        return last[1]
+
     def normals(z):
         s = z[:n]
-        C[:n_b, :n] = -(R + sym @ s)
+        C[:n_b, :n] = -(R + sym_s(s))
         C[-1, :n] = -2.0 * s
 
     def values(z):
         s, tau = z[:n], z[n]
         lin = R @ s
-        d[:n_b] = tau - lin - 0.5 * ((sym @ s) @ s)
+        d[:n_b] = tau - lin - 0.5 * (sym_s(s) @ s)
         d[n_b:2 * n_b] = tau - lin
         d[-1] = r2 - s @ s
 
@@ -209,8 +220,8 @@ def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray, r
         indices = np.zeros(m + 2 * nz + 2, dtype=np.int32)
         work = np.zeros(n_work)
         fz = z[n]
-        normals(z)
         values(z)
+        normals(z)
         while True:
             _slsqp(state, fz, g, C, d, z, mult, xl, xu, work, indices)
             mode = state["mode"]

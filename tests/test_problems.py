@@ -338,6 +338,26 @@ def test_batched_stencil_is_bitwise_looped(pid):
         assert _same(hess, _family(p, _looped_hess(p, c))), x
 
 
+@pytest.mark.parametrize("pid", sorted(EXPECTED_IDS))
+def test_eval_all_batch_is_each_point(pid):
+    p = registry(pid)
+    batch = np.array(_guard_points(p))
+    values = p.eval_all(batch)
+    assert values.shape == (len(batch), p.p, p.m)
+    for row, x in zip(values, batch):
+        assert _same(row, p.eval_all(x)), x
+    assert _same(p.eval_all(batch[:1]), values[:1])
+    if p.n == 1:
+        assert _same(p.eval_all([float(batch[0, 0])]), values[0])
+
+
+def test_eval_all_batch_names_first_bad_point():
+    p = _holed_plant(0.0)
+    batch = np.array([[1.0, 1.0], [1.0, -1.0], [2.0, -2.0]])
+    assert _error_text(lambda: p.eval_all(batch)) == _error_text(lambda: p.eval_all(batch[1]))
+    assert _same(p.eval_all(batch[:1])[0], p.eval_all(batch[0]))
+
+
 def _holed_plant(threshold):
     """f(x) = x0^2 + x0 x1, non-finite where x1 < threshold."""
     return from_functions(

@@ -2,20 +2,31 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from setopt.bench import _result_record
-from setopt.cone import orthant
-from setopt.problems import make_quadratic_plant, registry
+from setopt import solvers
+from setopt.bench import _problem_seed, _result_record, sample_points
+from setopt.cone import k2prime, orthant
+from setopt.problems import (
+    DomainError,
+    SetValuedProblem,
+    from_functions,
+    make_quadratic_plant,
+    problem_ids,
+    registry,
+)
 from setopt.solvers import (
     NonMonotoneMemory,
     RunResult,
     SolverConfig,
     SolverInternalError,
+    _armijo_step,
+    _backtracking_steps,
+    _distinct_rows,
     _prox_direction,
     accept_and_update,
     reduction_ratios,
     run,
 )
-from setopt.subproblem import ModelSet
+from setopt.subproblem import ModelSet, predicted_reduction
 
 
 def test_config_validation():
@@ -152,6 +163,30 @@ def test_reduction_ratio_variants_reduce_to_trm():
         mem.begin_iteration(f_x, (1,))
         out[variant] = reduction_ratios(mem, f_new, (1,), s, models, cone)[0]
     assert out["trm"] == out["max"] == out["avg"]
+
+
+def test_reduction_ratios_share_one_prediction_per_distinct_block(monkeypatch):
+    rng = np.random.default_rng(5)
+    G, H = rng.standard_normal((2, 2, 3)), rng.standard_normal((2, 2, 3, 3))
+    pattern = [0, 0, 1, 0, 1, 1]
+    models = ModelSet(G=G[pattern], H=H[pattern])
+    s = np.array([0.3, -0.2, 0.1])
+    # blocks descend along s, so every prediction is positive
+    models = ModelSet(G=models.G - 2.0 * np.abs(models.G @ s)[..., None] * s / (s @ s),
+                      H=models.H)
+    cone = orthant(2)
+    a = (1, 2, 3, 4, 5, 6)
+    F_new, F_x = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+    mem = NonMonotoneMemory("trm", 0, 0.5)
+    mem.begin_iteration(F_x, a)
+    looped = [-cone.scalarize(F_new[j] - F_x[j]) / predicted_reduction(models, cone, j, s)
+              for j in range(6)]
+    calls = []
+    monkeypatch.setattr(solvers, "predicted_reduction",
+                        lambda *args: calls.append(args[2]) or predicted_reduction(*args))
+    rho = reduction_ratios(mem, F_new, a, s, models, cone)
+    assert rho.tobytes() == np.array(looped).tobytes()
+    assert calls == [0, 2]
 
 
 def test_reduction_ratio_nonpositive_denominator():
@@ -368,3 +403,165 @@ def test_observer_sees_every_record_in_order(variant):
     else:
         keys = {"record", "F_x", "F_new", "reference_full", "C", "structure", "solution"}
     assert all(set(event) == keys for event in events)
+
+
+def _looped_armijo(nu):
+    """The one-point-at-a-time Armijo loop that ``_armijo_step`` batches,
+    kept as the reference: one ``eval_all`` call per candidate step."""
+    def step_rule(problem, cone, x, d, idx, F_x, slopes, steps, rho_armijo):
+        lo, hi = problem.domain_box
+        step = 1.0
+        while step > 1e-14:
+            cand = np.clip(x + step * d, lo, hi)
+            try:
+                F_cand = problem.eval_all(cand)
+            except DomainError:
+                step *= nu
+                continue
+            decrease = cone.scalarize_rows(F_cand[idx] - F_x[idx])
+            if np.all(decrease <= rho_armijo * step * slopes):
+                return step, cand
+            step *= nu
+        return None, x
+    return step_rule
+
+
+def _run_bytes(res):
+    """What the batched search must keep bit for bit: iterates, steps
+    (``omega``), acceptance, tuples, the end point, t and the counts."""
+    records = [(r.x.tobytes(), np.float64(r.omega).tobytes(), r.accepted, r.a, r.t)
+               for r in res.trace]
+    return (records, res.final_point.tobytes(), res.final_t, res.iterations,
+            res.converged, res.diagnostic)
+
+
+def _batched_and_looped(monkeypatch, problem, cone, x0, config):
+    batched = run(problem, cone, x0, config)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_armijo_step", _looped_armijo(config.nu))
+        looped = run(problem, cone, x0, config)
+    assert _run_bytes(batched) == _run_bytes(looped)
+    return batched
+
+
+@pytest.mark.parametrize("pid", problem_ids())
+def test_batched_armijo_is_looped(monkeypatch, pid):
+    p = registry(pid)
+    cones = [orthant(p.m)] + ([k2prime()] if p.m == 2 else [])
+    starts = sample_points(p.domain_box, 2, _problem_seed(13, pid))
+    for variant in ("sd", "cg"):
+        for cone in cones:
+            for i, x0 in enumerate(starts):
+                for nu in ((0.5, 0.3, 0.9) if i == 0 else (0.5,)):
+                    config = SolverConfig(variant=variant, it_max=5, nu=nu)
+                    _batched_and_looped(monkeypatch, p, cone, x0, config)
+
+
+def _counted_eval_all(monkeypatch):
+    """Record the shape of every ``eval_all`` input."""
+    calls = []
+    evaluate = SetValuedProblem.eval_all
+
+    def eval_all(problem, x):
+        calls.append(np.shape(x))
+        return evaluate(problem, x)
+
+    monkeypatch.setattr(SetValuedProblem, "eval_all", eval_all)
+    return calls
+
+
+def test_failed_armijo_search_takes_doubling_chunks(monkeypatch):
+    p = make_quadratic_plant(np.eye(2))
+    cone = orthant(1)
+    x = np.array([1.0, 2.0])
+    F_x, idx = p.eval_all(x), [0]
+    d = x.copy()  # the gradient of |x|^2 / 2: an ascent direction, no step passes
+    slopes = cone.scalarize_rows(d[None, None, :] @ d)
+    for nu, n_steps in ((0.5, 47), (0.9, 306)):
+        steps = _backtracking_steps(nu)
+        assert len(steps) == n_steps
+        looped = _looped_armijo(nu)(p, cone, x, d, idx, F_x, slopes, steps, 1e-4)
+        with monkeypatch.context() as patch:
+            calls = _counted_eval_all(patch)
+            batched = _armijo_step(p, cone, x, d, idx, F_x, slopes, steps, 1e-4)
+        assert looped[0] is batched[0] is None and looped[1] is batched[1] is x
+        sizes = [shape[0] for shape in calls]
+        assert sizes[:-1] == [2 ** i for i in range(len(sizes) - 1)]
+        assert sum(sizes) == n_steps and len(sizes) == int(np.ceil(np.log2(n_steps + 1)))
+
+
+def test_failed_armijo_search_in_a_run(monkeypatch):
+    # on a convex f no step decreases f by twice its linear prediction,
+    # so with rho_armijo = 2 every search fails and CG keeps restarting
+    p = make_quadratic_plant(np.eye(2))
+    for variant in ("sd", "cg"):
+        res = _batched_and_looped(monkeypatch, p, orthant(1), np.array([3.0, -2.0]),
+                                  SolverConfig(variant=variant, it_max=3, rho_armijo=2.0))
+        assert [(r.accepted, r.omega) for r in res.trace] == [(False, 0.0)] * 3
+
+
+def test_batched_armijo_skips_domain_errors_like_the_loop(monkeypatch):
+    # f(x) = x^2 with a non-finite hole around 0; from x0 = 3 the direction
+    # is -6, step 1 fails the test at -3, and the chunk (0.5, 0.25) holds the
+    # hole at 0 and the passing point 1.5
+    holed = from_functions("holed_ray_plant", 1, 1,
+                           [lambda x: np.array([np.nan if abs(x[0]) < 0.1 else x[0] ** 2])],
+                           (-10.0, 10.0))
+    config = SolverConfig(variant="sd", it_max=1)
+    res = _batched_and_looped(monkeypatch, holed, orthant(1), np.array([3.0]), config)
+    calls = _counted_eval_all(monkeypatch)
+    run(holed, orthant(1), np.array([3.0]), config)
+    assert res.trace[0].accepted and res.trace[0].omega == 0.25
+    assert res.trace[0].x[0] == 3.0 and res.final_point[0] == 1.5
+    # F(x0), the chunk (1.0), the chunk (0.5, 0.25) that raised, then 0.5 and 0.25
+    assert calls[:5] == [(1,), (1, 1), (2, 1), (1,), (1,)]
+
+
+def test_batched_armijo_meets_an_exception_only_where_the_loop_does(monkeypatch):
+    # the function raises on (1, 2), which holds the point 1.5 of step 0.25;
+    # the loop accepts step 0.5 (x = 0) first and never evaluates it
+    def f(x):
+        if 1.0 < x[0] < 2.0:
+            raise ZeroDivisionError("evaluated past the accepted step")
+        return np.array([x[0] ** 2])
+
+    plant = from_functions("raising_ray_plant", 1, 1, [f], (-10.0, 10.0))
+    res = _batched_and_looped(monkeypatch, plant, orthant(1), np.array([3.0]),
+                              SolverConfig(variant="sd", it_max=2))
+    assert res.trace[0].accepted and res.trace[0].omega == 0.5
+    assert res.converged and res.final_point[0] == 0.0
+
+
+def _planted_stacks(with_zeros):
+    """Seeded row stacks with planted duplicates, n = 1-8, up to 40 rows;
+    with zeros, a third of the entries are 0.0 or -0.0."""
+    rng = np.random.default_rng(20261018 + with_zeros)
+    for case in range(60):
+        n, k = 1 + case % 8, int(rng.integers(1, 41))
+        rows = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-2.0, 3.0)
+        rows = np.vstack([rows, rows[rng.integers(0, k, size=int(rng.integers(0, 2 * k)))]])
+        if with_zeros:
+            zero = rng.random(rows.shape) < 1 / 3
+            rows[zero] = np.where(rng.random(rows.shape) < 0.5, 0.0, -0.0)[zero]
+        yield rows[rng.permutation(len(rows))]
+
+
+def test_distinct_rows_match_unique(monkeypatch):
+    for with_zeros in (False, True):
+        for rows in _planted_stacks(with_zeros):
+            got, ref = _distinct_rows(rows), np.unique(rows, axis=0)
+            assert np.array_equal(got, ref)
+            if not with_zeros:
+                assert got.tobytes() == ref.tobytes()
+            v, val = _prox_direction(rows)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_distinct_rows", lambda r: np.unique(r, axis=0))
+                v_ref, val_ref = _prox_direction(rows)
+            if with_zeros:
+                assert np.array_equal(v, v_ref) and val == val_ref
+            else:
+                assert v.tobytes() == v_ref.tobytes() and val == val_ref
+    # a +-0.0 twin is one row; the first of the pair in the stack stays
+    twins = np.array([[1.0, -0.0], [1.0, 0.0], [-1.0, 2.0]])
+    got = _distinct_rows(twins)
+    assert got.tobytes() == np.array([[-1.0, 2.0], [1.0, -0.0]]).tobytes()
