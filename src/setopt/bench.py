@@ -349,13 +349,14 @@ def cone_experiment(problem_id: str, x0, cones: dict, it_max: int = 100,
             for p in points:
                 if not any(np.array_equal(p, q) for q in seen):
                     seen.append(p)
+            values = problem.eval_all(np.array(seen))
             clouds = []
             for pi, p in enumerate(seen):
                 phase = "initial" if pi == 0 else ("final" if pi == len(seen) - 1 else "intermediate")
                 clouds.append({
                     "phase": phase,
                     "x": p.tolist(),
-                    "F": problem.eval_all(p).tolist(),
+                    "F": values[pi].tolist(),
                 })
             per_algo[algo] = {"result": res, "clouds": clouds}
         out[cone_name] = per_algo

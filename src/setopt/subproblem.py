@@ -13,10 +13,12 @@ objective.
 The inner solver writes the problem in epigraph form, minimize tau
 subject to tau >= each branch of phi, the ball and the box shift as
 bounds, and solves it with SLSQP (Kraft 1988) and analytic Jacobians from
-the 4 best of a fixed set of cheap starts; the end points are projected
-onto the feasible set and phi is evaluated there again.  The branches are
-max-of-quadratics and may be nonconvex, hence the multistart; the contract
-is feasibility plus phi(s) <= 0, not global optimality.
+the 2 best distinct points of a fixed set of cheap starts (and the next 2
+when neither solve converges), with a stop tolerance scaled to a bound on
+|phi| over the ball; the end points are projected onto the feasible set
+and phi is evaluated there again.  The branches are max-of-quadratics and
+may be nonconvex, hence the multistart; the contract is feasibility plus
+phi(s) <= 0, not global optimality.
 
 SLSQP runs as scipy's compiled core, driven through its reverse-
 communication interface (``scipy.optimize._slsqplib.slsqp``, scipy >= 1.16)
@@ -45,9 +47,11 @@ except ImportError as exc:  # before 1.16 scipy ran SLSQP as Fortran, without th
 
 log = logging.getLogger(__name__)
 
-_N_STARTS = 4
-# ftol is absolute and also bounds the constraint violation, which round-off
-# keeps above it when branch values are large; such solves settle in ~20 steps.
+_N_STARTS = 2
+# SLSQP's ftol is absolute and also bounds the constraint violation, which
+# round-off keeps above a fixed ftol when branch values are large; so each
+# solve stops at _SLSQP_FTOL times a bound on |phi| over the ball
+# (_scaled_ftol), and the cap only ends solves that stall.
 _SLSQP_MAXITER = 30
 _SLSQP_FTOL = 1e-12
 
@@ -149,15 +153,29 @@ def _project(S: np.ndarray, radius: float, box_shift) -> np.ndarray:
     return S
 
 
+def _scaled_ftol(branches: _Branches, radius: float) -> float:
+    """_SLSQP_FTOL times max(1, a bound on |phi| over the ball).
+
+    On the ball, |r_b.s| <= |r_b| radius and |s^T WH_b s| <= |WH_b|_F
+    radius^2, so max_b |r_b| radius + max_b |WH_b|_F radius^2 / 2 bounds
+    every branch.
+    """
+    n_b = len(branches.R)
+    lin = np.linalg.norm(branches.R, axis=1).max()
+    quad = np.linalg.norm(branches.WH.reshape(n_b, -1), axis=1).max()
+    return _SLSQP_FTOL * max(1.0, lin * radius + 0.5 * quad * radius * radius)
+
+
 def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray, radius: float,
-                    lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, tuple]:
+                    lower: np.ndarray, upper: np.ndarray,
+                    ftol: float) -> tuple[np.ndarray, tuple]:
     """SLSQP on the epigraph form of min phi, once from each start.
 
     Minimizes tau over z = (s, tau) subject to tau >= q_b(s) and
     tau >= lin_b(s) for every branch b, s.s <= radius^2 and lower <= s <=
-    upper.  Returns the end points s and one (exit mode, iterations) pair
-    per start.  The end points may violate the constraints by round-off, so
-    the caller projects them.
+    upper, stopping at SLSQP's ``ftol``.  Returns the end points s and one
+    (exit mode, iterations) pair per start.  The end points may violate the
+    constraints by round-off, so the caller projects them.
 
     The loop is scipy 1.17's ``_slsqp_py._minimize_slsqp`` with the wrapper
     work taken out: the objective is tau, so f = z[n] and its gradient is
@@ -211,9 +229,9 @@ def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray, r
     ends, statuses = [], []
     for s0, t0 in zip(starts, phi0):
         z = np.clip(np.append(s0, t0), lo, hi)
-        state = {"acc": _SLSQP_FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0,
+        state = {"acc": ftol, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0,
                  "h2": 0.0, "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0,
-                 "tol": 10.0 * _SLSQP_FTOL, "exact": 0, "inconsistent": 0, "reset": 0,
+                 "tol": 10.0 * ftol, "exact": 0, "inconsistent": 0, "reset": 0,
                  "iter": 0, "itermax": _SLSQP_MAXITER, "line": 0, "m": m, "meq": 0,
                  "mode": 0, "n": nz}
         mult = np.zeros(m + 2 * nz + 2)
@@ -240,7 +258,9 @@ def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray, r
 @dataclass(frozen=True)
 class InnerResult:
     """Step s and value t; ``statuses`` holds one (SLSQP exit mode,
-    iterations) pair per start (empty when no start was solved)."""
+    iterations) pair per distinct start solved (empty when none was): at
+    most ``_N_STARTS``, or ``2 * _N_STARTS`` when none of the first
+    ``_N_STARTS`` solves ended on mode 0."""
 
     s: np.ndarray
     t: float
@@ -251,11 +271,13 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None) -
     """Minimize phi over the ball of the given radius and the box shift.
 
     Deterministic: projects the cheap starts (0, the ball point of steepest
-    descent of every distinct linear branch, 8 fixed directions), runs the
-    epigraph SLSQP solve from the 4 with the lowest phi, projects the end
-    points and returns the lowest phi among them and the best start, with
-    each solve's SLSQP exit mode and iteration count.  Always returns a
-    feasible s with phi(s) <= phi(0) = 0.
+    descent of every distinct linear branch, 8 fixed directions), drops the
+    bitwise repeats among them, runs the epigraph SLSQP solve from the 2
+    with the lowest phi at the scaled ftol of ``_scaled_ftol`` (and from the
+    next 2 when neither solve ends on mode 0), projects the end points and
+    returns the lowest phi among them and the best start, with each solve's
+    SLSQP exit mode and iteration count.  Always returns a feasible s with
+    phi(s) <= phi(0) = 0.
     """
     if not (np.all(np.isfinite(models.G)) and np.all(np.isfinite(models.H))):
         raise InnerSolveFailure("non-finite model data")
@@ -270,14 +292,22 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None) -
                              -radius * branches.R[moving] / norms[moving, None],
                              radius * _fixed_directions(n)])
     S = _project(starts, radius, box_shift)
+    S = S[_first_of_each(S)]
     phi = branches.phi_values(S)
-    order = np.argsort(phi, kind="stable")[:_N_STARTS]
+    order = np.argsort(phi, kind="stable")[:2 * _N_STARTS]
     S, phi = S[order], phi[order]
 
     lower, upper = np.full(n, -radius), np.full(n, radius)
     if box_shift is not None:
         lower, upper = np.maximum(lower, box_shift[0]), np.minimum(upper, box_shift[1])
-    ends, statuses = _epigraph_slsqp(branches, S, phi, radius, lower, upper)
+    ftol = _scaled_ftol(branches, radius)
+    ends, statuses = _epigraph_slsqp(branches, S[:_N_STARTS], phi[:_N_STARTS], radius,
+                                     lower, upper, ftol)
+    if len(S) > _N_STARTS and all(mode != 0 for mode, _ in statuses):
+        # no solve converged, so its end points say little: try the next starts
+        more, more_statuses = _epigraph_slsqp(branches, S[_N_STARTS:], phi[_N_STARTS:], radius,
+                                              lower, upper, ftol)
+        ends, statuses = np.concatenate([ends, more]), statuses + more_statuses
     cand = np.concatenate([S[:1], _project(ends, radius, box_shift)])
     vals = branches.phi_values(cand)
     k = int(np.nanargmin(vals))

@@ -20,6 +20,7 @@ from setopt.bench import (
     sample_points,
 )
 from setopt.cone import k2prime, orthant
+from setopt.problems import registry
 
 
 def test_sample_points_contract():
@@ -243,3 +244,20 @@ def test_cone_experiment_shape():
         for data in per_algo.values():
             assert data["clouds"][0]["phase"] == "initial"
             assert np.asarray(data["clouds"][0]["F"]).shape == (100, 2)
+
+
+def test_cone_experiment_clouds_are_each_point():
+    # the clouds come from one batched eval_all call; each must be the
+    # single-point evaluation, bit for bit
+    problem = registry("modified_ex53_n2_m2")
+    out = cone_experiment("modified_ex53_n2_m2", np.array([-16.355461, -2.454201]),
+                          {"k1": orthant(2), "k2prime": k2prime()}, it_max=5)
+    sizes = []
+    for per_algo in out.values():
+        for data in per_algo.values():
+            clouds = data["clouds"]
+            sizes.append(len(clouds))
+            for cloud in clouds:
+                single = problem.eval_all(np.array(cloud["x"]))
+                assert np.array(cloud["F"]).tobytes() == single.tobytes()
+    assert max(sizes) > 2

@@ -341,7 +341,7 @@ def test_inner_minimax_oracle_higher_dim(n):
 
 # -- the SLSQP driver against scipy's public minimize ------------------------
 
-def _epigraph_minimize(branches, starts, phi0, radius, lower, upper):
+def _epigraph_minimize(branches, starts, phi0, radius, lower, upper, ftol):
     """The epigraph solve through ``minimize(method="SLSQP")``: the reference
     that ``_epigraph_slsqp`` must match bit for bit."""
     R = branches.R
@@ -367,7 +367,7 @@ def _epigraph_minimize(branches, starts, phi0, radius, lower, upper):
 
     bounds = [*zip(lower, upper), (None, None)]
     constraints = {"type": "ineq", "fun": cons, "jac": cons_jac}
-    options = {"maxiter": subproblem._SLSQP_MAXITER, "ftol": subproblem._SLSQP_FTOL}
+    options = {"maxiter": subproblem._SLSQP_MAXITER, "ftol": ftol}
     res = [minimize(lambda z: z[n], np.append(s0, t0), jac=lambda z: e_tau, method="SLSQP",
                     bounds=bounds, constraints=constraints, options=options)
            for s0, t0 in zip(starts, phi0)]
@@ -377,7 +377,8 @@ def _epigraph_minimize(branches, starts, phi0, radius, lower, upper):
 def _seeded_epigraph_cases(count):
     """Seeded branch sets: n = 1-10, 1-60 branches, indefinite curvatures,
     every other case with a box shift that cuts the ball, every third with
-    branch magnitudes of 1e3-1e6."""
+    branch magnitudes of 1e3-1e6; each at the ftol that ``inner_minimax``
+    would use."""
     rng = np.random.default_rng(2024)
     for k in range(count):
         n, n_b = 1 + k % 10, int(rng.integers(1, 61))
@@ -391,7 +392,8 @@ def _seeded_epigraph_cases(count):
             box_shift = (-radius * rng.uniform(0.05, 0.8, n), radius * rng.uniform(0.05, 0.8, n))
             lower, upper = np.maximum(lower, box_shift[0]), np.minimum(upper, box_shift[1])
         starts = subproblem._project(rng.uniform(-radius, radius, (4, n)), radius, box_shift)
-        yield branches, starts, branches.phi_values(starts), radius, lower, upper
+        yield (branches, starts, branches.phi_values(starts), radius, lower, upper,
+               subproblem._scaled_ftol(branches, radius))
 
 
 def test_epigraph_driver_is_bitwise_minimize():
@@ -407,19 +409,45 @@ def test_epigraph_driver_is_bitwise_minimize():
     assert {0, 8, 9} <= modes
 
 
-def test_inner_minimax_reports_one_status_per_start():
+def test_inner_minimax_reports_one_status_per_start(monkeypatch):
+    original = subproblem._epigraph_slsqp
+    solved = []
+
+    def record(branches, starts, phi0, radius, lower, upper, ftol):
+        # every solve stops at the ftol scaled to its branches
+        assert ftol == subproblem._scaled_ftol(branches, radius)
+        solved.append(starts.copy())
+        return original(branches, starts, phi0, radius, lower, upper, ftol)
+
+    monkeypatch.setattr(subproblem, "_epigraph_slsqp", record)
     rng = np.random.default_rng(8)
     cone = orthant(2)
+    cases = []
     for trial in range(6):
         n = 1 + trial
         g, h = _random_models(rng, 3, 2, n)
         box_shift = (-rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)) if trial % 2 else None
-        res = inner_minimax(ModelSet(G=g, H=h), cone, 1.0, box_shift)
-        assert len(res.statuses) == subproblem._N_STARTS
+        cases.append((ModelSet(G=g, H=h), cone, 1.0, box_shift))
+    # large indefinite sets, where solves stop on modes 4, 8 and 9
+    cases += list(_reference_model_sets(60))
+    first_failed = []
+    for models, kone, radius, box_shift in cases:
+        solved.clear()
+        res = inner_minimax(models, kone, radius, box_shift)
+        # one pair per distinct solved start; the next starts only when no
+        # solve of the first _N_STARTS ended on mode 0
+        starts = np.concatenate(solved)
+        assert len(res.statuses) == len(starts) == len(subproblem._first_of_each(starts))
+        failed = [mode != 0 for mode, _ in res.statuses[:subproblem._N_STARTS]]
+        assert (len(res.statuses) > subproblem._N_STARTS) == all(failed)
+        assert len(res.statuses) <= 2 * subproblem._N_STARTS
+        first_failed.append(sum(failed))
         for mode, iterations in res.statuses:
             assert type(mode) is int and type(iterations) is int
             assert mode in {0, 2, 3, 4, 5, 6, 7, 8, 9}
             assert 0 <= iterations <= subproblem._SLSQP_MAXITER
+    # both sides of the rule occur: one failed solve, and every one failed
+    assert {0, 1, subproblem._N_STARTS} <= set(first_failed)
     assert inner_minimax(zero_models(), orthant(1), 0.0).statuses == ()
 
 
@@ -451,3 +479,97 @@ def test_branch_dedup_matches_unique_form():
     br = _Branches.build(ModelSet(G=g[order], H=h[order]), cone)
     assert br.R.tobytes() == rows[keep].tobytes()
     assert br.WH.tobytes() == wh[keep].tobytes()
+
+
+# -- two distinct starts at the scaled ftol against the four-start solve -----
+
+def _four_start_inner_minimax(models, cone, radius, box_shift=None):
+    """``inner_minimax`` as it was with 4 starts, repeats kept and the fixed
+    ftol: the reference for the two-start solve."""
+    n = models.G.shape[2]
+    branches = _Branches.build(models, cone)
+    norms = np.linalg.norm(branches.R, axis=1)
+    moving = norms > 0.0
+    starts = np.concatenate([np.zeros((1, n)),
+                             -radius * branches.R[moving] / norms[moving, None],
+                             radius * subproblem._fixed_directions(n)])
+    S = subproblem._project(starts, radius, box_shift)
+    phi = branches.phi_values(S)
+    order = np.argsort(phi, kind="stable")[:4]
+    S, phi = S[order], phi[order]
+    lower, upper = np.full(n, -radius), np.full(n, radius)
+    if box_shift is not None:
+        lower, upper = np.maximum(lower, box_shift[0]), np.minimum(upper, box_shift[1])
+    ends, _ = subproblem._epigraph_slsqp(branches, S, phi, radius, lower, upper,
+                                         subproblem._SLSQP_FTOL)
+    cand = np.concatenate([S[:1], subproblem._project(ends, radius, box_shift)])
+    return float(np.nanmin(branches.phi_values(cand)))
+
+
+def _reference_model_sets(count):
+    """Seeded model sets: n = 1-10, every other one with a box shift, blocks
+    of magnitude 1 to 1e6 with indefinite curvature; every fourth is
+    critical at 0 (two blocks with opposite gradients and PSD curvature)."""
+    rng = np.random.default_rng(60)
+    for k in range(count):
+        n = 1 + k % 10
+        omega, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        scale = 10.0 ** rng.uniform(0.0, 6.0)
+        g = scale * rng.normal(size=(omega, m, n))
+        h = scale * rng.normal(size=(omega, m, n, n))
+        if k % 4 == 3:
+            g = np.stack([g[0], -g[0]])
+            h = np.einsum("jrab,jrcb->jrac", h[[0, 0]], h[[0, 0]]) / scale
+        cone = k2prime() if m == 2 and k % 3 == 0 else orthant(m)
+        radius = float(rng.choice([0.5, 1.0, 2.0]))
+        box_shift = None
+        if k % 2:
+            box_shift = (-radius * rng.uniform(0.0, 1.0, n), radius * rng.uniform(0.0, 1.0, n))
+        yield ModelSet(G=g, H=0.5 * (h + h.swapaxes(2, 3))), cone, radius, box_shift
+
+
+def test_two_start_solve_against_four_start_reference():
+    verdicts = []
+    for models, cone, radius, box_shift in _reference_model_sets(60):
+        ref = _four_start_inner_minimax(models, cone, radius, box_shift)
+        res = inner_minimax(models, cone, radius, box_shift)
+        assert (abs(res.t) < 1e-3) == (abs(ref) < 1e-3)
+        assert res.t <= ref + 1e-7 * max(1.0, abs(ref))
+        verdicts.append(abs(ref) < 1e-3)
+    # both verdicts occur, so the first check compares something
+    assert 10 <= sum(verdicts) <= 50
+
+
+def test_duplicate_starts_are_solved_once(monkeypatch):
+    original = subproblem._epigraph_slsqp
+    solved = []
+
+    def record(branches, starts, *args):
+        solved.append(starts.copy())
+        return original(branches, starts, *args)
+
+    monkeypatch.setattr(subproblem, "_epigraph_slsqp", record)
+    # the box shift [0, 0.3]^2 clips the steepest-descent start of the one
+    # branch and every fixed direction with two positive entries to the
+    # corner (0.3, 0.3), the best start; the rest clip to the edges or to 0
+    models = ModelSet(G=np.array([[[-1.0, -1.0]]]), H=np.zeros((1, 1, 2, 2)))
+    box_shift = (np.zeros(2), np.full(2, 0.3))
+    radius = 1.0
+    branches = _Branches.build(models, orthant(1))
+    cheap = np.concatenate([np.zeros((1, 2)), -radius * branches.R / np.linalg.norm(branches.R),
+                            radius * subproblem._fixed_directions(2)])
+    cheap = subproblem._project(cheap, radius, box_shift)
+    corner = np.full(2, 0.3)
+    assert np.sum(np.all(cheap == corner, axis=1)) >= 2
+    res = inner_minimax(models, orthant(1), radius, box_shift)
+    starts = np.concatenate(solved)
+    assert len(subproblem._first_of_each(starts)) == len(starts)
+    assert starts[0].tobytes() == corner.tobytes()
+    assert len(res.statuses) == len(starts) <= subproblem._N_STARTS
+    assert res.t == pytest.approx(-0.6, abs=1e-12)
+
+    # a point box leaves one distinct start, 0: one solve, one status pair
+    solved.clear()
+    res = inner_minimax(models, orthant(1), radius, (np.zeros(2), np.zeros(2)))
+    assert [s.tolist() for s in np.concatenate(solved)] == [[0.0, 0.0]]
+    assert len(res.statuses) == 1 and res.t == 0.0
