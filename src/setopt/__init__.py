@@ -29,6 +29,7 @@ from .solvers import (
     RunResult,
     SolverConfig,
     SolverInternalError,
+    StepMemo,
     accept_and_update,
     reduction_ratios,
     run,
@@ -52,7 +53,7 @@ __all__ = [
     "ModelSet", "SubproblemSolution", "InnerSolveFailure", "inner_minimax",
     "predicted_reduction", "theta_and_step", "criticality_value",
     "SolverConfig", "RunResult", "IterationRecord", "NonMonotoneMemory",
-    "SolverInternalError", "accept_and_update", "reduction_ratios", "run",
+    "SolverInternalError", "StepMemo", "accept_and_update", "reduction_ratios", "run",
 ]
 
 __version__ = "0.1.0"

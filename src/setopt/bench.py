@@ -18,7 +18,7 @@ import numpy as np
 
 from .cone import Cone, orthant
 from .problems import registry
-from .solvers import RunResult, SolverConfig, run
+from .solvers import RunResult, SolverConfig, StepMemo, run
 
 METRICS = ("nonconv", "iterations", "cpu_time", "inv_step_size")
 
@@ -96,6 +96,7 @@ def _result_record(problem_id: str, algorithm: str, index: int, x0, res: RunResu
         "mean_step_size": float(res.mean_step_size),
         "final_t": float(res.final_t) if np.isfinite(res.final_t) else None,
         "diagnostic": res.diagnostic,
+        "shared_steps": int(res.shared_steps),
     }
 
 
@@ -103,7 +104,8 @@ def run_matrix(config: ExperimentConfig, store_path: str, cone: Cone | None = No
     """Fill in every missing (problem, algorithm, point) record.
 
     Per-run failures are recorded as nonconvergent with a diagnostic and
-    never abort the matrix.  Returns all records (old and new).
+    never abort the matrix.  The runs from one start share one ``StepMemo``.
+    Returns all records (old and new).
     """
     records = load_records(store_path)
     have = {record_key(r) for r in records}
@@ -119,11 +121,15 @@ def run_matrix(config: ExperimentConfig, store_path: str, cone: Cone | None = No
                     jobs.append((problem, kone, pid, algo, idx, points[idx]))
 
     new_records = []
+    memo = memo_key = None
     if jobs:
         with open(store_path, "a", encoding="utf-8") as fh:
             for problem, kone, pid, algo, idx, x0 in jobs:
+                if (pid, idx) != memo_key:
+                    memo, memo_key = StepMemo(problem, kone), (pid, idx)
                 try:
-                    res = run(problem, kone, x0, SolverConfig(variant=algo, it_max=config.it_max))
+                    res = run(problem, kone, x0, SolverConfig(variant=algo, it_max=config.it_max),
+                              memo=memo)
                     rec = _result_record(pid, algo, idx, x0, res)
                 except Exception as exc:  # noqa: BLE001 -- failures become records
                     res = RunResult(converged=False, iterations=config.it_max, wall_time=0.0,
@@ -333,6 +339,7 @@ def cone_experiment(problem_id: str, x0, cones: dict, it_max: int = 100,
 
     Returns, per cone and algorithm, the run result plus the family value
     clouds at the initial, intermediate (accepted), and final iterates.
+    The runs under one cone share one ``StepMemo``.
     """
     problem = registry(problem_id)
     if problem.m != 2:
@@ -340,9 +347,10 @@ def cone_experiment(problem_id: str, x0, cones: dict, it_max: int = 100,
     out = {}
     for cone_name, cone in cones.items():
         per_algo = {}
+        memo = StepMemo(problem, cone)
         for algo in algorithms:
             config = SolverConfig(variant=algo, it_max=it_max)
-            res = run(problem, cone, x0, config)
+            res = run(problem, cone, x0, config, memo=memo)
             iterates = [rec.x for rec in res.trace if rec.accepted]
             points = [np.asarray(x0, float)] + iterates + [np.asarray(res.final_point)]
             seen = []

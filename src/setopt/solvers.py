@@ -14,10 +14,14 @@ reduction ratio compares against:
 
 With window depth 0 (``max``) or weight 0 (``avg``) both reduce exactly,
 bitwise, to the monotone driver.
+
+Runs from one start can share a ``StepMemo``: every evaluation, partition,
+step and line search that one of them computes, the others read.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from collections import deque
@@ -95,7 +99,7 @@ class RunResult:
     converged: bool
     iterations: int
     wall_time: float
-    cpu_time: float             # process CPU time of the loop
+    cpu_time: float             # process CPU time, with that of entries other runs computed
     final_point: np.ndarray
     final_t: float
     trace: list
@@ -103,6 +107,7 @@ class RunResult:
     final_omega: float | None = None
     mean_step_size: float = 0.0
     diagnostic: str | None = None
+    shared_steps: int = 0       # iterations whose step another run computed
 
     def summary(self) -> dict:
         return {
@@ -116,6 +121,7 @@ class RunResult:
             "final_omega": self.final_omega,
             "mean_step_size": self.mean_step_size,
             "diagnostic": self.diagnostic,
+            "shared_steps": self.shared_steps,
         }
 
 
@@ -301,8 +307,138 @@ def _armijo_step(problem: SetValuedProblem, cone: Cone, x: np.ndarray, d: np.nda
     return None, x
 
 
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
+class _Entry:
+    """A memo value, the wall and CPU seconds it took to compute, and the
+    number of the run that computed it."""
+
+    value: object
+    wall: float
+    cpu: float
+    owner: int
+
+
+class _Ledger:
+    """One run's side of a memo: the entries of other runs that it read,
+    and their summed cost."""
+
+    def __init__(self, owner: int):
+        self.owner = owner
+        self.read: set = set()
+        self.wall = self.cpu = 0.0
+
+
+class StepMemo:
+    """The work that runs from one start can share, bound to one problem,
+    cone and domain box and keyed by the exact bytes of its inputs:
+
+    * F(x), keyed by x (the trial point of an accepted step is the next x);
+    * the partition at x, keyed by x;
+    * the trust-region step at radius omega, keyed by (x, omega);
+    * the SD/CG tuple, direction v and Jacobian blocks, keyed by x;
+    * the Armijo search, keyed by (x, d, idx, rho_armijo, nu).
+
+    Entries hold read-only arrays, and nothing that raised is stored.  A
+    miss calls what a run without the memo calls, so a run that shares one
+    is bitwise the run that does not.  Each entry keeps the wall and CPU
+    seconds it took; a run adds to its own times those of every entry
+    another run computed, once per entry, so its reported times stay its
+    own cost.
+    """
+
+    def __init__(self, problem: SetValuedProblem, cone: Cone):
+        self.problem, self.cone = problem, cone
+        self._box = self._box_bytes(problem)
+        # one table per kind: a bundle's Jacobians need not be fd_jacobian_all's bits
+        self._bundles, self._jacobians = DerivativeTable(problem), DerivativeTable(problem)
+        self._entries: dict = {}
+        self._runs = itertools.count()
+
+    @staticmethod
+    def _box_bytes(problem: SetValuedProblem) -> bytes:
+        return b"".join(np.asarray(b, dtype=float).tobytes() for b in problem.domain_box)
+
+    def ledger(self, problem: SetValuedProblem, cone: Cone) -> _Ledger:
+        """A new run's ledger; ValueError for another problem, cone or box."""
+        if problem is not self.problem or cone is not self.cone \
+                or self._box_bytes(problem) != self._box:
+            raise ValueError("the memo is bound to another problem, cone or domain box")
+        return _Ledger(next(self._runs))
+
+    def _get(self, key: tuple, compute, ledger: _Ledger):
+        """The entry's value and whether another run computed it."""
+        entry = self._entries.get(key)
+        if entry is None:
+            wall, cpu = time.perf_counter(), time.process_time()
+            value = compute()
+            entry = _Entry(value, time.perf_counter() - wall, time.process_time() - cpu,
+                           ledger.owner)
+            self._entries[key] = entry
+        elif entry.owner != ledger.owner and entry not in ledger.read:
+            ledger.read.add(entry)
+            ledger.wall += entry.wall
+            ledger.cpu += entry.cpu
+        return entry.value, entry.owner != ledger.owner
+
+    def values(self, x: np.ndarray, ledger: _Ledger) -> np.ndarray:
+        def compute():
+            F = self.problem.eval_all(x)
+            _read_only(F)
+            return F
+        return self._get(("F", x.tobytes()), compute, ledger)[0]
+
+    def partition(self, x: np.ndarray, F_x: np.ndarray, ledger: _Ledger):
+        def compute():
+            structure = structure_from_values(F_x, self.cone)
+            _read_only(*structure.values)
+            return structure
+        return self._get(("partition", x.tobytes()), compute, ledger)[0]
+
+    def step(self, x: np.ndarray, structure, omega: float, ledger: _Ledger):
+        """The trust-region solution, and whether another run computed it."""
+        def compute():
+            sol = theta_and_step(self.problem, self.cone, x, structure, omega,
+                                 box=self.problem.domain_box, table=self._bundles)
+            _read_only(sol.s_star, sol.models.G, sol.models.H)
+            return sol
+        return self._get(("step", x.tobytes(), omega), compute, ledger)
+
+    def direction(self, x: np.ndarray, structure, ledger: _Ledger):
+        """The tuple a, the steepest-descent direction v and the Jacobian
+        blocks of a."""
+        def compute():
+            jac = self._jacobians.jacobians(x)
+
+            def solve(a):
+                v, val = _prox_direction(scalarized_rows(self.cone, jac[[ai - 1 for ai in a]]))
+                return val, v
+
+            a, (_, v) = best_tuple(self.problem, structure, solve)
+            blocks = jac[[ai - 1 for ai in a]]
+            _read_only(v, blocks)
+            return a, v, blocks
+        return self._get(("direction", x.tobytes()), compute, ledger)[0]
+
+    def armijo(self, x: np.ndarray, d: np.ndarray, idx: list, F_x: np.ndarray,
+               slopes: np.ndarray, steps: np.ndarray, config: SolverConfig, ledger: _Ledger):
+        """``_armijo_step``'s (step, point), and whether another run computed it."""
+        def compute():
+            step, x_new = _armijo_step(self.problem, self.cone, x, d, idx, F_x, slopes, steps,
+                                       config.rho_armijo)
+            x_new = np.array(x_new)
+            _read_only(x_new)
+            return step, x_new
+        key = ("armijo", x.tobytes(), d.tobytes(), tuple(idx), config.rho_armijo, config.nu)
+        return self._get(key, compute, ledger)
+
+
 def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
-        observer=None) -> RunResult:
+        observer=None, memo: StepMemo | None = None) -> RunResult:
     """One loop for all five variants: partition, step problem, step rule.
 
     The step problem is the box-constrained min-max subproblem at the
@@ -311,13 +447,16 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     -|v|, and the run stops when |t| < eps.  The step rule is the ratio
     test with the radius update, or Armijo backtracking along v (SD) or
     the conjugate direction (CG).  Iterates always stay inside the domain
-    box.
+    box.  Every evaluation, partition, step and line search goes through
+    ``memo`` (a private one when None is given); a memo bound to another
+    problem or cone raises ValueError.
     """
     lo, hi = problem.domain_box
     x = np.asarray(x0, dtype=float).reshape(problem.n)
     if np.any(x < lo) or np.any(x > hi):
         raise ValueError("x0 lies outside the domain box")
-    table = DerivativeTable(problem)
+    memo = StepMemo(problem, cone) if memo is None else memo
+    ledger = memo.ledger(problem, cone)
     trust_region = config.variant not in ("sd", "cg")
     memory = NonMonotoneMemory(config.variant, config.n_memory if config.variant == "max" else 0,
                                config.mu)
@@ -328,29 +467,22 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     diagnostic = None
     t = float("nan")
     iterations = config.it_max
+    shared_steps = 0
     start, cpu_start = time.perf_counter(), time.process_time()
     underflow_logged = False
-    moved = True
     if not trust_region:
         steps = _backtracking_steps(config.nu)
     for k in range(config.it_max):
         try:
-            if moved:  # after a rejected step F(x) and the partition are unchanged
-                F_x = problem.eval_all(x)
-                structure = structure_from_values(F_x, cone)
+            F_x = memo.values(x, ledger)
+            structure = memo.partition(x, F_x, ledger)
             if trust_region:
-                sol = theta_and_step(problem, cone, x, structure, omega, box=(lo, hi), table=table)
+                sol, shared = memo.step(x, structure, omega, ledger)
                 a, t = sol.a_star, sol.t_star
                 if not sol.feasible and diagnostic is None:
                     diagnostic = "inner solver failed for every partition element"
             else:
-                jac = table.jacobians(x)
-
-                def direction(a):
-                    v, val = _prox_direction(scalarized_rows(cone, jac[[ai - 1 for ai in a]]))
-                    return val, v
-
-                a, (_, v) = best_tuple(problem, structure, direction)
+                a, v, blocks = memo.direction(x, structure, ledger)
                 t = -float(np.linalg.norm(v))
         except (DomainError, PartitionCapError) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"
@@ -364,7 +496,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
             memory.begin_iteration(F_x, a)
             x_trial = np.clip(x + sol.s_star, lo, hi)
             try:
-                F_new = problem.eval_all(x_trial)
+                F_new = memo.values(x_trial, ledger)
                 rho = reduction_ratios(memory, F_new, a, sol.s_star, sol.models, cone)
             except (DomainError, SolverInternalError) as exc:
                 diagnostic = f"{type(exc).__name__}: {exc}"
@@ -384,7 +516,6 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
                            "structure": structure, "solution": sol}
         else:
             idx = [ai - 1 for ai in a]
-            blocks = jac[idx]
             d, slopes = v, None
             if config.variant == "cg" and d_prev is not None:
                 denom = float(d_prev @ v_prev)
@@ -395,8 +526,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
                     d, slopes = v, None  # restart when the combined direction loses descent
             if slopes is None:
                 slopes = cone.scalarize_rows(blocks @ d)
-            step, x_trial = _armijo_step(problem, cone, x, d, idx, F_x, slopes, steps,
-                                         config.rho_armijo)
+            (step, x_trial), shared = memo.armijo(x, d, idx, F_x, slopes, steps, config, ledger)
             accepted = step is not None
             rho = ()
             omega_k = step if accepted else 0.0
@@ -408,16 +538,17 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
             step_norm=float(np.linalg.norm(x_trial - x)) if accepted else 0.0,
         )
         trace.append(record)
+        shared_steps += shared
         if observer is not None:
             observer({"record": record, "F_x": F_x, **details})
-        moved = accepted
         if accepted:
             x = x_trial
-    wall, cpu = time.perf_counter() - start, time.process_time() - cpu_start
+    wall = time.perf_counter() - start + ledger.wall
+    cpu = time.process_time() - cpu_start + ledger.cpu
     steps = [r.step_norm for r in trace]
     return RunResult(
         converged=converged, iterations=iterations, wall_time=wall, cpu_time=cpu,
-        final_point=x, final_t=t, trace=trace, algorithm=config.variant,
+        final_point=np.array(x), final_t=t, trace=trace, algorithm=config.variant,
         final_omega=omega, mean_step_size=float(np.mean(steps)) if steps else 0.0,
-        diagnostic=diagnostic,
+        diagnostic=diagnostic, shared_steps=shared_steps,
     )

@@ -93,13 +93,16 @@ class SubproblemSolution:
 
 
 def _first_of_each(rows: np.ndarray) -> list:
-    """Ascending indices of the first row of each distinct bit pattern."""
-    key = rows.tobytes()
-    width = len(key) // len(rows)
-    first = {}
-    for i in range(len(rows)):
-        first.setdefault(key[i * width:(i + 1) * width], i)
-    return list(first.values())
+    """Ascending indices of the first row of each distinct bit pattern.
+
+    Each row is one opaque (void) item, so np.unique compares bytes: 0.0 and
+    -0.0 differ and NaNs of one pattern are equal.  Its index sort is stable,
+    so each pattern's index is its first occurrence.
+    """
+    rows = np.ascontiguousarray(rows)
+    items = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first = np.unique(items, return_index=True)
+    return np.sort(first).tolist()
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -19,6 +20,7 @@ from setopt.bench import (
     run_matrix,
     sample_points,
 )
+from setopt import bench, solvers
 from setopt.cone import k2prime, orthant
 from setopt.problems import registry
 
@@ -261,3 +263,66 @@ def test_cone_experiment_clouds_are_each_point():
                 single = problem.eval_all(np.array(cloud["x"]))
                 assert np.array(cloud["F"]).tobytes() == single.tobytes()
     assert max(sizes) > 2
+
+
+# -- runs from one start share a memo -----------------------------------------
+
+def _exact(obj):
+    """A comparable form of a result, record or observer event that keeps
+    every array's bytes and every float's bits."""
+    if isinstance(obj, np.ndarray):
+        return ("array", obj.dtype.str, obj.shape, obj.tobytes())
+    if dataclasses.is_dataclass(obj):
+        return (type(obj).__name__,) + tuple(
+            (f.name, _exact(getattr(obj, f.name))) for f in dataclasses.fields(obj))
+    if isinstance(obj, dict):
+        return tuple((k, _exact(v)) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return tuple(_exact(v) for v in obj)
+    if isinstance(obj, float):
+        return float(obj).hex()
+    return obj
+
+
+# what a run's own cost and its share of a memo may change
+_OWN = ("wall_time", "cpu_time", "shared_steps")
+
+
+def _capture_runs(monkeypatch, share):
+    """Patch ``bench.run`` to keep each run's result and observer events;
+    with ``share`` False every run gets a fresh memo."""
+    runs = []
+
+    def capture(problem, cone, x0, config, memo=None):
+        events = []
+        res = solvers.run(problem, cone, x0, config, observer=lambda e: events.append(_exact(e)),
+                          memo=memo if share else None)
+        result = dataclasses.replace(res, **{f: None for f in _OWN})
+        runs.append((config.variant, _exact(result), events))
+        return res
+
+    monkeypatch.setattr(bench, "run", capture)
+    return runs
+
+
+def test_shared_memo_runs_are_fresh_memo_runs(tmp_path, monkeypatch):
+    config = ExperimentConfig(
+        problem_ids=("dgo2_n1_m2", "modified_ex53_n2_m2", "zdt1_n5_m2", "fdsa_n2_m3"),
+        points_per_problem=2, it_max=10, rng_seed=3)
+    out = {}
+    for share in (True, False):
+        runs = _capture_runs(monkeypatch, share)
+        records = run_matrix(config, str(tmp_path / f"{share}.jsonl"))
+        cones = cone_experiment("modified_ex53_n2_m2", np.array([-16.355461, -2.454201]),
+                                {"k2prime": k2prime()}, it_max=10)
+        shared_steps = (sum(r["shared_steps"] for r in records),
+                        sum(d["result"].shared_steps for d in cones["k2prime"].values()))
+        cones = {algo: (_exact(dataclasses.replace(d["result"], **{f: None for f in _OWN})),
+                        _exact(d["clouds"])) for algo, d in cones["k2prime"].items()}
+        records = [{k: v for k, v in r.items() if k not in ("cpu_time", "shared_steps")}
+                   for r in records]
+        out[share] = (records, cones, runs, shared_steps)
+    assert len(out[True][2]) == 4 * 2 * 5 + 2
+    assert out[True][:3] == out[False][:3]
+    assert min(out[True][3]) > 0 and max(out[False][3]) == 0
+    assert sum(len(events) for _, _, events in out[True][2]) >= 100

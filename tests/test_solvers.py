@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -18,6 +20,7 @@ from setopt.solvers import (
     RunResult,
     SolverConfig,
     SolverInternalError,
+    StepMemo,
     _armijo_step,
     _backtracking_steps,
     _distinct_rows,
@@ -565,3 +568,82 @@ def test_distinct_rows_match_unique(monkeypatch):
     twins = np.array([[1.0, -0.0], [1.0, 0.0], [-1.0, 2.0]])
     got = _distinct_rows(twins)
     assert got.tobytes() == np.array([[-1.0, 2.0], [1.0, -0.0]]).tobytes()
+
+
+# -- the step memo -------------------------------------------------------------
+
+def test_memo_is_bound_to_its_problem_cone_and_box():
+    p, other = registry("dgo2_n1_m2"), registry("dgo1_n1_m2")
+    twin = dataclasses.replace(p)  # equal fields, another problem object
+    cone = orthant(2)
+    memo = StepMemo(p, cone)
+    x0 = np.array([4.0])  # inside both boxes
+    assert twin is not p and twin.domain_box[0].tobytes() == p.domain_box[0].tobytes()
+    for problem, kone in ((twin, cone), (other, cone), (p, orthant(2)), (p, k2prime())):
+        with pytest.raises(ValueError, match="bound to another"):
+            run(problem, kone, x0, SolverConfig(), memo=memo)
+    lo = p.domain_box[0]
+    lo[0] -= 1.0
+    try:
+        with pytest.raises(ValueError, match="bound to another"):
+            run(p, cone, x0, SolverConfig(), memo=memo)
+    finally:
+        lo[0] += 1.0
+    assert _run_bytes(run(p, cone, x0, SolverConfig(), memo=memo)) == \
+        _run_bytes(run(p, cone, x0, SolverConfig()))
+
+
+def test_memo_keys_hold_the_line_search_parameters():
+    # from this start each of the three SD/CG configurations takes other steps,
+    # so an Armijo entry read under the wrong nu or rho_armijo would show
+    p = registry("rosenbrock_n4_m3")
+    cone = orthant(3)
+    x0 = sample_points(p.domain_box, 1, _problem_seed(7, p.name))[0]
+    for variant in ("sd", "cg"):
+        base = SolverConfig(variant=variant, it_max=5)
+        configs = (base, dataclasses.replace(base, nu=0.3),
+                   dataclasses.replace(base, rho_armijo=0.4))
+        memo = StepMemo(p, cone)
+        shared = [run(p, cone, x0, config, memo=memo) for config in configs]
+        fresh = [run(p, cone, x0, config) for config in configs]
+        assert [_run_bytes(r) for r in shared] == [_run_bytes(r) for r in fresh]
+        assert len({_run_bytes(r)[0][0][1] for r in fresh}) == 3  # first steps differ
+        assert [r.shared_steps for r in shared] == [0, 0, 0]
+
+
+def _entries_cost(memo, wall, cpu):
+    """Give every entry of ``memo`` the cost (wall, cpu) seconds."""
+    for key, entry in memo._entries.items():
+        memo._entries[key] = dataclasses.replace(entry, wall=wall, cpu=cpu)
+
+
+def test_reading_other_runs_entries_charges_each_once():
+    p = registry("hil_n2_m2")
+    cone = orthant(2)
+    x0 = np.array([2.718, 4.675])  # rejected steps: F(x) and the partition are read again
+    memo = StepMemo(p, cone)
+    first = run(p, cone, x0, SolverConfig(variant="trm"), memo=memo)
+    assert any(not r.accepted for r in first.trace) and first.shared_steps == 0
+    n_entries = len(memo._entries)
+    _entries_cost(memo, 1.0, 2.0)
+    for _ in range(2):  # every reader is charged, each for itself
+        again = run(p, cone, x0, SolverConfig(variant="trm"), memo=memo)
+        assert _run_bytes(again) == _run_bytes(first)
+        assert len(memo._entries) == n_entries  # computed nothing
+        assert n_entries <= again.wall_time < n_entries + 0.5
+        assert 2.0 * n_entries <= again.cpu_time < 2.0 * n_entries + 0.5
+        assert again.shared_steps == again.iterations == len(again.trace) > 0
+
+
+def test_own_entries_are_never_charged():
+    # after every iteration the run's own entries claim to have cost 1000 s;
+    # the run re-reads them (F(x) after a rejection, the trial point's F as
+    # the next F(x)) but its times stay its own
+    p = registry("hil_n2_m2")
+    cone = orthant(2)
+    memo = StepMemo(p, cone)
+    res = run(p, cone, np.array([2.718, 4.675]), SolverConfig(variant="trm"),
+              observer=lambda event: _entries_cost(memo, 1e3, 1e3), memo=memo)
+    assert any(r.accepted for r in res.trace) and any(not r.accepted for r in res.trace)
+    assert res.wall_time < 1e3 and res.cpu_time < 1e3
+    assert res.shared_steps == 0

@@ -481,6 +481,40 @@ def test_branch_dedup_matches_unique_form():
     assert br.WH.tobytes() == wh[keep].tobytes()
 
 
+def _first_of_each_loop(rows):
+    """The bit-pattern dedup as a dict loop over row bytes: the reference."""
+    key = rows.tobytes()
+    width = len(key) // len(rows)
+    first = {}
+    for i in range(len(rows)):
+        first.setdefault(key[i * width:(i + 1) * width], i)
+    return list(first.values())
+
+
+def test_first_of_each_matches_dict_loop_on_the_battery(monkeypatch):
+    # every branch stack and start set that inner_minimax dedups on the
+    # 60-set battery, each also with a block repeated and with signed zeros
+    original = subproblem._first_of_each
+    seen = []
+
+    def record(rows):
+        seen.append(rows.copy())
+        return original(rows)
+
+    monkeypatch.setattr(subproblem, "_first_of_each", record)
+    for models, cone, radius, box_shift in _reference_model_sets(60):
+        doubled = ModelSet(G=models.G[[0, *range(len(models.G)), 0]],
+                           H=models.H[[0, *range(len(models.H)), 0]])
+        inner_minimax(models, cone, radius, box_shift)
+        inner_minimax(doubled, cone, radius, box_shift)
+    assert len(seen) == 240
+    signed = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]])
+    for rows in seen + [signed]:
+        assert original(rows) == _first_of_each_loop(rows)
+    assert original(signed) == [0, 1, 4]
+    assert any(len(original(rows)) < len(rows) for rows in seen)
+
+
 # -- two distinct starts at the scaled ftol against the four-start solve -----
 
 def _four_start_inner_minimax(models, cone, radius, box_shift=None):
