@@ -86,8 +86,12 @@ class Cone:
         return float(np.max(self.dual_normals @ np.asarray(y, dtype=float)))
 
     def scalarize_rows(self, ys: np.ndarray) -> np.ndarray:
-        """Scalarize each row of a (N, m) array at once."""
-        return np.max(np.asarray(ys, dtype=float) @ self.dual_normals.T, axis=-1)
+        """Scalarize each row of a (N, m) array at once.
+
+        ``np.matvec`` gives each row the bits of ``scalarize`` on it alone;
+        ``ys @ W.T`` need not, away from the orthant.
+        """
+        return np.max(np.matvec(self.dual_normals, np.asarray(ys, dtype=float)), axis=-1)
 
     def classify(self, y) -> Region:
         """Locate y relative to -K within the cone tolerance."""

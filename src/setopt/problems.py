@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +57,8 @@ class SetValuedProblem:
     deterministic and reentrant.  ``phi_psi`` keeps the (phi_i, psi_i)
     angle grid an offset family was built from, so its offsets can be
     checked against their definition; the solvers never read it.
+    ``partitions`` is where ``solvers.StepMemo`` keeps an offset family's
+    partition, one per cone, once computed.
     """
 
     name: str
@@ -69,6 +71,14 @@ class SetValuedProblem:
     phi_psi: np.ndarray | None = None
     notes: str = ""
     offsets: np.ndarray | None = None
+    partitions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a read-only copy: the partition kept in ``partitions`` assumes it never changes
+        if self.offsets is not None:
+            offsets = np.array(self.offsets, dtype=float)
+            offsets.flags.writeable = False
+            object.__setattr__(self, "offsets", offsets)
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
         """The evaluator's output at a point or each row of a batch: the

@@ -33,7 +33,7 @@ from scipy.optimize import nnls
 from .cone import Cone
 from .partition import PartitionCapError, best_tuple, structure_from_values
 from .problems import DerivativeTable, DomainError, SetValuedProblem
-from .subproblem import ModelSet, predicted_reduction, scalarized_rows, theta_and_step
+from .subproblem import ModelSet, scalarized_rows, theta_and_step
 
 log = logging.getLogger(__name__)
 
@@ -184,26 +184,16 @@ class NonMonotoneMemory:
 
 def reduction_ratios(memory: NonMonotoneMemory, F_new: np.ndarray, a: tuple,
                      s: np.ndarray, models: ModelSet, cone: Cone) -> np.ndarray:
-    """Per-block ratios of scalarized actual to predicted reduction.
-
-    The predicted reduction depends only on the block's (G_j, H_j), so it
-    is computed once per distinct pair of bit patterns: the members of an
-    offset family share one.
-    """
-    rho = np.empty(len(a))
-    preds = {}
-    for j, ai in enumerate(a):
-        key = models.G[j].tobytes() + models.H[j].tobytes()
-        if key not in preds:
-            preds[key] = predicted_reduction(models, cone, j, s)
-        pred = preds[key]
-        if pred <= 0.0:
-            raise SolverInternalError(
-                f"nonpositive predicted reduction {pred:.3e} for block {j}"
-            )
-        actual = -cone.scalarize(F_new[ai - 1] - memory.reference[ai - 1])
-        rho[j] = actual / pred
-    return rho
+    """Per-block ratios of scalarized actual to predicted reduction, all
+    blocks in one pass; each ratio is bitwise that of the block alone
+    (``predicted_reduction`` over ``cone.scalarize``)."""
+    pred = cone.scalarize_rows(-models.values(s))
+    bad = np.flatnonzero(pred <= 0.0)
+    if bad.size:
+        j = int(bad[0])
+        raise SolverInternalError(f"nonpositive predicted reduction {pred[j]:.3e} for block {j}")
+    idx = [ai - 1 for ai in a]
+    return -cone.scalarize_rows(F_new[idx] - memory.reference[idx]) / pred
 
 
 def accept_and_update(rho: np.ndarray, omega: float, config: SolverConfig):
@@ -338,7 +328,9 @@ class StepMemo:
     cone and domain box and keyed by the exact bytes of its inputs:
 
     * F(x), keyed by x (the trial point of an accepted step is the next x);
-    * the partition at x, keyed by x;
+    * the partition at x, keyed by x for a whole-family problem; an offset
+      family's does not depend on x and is kept on the problem instead
+      (``partition``);
     * the trust-region step at radius omega, keyed by (x, omega);
     * the SD/CG tuple, direction v and Jacobian blocks, keyed by x;
     * the Armijo search, keyed by (x, d, idx, rho_armijo, nu).
@@ -393,11 +385,26 @@ class StepMemo:
         return self._get(("F", x.tobytes()), compute, ledger)[0]
 
     def partition(self, x: np.ndarray, F_x: np.ndarray, ledger: _Ledger):
-        def compute():
-            structure = structure_from_values(F_x, self.cone)
+        """The partition at x.  The partition of an offset family is that of
+        its offsets, grouped at ``grouping_tolerance(offsets)``: every
+        w·(F_i(x) - F_j(x)) is w·(c_i - c_j), whatever x.  It is computed
+        once per cone and kept on the problem (``problem.partitions``), so
+        runs from every start share it; its ``values`` hold offset rows.  It
+        is no memo entry: the run that computes it pays for it, no other.
+        A whole family's partition is grouped from F(x), an entry keyed by x.
+        """
+        def compute(values):
+            structure = structure_from_values(values, self.cone)
             _read_only(*structure.values)
             return structure
-        return self._get(("partition", x.tobytes()), compute, ledger)[0]
+        offsets = self.problem.offsets
+        if offsets is None:
+            return self._get(("partition", x.tobytes()), lambda: compute(F_x), ledger)[0]
+        w = self.cone.dual_normals
+        key = (w.shape, w.tobytes(), self.cone.tolerance)
+        if key not in self.problem.partitions:
+            self.problem.partitions[key] = compute(offsets)
+        return self.problem.partitions[key]
 
     def step(self, x: np.ndarray, structure, omega: float, ledger: _Ledger):
         """The trust-region solution, and whether another run computed it."""

@@ -75,6 +75,11 @@ class ModelSet:
         """Model increment m^j(s) in R^m; m^j(0) = 0."""
         return self.G[j] @ s + 0.5 * np.einsum("rab,a,b->r", self.H[j], s, s)
 
+    def values(self, s: np.ndarray) -> np.ndarray:
+        """Model increments of every block, (omega, m); row j is bitwise
+        ``value(j, s)``."""
+        return self.G @ s + 0.5 * np.einsum("jrab,a,b->jr", self.H, s, s)
+
 
 def scalarized_rows(cone: Cone, G: np.ndarray) -> np.ndarray:
     """Rows w^T G_j (omega * q, n) for every block j and dual normal w."""
@@ -93,16 +98,13 @@ class SubproblemSolution:
 
 
 def _first_of_each(rows: np.ndarray) -> list:
-    """Ascending indices of the first row of each distinct bit pattern.
-
-    Each row is one opaque (void) item, so np.unique compares bytes: 0.0 and
-    -0.0 differ and NaNs of one pattern are equal.  Its index sort is stable,
-    so each pattern's index is its first occurrence.
-    """
-    rows = np.ascontiguousarray(rows)
-    items = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    _, first = np.unique(items, return_index=True)
-    return np.sort(first).tolist()
+    """Ascending indices of the first row of each distinct bit pattern."""
+    key = rows.tobytes()
+    width = len(key) // len(rows)
+    first = {}
+    for i in range(len(rows)):
+        first.setdefault(key[i * width:(i + 1) * width], i)
+    return list(first.values())
 
 
 @dataclass(frozen=True)

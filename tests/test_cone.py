@@ -113,3 +113,18 @@ def test_sup_norm_lipschitz(any_cone):
         y, z = rng.normal(size=m), rng.normal(size=m)
         gap = abs(any_cone.scalarize(y) - any_cone.scalarize(z))
         assert gap <= np.max(np.abs(y - z)) + 1e-12
+
+
+def test_scalarize_rows_is_bitwise_scalarize():
+    # each row of a batch gets the bits of scalarize on that row alone; for
+    # k2prime, ys @ W.T differs from scalarize on many such rows
+    rng = np.random.default_rng(6)
+    cones = [orthant(m) for m in range(2, 6)] + [k2prime()]
+    cones.append(Cone(np.eye(3) + 0.3 * rng.uniform(size=(3, 3))))  # 3 random normals
+    for cone in cones:
+        scale = 10.0 ** rng.integers(-8, 7, size=(2000, 1))
+        ys = rng.normal(size=(2000, cone.m)) * scale
+        rows = cone.scalarize_rows(ys)
+        assert rows.shape == (2000,)
+        for y, value in zip(ys, rows):
+            assert value.tobytes() == np.float64(cone.scalarize(y)).tobytes()

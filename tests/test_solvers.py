@@ -5,11 +5,14 @@ import pytest
 from scipy.optimize import linprog
 
 from setopt import solvers
-from setopt.bench import _problem_seed, _result_record, sample_points
-from setopt.cone import k2prime, orthant
+from setopt.bench import ExperimentConfig, _problem_seed, _result_record, run_matrix, sample_points
+from setopt.cone import Cone, k2prime, orthant
+from setopt.partition import structure_from_values
 from setopt.problems import (
     DomainError,
     SetValuedProblem,
+    _grad_steps,
+    _hess_steps,
     from_functions,
     make_quadratic_plant,
     problem_ids,
@@ -168,7 +171,7 @@ def test_reduction_ratio_variants_reduce_to_trm():
     assert out["trm"] == out["max"] == out["avg"]
 
 
-def test_reduction_ratios_share_one_prediction_per_distinct_block(monkeypatch):
+def test_reduction_ratios_match_the_per_block_loop():
     rng = np.random.default_rng(5)
     G, H = rng.standard_normal((2, 2, 3)), rng.standard_normal((2, 2, 3, 3))
     pattern = [0, 0, 1, 0, 1, 1]
@@ -177,19 +180,16 @@ def test_reduction_ratios_share_one_prediction_per_distinct_block(monkeypatch):
     # blocks descend along s, so every prediction is positive
     models = ModelSet(G=models.G - 2.0 * np.abs(models.G @ s)[..., None] * s / (s @ s),
                       H=models.H)
-    cone = orthant(2)
-    a = (1, 2, 3, 4, 5, 6)
+    a = (3, 1, 6, 2, 2, 5)  # a tuple picks the rows of F; a member may repeat
     F_new, F_x = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
     mem = NonMonotoneMemory("trm", 0, 0.5)
     mem.begin_iteration(F_x, a)
-    looped = [-cone.scalarize(F_new[j] - F_x[j]) / predicted_reduction(models, cone, j, s)
-              for j in range(6)]
-    calls = []
-    monkeypatch.setattr(solvers, "predicted_reduction",
-                        lambda *args: calls.append(args[2]) or predicted_reduction(*args))
-    rho = reduction_ratios(mem, F_new, a, s, models, cone)
-    assert rho.tobytes() == np.array(looped).tobytes()
-    assert calls == [0, 2]
+    # k2prime: a matmul over the rows would not give scalarize's bits
+    for cone in (orthant(2), k2prime()):
+        looped = [-cone.scalarize(F_new[ai - 1] - F_x[ai - 1])
+                  / predicted_reduction(models, cone, j, s) for j, ai in enumerate(a)]
+        rho = reduction_ratios(mem, F_new, a, s, models, cone)
+        assert rho.tobytes() == np.array(looped).tobytes()
 
 
 def test_reduction_ratio_nonpositive_denominator():
@@ -198,6 +198,13 @@ def test_reduction_ratio_nonpositive_denominator():
     mem.begin_iteration(np.array([[7.0]]), (1,))
     with pytest.raises(SolverInternalError):
         reduction_ratios(mem, np.array([[6.0]]), (1,), np.array([1.0, 0.0]),
+                         models, orthant(1))
+    # the error names the first block whose prediction is not positive
+    models = ModelSet(G=np.array([[[-2.0, 0.0]], [[2.0, 0.0]], [[0.0, 0.0]]]),
+                      H=np.zeros((3, 1, 2, 2)))
+    mem.begin_iteration(np.array([[7.0], [7.0], [7.0]]), (1, 2, 3))
+    with pytest.raises(SolverInternalError, match="for block 1$"):
+        reduction_ratios(mem, np.full((3, 1), 6.0), (1, 2, 3), np.array([1.0, 0.0]),
                          models, orthant(1))
 
 
@@ -620,7 +627,7 @@ def _entries_cost(memo, wall, cpu):
 def test_reading_other_runs_entries_charges_each_once():
     p = registry("hil_n2_m2")
     cone = orthant(2)
-    x0 = np.array([2.718, 4.675])  # rejected steps: F(x) and the partition are read again
+    x0 = np.array([2.718, 4.675])  # rejected steps: F(x) is read again
     memo = StepMemo(p, cone)
     first = run(p, cone, x0, SolverConfig(variant="trm"), memo=memo)
     assert any(not r.accepted for r in first.trace) and first.shared_steps == 0
@@ -647,3 +654,81 @@ def test_own_entries_are_never_charged():
     assert any(r.accepted for r in res.trace) and any(not r.accepted for r in res.trace)
     assert res.wall_time < 1e3 and res.cpu_time < 1e3
     assert res.shared_steps == 0
+
+
+# -- the partition of an offset family -----------------------------------------
+
+def _wall_points(problem, x):
+    """x moved onto each box wall in turn and half a finite-difference
+    margin inside it (``_fd_center``'s widest), one coordinate at a time."""
+    lo, hi = (np.asarray(b, dtype=float) for b in problem.domain_box)
+    margin_lo, margin_hi = (_hess_steps(b) + 2.0 * _grad_steps(b) for b in (lo, hi))
+    walls = (lo, lo + 0.5 * margin_lo, hi - 0.5 * margin_hi, hi)
+    points = []
+    for i in range(problem.n):
+        for wall in walls:
+            point = x.copy()
+            point[i] = wall[i]
+            points.append(point)
+    return points
+
+
+@pytest.mark.parametrize("pid", [pid for pid in problem_ids() if registry(pid).offsets is not None])
+def test_offset_partition_is_the_partition_at_every_point(pid):
+    # the groups of F(x) are those of the offsets, at seeded points and at
+    # points on and next to every box wall
+    problem = registry(pid)
+    assert not problem.offsets.flags.writeable  # the kept partition relies on it
+    cones = [orthant(problem.m)] + ([k2prime()] if problem.m == 2 else [])
+    seeded = sample_points(problem.domain_box, 6, _problem_seed(16, pid))
+    points = [*seeded, *(w for x in seeded[:2] for w in _wall_points(problem, x))]
+    for cone in cones:
+        memo = StepMemo(problem, cone)
+        ledger = memo.ledger(problem, cone)
+        for x in points:
+            F_x = problem.eval_all(x)
+            assert memo.partition(x, F_x, ledger).groups == structure_from_values(F_x, cone).groups
+    kept = memo.partition(points[0], problem.eval_all(points[0]), ledger)
+    assert kept is memo.partition(points[1], problem.eval_all(points[1]), ledger)
+    assert [v.tobytes() for v in kept.values] == \
+        [v.tobytes() for v in structure_from_values(problem.offsets, cone).values]
+
+
+def _count_partitions(monkeypatch):
+    """Count structure_from_values calls and the (memo, x) pairs whose
+    partition the runs asked for."""
+    calls, asked = [], set()
+    original, partition = solvers.structure_from_values, StepMemo.partition
+
+    def asking(memo, x, F_x, ledger):
+        asked.add((memo, x.tobytes()))
+        return partition(memo, x, F_x, ledger)
+
+    monkeypatch.setattr(solvers, "structure_from_values",
+                        lambda *args: calls.append(1) or original(*args))
+    monkeypatch.setattr(StepMemo, "partition", asking)
+    return calls, asked
+
+
+def test_offset_partition_is_computed_once_per_problem_and_cone(monkeypatch, tmp_path):
+    registry("zdt1_n2_m2").partitions.clear()  # the registry's problem outlives a test
+    calls, asked = _count_partitions(monkeypatch)
+    config = ExperimentConfig(problem_ids=("zdt1_n2_m2",), points_per_problem=3, it_max=10)
+    records = run_matrix(config, str(tmp_path / "zdt1.jsonl"))
+    assert len(records) == 15 and len({memo for memo, _ in asked}) == 3
+    assert len(asked) > 3 and len(calls) == 1
+    # other normals, or the same normals at another tolerance, are grouped anew
+    problem, x = registry("zdt1_n2_m2"), np.array([0.5, 0.5])
+    for cone in (k2prime(), Cone(np.eye(2), tolerance=1e-6), orthant(2)):
+        memo = StepMemo(problem, cone)
+        memo.partition(x, problem.eval_all(x), memo.ledger(problem, cone))
+    assert len(calls) == 3
+
+
+def test_whole_family_partition_is_computed_once_per_new_x(monkeypatch, tmp_path):
+    calls, asked = _count_partitions(monkeypatch)
+    config = ExperimentConfig(problem_ids=("modified_ex53_n2_m2",), points_per_problem=3,
+                              it_max=10)
+    run_matrix(config, str(tmp_path / "ex53.jsonl"))
+    assert not registry("modified_ex53_n2_m2").partitions
+    assert len(calls) == len(asked) > 3

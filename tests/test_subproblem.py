@@ -481,17 +481,7 @@ def test_branch_dedup_matches_unique_form():
     assert br.WH.tobytes() == wh[keep].tobytes()
 
 
-def _first_of_each_loop(rows):
-    """The bit-pattern dedup as a dict loop over row bytes: the reference."""
-    key = rows.tobytes()
-    width = len(key) // len(rows)
-    first = {}
-    for i in range(len(rows)):
-        first.setdefault(key[i * width:(i + 1) * width], i)
-    return list(first.values())
-
-
-def test_first_of_each_matches_dict_loop_on_the_battery(monkeypatch):
+def test_first_of_each_matches_unique_form_on_the_battery(monkeypatch):
     # every branch stack and start set that inner_minimax dedups on the
     # 60-set battery, each also with a block repeated and with signed zeros
     original = subproblem._first_of_each
@@ -510,7 +500,7 @@ def test_first_of_each_matches_dict_loop_on_the_battery(monkeypatch):
     assert len(seen) == 240
     signed = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]])
     for rows in seen + [signed]:
-        assert original(rows) == _first_of_each_loop(rows)
+        assert original(rows) == _unique_keep(rows).tolist()
     assert original(signed) == [0, 1, 4]
     assert any(len(original(rows)) < len(rows) for rows in seen)
 
