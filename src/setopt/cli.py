@@ -12,17 +12,35 @@ import numpy as np
 from . import bench, cone as cone_mod, partition, problems, solvers, subproblem
 
 
-def _parse_point(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.replace(",", " ").split()])
+def _point(text: str, problem: problems.SetValuedProblem, hint: str) -> np.ndarray:
+    """The point ``text`` names; outside ``problem``'s box, a usage error on ``hint``."""
+    try:
+        x = np.array([float(tok) for tok in text.replace(",", " ").split()])
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=hint) from exc
+    lo, hi = problem.domain_box
+    if x.shape != (problem.n,) or not np.all((lo <= x) & (x <= hi)):
+        raise click.BadParameter(f"{problem.name} takes n = {problem.n} coordinates in the box "
+                                 f"[{lo.tolist()}, {hi.tolist()}]", param_hint=hint)
+    return x
 
 
-def _resolve_cone(spec: str | None, m: int) -> cone_mod.Cone:
-    if spec is None:
-        return cone_mod.orthant(m)
-    if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return cone_mod.Cone.from_json(fh.read())
-    return cone_mod.preset(spec)
+def _resolve_cone(spec: str | None, problem, hint: str = "'--cone'") -> cone_mod.Cone:
+    """The cone ``spec`` names (None: the orthant); a bad one is a usage error on ``hint``."""
+    try:
+        if spec is None:
+            return cone_mod.orthant(problem.m)
+        if os.path.exists(spec):
+            with open(spec, "r", encoding="utf-8") as fh:
+                kone = cone_mod.Cone.from_json(fh.read())
+        else:
+            kone = cone_mod.preset(spec)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise click.BadParameter(f"{spec}: {exc}", param_hint=hint) from exc
+    if kone.m != problem.m:
+        raise click.BadParameter(f"{spec} is a cone in R^{kone.m}, but {problem.name} "
+                                 f"maps into R^{problem.m}", param_hint=hint)
+    return kone
 
 
 def _read_config(path: str, build):
@@ -55,8 +73,8 @@ def list_problems():
 def inspect(problem_id, point, cone_spec):
     """Minimal structure at a point: omega, groups, partition size, regularity hint."""
     problem = problems.registry(problem_id)
-    kone = _resolve_cone(cone_spec, problem.m)
-    values = problem.eval_all(_parse_point(point))
+    kone = _resolve_cone(cone_spec, problem)
+    values = problem.eval_all(_point(point, problem, "'--point'"))
     structure = partition.structure_from_values(values, kone)
     min_idx, wmin_idx = partition.minimal_elements(
         values, kone, partition.grouping_tolerance(values))
@@ -76,8 +94,8 @@ def inspect(problem_id, point, cone_spec):
 def criticality(problem_id, point, cone_spec, radius):
     """Criticality value t*, winning tuple a*, and trial step s* at a point."""
     problem = problems.registry(problem_id)
-    kone = _resolve_cone(cone_spec, problem.m)
-    x = _parse_point(point)
+    kone = _resolve_cone(cone_spec, problem)
+    x = _point(point, problem, "'--point'")
     structure = partition.minimal_structure(problem, kone, x)
     sol = subproblem.criticality_value(problem, kone, x, structure, radius=radius)
     click.echo(json.dumps({
@@ -98,12 +116,12 @@ def criticality(problem_id, point, cone_spec, radius):
 def solve(problem_id, algo, x0, cone_spec, config_path, trace):
     """Run one solver from one point and print the result as JSON."""
     problem = problems.registry(problem_id)
-    kone = _resolve_cone(cone_spec, problem.m)
+    kone = _resolve_cone(cone_spec, problem)
     config = solvers.SolverConfig(variant=algo)
     if config_path:
         config = _read_config(
             config_path, lambda text: solvers.SolverConfig(variant=algo, **json.loads(text)))
-    res = solvers.run(problem, kone, _parse_point(x0), config)
+    res = solvers.run(problem, kone, _point(x0, problem, "'--x0'"), config)
     if trace:
         for rec in res.trace:
             click.echo(json.dumps(dataclasses.asdict(rec), default=lambda arr: arr.tolist()))
@@ -154,8 +172,10 @@ def profile(store_path, config_path, metric, svg_path):
 @click.option("--it-max", type=int, default=100, show_default=True)
 def cone_experiment(problem_id, x0, cones, out_path, it_max):
     """Compare the non-monotone variants under different ordering cones."""
-    cone_map = {name: cone_mod.preset(name) for name in cones.split(",")}
-    out = bench.cone_experiment(problem_id, _parse_point(x0), cone_map, it_max=it_max)
+    problem = problems.registry(problem_id)
+    cone_map = {name: _resolve_cone(name, problem, "'--cones'") for name in cones.split(",")}
+    out = bench.cone_experiment(problem_id, _point(x0, problem, "'--x0'"), cone_map,
+                                it_max=it_max)
     payload = {
         cone_name: {
             algo: {"summary": data["result"].summary(), "clouds": data["clouds"]}

@@ -16,7 +16,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+
+from ._scipy_core import min_norm_weights
 
 
 class ConeError(ValueError):
@@ -43,8 +44,9 @@ class Cone:
         Absolute slack used by membership and order tests.
 
     Construction verifies that the cone is solid (some y has
-    ``w_j^T y > 0`` for every j, via a small LP) and pointed
-    (``w_j^T y = 0`` for all j only at y = 0, i.e. the normals span R^m).
+    ``w_j^T y > 0`` for every j: by Gordan's alternative, when the min-norm
+    point of conv(w_j) has norm above 1e-9) and pointed (``w_j^T y = 0``
+    for all j only at y = 0, i.e. the normals span R^m).
     """
 
     dual_normals: np.ndarray
@@ -64,18 +66,8 @@ class Cone:
             raise ConeError("tolerance must be nonnegative")
         if np.linalg.matrix_rank(w) < self.m:
             raise ConeError("cone is not pointed: dual normals do not span R^m")
-        if not self._is_solid():
+        if np.linalg.norm(w.T @ min_norm_weights(w)) <= 1e-9:
             raise ConeError("cone has empty interior under the given normals")
-
-    def _is_solid(self) -> bool:
-        # maximize t s.t. w_j^T y >= t, |y| <= 1, t <= 1
-        q, m = self.dual_normals.shape
-        c = np.zeros(m + 1)
-        c[-1] = -1.0
-        a_ub = np.hstack([-self.dual_normals, np.ones((q, 1))])
-        bounds = [(-1.0, 1.0)] * m + [(None, 1.0)]
-        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(q), bounds=bounds, method="highs")
-        return bool(res.success) and res.x[-1] > 1e-9
 
     @property
     def m(self) -> int:

@@ -28,8 +28,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
+from ._scipy_core import min_norm_weights
 from .cone import Cone
 from .partition import PartitionCapError, best_tuple, structure_from_values
 from .problems import DerivativeTable, DomainError, SetValuedProblem
@@ -227,19 +227,11 @@ def _prox_direction(rows: np.ndarray):
     """Steepest-descent direction v and value of min_s max(rows @ s) + ||s||^2 / 2.
 
     v = -p with p the min-norm element of conv(rows) (Fliege & Svaiter
-    2000), so val = -||v||^2 / 2.  p = R^T lam for the simplex weights
-    lam = u / sum(u), where u solves the NNLS problem
-    min_{u >= 0} ||[R^T; 1^T] u - e_{n+1}|| over the distinct rows R
-    (Lawson & Hanson 1974, ch. 23); sum(u) = 1 / (1 + ||p||^2) > 0.
-    The active-set loop can need more than scipy's default of 3 iterations
-    per column (3.5 seen at n = 10 with 0 outside the hull), so the cap
-    is ten times that.
+    2000), so val = -||v||^2 / 2.  p = R^T lam for the simplex weights lam
+    of one NNLS solve over the distinct rows R (``min_norm_weights``).
     """
     R = _distinct_rows(rows)
-    rhs = np.zeros(R.shape[1] + 1)
-    rhs[-1] = 1.0
-    u, _ = nnls(np.vstack([R.T, np.ones(R.shape[0])]), rhs, maxiter=30 * R.shape[0])
-    v = -R.T @ (u / u.sum())
+    v = -R.T @ min_norm_weights(R)
     val = float(np.max(R @ v) + 0.5 * v @ v)
     return v, val
 

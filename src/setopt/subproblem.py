@@ -21,10 +21,10 @@ may be nonconvex, hence the multistart; the contract is feasibility plus
 phi(s) <= 0, not global optimality.
 
 SLSQP runs as scipy's compiled core, driven through its reverse-
-communication interface (``scipy.optimize._slsqplib.slsqp``, scipy >= 1.16)
-without the ``minimize`` wrapper: every input the core sees is bit for bit
-what ``minimize(method="SLSQP")`` would pass, and a test keeps that
-``minimize`` form as the reference.
+communication interface (``_slsqplib.slsqp``, scipy >= 1.16, loaded on its
+own by ``_scipy_core``) without the ``minimize`` wrapper: every input the
+core sees is bit for bit what ``minimize(method="SLSQP")`` would pass, and
+a test keeps that ``minimize`` form as the reference.
 """
 
 from __future__ import annotations
@@ -35,15 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._scipy_core import slsqp as _slsqp
 from .cone import Cone
 from .partition import MinimalStructure, best_tuple
 from .problems import DerivativeTable, SetValuedProblem
-
-try:
-    from scipy.optimize._slsqplib import slsqp as _slsqp
-except ImportError as exc:  # before 1.16 scipy ran SLSQP as Fortran, without this interface
-    raise ImportError("setopt needs scipy>=1.16 for the SLSQP reverse-communication "
-                      "interface (scipy.optimize._slsqplib.slsqp)") from exc
 
 log = logging.getLogger(__name__)
 
@@ -208,7 +203,7 @@ def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray, r
     d = np.zeros(m)
     # _minimize_slsqp's worst-case workspace with meq = 0 and mieq = m > 0,
     # and its index and multiplier arrays of m + 2 nz + 2 (scipy 1.17.1,
-    # scipy/optimize/_slsqp_py.py, lines 481-509)
+    # _slsqp_py.py, lines 481-509)
     n_work = nz * (nz + 1) // 2 + 3 * m * nz + 9 * m + 8 * nz * nz + 35 * nz + 28
 
     last = [None, None]  # the bytes of the last s and its sym @ s

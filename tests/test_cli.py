@@ -127,3 +127,43 @@ def test_cone_experiment_command(tmp_path):
     data = json.loads(out.read_text())
     assert set(data) == {"orthant:2", "k2prime"}
     assert set(data["k2prime"]) == {"max", "avg"}
+
+
+_OUT = ["--out", "cones.json"]
+
+
+@pytest.mark.parametrize("args, option, message", [
+    (["inspect", "--problem", "zdt1_n2_m2", "--point", "0.5,0.5", "--cone", "orthant:3"],
+     "--cone", "R^3"),
+    (["inspect", "--problem", "zdt1_n2_m2", "--point", "0.5,0.5", "--cone", "bogus"],
+     "--cone", "bogus"),
+    (["inspect", "--problem", "zdt1_n2_m2", "--point", "0.5"], "--point", "n = 2"),
+    (["inspect", "--problem", "zdt1_n2_m2", "--point", "0.5,1.5"], "--point", "in the box"),
+    (["criticality", "--problem", "dgo2_n1_m2", "--point", "0.0", "--cone", "orthant:x"],
+     "--cone", "orthant:x"),
+    (["criticality", "--problem", "dgo2_n1_m2", "--point", "0.0", "--cone", "k3.json"],
+     "--cone", "R^3"),
+    (["criticality", "--problem", "dgo2_n1_m2", "--point", "0.0", "--cone", "empty.json"],
+     "--cone", "empty.json"),
+    (["criticality", "--problem", "dgo2_n1_m2", "--point", "zero"], "--point", "zero"),
+    (["solve", "--problem", "zdt1_n2_m2", "--x0", "0.5,0.5", "--cone", "orthant:0"],
+     "--cone", "orthant:0"),
+    (["solve", "--problem", "dgo2_n1_m2", "--x0", "4.0,1.0"], "--x0", "n = 1"),
+    (["solve", "--problem", "dgo2_n1_m2", "--x0", "nan"], "--x0", "in the box"),
+    (["cone-experiment", "--problem", "modified_ex53_n2_m2", "--x0", "-16,-2",
+      "--cones", "orthant:2,foo", *_OUT], "--cones", "foo"),
+    (["cone-experiment", "--problem", "modified_ex53_n2_m2", "--x0", "-16,-2",
+      "--cones", "orthant:3", *_OUT], "--cones", "R^3"),
+    (["cone-experiment", "--problem", "modified_ex53_n2_m2", "--x0", "-16", *_OUT],
+     "--x0", "n = 2"),
+    (["cone-experiment", "--problem", "sphere_n3_m3", "--x0", "0.5,0.5,0.5", *_OUT],
+     "--cones", "R^3"),
+])
+def test_bad_cone_or_point_is_usage_error(tmp_path, monkeypatch, args, option, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k3.json").write_text(orthant(3).to_json())
+    (tmp_path / "empty.json").write_text("{}")
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"'{option}'" in result.output and message in result.output
+

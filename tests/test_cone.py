@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from setopt.cone import Cone, ConeError, Region, k2prime, orthant, preset
 
@@ -62,6 +63,42 @@ def test_json_roundtrip_and_presets():
     assert set(data) == {"dual_normals"}
     with pytest.raises(ConeError):
         preset("nope")
+
+
+def _solid_by_lp(w: np.ndarray) -> bool:
+    """The solidity test as a HiGHS LP: max t s.t. w_j^T y >= t, |y| <= 1,
+    t <= 1; solid when t > 1e-9."""
+    q, m = w.shape
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    a_ub = np.hstack([-w, np.ones((q, 1))])
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(q), bounds=[(-1.0, 1.0)] * m + [(None, 1.0)],
+                  method="highs")
+    return bool(res.success) and res.x[-1] > 1e-9
+
+
+def test_solidity_agrees_with_the_lp():
+    # 600 seeded cones, m = 2-5 and q = m to 3m normals: orthant-like (e_1..e_m
+    # and rows of mostly positive entries) and mixed-sign (Gaussian rows)
+    rng = np.random.default_rng(20261018)
+    outcomes = {(kind, solid): 0 for kind in ("orthant", "mixed") for solid in (True, False)}
+    for k in range(600):
+        m = 2 + k % 4
+        q = int(rng.integers(m, 3 * m + 1))
+        kind = ("orthant", "mixed")[k // 4 % 2]
+        if kind == "orthant":
+            w = np.vstack([np.eye(m), rng.uniform(-1.0, 1.0, (q - m, m)) + 0.3])
+        else:
+            w = rng.standard_normal((q, m))
+        try:
+            Cone(w)
+            solid = True
+        except ConeError as exc:
+            assert "empty interior" in str(exc)
+            solid = False
+        assert solid == _solid_by_lp(w / np.abs(w).sum(axis=1, keepdims=True)), (k, w)
+        outcomes[kind, solid] += 1
+    assert min(outcomes.values()) >= 40, outcomes
 
 
 @pytest.fixture(params=["orthant2", "orthant3", "k2prime"])

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from setopt import solvers
 from setopt.bench import ExperimentConfig, _problem_seed, _result_record, run_matrix, sample_points
@@ -346,6 +346,29 @@ def test_prox_direction_oracle():
         stacked = _prox_direction(np.vstack([rows, rows, rows]))
         assert stacked[0].tobytes() == v.tobytes() and stacked[1] == val
     assert checked[True] == checked[False] == 20
+
+
+def _prox_direction_scipy(rows: np.ndarray):
+    """``_prox_direction`` through scipy's public ``nnls``: the reference that
+    the core loaded on its own must match bit for bit."""
+    R = _distinct_rows(rows)
+    rhs = np.zeros(R.shape[1] + 1)
+    rhs[-1] = 1.0
+    u, _ = nnls(np.vstack([R.T, np.ones(R.shape[0])]), rhs, maxiter=30 * R.shape[0])
+    v = -R.T @ (u / u.sum())
+    return v, float(np.max(R @ v) + 0.5 * v @ v)
+
+
+def test_prox_direction_is_bitwise_scipy_nnls():
+    rng = np.random.default_rng(7)
+    cases = [rows for _, rows in _oracle_row_sets()]
+    cases += [rng.standard_normal((1, n)) * 10.0 ** rng.uniform(-2.0, 3.0) for n in range(1, 11)]
+    cases += [np.array([[a], [-b]]) for a, b in [(1.0, 1.0), (1e3, 1e-2), (1e-2, 1e3),
+                                                  (0.37, 52.0)]]
+    for rows in cases:
+        v, val = _prox_direction(rows)
+        v_ref, val_ref = _prox_direction_scipy(rows)
+        assert v.tobytes() == v_ref.tobytes() and val == val_ref
 
 
 def test_prox_direction_single_row_and_1d():

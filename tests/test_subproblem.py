@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import _slsqplib, minimize
 
 import setopt.subproblem as subproblem
 from setopt.cone import k2prime, orthant
@@ -397,6 +397,8 @@ def _seeded_epigraph_cases(count):
 
 
 def test_epigraph_driver_is_bitwise_minimize():
+    # _epigraph_slsqp calls a core loaded on its own, apart from the copy minimize uses
+    assert subproblem._slsqp is not _slsqplib.slsqp
     modes = set()
     for case in _seeded_epigraph_cases(60):
         ends, statuses = subproblem._epigraph_slsqp(*case)
