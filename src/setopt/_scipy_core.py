@@ -53,3 +53,8 @@ def min_norm_weights(rows) -> np.ndarray:
     if info == 3:
         raise RuntimeError("NNLS reached its iteration cap")
     return u / u.sum()
+
+
+def min_norm_point(rows) -> np.ndarray:
+    """The min-norm point ``rows.T @ min_norm_weights(rows)`` of conv(rows)."""
+    return np.asarray(rows, dtype=np.float64).T @ min_norm_weights(rows)

@@ -12,6 +12,14 @@ import numpy as np
 from . import bench, cone as cone_mod, partition, problems, solvers, subproblem
 
 
+def _problem(ctx, param, problem_id: str) -> problems.SetValuedProblem:
+    """``--problem``'s callback: the registered problem; an unknown id is a usage error."""
+    try:
+        return problems.registry(problem_id)
+    except problems.UnknownProblemError as exc:
+        raise click.BadParameter(exc.args[0]) from exc
+
+
 def _point(text: str, problem: problems.SetValuedProblem, hint: str) -> np.ndarray:
     """The point ``text`` names; outside ``problem``'s box, a usage error on ``hint``."""
     try:
@@ -67,12 +75,11 @@ def list_problems():
 
 
 @main.command()
-@click.option("--problem", "problem_id", required=True)
+@click.option("--problem", required=True, callback=_problem)
 @click.option("--point", required=True, help="coordinates, e.g. '0.1,0.2'")
 @click.option("--cone", "cone_spec", default=None, help="preset name or JSON file")
-def inspect(problem_id, point, cone_spec):
+def inspect(problem, point, cone_spec):
     """Minimal structure at a point: omega, groups, partition size, regularity hint."""
-    problem = problems.registry(problem_id)
     kone = _resolve_cone(cone_spec, problem)
     values = problem.eval_all(_point(point, problem, "'--point'"))
     structure = partition.structure_from_values(values, kone)
@@ -87,13 +94,12 @@ def inspect(problem_id, point, cone_spec):
 
 
 @main.command()
-@click.option("--problem", "problem_id", required=True)
+@click.option("--problem", required=True, callback=_problem)
 @click.option("--point", required=True)
 @click.option("--cone", "cone_spec", default=None)
 @click.option("--radius", type=float, default=1.0, show_default=True)
-def criticality(problem_id, point, cone_spec, radius):
+def criticality(problem, point, cone_spec, radius):
     """Criticality value t*, winning tuple a*, and trial step s* at a point."""
-    problem = problems.registry(problem_id)
     kone = _resolve_cone(cone_spec, problem)
     x = _point(point, problem, "'--point'")
     structure = partition.minimal_structure(problem, kone, x)
@@ -107,15 +113,14 @@ def criticality(problem_id, point, cone_spec, radius):
 
 
 @main.command()
-@click.option("--problem", "problem_id", required=True)
+@click.option("--problem", required=True, callback=_problem)
 @click.option("--algo", type=click.Choice(solvers.VARIANTS), default="trm", show_default=True)
 @click.option("--x0", required=True)
 @click.option("--cone", "cone_spec", default=None)
 @click.option("--config", "config_path", default=None, help="JSON file of SolverConfig fields")
 @click.option("--trace", is_flag=True, help="stream per-iteration records as JSON lines")
-def solve(problem_id, algo, x0, cone_spec, config_path, trace):
+def solve(problem, algo, x0, cone_spec, config_path, trace):
     """Run one solver from one point and print the result as JSON."""
-    problem = problems.registry(problem_id)
     kone = _resolve_cone(cone_spec, problem)
     config = solvers.SolverConfig(variant=algo)
     if config_path:
@@ -164,17 +169,19 @@ def profile(store_path, config_path, metric, svg_path):
 
 
 @main.command("cone-experiment")
-@click.option("--problem", "problem_id", required=True)
+@click.option("--problem", required=True, callback=_problem)
 @click.option("--x0", required=True)
 @click.option("--cones", default="orthant:2,k2prime", show_default=True,
               help="comma-separated cone presets")
 @click.option("--out", "out_path", required=True, help="output JSON path")
 @click.option("--it-max", type=int, default=100, show_default=True)
-def cone_experiment(problem_id, x0, cones, out_path, it_max):
+def cone_experiment(problem, x0, cones, out_path, it_max):
     """Compare the non-monotone variants under different ordering cones."""
-    problem = problems.registry(problem_id)
     cone_map = {name: _resolve_cone(name, problem, "'--cones'") for name in cones.split(",")}
-    out = bench.cone_experiment(problem_id, _point(x0, problem, "'--x0'"), cone_map,
+    if problem.m != 2:
+        raise click.BadParameter(f"the cone experiment needs m = 2, but {problem.name} maps "
+                                 f"into R^{problem.m}", param_hint="'--problem'")
+    out = bench.cone_experiment(problem.name, _point(x0, problem, "'--x0'"), cone_map,
                                 it_max=it_max)
     payload = {
         cone_name: {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy_core import min_norm_weights
+from ._scipy_core import min_norm_point
 
 
 class ConeError(ValueError):
@@ -66,7 +66,7 @@ class Cone:
             raise ConeError("tolerance must be nonnegative")
         if np.linalg.matrix_rank(w) < self.m:
             raise ConeError("cone is not pointed: dual normals do not span R^m")
-        if np.linalg.norm(w.T @ min_norm_weights(w)) <= 1e-9:
+        if np.linalg.norm(min_norm_point(w)) <= 1e-9:
             raise ConeError("cone has empty interior under the given normals")
 
     @property

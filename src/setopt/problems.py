@@ -6,17 +6,15 @@ common pattern: a base multiobjective function plus a constant per-index
 offset built from a fixed 10x10 grid of angle pairs (phi_i, psi_i), giving
 p = 100 members.  Their evaluator returns the base alone and
 ``SetValuedProblem.offsets`` holds the (p, m) offsets; two instances
-(``modified_ex51``, ``modified_ex53``) and the plants evaluate the whole
-family.
+(``modified_ex51``, ``modified_ex53``) and the problems that
+``from_functions`` builds evaluate the whole family.
 
 Every evaluator works over the last axis of its input: a point (n,)
 gives one value and a batch (k, n) gives k values, row by row.
 Derivatives are central finite differences of what the evaluator returns,
 so the members of an offset family share one bitwise Jacobian and
 Hessian; the whole stencil of a Jacobian, or of a Jacobian and Hessian,
-goes to the evaluator in one call.  A handful of smoke-test plants carry
-analytic Jacobians so the FD machinery can be checked against closed
-forms.
+goes to the evaluator in one call.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ class SetValuedProblem:
     p: int
     domain_box: tuple
     evaluator: object
-    analytic_jacobian: object = None
     phi_psi: np.ndarray | None = None
     notes: str = ""
     offsets: np.ndarray | None = None
@@ -117,7 +114,7 @@ class SetValuedProblem:
         }
 
 
-def from_functions(name, n, m, fns, box, analytic_jacobian=None) -> SetValuedProblem:
+def from_functions(name, n, m, fns, box) -> SetValuedProblem:
     """Wrap plain callables f_i(x) -> R^m into a problem (p = len(fns))."""
     lo, hi = (np.full(n, box[0], dtype=float), np.full(n, box[1], dtype=float)) \
         if np.isscalar(box[0]) else (np.asarray(box[0], float), np.asarray(box[1], float))
@@ -134,8 +131,7 @@ def from_functions(name, n, m, fns, box, analytic_jacobian=None) -> SetValuedPro
             return np.array(rows)
         return np.stack([np.atleast_1d(np.asarray(f(x), dtype=float)) for f in fns])
 
-    return SetValuedProblem(name, n, m, len(fns), (lo, hi), evaluator,
-                            analytic_jacobian=analytic_jacobian)
+    return SetValuedProblem(name, n, m, len(fns), (lo, hi), evaluator)
 
 
 # ---------------------------------------------------------------------------
@@ -685,32 +681,3 @@ def registry(problem_id: str) -> SetValuedProblem:
         raise UnknownProblemError(
             f"unknown problem {problem_id!r}; known ids: {', '.join(problem_ids())}"
         ) from None
-
-
-# ---------------------------------------------------------------------------
-# smoke-test plants with analytic Jacobians (used to validate the FD code)
-
-def make_linear_plant(c, box=(-10.0, 10.0)) -> SetValuedProblem:
-    """Single linear map f(x) = C x with its exact Jacobian."""
-    mat = np.atleast_2d(np.asarray(c, dtype=float))
-    m, n = mat.shape
-    prob = from_functions("linear_plant", n, m, [lambda x: mat @ x], box,
-                          analytic_jacobian=lambda i, x: mat)
-    return prob
-
-
-def make_quadratic_plant(a, box=(-10.0, 10.0)) -> SetValuedProblem:
-    """Scalar quadratic f(x) = x^T A x / 2 with its exact gradient."""
-    mat = np.asarray(a, dtype=float)
-    sym = 0.5 * (mat + mat.T)
-    n = sym.shape[0]
-    return from_functions("quadratic_plant", n, 1,
-                          [lambda x: np.array([0.5 * x @ sym @ x])], box,
-                          analytic_jacobian=lambda i, x: (sym @ x)[None, :])
-
-
-def make_sphere_helper_plant() -> SetValuedProblem:
-    """The scalar helper (x - 1/2)^2 appearing in the sphere family."""
-    return from_functions("sphere_helper_plant", 1, 1,
-                          [lambda x: np.array([(x[0] - 0.5) ** 2])], (0.0, 1.0),
-                          analytic_jacobian=lambda i, x: np.array([[2.0 * (x[0] - 0.5)]]))

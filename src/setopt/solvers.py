@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy_core import min_norm_weights
+from ._scipy_core import min_norm_point
 from .cone import Cone
 from .partition import PartitionCapError, best_tuple, structure_from_values
 from .problems import DerivativeTable, DomainError, SetValuedProblem
@@ -227,11 +227,12 @@ def _prox_direction(rows: np.ndarray):
     """Steepest-descent direction v and value of min_s max(rows @ s) + ||s||^2 / 2.
 
     v = -p with p the min-norm element of conv(rows) (Fliege & Svaiter
-    2000), so val = -||v||^2 / 2.  p = R^T lam for the simplex weights lam
-    of one NNLS solve over the distinct rows R (``min_norm_weights``).
+    2000), so val = -||v||^2 / 2.  p is ``min_norm_point`` of the distinct
+    rows R: R^T lam for the simplex weights lam of one NNLS solve.
     """
     R = _distinct_rows(rows)
-    v = -R.T @ min_norm_weights(R)
+    # 0.0 - p, not -p: an entry that cancels is +0.0 in -R^T lam, never -0.0
+    v = 0.0 - min_norm_point(R)
     val = float(np.max(R @ v) + 0.5 * v @ v)
     return v, val
 
@@ -323,7 +324,8 @@ class StepMemo:
     * the partition at x, keyed by x for a whole-family problem; an offset
       family's does not depend on x and is kept on the problem instead
       (``partition``);
-    * the trust-region step at radius omega, keyed by (x, omega);
+    * the trust-region step, keyed by (x, omega, eps): eps decides which
+      solves ``inner_minimax`` skips;
     * the SD/CG tuple, direction v and Jacobian blocks, keyed by x;
     * the Armijo search, keyed by (x, d, idx, rho_armijo, nu).
 
@@ -398,14 +400,15 @@ class StepMemo:
             self.problem.partitions[key] = compute(offsets)
         return self.problem.partitions[key]
 
-    def step(self, x: np.ndarray, structure, omega: float, ledger: _Ledger):
+    def step(self, x: np.ndarray, structure, omega: float, eps: float, ledger: _Ledger):
         """The trust-region solution, and whether another run computed it."""
         def compute():
             sol = theta_and_step(self.problem, self.cone, x, structure, omega,
-                                 box=self.problem.domain_box, table=self._bundles)
+                                 box=self.problem.domain_box, table=self._bundles,
+                                 stop_tol=eps)
             _read_only(sol.s_star, sol.models.G, sol.models.H)
             return sol
-        return self._get(("step", x.tobytes(), omega), compute, ledger)
+        return self._get(("step", x.tobytes(), omega, eps), compute, ledger)
 
     def direction(self, x: np.ndarray, structure, ledger: _Ledger):
         """The tuple a, the steepest-descent direction v and the Jacobian
@@ -443,7 +446,8 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     The step problem is the box-constrained min-max subproblem at the
     current radius for the trust-region variants, and the box-free
     steepest-descent direction v for SD and CG; t is its value, t* or
-    -|v|, and the run stops when |t| < eps.  The step rule is the ratio
+    -|v|, and the run stops when |t| < eps (t = 0 where ``inner_minimax``'s
+    first-order bound skips the solve).  The step rule is the ratio
     test with the radius update, or Armijo backtracking along v (SD) or
     the conjugate direction (CG).  Iterates always stay inside the domain
     box.  Every evaluation, partition, step and line search goes through
@@ -476,7 +480,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
             F_x = memo.values(x, ledger)
             structure = memo.partition(x, F_x, ledger)
             if trust_region:
-                sol, shared = memo.step(x, structure, omega, ledger)
+                sol, shared = memo.step(x, structure, omega, config.eps, ledger)
                 a, t = sol.a_star, sol.t_star
                 if not sol.feasible and diagnostic is None:
                     diagnostic = "inner solver failed for every partition element"

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._scipy_core import slsqp as _slsqp
+from ._scipy_core import min_norm_point, slsqp as _slsqp
 from .cone import Cone
 from .partition import MinimalStructure, best_tuple
 from .problems import DerivativeTable, SetValuedProblem
@@ -258,8 +258,9 @@ def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray, r
 @dataclass(frozen=True)
 class InnerResult:
     """Step s and value t; ``statuses`` holds one (SLSQP exit mode,
-    iterations) pair per distinct start solved (empty when none was): at
-    most ``_N_STARTS``, or ``2 * _N_STARTS`` when none of the first
+    iterations) pair per distinct start solved (empty at radius 0 or when
+    ``inner_minimax``'s first-order bound decided the stop test): at most
+    ``_N_STARTS``, or ``2 * _N_STARTS`` when none of the first
     ``_N_STARTS`` solves ended on mode 0."""
 
     s: np.ndarray
@@ -267,7 +268,8 @@ class InnerResult:
     statuses: tuple = ()
 
 
-def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None) -> InnerResult:
+def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None, *,
+                  stop_tol: float | None = None) -> InnerResult:
     """Minimize phi over the ball of the given radius and the box shift.
 
     Deterministic: projects the cheap starts (0, the ball point of steepest
@@ -278,6 +280,12 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None) -
     returns the lowest phi among them and the best start, with each solve's
     SLSQP exit mode and iteration count.  Always returns a feasible s with
     phi(s) <= phi(0) = 0.
+
+    With ``stop_tol`` (``run`` passes its eps), it returns s = 0, t = phi(0)
+    = 0 and no statuses without solving when radius |p*| < stop_tol, p* the
+    min-norm point of the hull of the branch rows r_b: on the ball phi(s) >=
+    max_b r_b.s >= p*.s >= -radius |p*|, so the solve would give |t| <
+    stop_tol too.
     """
     if not (np.all(np.isfinite(models.G)) and np.all(np.isfinite(models.H))):
         raise InnerSolveFailure("non-finite model data")
@@ -285,6 +293,10 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None) -
     if radius <= 0.0:
         return InnerResult(np.zeros(n), 0.0)
     branches = _Branches.build(models, cone)
+    # the margin keeps the bound strict under round-off in |p*|
+    if stop_tol is not None and \
+            radius * np.linalg.norm(min_norm_point(branches.R)) < stop_tol * (1.0 - 1e-9):
+        return InnerResult(np.zeros(n), 0.0)
 
     norms = np.linalg.norm(branches.R, axis=1)
     moving = norms > 0.0
@@ -323,13 +335,16 @@ def predicted_reduction(models: ModelSet, cone: Cone, j: int, s: np.ndarray) -> 
 
 def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalStructure,
                    radius: float, box=None,
-                   table: DerivativeTable | None = None) -> SubproblemSolution:
+                   table: DerivativeTable | None = None, *,
+                   stop_tol: float | None = None) -> SubproblemSolution:
     """Solve the inner problem for the partition elements, keep the best.
 
     ``best_tuple`` picks the tuple: the least t, ties to the earliest tuple
     in lexicographic order, one tuple for an offset family.  A per-tuple
     inner failure contributes (s=0, t=0) so it never fabricates descent;
     the result is marked infeasible only when every tuple fails.
+    ``stop_tol`` goes to each ``inner_minimax`` call; a tuple it skips has
+    t = 0 > -stop_tol, so it never wins over a tuple that would go on.
     """
     x = np.asarray(x, dtype=float).reshape(problem.n)
     if table is None:
@@ -345,7 +360,7 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
         idx = [ai - 1 for ai in a]
         models = ModelSet(G=jac_all[idx], H=hess_all[idx])
         try:
-            res = inner_minimax(models, cone, radius, box_shift)
+            res = inner_minimax(models, cone, radius, box_shift, stop_tol=stop_tol)
         except InnerSolveFailure:
             res = InnerResult(np.zeros(problem.n), 0.0)
             solved.append(False)
@@ -372,6 +387,7 @@ def criticality_value(problem: SetValuedProblem, cone: Cone, x, structure: Minim
     reads, for the trust-region variants, the box-constrained value at the
     current radius, which can vanish at a point that this certificate shows
     is not critical (a box wall, or a collapsed radius); for SD and CG it
-    reads -|v| of the box-free steepest-descent direction.
+    reads -|v| of the box-free steepest-descent direction.  It passes no
+    ``stop_tol``, so every value it returns is a full solve's.
     """
     return theta_and_step(problem, cone, x, structure, radius, box=None, table=table)

@@ -158,6 +158,12 @@ _OUT = ["--out", "cones.json"]
      "--x0", "n = 2"),
     (["cone-experiment", "--problem", "sphere_n3_m3", "--x0", "0.5,0.5,0.5", *_OUT],
      "--cones", "R^3"),
+    (["inspect", "--problem", "nope", "--point", "1"], "--problem", "'nope'"),
+    (["criticality", "--problem", "nope", "--point", "1"], "--problem", "'nope'"),
+    (["solve", "--problem", "nope", "--x0", "1"], "--problem", "'nope'"),
+    (["cone-experiment", "--problem", "nope", "--x0", "1", *_OUT], "--problem", "'nope'"),
+    (["cone-experiment", "--problem", "sphere_n3_m3", "--x0", "0.5,0.5,0.5",
+      "--cones", "orthant:3", *_OUT], "--problem", "m = 2"),
 ])
 def test_bad_cone_or_point_is_usage_error(tmp_path, monkeypatch, args, option, message):
     monkeypatch.chdir(tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog, nnls
 
-from setopt import solvers
+from setopt import solvers, subproblem
 from setopt.bench import ExperimentConfig, _problem_seed, _result_record, run_matrix, sample_points
 from setopt.cone import Cone, k2prime, orthant
 from setopt.partition import structure_from_values
@@ -14,7 +14,6 @@ from setopt.problems import (
     _grad_steps,
     _hess_steps,
     from_functions,
-    make_quadratic_plant,
     problem_ids,
     registry,
 )
@@ -33,6 +32,8 @@ from setopt.solvers import (
     run,
 )
 from setopt.subproblem import ModelSet, predicted_reduction
+
+from plants import make_quadratic_plant
 
 
 def test_config_validation():
@@ -641,6 +642,23 @@ def test_memo_keys_hold_the_line_search_parameters():
         assert [r.shared_steps for r in shared] == [0, 0, 0]
 
 
+def test_memo_keys_hold_the_stop_tolerance():
+    # with eps 0.1 the run stops at x0, where the bound skips the step
+    # problem (t = 0); with eps 1e-3 it goes on from x0, so a step entry
+    # read under the other eps would change one of the two runs
+    p = registry("dtlz5_n3_m3")
+    cone = orthant(3)
+    x0 = sample_points(p.domain_box, 2, _problem_seed(5, p.name))[1]
+    configs = (SolverConfig(eps=0.1), SolverConfig())
+    memo = StepMemo(p, cone)
+    shared = [run(p, cone, x0, config, memo=memo) for config in configs]
+    fresh = [run(p, cone, x0, config) for config in configs]
+    assert [_run_bytes(r) for r in shared] == [_run_bytes(r) for r in fresh]
+    assert fresh[0].iterations == 0 and fresh[0].final_t == 0.0
+    assert fresh[1].iterations > 0 and abs(fresh[1].trace[0].t) >= 1e-3
+    assert fresh[1].trace[0].omega == fresh[0].final_omega
+
+
 def _entries_cost(memo, wall, cpu):
     """Give every entry of ``memo`` the cost (wall, cpu) seconds."""
     for key, entry in memo._entries.items():
@@ -755,3 +773,45 @@ def test_whole_family_partition_is_computed_once_per_new_x(monkeypatch, tmp_path
     run_matrix(config, str(tmp_path / "ex53.jsonl"))
     assert not registry("modified_ex53_n2_m2").partitions
     assert len(calls) == len(asked) > 3
+
+
+# -- the first-order bound on the step problem ---------------------------------
+
+def _full_solves(monkeypatch):
+    """Make ``inner_minimax`` ignore ``stop_tol``: every step problem is solved."""
+    original = subproblem.inner_minimax
+    monkeypatch.setattr(subproblem, "inner_minimax",
+                        lambda models, cone, radius, box_shift=None, *, stop_tol=None:
+                        original(models, cone, radius, box_shift))
+
+
+def _trace_bytes(res):
+    """Everything of a run but its final t: the records, the end point and
+    the counts."""
+    records = [(r.k, r.x.tobytes(), np.float64(r.omega).tobytes(), np.float64(r.t).tobytes(),
+                r.a, r.rho, r.accepted, r.step_norm) for r in res.trace]
+    return (records, res.final_point.tobytes(), res.iterations, res.converged,
+            res.diagnostic, res.shared_steps)
+
+
+def test_step_bound_keeps_runs_bitwise(monkeypatch):
+    eps = SolverConfig().eps
+    cases = [(p, x0) for p in map(registry, problem_ids())
+             for x0 in sample_points(p.domain_box, 2, _problem_seed(18, p.name))]
+
+    def trust_region_runs(p, x0):
+        memo = StepMemo(p, orthant(p.m))
+        return [run(p, memo.cone, x0, SolverConfig(variant=v), memo=memo)
+                for v in ("trm", "max", "avg")]
+
+    bounded = [trust_region_runs(p, x0) for p, x0 in cases]
+    _full_solves(monkeypatch)
+    changed = 0
+    for (p, x0), runs in zip(cases, bounded):
+        for res, full in zip(runs, trust_region_runs(p, x0)):
+            assert _trace_bytes(res) == _trace_bytes(full), (p.name, res.algorithm)
+            if res.final_t != full.final_t:
+                # only a stop that the bound decided: its t is phi(0) = 0
+                assert res.converged and res.final_t == 0.0 and abs(full.final_t) < eps
+                changed += 1
+    assert changed > 0

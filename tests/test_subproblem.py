@@ -3,9 +3,10 @@ import pytest
 from scipy.optimize import _slsqplib, minimize
 
 import setopt.subproblem as subproblem
+from setopt._scipy_core import min_norm_point
 from setopt.cone import k2prime, orthant
 from setopt.partition import PARTITION_CAP, minimal_structure, structure_from_values
-from setopt.problems import derivatives_all, from_functions, make_quadratic_plant, registry
+from setopt.problems import derivatives_all, from_functions, registry
 from setopt.solvers import SolverConfig, run
 from setopt.subproblem import (
     InnerSolveFailure,
@@ -16,6 +17,8 @@ from setopt.subproblem import (
     predicted_reduction,
     theta_and_step,
 )
+
+from plants import make_quadratic_plant
 
 
 def grid_oracle(models, cone, radius, box_shift=None, points=201):
@@ -599,3 +602,79 @@ def test_duplicate_starts_are_solved_once(monkeypatch):
     res = inner_minimax(models, orthant(1), radius, (np.zeros(2), np.zeros(2)))
     assert [s.tolist() for s in np.concatenate(solved)] == [[0.0, 0.0]]
     assert len(res.statuses) == 1 and res.t == 0.0
+
+
+# -- the first-order bound that decides the stop test -------------------------
+
+def _bound_model_sets(count, eps):
+    """Seeded model sets, n = 1-10, every other one with a box shift, whose
+    bound radius |p*| lies between eps / 2 and 3 eps / 2 (the gradients are
+    scaled to it); every fifth has 0 in the hull of its rows (two blocks
+    with opposite gradients).  The curvature is indefinite, of scale 1-1e3."""
+    rng = np.random.default_rng(18)
+    for k in range(count):
+        n = 1 + k % 10
+        omega, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        g = rng.normal(size=(omega, m, n))
+        h = 10.0 ** rng.uniform(0.0, 3.0) * rng.normal(size=(omega, m, n, n))
+        if k % 5 == 4:
+            g, h = np.stack([g[0], -g[0]]), h[[0, 0]]
+        cone = k2prime() if m == 2 and k % 3 == 0 else orthant(m)
+        radius = float(rng.choice([0.5, 1.0, 2.0]))
+        models = ModelSet(G=g, H=0.5 * (h + h.swapaxes(2, 3)))
+        p_norm = np.linalg.norm(min_norm_point(_Branches.build(models, cone).R))
+        if p_norm > 1e-12:
+            target = eps * rng.uniform(0.5, 1.5) / radius
+            models = ModelSet(G=g * (target / p_norm), H=models.H)
+        box_shift = None
+        if k % 2:
+            box_shift = (-radius * rng.uniform(0.0, 1.0, n), radius * rng.uniform(0.0, 1.0, n))
+        yield models, cone, radius, box_shift
+
+
+def test_step_bound_fires_only_where_the_solve_would_stop():
+    eps = 1e-3
+    fired = 0
+    for models, cone, radius, box_shift in _bound_model_sets(120, eps):
+        full = inner_minimax(models, cone, radius, box_shift)
+        res = inner_minimax(models, cone, radius, box_shift, stop_tol=eps)
+        if res.statuses == ():
+            fired += 1
+            assert res.t == 0.0 and res.s.tobytes() == np.zeros(len(res.s)).tobytes()
+            assert abs(full.t) < eps
+        else:
+            assert res.t == full.t and res.s.tobytes() == full.s.tobytes()
+            assert res.statuses == full.statuses
+    # both sides of the bound occur (85 and 35 of the 120)
+    assert fired >= 30 and 120 - fired >= 20
+
+
+def test_step_bound_is_strict():
+    # phi(s) = a s1 over the ball of radius 1: t = -a, and the bound radius |p*| = a
+    for a, fires in ((1e-3 * (1.0 - 1e-6), True), (1e-3, False), (1e-3 * (1.0 + 1e-6), False)):
+        models = ModelSet(G=np.array([[[a, 0.0]]]), H=np.zeros((1, 1, 2, 2)))
+        res = inner_minimax(models, orthant(1), 1.0, stop_tol=1e-3)
+        assert (res.statuses == ()) == fires
+        full = inner_minimax(models, orthant(1), 1.0)
+        assert full.t == pytest.approx(-a, rel=1e-9)
+        assert res.t == (0.0 if fires else full.t)
+
+
+def test_criticality_value_never_takes_the_bound(monkeypatch):
+    # at this corner of the box |p*| < eps, so the bound at radius 1 would
+    # skip the solve; the certificate must stay the full solve's value
+    p = registry("dtlz3_n5_m4")
+    cone = orthant(4)
+    x = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+    st = minimal_structure(p, cone, x)
+    skipped = theta_and_step(p, cone, x, st, 1.0, stop_tol=1e-3)
+    assert skipped.t_star == 0.0 and not np.any(skipped.s_star)
+    cert = criticality_value(p, cone, x, st, radius=1.0)
+    original = subproblem.inner_minimax
+    monkeypatch.setattr(subproblem, "inner_minimax",
+                        lambda models, cone, radius, box_shift=None, *, stop_tol=None:
+                        original(models, cone, radius, box_shift))
+    full = criticality_value(p, cone, x, st, radius=1.0)
+    assert cert.t_star == full.t_star and cert.s_star.tobytes() == full.s_star.tobytes()
+    assert cert.a_star == full.a_star
+    assert -1e-3 < cert.t_star < 0.0
