@@ -10,7 +10,6 @@ from .partition import (
     MinimalStructure,
     PartitionCapError,
     minimal_elements,
-    minimal_structure,
     partition_iter,
     structure_from_values,
 )
@@ -47,7 +46,7 @@ from .subproblem import (
 __all__ = [
     "Cone", "ConeError", "Region", "orthant", "k2prime", "preset",
     "MinimalStructure", "PartitionCapError", "minimal_elements",
-    "minimal_structure", "structure_from_values", "partition_iter",
+    "structure_from_values", "partition_iter",
     "SetValuedProblem", "DerivativeTable", "DomainError",
     "UnknownProblemError", "from_functions", "problem_ids", "registry",
     "ModelSet", "SubproblemSolution", "InnerSolveFailure", "inner_minimax",

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cone import Cone, orthant
-from .problems import registry
+from .problems import UnknownProblemError, registry
 from .solvers import RunResult, SolverConfig, StepMemo, run
 
 METRICS = ("nonconv", "iterations", "cpu_time", "inv_step_size")
@@ -34,17 +34,22 @@ class ExperimentConfig:
     points_per_problem: int = 20
     it_max: int = 100
     rng_seed: int = 20240801
-    metrics: tuple = METRICS
 
     def __post_init__(self):
+        """Reject a config ``run_matrix`` could not run, before any run:
+        every algorithm and ``it_max`` must pass ``SolverConfig``'s checks
+        and every problem id must be registered (ValueError)."""
         object.__setattr__(self, "problem_ids", tuple(self.problem_ids))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "metrics", tuple(self.metrics))
         if self.points_per_problem < 1:
             raise ValueError("points_per_problem must be >= 1")
-        unknown = set(self.metrics) - set(METRICS)
-        if unknown:
-            raise ValueError(f"unknown metrics: {sorted(unknown)}")
+        for algo in self.algorithms:
+            SolverConfig(variant=algo, it_max=self.it_max)
+        for pid in self.problem_ids:
+            try:
+                registry(pid)
+            except UnknownProblemError as exc:
+                raise ValueError(exc.args[0]) from None
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
@@ -188,7 +193,7 @@ def build_table(records: list, config: ExperimentConfig) -> list:
         common = common_convergent(records, pid, config.algorithms)
         for algo in config.algorithms:
             row = {"problem": pid, "algorithm": algo, "common_count": len(common)}
-            for metric in config.metrics:
+            for metric in METRICS:
                 row[metric] = metric_value(records, pid, algo, metric, config.algorithms)
             rows.append(row)
     return rows
@@ -237,14 +242,6 @@ def profile(records: list, metric: str, config: ExperimentConfig) -> list:
 
 # ---------------------------------------------------------------------------
 # emission
-
-def emit_records(records: list, path: str) -> None:
-    if not records:
-        raise ValueError("no records to emit")
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-
 
 _CSV_COLUMNS = ("problem", "algorithm", "common_count", "nonconv", "iterations",
                 "cpu_time", "inv_step_size")

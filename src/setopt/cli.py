@@ -102,7 +102,7 @@ def criticality(problem, point, cone_spec, radius):
     """Criticality value t*, winning tuple a*, and trial step s* at a point."""
     kone = _resolve_cone(cone_spec, problem)
     x = _point(point, problem, "'--point'")
-    structure = partition.minimal_structure(problem, kone, x)
+    structure = partition.structure_from_values(problem.eval_all(x), kone)
     sol = subproblem.criticality_value(problem, kone, x, structure, radius=radius)
     click.echo(json.dumps({
         "t": sol.t_star,
@@ -174,7 +174,7 @@ def profile(store_path, config_path, metric, svg_path):
 @click.option("--cones", default="orthant:2,k2prime", show_default=True,
               help="comma-separated cone presets")
 @click.option("--out", "out_path", required=True, help="output JSON path")
-@click.option("--it-max", type=int, default=100, show_default=True)
+@click.option("--it-max", type=click.IntRange(min=1), default=100, show_default=True)
 def cone_experiment(problem, x0, cones, out_path, it_max):
     """Compare the non-monotone variants under different ordering cones."""
     cone_map = {name: _resolve_cone(name, problem, "'--cones'") for name in cones.split(",")}

@@ -41,7 +41,7 @@ class Cone:
     dual_normals : array_like, shape (q, m)
         Halfspace normals; each row is rescaled to unit 1-norm.
     tolerance : float
-        Absolute slack used by membership and order tests.
+        Absolute slack used by ``classify`` and the partition's order tests.
 
     Construction verifies that the cone is solid (some y has
     ``w_j^T y > 0`` for every j: by Gordan's alternative, when the min-norm
@@ -93,16 +93,6 @@ class Cone:
         if v <= self.tolerance:
             return Region.BOUNDARY_NEG_K
         return Region.EXTERIOR_NEG_K
-
-    def leq(self, y, z) -> bool:
-        """Partial order: y <= z iff z - y lies in K (within tolerance)."""
-        d = np.asarray(z, dtype=float) - np.asarray(y, dtype=float)
-        return bool(np.all(self.dual_normals @ d >= -self.tolerance))
-
-    def lt(self, y, z) -> bool:
-        """Strict order: y < z iff z - y lies in the interior of K."""
-        d = np.asarray(z, dtype=float) - np.asarray(y, dtype=float)
-        return bool(np.all(self.dual_normals @ d > self.tolerance))
 
     def to_json(self) -> str:
         return json.dumps({"dual_normals": self.dual_normals.tolist()})

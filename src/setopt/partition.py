@@ -114,11 +114,6 @@ def structure_from_values(values: np.ndarray, cone: Cone) -> MinimalStructure:
     )
 
 
-def minimal_structure(problem, cone: Cone, x) -> MinimalStructure:
-    """Evaluate F(x) and group its weakly minimal values."""
-    return structure_from_values(problem.eval_all(x), cone)
-
-
 def partition_iter(structure: MinimalStructure):
     """Yield every index tuple of the group product in lexicographic order."""
     count = structure.partition_count()

@@ -51,10 +51,10 @@ class SetValuedProblem:
     each constant row of the (p, m) ``offsets``.  On a (k, n) batch it
     returns (k, p, m) or (k, m), each row bitwise the value at that point
     alone.  ``eval_all`` gives F(x), (p, m), or (k, p, m) on a (k, n)
-    batch; ``eval(i, x)`` picks the 1-based row i of F(x).  Evaluation is
-    deterministic and reentrant.  ``phi_psi`` keeps the (phi_i, psi_i)
-    angle grid an offset family was built from, so its offsets can be
-    checked against their definition; the solvers never read it.
+    batch.  Evaluation is deterministic and reentrant.  ``phi_psi`` keeps
+    the (phi_i, psi_i) angle grid an offset family was built from, so its
+    offsets can be checked against their definition; the solvers never
+    read it.
     ``partitions`` is where ``solvers.StepMemo`` keeps an offset family's
     partition, one per cone, once computed.
     """
@@ -95,11 +95,6 @@ class SetValuedProblem:
         x = np.asarray(x, dtype=float)
         vals = self._evaluate(x if x.ndim == 2 else x.reshape(self.n))
         return vals if self.offsets is None else vals[..., None, :] + self.offsets
-
-    def eval(self, i: int, x) -> np.ndarray:
-        if not 1 <= i <= self.p:
-            raise IndexError(f"function index {i} outside 1..{self.p}")
-        return self.eval_all(x)[i - 1]
 
     def metadata(self) -> dict:
         lo, hi = self.domain_box

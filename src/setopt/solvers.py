@@ -58,7 +58,7 @@ class SolverConfig:
     eta2: float = 0.75
     gamma1: float = 0.4
     gamma2: float = 0.9
-    n_memory: int = 10          # max-type window depth (4 is a fast preset)
+    n_memory: int = 10          # max-type window depth
     mu: float = 0.5             # avg-type weight, constant schedule
     it_max: int = 100
     rho_armijo: float = 1e-4    # sufficient-decrease slope for SD and CG
@@ -67,7 +67,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not (0.0 < self.eta1 < self.eta2 < 1.0):
             raise ValueError("need 0 < eta1 < eta2 < 1")
         if not (0.0 < self.gamma1 < self.gamma2 < 1.0):
@@ -78,8 +78,14 @@ class SolverConfig:
             raise ValueError("need 0 <= mu < 1")
         if not (0.0 < self.nu < 1.0):
             raise ValueError("need 0 < nu < 1")
-        if self.n_memory < 0 or self.it_max < 1 or self.eps <= 0.0:
-            raise ValueError("bad n_memory, it_max, or eps")
+        if not (0.0 < self.sigma < 1.0):
+            raise ValueError(f"need 0 < sigma < 1, got {self.sigma!r}")
+        if self.n_memory < 0:
+            raise ValueError(f"need n_memory >= 0, got {self.n_memory!r}")
+        if self.it_max < 1:
+            raise ValueError(f"need it_max >= 1, got {self.it_max!r}")
+        if self.eps <= 0.0:
+            raise ValueError(f"need eps > 0, got {self.eps!r}")
 
 
 @dataclass
@@ -149,7 +155,9 @@ class NonMonotoneMemory:
         self.reference: np.ndarray | None = None
 
     def begin_iteration(self, F_x: np.ndarray, a: tuple) -> None:
-        """Fix the reference matrix for this iteration at x_k with tuple a.
+        """Fix the reference matrix for this iteration at x_k with tuple a,
+        then let F(x_k) enter the max-type window, whether or not the step
+        will be accepted.
 
         The avg-type update: while the tuple streak holds,
         C' = (mu q / q') C + F_x / q' with q' = mu q + 1; otherwise C' = F_x
@@ -159,6 +167,7 @@ class NonMonotoneMemory:
             if a != self._last_a:
                 self.hist.clear()
             self.reference = np.maximum.reduce([F_x, *self.hist])
+            self.hist.append(F_x.copy())
         elif self.variant == "avg":
             if self._last_a is not None and a != self._last_a:
                 self.streak_all = False
@@ -173,13 +182,6 @@ class NonMonotoneMemory:
         else:
             self.reference = F_x
         self._last_a = a
-
-    def end_iteration(self, F_x: np.ndarray) -> None:
-        """Close the iteration at x_k: F(x_k) enters the max-type window
-        whether or not the step was accepted; the tuple change that empties
-        the window is detected in ``begin_iteration``."""
-        if self.variant == "max":
-            self.hist.append(F_x.copy())
 
 
 def reduction_ratios(memory: NonMonotoneMemory, F_new: np.ndarray, a: tuple,
@@ -404,8 +406,8 @@ class StepMemo:
         """The trust-region solution, and whether another run computed it."""
         def compute():
             sol = theta_and_step(self.problem, self.cone, x, structure, omega,
-                                 box=self.problem.domain_box, table=self._bundles,
-                                 stop_tol=eps)
+                                 self._bundles.bundle_arrays(x),
+                                 box=self.problem.domain_box, stop_tol=eps)
             _read_only(sol.s_star, sol.models.G, sol.models.H)
             return sol
         return self._get(("step", x.tobytes(), omega, eps), compute, ledger)
@@ -507,7 +509,6 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
                 break
             accepted, omega_next = accept_and_update(rho, omega, config)
             rho = tuple(float(r) for r in rho)
-            memory.end_iteration(F_x)
             omega_k, omega = omega, omega_next
             if omega < OMEGA_UNDERFLOW and not underflow_logged:
                 log.warning("trust radius underflow (%.3e) at iteration %d", omega, k)

@@ -35,10 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import problems
 from ._scipy_core import min_norm_point, slsqp as _slsqp
 from .cone import Cone
 from .partition import MinimalStructure, best_tuple
-from .problems import DerivativeTable, SetValuedProblem
+from .problems import SetValuedProblem
 
 log = logging.getLogger(__name__)
 
@@ -61,10 +62,6 @@ class ModelSet:
 
     G: np.ndarray
     H: np.ndarray
-
-    @property
-    def omega(self) -> int:
-        return self.G.shape[0]
 
     def value(self, j: int, s: np.ndarray) -> np.ndarray:
         """Model increment m^j(s) in R^m; m^j(0) = 0."""
@@ -334,11 +331,12 @@ def predicted_reduction(models: ModelSet, cone: Cone, j: int, s: np.ndarray) -> 
 
 
 def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalStructure,
-                   radius: float, box=None,
-                   table: DerivativeTable | None = None, *,
+                   radius: float, derivatives, box=None, *,
                    stop_tol: float | None = None) -> SubproblemSolution:
     """Solve the inner problem for the partition elements, keep the best.
 
+    ``derivatives`` is the family's (Jacobians, Hessians) bundle at x, as
+    ``problems.derivatives_all`` returns it; the caller owns its caching.
     ``best_tuple`` picks the tuple: the least t, ties to the earliest tuple
     in lexicographic order, one tuple for an offset family.  A per-tuple
     inner failure contributes (s=0, t=0) so it never fabricates descent;
@@ -347,9 +345,7 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
     t = 0 > -stop_tol, so it never wins over a tuple that would go on.
     """
     x = np.asarray(x, dtype=float).reshape(problem.n)
-    if table is None:
-        table = DerivativeTable(problem)
-    jac_all, hess_all = table.bundle_arrays(x)
+    jac_all, hess_all = derivatives
     box_shift = None
     if box is not None:
         box_shift = (np.asarray(box[0], float) - x, np.asarray(box[1], float) - x)
@@ -377,8 +373,7 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
 
 
 def criticality_value(problem: SetValuedProblem, cone: Cone, x, structure: MinimalStructure,
-                      radius: float = 1.0,
-                      table: DerivativeTable | None = None) -> SubproblemSolution:
+                      radius: float = 1.0) -> SubproblemSolution:
     """Criticality certificate: the subproblem without box rows at a fixed radius.
 
     The sign of the optimal value does not depend on the radius; the fixed
@@ -390,4 +385,5 @@ def criticality_value(problem: SetValuedProblem, cone: Cone, x, structure: Minim
     reads -|v| of the box-free steepest-descent direction.  It passes no
     ``stop_tol``, so every value it returns is a full solve's.
     """
-    return theta_and_step(problem, cone, x, structure, radius, box=None, table=table)
+    return theta_and_step(problem, cone, x, structure, radius,
+                          problems.derivatives_all(problem, x))

@@ -23,8 +23,8 @@ from setopt.bench import (
     _problem_seed,
 )
 from setopt.cone import Region, k2prime, orthant
-from setopt.partition import minimal_elements, minimal_structure
-from setopt.problems import DerivativeTable, registry
+from setopt.partition import minimal_elements, structure_from_values
+from setopt.problems import derivatives_all, problem_ids, registry
 from setopt.solvers import SolverConfig, run
 from setopt.subproblem import ModelSet, _Branches, inner_minimax, theta_and_step
 
@@ -193,10 +193,10 @@ CRIT5_PROBLEMS = ["dgo2_n1_m2", "hil_n2_m2", "jos1a_n5_m2",
 def _theta_soundness(problem, cone, res):
     if not res.converged:
         return True
-    table = DerivativeTable(problem)
-    structure = minimal_structure(problem, cone, res.final_point)
-    sol = theta_and_step(problem, cone, res.final_point, structure, res.final_omega,
-                         box=problem.domain_box, table=table)
+    x = res.final_point
+    structure = structure_from_values(problem.eval_all(x), cone)
+    sol = theta_and_step(problem, cone, x, structure, res.final_omega,
+                         derivatives_all(problem, x), box=problem.domain_box)
     return abs(sol.t_star) < 2.0 * EPS
 
 
@@ -330,12 +330,17 @@ def test_criterion_7_cones_differ(fig1_runs):
 # ---------------------------------------------------------------------------
 # criterion 8: profile machinery against hand computation
 
+# any registered ids and variant names: ExperimentConfig accepts no others
+P1, P2, P3, P4 = problem_ids()[:4]
+S1, S2, S3 = "trm", "max", "avg"
+
+
 def _fixture_records():
     counts = {
-        ("p1", "s1"): 1, ("p1", "s2"): 2, ("p1", "s3"): 4,
-        ("p2", "s1"): 2, ("p2", "s2"): 2, ("p2", "s3"): 6,
-        ("p3", "s1"): 3, ("p3", "s2"): 1, ("p3", "s3"): 1,
-        ("p4", "s1"): 4, ("p4", "s2"): 2, ("p4", "s3"): 8,
+        (P1, S1): 1, (P1, S2): 2, (P1, S3): 4,
+        (P2, S1): 2, (P2, S2): 2, (P2, S3): 6,
+        (P3, S1): 3, (P3, S2): 1, (P3, S3): 1,
+        (P4, S1): 4, (P4, S2): 2, (P4, S3): 8,
     }
     records = []
     for (pid, algo), bad in counts.items():
@@ -349,18 +354,18 @@ def _fixture_records():
 
 
 def test_criterion_8_profile_hand_computation(tmp_path):
-    config = ExperimentConfig(problem_ids=("p1", "p2", "p3", "p4"),
-                              algorithms=("s1", "s2", "s3"), points_per_problem=20)
+    config = ExperimentConfig(problem_ids=(P1, P2, P3, P4),
+                              algorithms=(S1, S2, S3), points_per_problem=20)
     curves = {c.algorithm: c for c in profile(_fixture_records(), "nonconv", config)}
     # hand computation: t = counts, per-problem minima (1, 2, 1, 2)
-    assert curves["s1"].ratios == (1.0, 1.0, 3.0, 2.0)
-    assert curves["s2"].ratios == (2.0, 1.0, 1.0, 1.0)
-    assert curves["s3"].ratios == (4.0, 3.0, 1.0, 4.0)
-    taus = [pt[0] for pt in curves["s1"].points]
+    assert curves[S1].ratios == (1.0, 1.0, 3.0, 2.0)
+    assert curves[S2].ratios == (2.0, 1.0, 1.0, 1.0)
+    assert curves[S3].ratios == (4.0, 3.0, 1.0, 4.0)
+    taus = [pt[0] for pt in curves[S1].points]
     assert taus == [1.0, 2.0, 3.0, 4.0]
-    assert [pt[1] for pt in curves["s1"].points] == [0.5, 0.75, 1.0, 1.0]
-    assert [pt[1] for pt in curves["s2"].points] == [0.75, 1.0, 1.0, 1.0]
-    assert [pt[1] for pt in curves["s3"].points] == [0.25, 0.25, 0.5, 1.0]
+    assert [pt[1] for pt in curves[S1].points] == [0.5, 0.75, 1.0, 1.0]
+    assert [pt[1] for pt in curves[S2].points] == [0.75, 1.0, 1.0, 1.0]
+    assert [pt[1] for pt in curves[S3].points] == [0.25, 0.25, 0.5, 1.0]
     winners = sum(r == 1.0 for c in curves.values() for r in c.ratios)
     assert winners >= 4  # at least one winner per problem
     path_a, path_b = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")

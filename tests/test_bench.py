@@ -12,7 +12,6 @@ from setopt.bench import (
     common_convergent,
     cone_experiment,
     emit_profile_svg,
-    emit_records,
     emit_table_csv,
     load_records,
     metric_value,
@@ -22,7 +21,11 @@ from setopt.bench import (
 )
 from setopt import bench, solvers
 from setopt.cone import k2prime, orthant
-from setopt.problems import registry
+from setopt.problems import problem_ids, registry
+
+# the hand-made records name any registered ids and variants: ExperimentConfig accepts no others
+P1, P2 = problem_ids()[:2]
+S1, S2, S3 = "trm", "max", "avg"
 
 
 def test_sample_points_contract():
@@ -93,27 +96,24 @@ def test_run_matrix_records_a_raising_run(tmp_path, monkeypatch):
 
 def test_record_store_roundtrip_exact(tmp_path):
     store = str(tmp_path / "store.jsonl")
-    config = _tiny_config()
-    records = run_matrix(config, store)
-    out = str(tmp_path / "copy.jsonl")
-    emit_records(records, out)
-    assert load_records(out) == records
+    records = run_matrix(_tiny_config(), store)
+    assert load_records(store) == records
 
 
 def _fixture_records():
     """3 solvers x 2 problems, 4 points each, hand-controlled convergence."""
     records = []
     conv = {
-        ("p1", "s1"): [True, True, True, True],
-        ("p1", "s2"): [True, True, False, True],
-        ("p1", "s3"): [True, True, True, True],
-        ("p2", "s1"): [False, False, False, False],
-        ("p2", "s2"): [True, True, True, True],
-        ("p2", "s3"): [True, False, True, True],
+        (P1, S1): [True, True, True, True],
+        (P1, S2): [True, True, False, True],
+        (P1, S3): [True, True, True, True],
+        (P2, S1): [False, False, False, False],
+        (P2, S2): [True, True, True, True],
+        (P2, S3): [True, False, True, True],
     }
     iters = {
-        ("p1", "s1"): [2, 2, 2, 2], ("p1", "s2"): [4, 4, 4, 4], ("p1", "s3"): [8, 8, 8, 8],
-        ("p2", "s1"): [9, 9, 9, 9], ("p2", "s2"): [3, 3, 3, 3], ("p2", "s3"): [6, 6, 6, 6],
+        (P1, S1): [2, 2, 2, 2], (P1, S2): [4, 4, 4, 4], (P1, S3): [8, 8, 8, 8],
+        (P2, S1): [9, 9, 9, 9], (P2, S2): [3, 3, 3, 3], (P2, S3): [6, 6, 6, 6],
     }
     for (pid, algo), flags in conv.items():
         for i, ok in enumerate(flags):
@@ -128,61 +128,61 @@ def _fixture_records():
 
 def test_common_convergent_and_metrics():
     records = _fixture_records()
-    algos = ("s1", "s2", "s3")
-    assert common_convergent(records, "p1", algos) == [0, 1, 3]
-    assert common_convergent(records, "p2", algos) == []
-    assert metric_value(records, "p1", "s1", "nonconv", algos) == 0.0
-    assert metric_value(records, "p1", "s2", "nonconv", algos) == 1.0
-    assert metric_value(records, "p1", "s1", "iterations", algos) == 2.0
-    assert metric_value(records, "p2", "s1", "iterations", algos) is None  # empty subset
-    assert metric_value(records, "p1", "s1", "inv_step_size", algos) == pytest.approx(2.0)
+    algos = (S1, S2, S3)
+    assert common_convergent(records, P1, algos) == [0, 1, 3]
+    assert common_convergent(records, P2, algos) == []
+    assert metric_value(records, P1, S1, "nonconv", algos) == 0.0
+    assert metric_value(records, P1, S2, "nonconv", algos) == 1.0
+    assert metric_value(records, P1, S1, "iterations", algos) == 2.0
+    assert metric_value(records, P2, S1, "iterations", algos) is None  # empty subset
+    assert metric_value(records, P1, S1, "inv_step_size", algos) == pytest.approx(2.0)
 
 
 def test_profile_single_problem_example():
     # t = {2, 4, 8}: ratios {1, 2, 4}; winner has rho(1) = 1
     records = []
-    for algo, iters in [("s1", 2), ("s2", 4), ("s3", 8)]:
+    for algo, iters in [(S1, 2), (S2, 4), (S3, 8)]:
         for i in range(2):
-            records.append({"problem": "p1", "algorithm": algo, "point_index": i,
+            records.append({"problem": P1, "algorithm": algo, "point_index": i,
                             "x0": [0.0], "converged": True, "iterations": iters,
                             "cpu_time": 1.0, "mean_step_size": 1.0,
                             "final_t": 0.0, "diagnostic": None})
-    config = ExperimentConfig(problem_ids=("p1",), algorithms=("s1", "s2", "s3"),
+    config = ExperimentConfig(problem_ids=(P1,), algorithms=(S1, S2, S3),
                               points_per_problem=2)
     curves = {c.algorithm: c for c in profile(records, "iterations", config)}
-    assert curves["s1"].ratios == (1.0,)
-    assert curves["s2"].ratios == (2.0,)
-    assert curves["s3"].ratios == (4.0,)
-    assert curves["s1"].points[0] == (1.0, 1.0)
+    assert curves[S1].ratios == (1.0,)
+    assert curves[S2].ratios == (2.0,)
+    assert curves[S3].ratios == (4.0,)
+    assert curves[S1].points[0] == (1.0, 1.0)
     for c in curves.values():
         rhos = [pt[1] for pt in c.points]
         assert all(0.0 <= r <= 1.0 for r in rhos)
         assert rhos == sorted(rhos)  # nondecreasing staircase
     # rho for s2 is 0 before tau = 2 and 1 afterwards
-    s2 = dict(curves["s2"].points)
+    s2 = dict(curves[S2].points)
     assert s2[1.0] == 0.0 and s2[2.0] == 1.0
 
 
 def test_profile_nonconvergent_plateau():
     records = []
-    for pid, ok in [("p1", True), ("p2", False)]:
-        for algo in ("s1", "s2"):
+    for pid, ok in [(P1, True), (P2, False)]:
+        for algo in (S1, S2):
             records.append({"problem": pid, "algorithm": algo, "point_index": 0,
-                            "x0": [0.0], "converged": ok if algo == "s1" else True,
+                            "x0": [0.0], "converged": ok if algo == S1 else True,
                             "iterations": 5, "cpu_time": 1.0, "mean_step_size": 1.0,
                             "final_t": 0.0, "diagnostic": None})
-    config = ExperimentConfig(problem_ids=("p1", "p2"), algorithms=("s1", "s2"),
+    config = ExperimentConfig(problem_ids=(P1, P2), algorithms=(S1, S2),
                               points_per_problem=1)
     curves = {c.algorithm: c for c in profile(records, "iterations", config)}
-    assert curves["s1"].ratios[1] == math.inf
-    assert curves["s1"].points[-1][1] == 0.5  # plateau below 1
+    assert curves[S1].ratios[1] == math.inf
+    assert curves[S1].points[-1][1] == 0.5  # plateau below 1
 
 
 def test_profile_empty_metric_errors():
-    records = [{"problem": "p1", "algorithm": "s1", "point_index": 0, "x0": [0.0],
+    records = [{"problem": P1, "algorithm": S1, "point_index": 0, "x0": [0.0],
                 "converged": False, "iterations": 5, "cpu_time": 1.0,
                 "mean_step_size": 1.0, "final_t": 0.0, "diagnostic": None}]
-    config = ExperimentConfig(problem_ids=("p1",), algorithms=("s1",),
+    config = ExperimentConfig(problem_ids=(P1,), algorithms=(S1,),
                               points_per_problem=1)
     with pytest.raises(EmptyProfileError):
         profile(records, "iterations", config)
@@ -190,7 +190,7 @@ def test_profile_empty_metric_errors():
 
 def test_emit_table_csv(tmp_path):
     records = _fixture_records()
-    config = ExperimentConfig(problem_ids=("p1", "p2"), algorithms=("s1", "s2", "s3"),
+    config = ExperimentConfig(problem_ids=(P1, P2), algorithms=(S1, S2, S3),
                               points_per_problem=4)
     rows = build_table(records, config)
     path = str(tmp_path / "table.csv")
@@ -204,7 +204,7 @@ def test_emit_table_csv(tmp_path):
 
 def test_svg_emission_deterministic(tmp_path):
     records = _fixture_records()
-    config = ExperimentConfig(problem_ids=("p1", "p2"), algorithms=("s1", "s2", "s3"),
+    config = ExperimentConfig(problem_ids=(P1, P2), algorithms=(S1, S2, S3),
                               points_per_problem=4)
     curves = profile(records, "nonconv", config)
     p1, p2 = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
@@ -224,8 +224,17 @@ def test_experiment_config_json_roundtrip():
     assert again == config
     with pytest.raises(ValueError):
         ExperimentConfig(problem_ids=("x",), points_per_problem=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(problem_ids=("x",), metrics=("speed",))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"algorithms": ("tr", "sd")}, "'tr'"),
+    ({"it_max": 0}, "it_max >= 1, got 0"),
+    ({"problem_ids": ("dgo1",)}, "'dgo1'"),
+])
+def test_experiment_config_rejects_what_run_matrix_cannot_run(fields, message):
+    # checked up front, so run_matrix never stores a failure record for it
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{"problem_ids": ("dgo1_n1_m2",), **fields})
 
 
 def test_cone_experiment_critical_start_single_cloud():

@@ -62,9 +62,10 @@ def test_solve_with_trace_and_config(tmp_path):
     assert summary["algorithm"] == "max"
 
 
-@pytest.mark.parametrize("field, value", [("nu", 1.0), ("variant", "sd"), ("radius", 2.0)])
+@pytest.mark.parametrize("field, value", [("nu", 1.0), ("variant", "sd"), ("radius", 2.0),
+                                          ("sigma", 3.0)])
 def test_solve_bad_config_is_usage_error(tmp_path, field, value):
-    # out of range, set by --algo, and not a SolverConfig field
+    # out of range, set by --algo, not a SolverConfig field, and out of range
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({field: value}))
     result = CliRunner().invoke(main, [
@@ -91,12 +92,28 @@ def test_experiment_unknown_key_is_usage_error(tmp_path, command):
     assert "--config" in result.output and "it_mx" in result.output
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"algorithms": ["tr", "sd"]}, "'tr'"),
+    ({"it_max": 0}, "got 0"),
+    ({"problem_ids": ["dgo1"]}, "'dgo1'"),
+])
+def test_run_bad_experiment_is_usage_error(tmp_path, fields, message):
+    # rejected before the first run: no store file, so no failure record to resume past
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"problem_ids": ["dgo2_n1_m2"], "points_per_problem": 1,
+                               "it_max": 2, **fields}))
+    store = tmp_path / "store.jsonl"
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(store)])
+    assert result.exit_code == 2, result.output
+    assert "'--config'" in result.output and message in result.output
+    assert not store.exists()
+
+
 def test_experiment_pipeline(tmp_path):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({
         "problem_ids": ["dgo2_n1_m2"], "algorithms": ["trm", "max"],
         "points_per_problem": 2, "it_max": 5, "rng_seed": 3,
-        "metrics": ["nonconv", "iterations", "cpu_time", "inv_step_size"],
     }))
     store = tmp_path / "store.jsonl"
     runner = CliRunner()
@@ -164,6 +181,8 @@ _OUT = ["--out", "cones.json"]
     (["cone-experiment", "--problem", "nope", "--x0", "1", *_OUT], "--problem", "'nope'"),
     (["cone-experiment", "--problem", "sphere_n3_m3", "--x0", "0.5,0.5,0.5",
       "--cones", "orthant:3", *_OUT], "--problem", "m = 2"),
+    (["cone-experiment", "--problem", "modified_ex53_n2_m2", "--x0", "-16,-2",
+      "--it-max", "0", *_OUT], "--it-max", "0"),
 ])
 def test_bad_cone_or_point_is_usage_error(tmp_path, monkeypatch, args, option, message):
     monkeypatch.chdir(tmp_path)

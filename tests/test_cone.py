@@ -7,6 +7,18 @@ from scipy.optimize import linprog
 from setopt.cone import Cone, ConeError, Region, k2prime, orthant, preset
 
 
+def leq(cone, y, z):
+    """Reference partial order: y <=_K z iff w @ (z - y) >= -tol for every dual normal w."""
+    return bool(np.all(cone.dual_normals @ (np.asarray(z, float) - np.asarray(y, float))
+                       >= -cone.tolerance))
+
+
+def lt(cone, y, z):
+    """Reference strict order: y <_K z iff w @ (z - y) > tol for every dual normal w."""
+    return bool(np.all(cone.dual_normals @ (np.asarray(z, float) - np.asarray(y, float))
+                       > cone.tolerance))
+
+
 def test_scalarize_orthant_examples():
     k2 = orthant(2)
     assert k2.scalarize([-1.0, -2.0]) == -1.0
@@ -23,10 +35,10 @@ def test_classify_examples():
 
 def test_order_examples():
     k2 = orthant(2)
-    assert k2.leq([1.0, 1.0], [2.0, 3.0]) and k2.lt([1.0, 1.0], [2.0, 3.0])
+    assert leq(k2, [1.0, 1.0], [2.0, 3.0]) and lt(k2, [1.0, 1.0], [2.0, 3.0])
     y = np.array([0.3, -0.7])
-    assert k2.leq(y, y) and not k2.lt(y, y)
-    assert not k2.leq([0.0, 2.0], [1.0, 1.0])
+    assert leq(k2, y, y) and not lt(k2, y, y)
+    assert not leq(k2, [0.0, 2.0], [1.0, 1.0])
 
 
 def test_normalization_fixes_scale():
@@ -48,9 +60,9 @@ def test_not_pointed_rejected():
 
 def test_k2prime_wedge_membership():
     cone = k2prime()
-    assert cone.leq([0.0, 0.0], [1.0, 1.0])       # diagonal inside
-    assert not cone.leq([0.0, 0.0], [1.0, 0.1])   # below slope 1/3
-    assert not cone.leq([0.0, 0.0], [0.1, 1.0])   # above slope 3
+    assert leq(cone, [0.0, 0.0], [1.0, 1.0])       # diagonal inside
+    assert not leq(cone, [0.0, 0.0], [1.0, 0.1])   # below slope 1/3
+    assert not leq(cone, [0.0, 0.0], [0.1, 1.0])   # above slope 3
 
 
 def test_json_roundtrip_and_presets():
@@ -137,9 +149,9 @@ def test_subadditivity_homogeneity_monotonicity(any_cone):
         lhs, rhs = any_cone.scalarize(lam * y), lam * any_cone.scalarize(y)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
         assert any_cone.scalarize(2.0 * y) == 2.0 * any_cone.scalarize(y)  # exact scaling
-        if any_cone.lt(y, z):
+        if lt(any_cone, y, z):
             assert any_cone.scalarize(y) < any_cone.scalarize(z)
-        if any_cone.leq(y, z):
+        if leq(any_cone, y, z):
             assert any_cone.scalarize(y) <= any_cone.scalarize(z) + 1e-12
 
 

@@ -8,7 +8,6 @@ from setopt.partition import (
     PartitionCapError,
     grouping_tolerance,
     minimal_elements,
-    minimal_structure,
     partition_iter,
     structure_from_values,
 )
@@ -28,9 +27,10 @@ def oracle_minimal(values, cone, value_tol=0.0):
             if j == i:
                 continue
             equal = float(np.max(np.abs(vals[j] - vals[i]))) <= value_tol
-            if cone.leq(vals[j], vals[i]) and not equal:
+            margins = cone.dual_normals @ (vals[i] - vals[j])
+            if np.all(margins >= -cone.tolerance) and not equal:
                 dominated = True
-            if cone.lt(vals[j], vals[i]):
+            if np.all(margins > cone.tolerance):
                 strictly = True
         if not dominated:
             min_idx.append(i)
@@ -76,13 +76,13 @@ def _const_problem(rows):
 
 def test_structure_single_function():
     problem = _const_problem([[2.0, 3.0]])
-    st = minimal_structure(problem, orthant(2), [0.0])
+    st = structure_from_values(problem.eval_all([0.0]), orthant(2))
     assert st.omega == 1 and st.groups == ((1,),)
 
 
 def test_structure_grouping_by_equality():
     problem = _const_problem([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
-    st = minimal_structure(problem, orthant(2), [0.0])
+    st = structure_from_values(problem.eval_all([0.0]), orthant(2))
     assert st.omega == 1
     assert st.groups == ((1, 2),)
     vals = problem.eval_all([0.0])

@@ -143,13 +143,15 @@ def test_domain_error_outside_range():
         p.eval_all([10.0])  # sqrt(81 - 100) undefined
 
 
-def test_eval_index_bounds():
+def test_eval_all_row_is_member():
+    # row i - 1 of F(x) is member i: the base plus offset row i - 1
     p = registry("dgo1_n1_m2")
-    assert p.eval(1, [0.5]).shape == (2,)
-    with pytest.raises(IndexError):
-        p.eval(0, [0.5])
-    with pytest.raises(IndexError):
-        p.eval(101, [0.5])
+    x = np.array([0.5])
+    F = p.eval_all(x)
+    assert F.shape == (p.p, p.m) == (100, 2)
+    base = p.evaluator(x)
+    for i in (1, 100):
+        assert F[i - 1].tobytes() == (base + p.offsets[i - 1]).tobytes()
 
 
 def test_log_tan_clamp_counter():

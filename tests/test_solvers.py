@@ -109,15 +109,12 @@ def test_max_window_reference():
     a = (1,)
     # window holds the values {3, 5} of the last two iterations; current value 2
     mem.begin_iteration(np.array([[3.0]]), a)
-    mem.end_iteration(np.array([[3.0]]))
     mem.begin_iteration(np.array([[5.0]]), a)
-    mem.end_iteration(np.array([[5.0]]))
     mem.begin_iteration(np.array([[2.0]]), a)
     assert mem.reference[0, 0] == 5.0
     # a different tuple falls back to the current value
     mem2 = NonMonotoneMemory("max", 4, 0.5)
     mem2.begin_iteration(np.array([[3.0], [9.0]]), (1,))
-    mem2.end_iteration(np.array([[3.0], [9.0]]))
     mem2.begin_iteration(np.array([[2.0], [4.0]]), (2,))
     assert mem2.reference[1, 0] == 4.0
 
@@ -131,14 +128,12 @@ def test_max_window_does_not_reach_past_tuple_change():
     for f, a in [(f0, (1,)), (f1, (2,)), (f2, (2,)), (f2, (2,))]:
         mem.begin_iteration(f, a)
         refs.append(float(mem.reference[1, 0]))
-        mem.end_iteration(f)
     assert refs[1:] == [5.0, 5.0, 5.0]
 
 
 def test_max_window_depth_zero_is_current_value():
     mem = NonMonotoneMemory("max", 0, 0.5)
     mem.begin_iteration(np.array([[9.0]]), (1,))
-    mem.end_iteration(np.array([[9.0]]))
     f = np.array([[2.0]])
     mem.begin_iteration(f, (1,))
     assert mem.reference.tobytes() == f.tobytes()

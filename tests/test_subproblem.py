@@ -5,7 +5,7 @@ from scipy.optimize import _slsqplib, minimize
 import setopt.subproblem as subproblem
 from setopt._scipy_core import min_norm_point
 from setopt.cone import k2prime, orthant
-from setopt.partition import PARTITION_CAP, minimal_structure, structure_from_values
+from setopt.partition import PARTITION_CAP, structure_from_values
 from setopt.problems import derivatives_all, from_functions, registry
 from setopt.solvers import SolverConfig, run
 from setopt.subproblem import (
@@ -115,8 +115,9 @@ def test_box_shift_respected():
 def test_theta_at_critical_point():
     p = make_quadratic_plant(np.eye(2))
     cone = orthant(1)
-    st = minimal_structure(p, cone, np.zeros(2))
-    sol = theta_and_step(p, cone, np.zeros(2), st, 1.0, box=p.domain_box)
+    x = np.zeros(2)
+    st = structure_from_values(p.eval_all(x), cone)
+    sol = theta_and_step(p, cone, x, st, 1.0, derivatives_all(p, x), box=p.domain_box)
     assert abs(sol.t_star) < 1e-9
     assert np.allclose(sol.s_star, 0.0, atol=1e-6)
     assert sol.feasible
@@ -126,9 +127,9 @@ def test_theta_deterministic():
     p = registry("hil_n2_m2")
     cone = orthant(2)
     x = np.array([1.3, 2.1])
-    st = minimal_structure(p, cone, x)
-    a = theta_and_step(p, cone, x, st, 1.0, box=p.domain_box)
-    b = theta_and_step(p, cone, x, st, 1.0, box=p.domain_box)
+    st = structure_from_values(p.eval_all(x), cone)
+    a = theta_and_step(p, cone, x, st, 1.0, derivatives_all(p, x), box=p.domain_box)
+    b = theta_and_step(p, cone, x, st, 1.0, derivatives_all(p, x), box=p.domain_box)
     assert a.t_star == b.t_star
     assert a.s_star.tobytes() == b.s_star.tobytes()
     assert a.a_star == b.a_star
@@ -146,7 +147,8 @@ def test_theta_tie_break_lexicographic():
     p = problems.from_functions(
         "ties", 1, 2, [lambda x, r=r: r + x[0] * np.array([1.0, 1.0]) for r in rows],
         (-2.0, 2.0))
-    sol = theta_and_step(p, orthant(2), np.array([0.0]), st, 1.0, box=p.domain_box)
+    x = np.array([0.0])
+    sol = theta_and_step(p, orthant(2), x, st, 1.0, derivatives_all(p, x), box=p.domain_box)
     assert sol.a_star == (1, 3)
 
 
@@ -157,7 +159,7 @@ def _ties_plant():
     p = from_functions(
         "ties", 1, 2, [lambda x, r=r: r + x[0] * np.array([1.0, 1.0]) for r in rows],
         (-2.0, 2.0))
-    return p, minimal_structure(p, orthant(2), np.array([0.0]))
+    return p, structure_from_values(p.eval_all(np.array([0.0])), orthant(2))
 
 
 @pytest.mark.parametrize("variant", ["sd", "cg"])
@@ -174,7 +176,8 @@ def test_theta_every_tuple_failing_is_infeasible(monkeypatch):
 
     monkeypatch.setattr(subproblem, "inner_minimax", fail)
     p, st = _ties_plant()
-    sol = theta_and_step(p, orthant(2), np.array([0.0]), st, 1.0, box=p.domain_box)
+    x = np.array([0.0])
+    sol = theta_and_step(p, orthant(2), x, st, 1.0, derivatives_all(p, x), box=p.domain_box)
     assert sol.feasible is False
     assert sol.t_star == 0.0 and not np.any(sol.s_star)
     res = run(p, orthant(2), np.array([0.0]), SolverConfig(variant="trm"))
@@ -193,7 +196,8 @@ def test_theta_first_tuple_failing_falls_to_next(monkeypatch):
 
     monkeypatch.setattr(subproblem, "inner_minimax", fail_first)
     p, st = _ties_plant()
-    sol = theta_and_step(p, orthant(2), np.array([0.0]), st, 1.0, box=p.domain_box)
+    x = np.array([0.0])
+    sol = theta_and_step(p, orthant(2), x, st, 1.0, derivatives_all(p, x), box=p.domain_box)
     assert sol.feasible is True
     assert sol.a_star == (1, 4) and sol.t_star < 0.0
 
@@ -203,10 +207,10 @@ def test_theta_solves_first_tuple_of_offset_family():
     p = registry("fdsa_n2_m3")
     cone = orthant(3)
     x = np.array([0.33, -0.93])
-    st = minimal_structure(p, cone, x)
+    st = structure_from_values(p.eval_all(x), cone)
     assert st.partition_count() > PARTITION_CAP
     box_shift = (p.domain_box[0] - x, p.domain_box[1] - x)
-    sol = theta_and_step(p, cone, x, st, 1.0, box=p.domain_box)
+    sol = theta_and_step(p, cone, x, st, 1.0, derivatives_all(p, x), box=p.domain_box)
     first = tuple(g[0] for g in st.groups)
     assert sol.a_star == first
     jac, hess = derivatives_all(p, x)
@@ -223,8 +227,8 @@ def test_theta_uses_box_rows():
                                 (0.0, 1.0))
     cone = orthant(1)
     x = np.zeros(2)
-    st = minimal_structure(p, cone, x)
-    boxed = theta_and_step(p, cone, x, st, 1.0, box=p.domain_box)
+    st = structure_from_values(p.eval_all(x), cone)
+    boxed = theta_and_step(p, cone, x, st, 1.0, derivatives_all(p, x), box=p.domain_box)
     assert abs(boxed.t_star) < 1e-9
     free = criticality_value(p, cone, x, st, radius=1.0)
     assert free.t_star < -0.5  # descent exists without the box
@@ -298,7 +302,7 @@ def test_inner_minimax_bitwise_on_repeated_blocks(n):
 def _phi_oracle(models, cone, S):
     """phi at each row of S, straight from the model definition."""
     vals = np.full(len(S), -np.inf)
-    for j in range(models.omega):
+    for j in range(len(models.G)):
         lin = S @ models.G[j].T
         quad = lin + 0.5 * np.stack([np.sum((S @ h) * S, axis=1) for h in models.H[j]], axis=1)
         vals = np.maximum(vals, np.maximum(cone.scalarize_rows(quad), cone.scalarize_rows(lin)))
@@ -666,8 +670,8 @@ def test_criticality_value_never_takes_the_bound(monkeypatch):
     p = registry("dtlz3_n5_m4")
     cone = orthant(4)
     x = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
-    st = minimal_structure(p, cone, x)
-    skipped = theta_and_step(p, cone, x, st, 1.0, stop_tol=1e-3)
+    st = structure_from_values(p.eval_all(x), cone)
+    skipped = theta_and_step(p, cone, x, st, 1.0, derivatives_all(p, x), stop_tol=1e-3)
     assert skipped.t_star == 0.0 and not np.any(skipped.s_star)
     cert = criticality_value(p, cone, x, st, radius=1.0)
     original = subproblem.inner_minimax
