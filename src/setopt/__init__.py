@@ -5,7 +5,7 @@ first-order baselines, a test-problem registry, and a benchmark harness
 with performance profiles.
 """
 
-from .cone import Cone, ConeError, Region, k2prime, orthant, preset
+from .cone import Cone, ConeError, k2prime, orthant, preset
 from .partition import (
     MinimalStructure,
     PartitionCapError,
@@ -39,18 +39,17 @@ from .subproblem import (
     SubproblemSolution,
     criticality_value,
     inner_minimax,
-    predicted_reduction,
     theta_and_step,
 )
 
 __all__ = [
-    "Cone", "ConeError", "Region", "orthant", "k2prime", "preset",
+    "Cone", "ConeError", "orthant", "k2prime", "preset",
     "MinimalStructure", "PartitionCapError", "minimal_elements",
     "structure_from_values", "partition_iter",
     "SetValuedProblem", "DerivativeTable", "DomainError",
     "UnknownProblemError", "from_functions", "problem_ids", "registry",
     "ModelSet", "SubproblemSolution", "InnerSolveFailure", "inner_minimax",
-    "predicted_reduction", "theta_and_step", "criticality_value",
+    "theta_and_step", "criticality_value",
     "SolverConfig", "RunResult", "IterationRecord", "NonMonotoneMemory",
     "SolverInternalError", "StepMemo", "accept_and_update", "reduction_ratios", "run",
 ]

@@ -37,12 +37,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Reject a config ``run_matrix`` could not run, before any run:
-        every algorithm and ``it_max`` must pass ``SolverConfig``'s checks
-        and every problem id must be registered (ValueError)."""
+        ``points_per_problem`` must be an integer >= 1, every algorithm and
+        ``it_max`` must pass ``SolverConfig``'s checks and every problem id
+        must be registered (ValueError)."""
         object.__setattr__(self, "problem_ids", tuple(self.problem_ids))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        if self.points_per_problem < 1:
-            raise ValueError("points_per_problem must be >= 1")
+        if not (type(self.points_per_problem) is int and 1 <= self.points_per_problem):
+            raise ValueError(f"need an integer points_per_problem >= 1, "
+                             f"got {self.points_per_problem!r}")
         for algo in self.algorithms:
             SolverConfig(variant=algo, it_max=self.it_max)
         for pid in self.problem_ids:

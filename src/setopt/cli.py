@@ -108,7 +108,6 @@ def criticality(problem, point, cone_spec, radius):
         "t": sol.t_star,
         "a": list(sol.a_star),
         "s": sol.s_star.tolist(),
-        "feasible": sol.feasible,
     }, indent=2))
 
 

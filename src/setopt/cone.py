@@ -11,7 +11,6 @@ function.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
 
@@ -24,14 +23,6 @@ class ConeError(ValueError):
     """The given dual normals do not describe a usable ordering cone."""
 
 
-class Region(enum.Enum):
-    """Position of a point relative to -K."""
-
-    INTERIOR_NEG_K = "InteriorNegK"
-    BOUNDARY_NEG_K = "BoundaryNegK"
-    EXTERIOR_NEG_K = "ExteriorNegK"
-
-
 @dataclass(frozen=True)
 class Cone:
     """Closed convex pointed solid polyhedral cone in R^m.
@@ -40,8 +31,6 @@ class Cone:
     ----------
     dual_normals : array_like, shape (q, m)
         Halfspace normals; each row is rescaled to unit 1-norm.
-    tolerance : float
-        Absolute slack used by ``classify`` and the partition's order tests.
 
     Construction verifies that the cone is solid (some y has
     ``w_j^T y > 0`` for every j: by Gordan's alternative, when the min-norm
@@ -50,7 +39,6 @@ class Cone:
     """
 
     dual_normals: np.ndarray
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         w = np.atleast_2d(np.asarray(self.dual_normals, dtype=float))
@@ -62,8 +50,6 @@ class Cone:
         w = w / norms[:, None]
         w.setflags(write=False)
         object.__setattr__(self, "dual_normals", w)
-        if self.tolerance < 0:
-            raise ConeError("tolerance must be nonnegative")
         if np.linalg.matrix_rank(w) < self.m:
             raise ConeError("cone is not pointed: dual normals do not span R^m")
         if np.linalg.norm(min_norm_point(w)) <= 1e-9:
@@ -84,15 +70,6 @@ class Cone:
         ``ys @ W.T`` need not, away from the orthant.
         """
         return np.max(np.matvec(self.dual_normals, np.asarray(ys, dtype=float)), axis=-1)
-
-    def classify(self, y) -> Region:
-        """Locate y relative to -K within the cone tolerance."""
-        v = self.scalarize(y)
-        if v < -self.tolerance:
-            return Region.INTERIOR_NEG_K
-        if v <= self.tolerance:
-            return Region.BOUNDARY_NEG_K
-        return Region.EXTERIOR_NEG_K
 
     def to_json(self) -> str:
         return json.dumps({"dual_normals": self.dual_normals.tolist()})

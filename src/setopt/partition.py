@@ -59,15 +59,18 @@ def _sup_distances(vals: np.ndarray) -> np.ndarray:
     return dist
 
 
+# absolute slack of the order tests in ``_dominated``
+ORDER_SLACK = 1e-10
+
+
 def _dominated(vals: np.ndarray, cone: Cone, strict: bool) -> np.ndarray:
     """[i, j]: vals[j] <_K vals[i] if ``strict``, else vals[j] <=_K vals[i];
     False for i == j.  One pass per dual normal compares w_l^T (vals[i] -
-    vals[j]) with the cone tolerance."""
-    tol = cone.tolerance
+    vals[j]) with ``ORDER_SLACK``."""
     out = np.ones((vals.shape[0],) * 2, dtype=bool)
     for col in (vals @ cone.dual_normals.T).T:
         diff = col[:, None] - col[None, :]
-        out &= diff > tol if strict else diff >= -tol
+        out &= diff > ORDER_SLACK if strict else diff >= -ORDER_SLACK
     np.fill_diagonal(out, False)
     return out
 

@@ -31,11 +31,12 @@ _CLAMP_DELTA = 1e-9
 
 
 class DomainError(ValueError):
-    """A component function evaluated to a non-finite value."""
+    """A component function, or a finite-difference derivative, evaluated to
+    a non-finite value."""
 
 
-def _non_finite(name: str, x: np.ndarray) -> DomainError:
-    return DomainError(f"{name}: non-finite value at x={x.tolist()}")
+def _non_finite(name: str, x: np.ndarray, what: str = "value") -> DomainError:
+    return DomainError(f"{name}: non-finite {what} at x={x.tolist()}")
 
 
 class UnknownProblemError(KeyError):
@@ -189,10 +190,15 @@ def _family(problem: SetValuedProblem, arr: np.ndarray) -> np.ndarray:
 
 
 def fd_jacobian_all(problem: SetValuedProblem, x) -> np.ndarray:
-    """Central-difference Jacobians of all p functions, shape (p, m, n)."""
+    """Central-difference Jacobians of all p functions, shape (p, m, n);
+    DomainError when an entry is not finite (finite values whose difference
+    quotient overflows)."""
     x = np.asarray(x, dtype=float).reshape(problem.n)
     c = _fd_center(problem, x, with_hessian=False)
-    return _family(problem, _jacobians(problem, c[None])[0])
+    jac = _jacobians(problem, c[None])[0]
+    if not np.isfinite(jac).all():
+        raise _non_finite(problem.name, x, "derivative")
+    return _family(problem, jac)
 
 
 def derivatives_all(problem: SetValuedProblem, x):
@@ -202,7 +208,8 @@ def derivatives_all(problem: SetValuedProblem, x):
     every member's block is the same read-only view.  The Hessian is the
     symmetrised central differences of the Jacobians at the 2n points
     c +- d_j e_j; those Jacobians and the one at the centre c come from
-    one evaluator call.
+    one evaluator call.  DomainError when an entry of either is not finite,
+    as ``fd_jacobian_all``.
     """
     x = np.asarray(x, dtype=float).reshape(problem.n)
     c = _fd_center(problem, x, with_hessian=True)
@@ -210,7 +217,10 @@ def derivatives_all(problem: SetValuedProblem, x):
     centres = np.concatenate((c[None], _stencil(c[None], steps).reshape(-1, problem.n)))
     jac = _jacobians(problem, centres)
     hess = _differences(jac[1:].reshape(1, problem.n, 2, *jac.shape[1:]), steps)[0]
-    return _family(problem, jac[0]), _family(problem, 0.5 * (hess + hess.swapaxes(-2, -1)))
+    hess = 0.5 * (hess + hess.swapaxes(-2, -1))
+    if not (np.isfinite(jac[0]).all() and np.isfinite(hess).all()):
+        raise _non_finite(problem.name, x, "derivative")
+    return _family(problem, jac[0]), _family(problem, hess)
 
 
 class DerivativeTable:

@@ -33,7 +33,7 @@ from ._scipy_core import min_norm_point
 from .cone import Cone
 from .partition import PartitionCapError, best_tuple, structure_from_values
 from .problems import DerivativeTable, DomainError, SetValuedProblem
-from .subproblem import ModelSet, scalarized_rows, theta_and_step
+from .subproblem import InnerSolveFailure, ModelSet, scalarized_rows, theta_and_step
 
 log = logging.getLogger(__name__)
 
@@ -76,16 +76,15 @@ class SolverConfig:
             raise ValueError("need 0 < omega0 <= omega_max")
         if not (0.0 <= self.mu < 1.0):
             raise ValueError("need 0 <= mu < 1")
-        if not (0.0 < self.nu < 1.0):
-            raise ValueError("need 0 < nu < 1")
-        if not (0.0 < self.sigma < 1.0):
-            raise ValueError(f"need 0 < sigma < 1, got {self.sigma!r}")
-        if self.n_memory < 0:
-            raise ValueError(f"need n_memory >= 0, got {self.n_memory!r}")
-        if self.it_max < 1:
-            raise ValueError(f"need it_max >= 1, got {self.it_max!r}")
-        if self.eps <= 0.0:
-            raise ValueError(f"need eps > 0, got {self.eps!r}")
+        for name in ("nu", "sigma", "rho_armijo"):
+            if not (0.0 < getattr(self, name) < 1.0):
+                raise ValueError(f"need 0 < {name} < 1, got {getattr(self, name)!r}")
+        if not (type(self.n_memory) is int and 0 <= self.n_memory):
+            raise ValueError(f"need an integer n_memory >= 0, got {self.n_memory!r}")
+        if not (type(self.it_max) is int and 1 <= self.it_max):
+            raise ValueError(f"need an integer it_max >= 1, got {self.it_max!r}")
+        if not (0.0 < self.eps < np.inf):
+            raise ValueError(f"need 0 < eps < inf, got {self.eps!r}")
 
 
 @dataclass
@@ -187,8 +186,9 @@ class NonMonotoneMemory:
 def reduction_ratios(memory: NonMonotoneMemory, F_new: np.ndarray, a: tuple,
                      s: np.ndarray, models: ModelSet, cone: Cone) -> np.ndarray:
     """Per-block ratios of scalarized actual to predicted reduction, all
-    blocks in one pass; each ratio is bitwise that of the block alone
-    (``predicted_reduction`` over ``cone.scalarize``)."""
+    blocks in one pass; each ratio is bitwise that of the block alone, the
+    ``cone.scalarize`` of its reduction over that of its model decrease
+    -m^j(s)."""
     pred = cone.scalarize_rows(-models.values(s))
     bad = np.flatnonzero(pred <= 0.0)
     if bad.size:
@@ -397,7 +397,7 @@ class StepMemo:
         if offsets is None:
             return self._get(("partition", x.tobytes()), lambda: compute(F_x), ledger)[0]
         w = self.cone.dual_normals
-        key = (w.shape, w.tobytes(), self.cone.tolerance)
+        key = (w.shape, w.tobytes())
         if key not in self.problem.partitions:
             self.problem.partitions[key] = compute(offsets)
         return self.problem.partitions[key]
@@ -452,9 +452,12 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     first-order bound skips the solve).  The step rule is the ratio
     test with the radius update, or Armijo backtracking along v (SD) or
     the conjugate direction (CG).  Iterates always stay inside the domain
-    box.  Every evaluation, partition, step and line search goes through
-    ``memo`` (a private one when None is given); a memo bound to another
-    problem or cone raises ValueError.
+    box.  A failure at a point (``DomainError`` from a value or derivative,
+    ``PartitionCapError``, or ``InnerSolveFailure`` when no tuple's step
+    problem is solved) ends the run unconverged, with the exception as its
+    diagnostic.  Every evaluation, partition, step and line search goes
+    through ``memo`` (a private one when None is given); a memo bound to
+    another problem or cone raises ValueError.
     """
     lo, hi = problem.domain_box
     x = np.asarray(x0, dtype=float).reshape(problem.n)
@@ -484,12 +487,10 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
             if trust_region:
                 sol, shared = memo.step(x, structure, omega, config.eps, ledger)
                 a, t = sol.a_star, sol.t_star
-                if not sol.feasible and diagnostic is None:
-                    diagnostic = "inner solver failed for every partition element"
             else:
                 a, v, blocks = memo.direction(x, structure, ledger)
                 t = -float(np.linalg.norm(v))
-        except (DomainError, PartitionCapError) as exc:
+        except (DomainError, PartitionCapError, InnerSolveFailure) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"
             iterations = k
             break

@@ -53,7 +53,8 @@ _SLSQP_FTOL = 1e-12
 
 
 class InnerSolveFailure(RuntimeError):
-    """The inner solver met non-finite model data."""
+    """The inner solver met non-finite model data or values; from
+    ``theta_and_step``, no tuple of the partition could be solved."""
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,9 @@ class ModelSet:
     G: np.ndarray
     H: np.ndarray
 
-    def value(self, j: int, s: np.ndarray) -> np.ndarray:
-        """Model increment m^j(s) in R^m; m^j(0) = 0."""
-        return self.G[j] @ s + 0.5 * np.einsum("rab,a,b->r", self.H[j], s, s)
-
     def values(self, s: np.ndarray) -> np.ndarray:
-        """Model increments of every block, (omega, m); row j is bitwise
-        ``value(j, s)``."""
+        """Model increments m^j(s) = G_j s + s^T H_j s / 2 of every block,
+        (omega, m); m^j(0) = 0."""
         return self.G @ s + 0.5 * np.einsum("jrab,a,b->jr", self.H, s, s)
 
 
@@ -80,12 +77,12 @@ def scalarized_rows(cone: Cone, G: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SubproblemSolution:
-    """Winning tuple a*, trial step s*, and criticality value t* <= 0."""
+    """Winning tuple a*, trial step s*, criticality value t* <= 0, and the
+    models of a*'s blocks."""
 
     a_star: tuple
     s_star: np.ndarray
     t_star: float
-    feasible: bool
     models: ModelSet | None = field(default=None, repr=False)
 
 
@@ -325,11 +322,6 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None, *
     return InnerResult(cand[k], float(vals[k]), statuses)
 
 
-def predicted_reduction(models: ModelSet, cone: Cone, j: int, s: np.ndarray) -> float:
-    """Scalarized model decrease of block j: Delta(m^j(0) - m^j(s))."""
-    return cone.scalarize(-models.value(j, np.asarray(s, dtype=float)))
-
-
 def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalStructure,
                    radius: float, derivatives, box=None, *,
                    stop_tol: float | None = None) -> SubproblemSolution:
@@ -338,9 +330,9 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
     ``derivatives`` is the family's (Jacobians, Hessians) bundle at x, as
     ``problems.derivatives_all`` returns it; the caller owns its caching.
     ``best_tuple`` picks the tuple: the least t, ties to the earliest tuple
-    in lexicographic order, one tuple for an offset family.  A per-tuple
-    inner failure contributes (s=0, t=0) so it never fabricates descent;
-    the result is marked infeasible only when every tuple fails.
+    in lexicographic order, one tuple for an offset family.  A tuple whose
+    ``inner_minimax`` raises ``InnerSolveFailure`` counts as t = +inf, so it
+    never wins; when no tuple is solved, ``InnerSolveFailure`` is raised.
     ``stop_tol`` goes to each ``inner_minimax`` call; a tuple it skips has
     t = 0 > -stop_tol, so it never wins over a tuple that would go on.
     """
@@ -350,26 +342,22 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
     if box is not None:
         box_shift = (np.asarray(box[0], float) - x, np.asarray(box[1], float) - x)
 
-    solved = []
-
     def solve(a):
         idx = [ai - 1 for ai in a]
         models = ModelSet(G=jac_all[idx], H=hess_all[idx])
         try:
             res = inner_minimax(models, cone, radius, box_shift, stop_tol=stop_tol)
-        except InnerSolveFailure:
-            res = InnerResult(np.zeros(problem.n), 0.0)
-            solved.append(False)
-        else:
-            solved.append(True)
-        return res.t, res.s, models
+        except InnerSolveFailure as exc:
+            return np.inf, None, None, exc
+        return res.t, res.s, models, None
 
-    a_star, (t_star, s_star, models) = best_tuple(problem, structure, solve)
+    a_star, (t_star, s_star, models, failure) = best_tuple(problem, structure, solve)
+    if failure is not None:
+        raise InnerSolveFailure(f"no partition tuple solved at x={x.tolist()}: {failure}")
     if t_star > 0.0:
         log.debug("clamping positive subproblem value %.3e to 0", t_star)
         t_star = 0.0
-    return SubproblemSolution(a_star=a_star, s_star=s_star, t_star=t_star,
-                              feasible=any(solved), models=models)
+    return SubproblemSolution(a_star=a_star, s_star=s_star, t_star=t_star, models=models)
 
 
 def criticality_value(problem: SetValuedProblem, cone: Cone, x, structure: MinimalStructure,
@@ -383,7 +371,9 @@ def criticality_value(problem: SetValuedProblem, cone: Cone, x, structure: Minim
     current radius, which can vanish at a point that this certificate shows
     is not critical (a box wall, or a collapsed radius); for SD and CG it
     reads -|v| of the box-free steepest-descent direction.  It passes no
-    ``stop_tol``, so every value it returns is a full solve's.
+    ``stop_tol``, so every value it returns is a full solve's.  Non-finite
+    derivatives raise ``DomainError``, and a point where no tuple is solved
+    ``InnerSolveFailure``.
     """
     return theta_and_step(problem, cone, x, structure, radius,
                           problems.derivatives_all(problem, x))

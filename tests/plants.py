@@ -1,6 +1,7 @@
 """Smoke-test plants: small problems with closed-form derivatives, built
 with ``from_functions``; ``test_problems`` checks the finite differences
-against each plant's exact Jacobian."""
+against each plant's exact Jacobian.  The overflow plant has finite values
+and no finite difference quotient at 0."""
 
 import numpy as np
 
@@ -26,3 +27,10 @@ def make_sphere_helper_plant():
     """The scalar helper (x - 1/2)^2 of the sphere family; its slope is 2 (x - 1/2)."""
     return from_functions("sphere_helper_plant", 1, 1,
                           [lambda x: np.array([(x[0] - 0.5) ** 2])], (0.0, 1.0))
+
+
+def make_overflow_plant():
+    """f(x) = +-1.7e308 by the sign of x on [-1, 1]: every value is finite, but
+    a central difference across 0 overflows to inf."""
+    return from_functions("overflow_plant", 1, 1,
+                          [lambda x: np.array([np.copysign(1.7e308, x[0])])], (-1.0, 1.0))

@@ -230,6 +230,8 @@ def test_experiment_config_json_roundtrip():
     ({"algorithms": ("tr", "sd")}, "'tr'"),
     ({"it_max": 0}, "it_max >= 1, got 0"),
     ({"problem_ids": ("dgo1",)}, "'dgo1'"),
+    ({"it_max": 2.5}, "integer it_max >= 1, got 2.5"),
+    ({"points_per_problem": 1.5}, "integer points_per_problem >= 1, got 1.5"),
 ])
 def test_experiment_config_rejects_what_run_matrix_cannot_run(fields, message):
     # checked up front, so run_matrix never stores a failure record for it

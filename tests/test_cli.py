@@ -63,9 +63,11 @@ def test_solve_with_trace_and_config(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [("nu", 1.0), ("variant", "sd"), ("radius", 2.0),
-                                          ("sigma", 3.0)])
+                                          ("sigma", 3.0), ("it_max", 2.5),
+                                          ("eps", float("nan")), ("rho_armijo", -5.0)])
 def test_solve_bad_config_is_usage_error(tmp_path, field, value):
-    # out of range, set by --algo, not a SolverConfig field, and out of range
+    # out of range, set by --algo, not a SolverConfig field, out of range, not
+    # an integer, NaN (JSON's NaN), and a slope that would admit an increase
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({field: value}))
     result = CliRunner().invoke(main, [
@@ -96,6 +98,8 @@ def test_experiment_unknown_key_is_usage_error(tmp_path, command):
     ({"algorithms": ["tr", "sd"]}, "'tr'"),
     ({"it_max": 0}, "got 0"),
     ({"problem_ids": ["dgo1"]}, "'dgo1'"),
+    ({"it_max": 2.5}, "got 2.5"),
+    ({"points_per_problem": 1.5}, "got 1.5"),
 ])
 def test_run_bad_experiment_is_usage_error(tmp_path, fields, message):
     # rejected before the first run: no store file, so no failure record to resume past

@@ -5,6 +5,7 @@ import pytest
 
 from setopt.cone import k2prime, orthant
 from setopt.partition import (
+    ORDER_SLACK,
     PartitionCapError,
     grouping_tolerance,
     minimal_elements,
@@ -28,9 +29,9 @@ def oracle_minimal(values, cone, value_tol=0.0):
                 continue
             equal = float(np.max(np.abs(vals[j] - vals[i]))) <= value_tol
             margins = cone.dual_normals @ (vals[i] - vals[j])
-            if np.all(margins >= -cone.tolerance) and not equal:
+            if np.all(margins >= -ORDER_SLACK) and not equal:
                 dominated = True
-            if np.all(margins > cone.tolerance):
+            if np.all(margins > ORDER_SLACK):
                 strictly = True
         if not dominated:
             min_idx.append(i)

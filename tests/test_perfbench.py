@@ -1,8 +1,17 @@
 """The names that ``perfbench/run.py --trace 1`` patches must exist in the
-program, and the traced pass must leave every one as it found it."""
+program, and the traced pass must leave every one as it found it; the
+benchmark's certifier must not certify a point where no step problem can be
+posed."""
 
 import importlib
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from setopt import cone, problems
+
+from plants import make_overflow_plant
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -21,3 +30,12 @@ def test_tracer_patches_and_restores_every_name(monkeypatch):
         tracer.restore()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, (owner, attr)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_certifier_rejects_a_point_without_derivatives(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = importlib.import_module("worker")
+    monkeypatch.setattr(problems, "registry", lambda pid: make_overflow_plant())
+    monkeypatch.setattr(cone, "preset", lambda name: cone.orthant(1))
+    assert worker.certified(("overflow_plant", "orthant:1", np.zeros(1).tobytes())) is False

@@ -5,6 +5,7 @@ import pytest
 
 from setopt.bench import _problem_seed, sample_points
 from setopt.cone import orthant
+from setopt.partition import structure_from_values
 from setopt.problems import (
     DomainError,
     UnknownProblemError,
@@ -20,8 +21,14 @@ from setopt.problems import (
     registry,
 )
 from setopt.solvers import VARIANTS, SolverConfig, run
+from setopt.subproblem import criticality_value
 
-from plants import make_linear_plant, make_quadratic_plant, make_sphere_helper_plant
+from plants import (
+    make_linear_plant,
+    make_overflow_plant,
+    make_quadratic_plant,
+    make_sphere_helper_plant,
+)
 
 EXPECTED_IDS = {
     "zdt1_n2_m2", "zdt1_n5_m2", "zdt1_n8_m2", "zdt1_n10_m2", "zdt4_n10_m2",
@@ -141,6 +148,29 @@ def test_domain_error_outside_range():
     p = registry("dgo2_n1_m2")
     with pytest.raises(DomainError):
         p.eval_all([10.0])  # sqrt(81 - 100) undefined
+
+
+_OVERFLOW = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+
+@_OVERFLOW
+def test_non_finite_derivatives_raise_domain_error():
+    # every value is finite, but the difference quotients across 0 overflow
+    p, x = make_overflow_plant(), np.zeros(1)
+    for derivatives in (derivatives_all, fd_jacobian_all):
+        with pytest.raises(DomainError, match=r"non-finite derivative at x=\[0\.0\]"):
+            derivatives(p, x)
+    with pytest.raises(DomainError):
+        criticality_value(p, orthant(1), x, structure_from_values(p.eval_all(x), orthant(1)))
+
+
+@_OVERFLOW
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_non_finite_derivatives_end_a_run_unconverged(variant):
+    # no step problem can be posed at x0: a failure at the point, not a critical point
+    res = run(make_overflow_plant(), orthant(1), np.zeros(1), SolverConfig(variant=variant))
+    assert not res.converged and res.iterations == 0
+    assert res.diagnostic.startswith("DomainError: overflow_plant: non-finite derivative")
 
 
 def test_eval_all_row_is_member():

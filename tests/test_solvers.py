@@ -31,7 +31,7 @@ from setopt.solvers import (
     reduction_ratios,
     run,
 )
-from setopt.subproblem import ModelSet, predicted_reduction
+from setopt.subproblem import ModelSet
 
 from plants import make_quadratic_plant
 
@@ -51,6 +51,12 @@ def test_config_validation():
     for nu in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError):
             SolverConfig(nu=nu)
+    # every range test fails on NaN; the counts must be integers, not bools
+    for field, value in (("eps", float("nan")), ("eps", np.inf), ("rho_armijo", -5.0),
+                         ("rho_armijo", 1.0), ("sigma", float("nan")), ("it_max", 2.5),
+                         ("it_max", True), ("n_memory", 2.5), ("n_memory", float("nan"))):
+        with pytest.raises(ValueError, match=f"{field}.*got {value!r}"):
+            SolverConfig(**{field: value})
 
 
 def test_accept_and_update_examples():
@@ -182,8 +188,11 @@ def test_reduction_ratios_match_the_per_block_loop():
     mem.begin_iteration(F_x, a)
     # k2prime: a matmul over the rows would not give scalarize's bits
     for cone in (orthant(2), k2prime()):
+        # each block alone: its model decrease -m^j(s), scalarized
         looped = [-cone.scalarize(F_new[ai - 1] - F_x[ai - 1])
-                  / predicted_reduction(models, cone, j, s) for j, ai in enumerate(a)]
+                  / cone.scalarize(-(models.G[j] @ s
+                                     + 0.5 * np.einsum("rab,a,b->r", models.H[j], s, s)))
+                  for j, ai in enumerate(a)]
         rho = reduction_ratios(mem, F_new, a, s, models, cone)
         assert rho.tobytes() == np.array(looped).tobytes()
 
@@ -520,12 +529,16 @@ def test_failed_armijo_search_takes_doubling_chunks(monkeypatch):
 
 
 def test_failed_armijo_search_in_a_run(monkeypatch):
-    # on a convex f no step decreases f by twice its linear prediction,
-    # so with rho_armijo = 2 every search fails and CG keeps restarting
-    p = make_quadratic_plant(np.eye(2))
+    # f(x) = |x|^2 / 2, but 1e3 lower at x0 alone: the derivatives miss the dip,
+    # every trial point lies above F(x0), so every search fails and CG keeps
+    # restarting
+    x0 = np.array([3.0, -2.0])
+    p = from_functions("dipped_plant", 2, 1,
+                       [lambda x: np.array([0.5 * x @ x - 1e3 * np.array_equal(x, x0)])],
+                       (-10.0, 10.0))
     for variant in ("sd", "cg"):
-        res = _batched_and_looped(monkeypatch, p, orthant(1), np.array([3.0, -2.0]),
-                                  SolverConfig(variant=variant, it_max=3, rho_armijo=2.0))
+        res = _batched_and_looped(monkeypatch, p, orthant(1), x0,
+                                  SolverConfig(variant=variant, it_max=3))
         assert [(r.accepted, r.omega) for r in res.trace] == [(False, 0.0)] * 3
 
 
@@ -753,12 +766,12 @@ def test_offset_partition_is_computed_once_per_problem_and_cone(monkeypatch, tmp
     records = run_matrix(config, str(tmp_path / "zdt1.jsonl"))
     assert len(records) == 15 and len({memo for memo, _ in asked}) == 3
     assert len(asked) > 3 and len(calls) == 1
-    # other normals, or the same normals at another tolerance, are grouped anew
+    # other normals are grouped anew; a new cone with the same normals is not
     problem, x = registry("zdt1_n2_m2"), np.array([0.5, 0.5])
-    for cone in (k2prime(), Cone(np.eye(2), tolerance=1e-6), orthant(2)):
+    for cone in (k2prime(), Cone(np.eye(2)), orthant(2)):
         memo = StepMemo(problem, cone)
         memo.partition(x, problem.eval_all(x), memo.ledger(problem, cone))
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_whole_family_partition_is_computed_once_per_new_x(monkeypatch, tmp_path):

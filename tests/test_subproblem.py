@@ -14,7 +14,6 @@ from setopt.subproblem import (
     _Branches,
     criticality_value,
     inner_minimax,
-    predicted_reduction,
     theta_and_step,
 )
 
@@ -31,6 +30,16 @@ def grid_oracle(models, cone, radius, box_shift=None, points=201):
     if box_shift is not None:
         mask &= np.all(pts >= box_shift[0], axis=1) & np.all(pts <= box_shift[1], axis=1)
     return float(br.phi_values(pts[mask]).min())
+
+
+def model_value(models, j, s):
+    """Reference model increment m^j(s) = G_j s + s^T H_j s / 2 of block j alone."""
+    return models.G[j] @ s + 0.5 * np.einsum("rab,a,b->r", models.H[j], s, s)
+
+
+def predicted_reduction(models, cone, j, s):
+    """Reference scalarized model decrease of block j: Delta(m^j(0) - m^j(s))."""
+    return cone.scalarize(-model_value(models, j, np.asarray(s, dtype=float)))
 
 
 def zero_models(omega=1, m=1, n=2):
@@ -92,7 +101,7 @@ def test_t_nonpositive_and_self_consistent_random():
         assert res.t <= 0.0
         assert np.linalg.norm(res.s) <= radius + 1e-9
         recompute = max(
-            max(cone.scalarize(models.value(j, res.s)) for j in range(omega)),
+            max(cone.scalarize(model_value(models, j, res.s)) for j in range(omega)),
             max(cone.scalarize(models.G[j] @ res.s) for j in range(omega)),
         )
         assert res.t == pytest.approx(recompute, abs=1e-9)
@@ -120,7 +129,6 @@ def test_theta_at_critical_point():
     sol = theta_and_step(p, cone, x, st, 1.0, derivatives_all(p, x), box=p.domain_box)
     assert abs(sol.t_star) < 1e-9
     assert np.allclose(sol.s_star, 0.0, atol=1e-6)
-    assert sol.feasible
 
 
 def test_theta_deterministic():
@@ -170,18 +178,19 @@ def test_sd_cg_tie_break_lexicographic(variant):
     assert res.trace[0].a == (1, 3)
 
 
-def test_theta_every_tuple_failing_is_infeasible(monkeypatch):
+def test_theta_every_tuple_failing_raises(monkeypatch):
     def fail(*args, **kwargs):
         raise InnerSolveFailure("forced")
 
     monkeypatch.setattr(subproblem, "inner_minimax", fail)
     p, st = _ties_plant()
     x = np.array([0.0])
-    sol = theta_and_step(p, orthant(2), x, st, 1.0, derivatives_all(p, x), box=p.domain_box)
-    assert sol.feasible is False
-    assert sol.t_star == 0.0 and not np.any(sol.s_star)
-    res = run(p, orthant(2), np.array([0.0]), SolverConfig(variant="trm"))
-    assert res.diagnostic == "inner solver failed for every partition element"
+    with pytest.raises(InnerSolveFailure, match="forced"):
+        theta_and_step(p, orthant(2), x, st, 1.0, derivatives_all(p, x), box=p.domain_box)
+    # no t = 0 stands in for the failed solves, so the run does not stop as converged
+    res = run(p, orthant(2), x, SolverConfig(variant="trm"))
+    assert not res.converged and res.iterations == 0 and not res.trace
+    assert res.diagnostic.startswith("InnerSolveFailure: ")
 
 
 def test_theta_first_tuple_failing_falls_to_next(monkeypatch):
@@ -198,7 +207,6 @@ def test_theta_first_tuple_failing_falls_to_next(monkeypatch):
     p, st = _ties_plant()
     x = np.array([0.0])
     sol = theta_and_step(p, orthant(2), x, st, 1.0, derivatives_all(p, x), box=p.domain_box)
-    assert sol.feasible is True
     assert sol.a_star == (1, 4) and sol.t_star < 0.0
 
 
