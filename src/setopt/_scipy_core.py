@@ -36,8 +36,8 @@ _core = _load_core()
 slsqp = _core.slsqp
 
 
-def min_norm_weights(rows) -> np.ndarray:
-    """Simplex weights lam of the min-norm point ``rows.T @ lam`` of conv(rows).
+def min_norm_point(rows) -> np.ndarray:
+    """The min-norm point ``rows.T @ lam`` of conv(rows), lam in the simplex.
 
     lam = u / sum(u), where u solves the NNLS problem
     min_{u >= 0} ||[R^T; 1^T] u - e_{n+1}|| (Lawson & Hanson 1974, ch. 23);
@@ -52,9 +52,4 @@ def min_norm_weights(rows) -> np.ndarray:
     u, _, info = _core.nnls(np.vstack([R.T, np.ones(R.shape[0])]), rhs, 30 * R.shape[0])
     if info == 3:
         raise RuntimeError("NNLS reached its iteration cap")
-    return u / u.sum()
-
-
-def min_norm_point(rows) -> np.ndarray:
-    """The min-norm point ``rows.T @ min_norm_weights(rows)`` of conv(rows)."""
-    return np.asarray(rows, dtype=np.float64).T @ min_norm_weights(rows)
+    return R.T @ (u / u.sum())

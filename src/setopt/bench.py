@@ -71,8 +71,6 @@ def sample_points(box, n_points: int, seed: int) -> np.ndarray:
     """Uniform box samples from a counter-based generator; seed-stable."""
     lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
     rng = np.random.Generator(np.random.Philox(key=seed % (2 ** 64)))
-    if n_points == 0:
-        return np.empty((0, lo.size))
     return rng.uniform(lo, hi, size=(n_points, lo.size))
 
 
@@ -91,20 +89,10 @@ def load_records(path: str) -> list:
     return records
 
 
-def _result_record(problem_id: str, algorithm: str, index: int, x0, res: RunResult) -> dict:
-    return {
-        "problem": problem_id,
-        "algorithm": algorithm,
-        "point_index": index,
-        "x0": np.asarray(x0).tolist(),
-        "converged": bool(res.converged),
-        "iterations": int(res.iterations),
-        "cpu_time": float(res.cpu_time),
-        "mean_step_size": float(res.mean_step_size),
-        "final_t": float(res.final_t) if np.isfinite(res.final_t) else None,
-        "diagnostic": res.diagnostic,
-        "shared_steps": int(res.shared_steps),
-    }
+def _result_record(problem_id: str, index: int, x0, res: RunResult) -> dict:
+    """The store record of one run: its key and start, then ``res.summary()``."""
+    return {"problem": problem_id, "point_index": index,
+            "x0": np.asarray(x0).tolist()} | res.summary()
 
 
 def run_matrix(config: ExperimentConfig, store_path: str, cone: Cone | None = None) -> list:
@@ -137,13 +125,12 @@ def run_matrix(config: ExperimentConfig, store_path: str, cone: Cone | None = No
                 try:
                     res = run(problem, kone, x0, SolverConfig(variant=algo, it_max=config.it_max),
                               memo=memo)
-                    rec = _result_record(pid, algo, idx, x0, res)
                 except Exception as exc:  # noqa: BLE001 -- failures become records
                     res = RunResult(converged=False, iterations=config.it_max, wall_time=0.0,
                                     cpu_time=0.0, final_point=x0, final_t=float("nan"),
                                     trace=[], algorithm=algo,
                                     diagnostic=f"{type(exc).__name__}: {exc}")
-                    rec = _result_record(pid, algo, idx, x0, res)
+                rec = _result_record(pid, idx, x0, res)
                 fh.write(json.dumps(rec) + "\n")
                 fh.flush()
                 new_records.append(rec)

@@ -86,7 +86,7 @@ def inspect(problem, point, cone_spec):
     min_idx, wmin_idx = partition.minimal_elements(
         values, kone, partition.grouping_tolerance(values))
     click.echo(json.dumps({
-        "omega": structure.omega,
+        "omega": len(structure.groups),
         "groups": [list(g) for g in structure.groups],
         "partition_size": structure.partition_count(),
         "is_regular_hint": min_idx == wmin_idx,

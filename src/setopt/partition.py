@@ -25,18 +25,14 @@ class PartitionCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class MinimalStructure:
-    """Distinct weakly minimal values of F(x) with their active index groups.
+    """The distinct weakly minimal values of F(x), as their active index groups.
 
-    ``values[j]`` is the representative vector of group j, ``groups[j]`` the
-    1-based function indices attaining it, ``omega`` the number of groups.
+    ``groups[j]`` holds the 1-based indices of the members attaining value j,
+    in increasing order; ω is ``len(groups)``.  A group's first member leads
+    it, so its value is row ``groups[j][0] - 1`` of the values grouped.
     """
 
-    values: tuple
     groups: tuple
-    omega: int
-
-    def group_sizes(self) -> tuple:
-        return tuple(len(g) for g in self.groups)
 
     def partition_count(self) -> int:
         count = 1
@@ -110,20 +106,16 @@ def structure_from_values(values: np.ndarray, cone: Cone) -> MinimalStructure:
     groups: list[list[int]] = [[] for _ in range(int(leads.sum()))]
     for i, g in zip(wmin_idx.tolist(), label.tolist()):
         groups[g].append(i + 1)
-    return MinimalStructure(
-        values=tuple(wv[leads]),
-        groups=tuple(tuple(g) for g in groups),
-        omega=len(groups),
-    )
+    return MinimalStructure(tuple(tuple(g) for g in groups))
 
 
 def partition_iter(structure: MinimalStructure):
     """Yield every index tuple of the group product in lexicographic order."""
     count = structure.partition_count()
     if count > PARTITION_CAP:
-        sizes = structure.group_sizes()
         raise PartitionCapError(
-            f"partition set has {count} elements (group sizes {sizes}), cap is {PARTITION_CAP}"
+            f"partition set has {count} elements (group sizes "
+            f"{tuple(len(g) for g in structure.groups)}), cap is {PARTITION_CAP}"
         )
     return itertools.product(*structure.groups)
 

@@ -52,10 +52,7 @@ class SetValuedProblem:
     each constant row of the (p, m) ``offsets``.  On a (k, n) batch it
     returns (k, p, m) or (k, m), each row bitwise the value at that point
     alone.  ``eval_all`` gives F(x), (p, m), or (k, p, m) on a (k, n)
-    batch.  Evaluation is deterministic and reentrant.  ``phi_psi`` keeps
-    the (phi_i, psi_i) angle grid an offset family was built from, so its
-    offsets can be checked against their definition; the solvers never
-    read it.
+    batch.  Evaluation is deterministic and reentrant.
     ``partitions`` is where ``solvers.StepMemo`` keeps an offset family's
     partition, one per cone, once computed.
     """
@@ -66,7 +63,6 @@ class SetValuedProblem:
     p: int
     domain_box: tuple
     evaluator: object
-    phi_psi: np.ndarray | None = None
     notes: str = ""
     offsets: np.ndarray | None = None
     partitions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -170,9 +166,12 @@ def _stencil(centres: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 def _differences(vals: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """(f(+) - f(-)) / (2 step) per axis j from stencil values (r, n, 2, ...),
-    with j moved last: a new C-ordered (r, ..., n) array."""
+    with j moved last: a new C-ordered (r, ..., n) array.  A quotient that
+    overflows is left inf or NaN, without a warning: the callers' finiteness
+    checks turn it into DomainError."""
     r, n = steps.shape
-    d = (vals[:, :, 0] - vals[:, :, 1]) / (2.0 * steps).reshape(r, n, *[1] * (vals.ndim - 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = (vals[:, :, 0] - vals[:, :, 1]) / (2.0 * steps).reshape(r, n, *[1] * (vals.ndim - 3))
     return d.transpose(0, *range(2, d.ndim), 1).copy()
 
 
@@ -366,8 +365,7 @@ def _dtlz_g_rastrigin(xm: np.ndarray):
 
 
 def _dtlz1(n: int = 6, m: int = 4) -> SetValuedProblem:
-    grid = _grid_pi5()
-    phi, psi = grid[:, 0], grid[:, 1]
+    phi, psi = _grid_pi5().T
     pert = np.zeros((100, m))
     pert[:, 0] = np.cos(phi) * np.sin(psi)
     pert[:, 1] = np.sin(phi) * np.sin(psi)
@@ -385,12 +383,11 @@ def _dtlz1(n: int = 6, m: int = 4) -> SetValuedProblem:
         ]).T
 
     return SetValuedProblem(f"dtlz1_n{n}_m{m}", n, m, 100, _uniform_box(n, 0.0, 1.0),
-                            evaluator, phi_psi=grid, offsets=pert)
+                            evaluator, offsets=pert)
 
 
 def _dtlz3(n: int = 5, m: int = 4) -> SetValuedProblem:
-    grid = _grid_pi5()
-    phi, psi = grid[:, 0], grid[:, 1]
+    phi, psi = _grid_pi5().T
     pert = np.zeros((100, m))
     sech = 1.0 / np.cosh(phi)
     pert[:, 0] = sech * np.cos(psi)
@@ -410,14 +407,12 @@ def _dtlz3(n: int = 5, m: int = 4) -> SetValuedProblem:
         ]).T
 
     return SetValuedProblem(
-        f"dtlz3_n{n}_m{m}", n, m, 100, _uniform_box(n, 0.0, 1.0), evaluator,
-        phi_psi=grid, offsets=pert,
+        f"dtlz3_n{n}_m{m}", n, m, 100, _uniform_box(n, 0.0, 1.0), evaluator, offsets=pert,
         notes="first offset component uses cos(psi_i); third base row is cos^2(x1*pi/2)")
 
 
 def _fdsa(n: int = 2, m: int = 3) -> SetValuedProblem:
-    grid = _grid_pi5()
-    phi, psi = grid[:, 0], grid[:, 1]
+    phi, psi = _grid_pi5().T
     pert = np.column_stack([
         1.0 + np.cos(phi) * np.cos(psi),
         1.0 + np.cos(phi) * np.sin(psi),
@@ -432,12 +427,11 @@ def _fdsa(n: int = 2, m: int = 3) -> SetValuedProblem:
         return np.array([g1, g2, g3]).T
 
     return SetValuedProblem(f"fdsa_n{n}_m{m}", n, m, 100, _uniform_box(n, -2.0, 2.0),
-                            evaluator, phi_psi=grid, offsets=pert)
+                            evaluator, offsets=pert)
 
 
 def _dtlz5(n: int, m: int) -> SetValuedProblem:
-    grid = _grid_pi5()
-    phi, psi = grid[:, 0], grid[:, 1]
+    phi, psi = _grid_pi5().T
     pert = np.zeros((100, m))
     pert[:, 0] = 5.0 * psi / (2.0 * np.pi)
     pert[:, 1] = np.cos(phi) / 10.0
@@ -457,7 +451,7 @@ def _dtlz5(n: int, m: int) -> SetValuedProblem:
         ]).T
 
     return SetValuedProblem(f"dtlz5_n{n}_m{m}", n, m, 100, _uniform_box(n, 0.0, 1.0),
-                            evaluator, phi_psi=grid, offsets=pert)
+                            evaluator, offsets=pert)
 
 
 def _dgo1() -> SetValuedProblem:
@@ -518,8 +512,7 @@ def _jos1a(n: int = 5) -> SetValuedProblem:
 
 
 def _rosenbrock(n: int = 4, m: int = 3) -> SetValuedProblem:
-    grid = _grid_pi5()
-    phi, psi = grid[:, 0], grid[:, 1]
+    phi, psi = _grid_pi5().T
     r2 = 16.0 ** 2
     pert = np.column_stack([
         r2 * np.cos(phi) * np.cos(psi) * np.sin(psi),
@@ -533,12 +526,11 @@ def _rosenbrock(n: int = 4, m: int = 3) -> SetValuedProblem:
                          for j in range(3)]).T
 
     return SetValuedProblem(f"rosenbrock_n{n}_m{m}", n, m, 100, _uniform_box(n, -2.0, 2.0),
-                            evaluator, phi_psi=grid, offsets=pert)
+                            evaluator, offsets=pert)
 
 
 def _brown_dennis(n: int = 4, m: int = 5) -> SetValuedProblem:
-    grid = _grid_2pi5()
-    phi, psi = grid[:, 0], grid[:, 1]
+    phi, psi = _grid_2pi5().T
     pert = np.zeros((100, m))
     pert[:, 0] = np.cos(phi) * np.sin(psi)
     pert[:, 1] = np.sin(phi) * np.sin(psi)
@@ -555,12 +547,11 @@ def _brown_dennis(n: int = 4, m: int = 5) -> SetValuedProblem:
         return first ** 2 + second ** 2
 
     return SetValuedProblem(f"brown_dennis_n{n}_m{m}", n, m, 100, (lo, hi), evaluator,
-                            phi_psi=grid, offsets=pert)
+                            offsets=pert)
 
 
 def _trigonometric(n: int = 4, m: int = 4) -> SetValuedProblem:
-    grid = _grid_2pi5()
-    phi, psi = grid[:, 0], grid[:, 1]
+    phi, psi = _grid_2pi5().T
     pert = np.zeros((100, m))
     pert[:, 0] = np.cos(phi) * np.sin(psi)
     pert[:, 1] = np.sin(phi) * np.sin(psi)
@@ -577,8 +568,7 @@ def _trigonometric(n: int = 4, m: int = 4) -> SetValuedProblem:
         ]).T
 
     return SetValuedProblem(f"trigonometric_n{n}_m{m}", n, m, 100,
-                            _uniform_box(n, -1.0, 1.0), evaluator,
-                            phi_psi=grid, offsets=pert,
+                            _uniform_box(n, -1.0, 1.0), evaluator, offsets=pert,
                             notes="fourth base component is not squared")
 
 
@@ -628,8 +618,7 @@ def _modified_ex53() -> SetValuedProblem:
 
 
 def _sphere() -> SetValuedProblem:
-    grid = _grid_sphere()
-    phi, psi = grid[:, 0], grid[:, 1]
+    phi, psi = _grid_sphere().T
     pert = np.column_stack([
         np.cos(phi), np.cos(psi) * np.sin(phi), np.sin(psi) * np.sin(phi),
     ]) / 16.0
@@ -644,7 +633,7 @@ def _sphere() -> SetValuedProblem:
                                        np.sin(u)])).T
 
     return SetValuedProblem("sphere_n3_m3", 3, 3, 100, _uniform_box(3, 0.0, 1.0),
-                            evaluator, phi_psi=grid, offsets=pert)
+                            evaluator, offsets=pert)
 
 
 _BUILDERS = {

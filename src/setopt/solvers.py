@@ -115,6 +115,8 @@ class RunResult:
     shared_steps: int = 0       # iterations whose step another run computed
 
     def summary(self) -> dict:
+        """The run as strict JSON data, a non-finite ``final_t`` as None; a
+        store record of ``bench.run_matrix`` is this plus its key and start."""
         return {
             "algorithm": self.algorithm,
             "converged": self.converged,
@@ -122,7 +124,7 @@ class RunResult:
             "wall_time": self.wall_time,
             "cpu_time": self.cpu_time,
             "final_point": np.asarray(self.final_point).tolist(),
-            "final_t": self.final_t,
+            "final_t": self.final_t if np.isfinite(self.final_t) else None,
             "final_omega": self.final_omega,
             "mean_step_size": self.mean_step_size,
             "diagnostic": self.diagnostic,
@@ -385,21 +387,18 @@ class StepMemo:
         its offsets, grouped at ``grouping_tolerance(offsets)``: every
         w·(F_i(x) - F_j(x)) is w·(c_i - c_j), whatever x.  It is computed
         once per cone and kept on the problem (``problem.partitions``), so
-        runs from every start share it; its ``values`` hold offset rows.  It
-        is no memo entry: the run that computes it pays for it, no other.
-        A whole family's partition is grouped from F(x), an entry keyed by x.
+        runs from every start share it.  It is no memo entry: the run that
+        computes it pays for it, no other.  A whole family's partition is
+        grouped from F(x), an entry keyed by x.
         """
-        def compute(values):
-            structure = structure_from_values(values, self.cone)
-            _read_only(*structure.values)
-            return structure
         offsets = self.problem.offsets
         if offsets is None:
-            return self._get(("partition", x.tobytes()), lambda: compute(F_x), ledger)[0]
+            return self._get(("partition", x.tobytes()),
+                             lambda: structure_from_values(F_x, self.cone), ledger)[0]
         w = self.cone.dual_normals
         key = (w.shape, w.tobytes())
         if key not in self.problem.partitions:
-            self.problem.partitions[key] = compute(offsets)
+            self.problem.partitions[key] = structure_from_values(offsets, self.cone)
         return self.problem.partitions[key]
 
     def step(self, x: np.ndarray, structure, omega: float, eps: float, ledger: _Ledger):
@@ -453,9 +452,10 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     test with the radius update, or Armijo backtracking along v (SD) or
     the conjugate direction (CG).  Iterates always stay inside the domain
     box.  A failure at a point (``DomainError`` from a value or derivative,
-    ``PartitionCapError``, or ``InnerSolveFailure`` when no tuple's step
-    problem is solved) ends the run unconverged, with the exception as its
-    diagnostic.  Every evaluation, partition, step and line search goes
+    ``PartitionCapError``, ``InnerSolveFailure`` when no tuple's step
+    problem is solved, or ``SolverInternalError`` from the ratio test) ends
+    the run unconverged, with the exception as its diagnostic and the last
+    t as ``final_t`` (NaN when it failed before any t).  Every evaluation, partition, step and line search goes
     through ``memo`` (a private one when None is given); a memo bound to
     another problem or cone raises ValueError.
     """
@@ -479,7 +479,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     start, cpu_start = time.perf_counter(), time.process_time()
     underflow_logged = False
     if not trust_region:
-        steps = _backtracking_steps(config.nu)
+        backtracking = _backtracking_steps(config.nu)
     for k in range(config.it_max):
         try:
             F_x = memo.values(x, ledger)
@@ -490,24 +490,20 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
             else:
                 a, v, blocks = memo.direction(x, structure, ledger)
                 t = -float(np.linalg.norm(v))
-        except (DomainError, PartitionCapError, InnerSolveFailure) as exc:
+            if abs(t) < config.eps:
+                converged = True
+                iterations = k
+                break
+            if trust_region:
+                memory.begin_iteration(F_x, a)
+                x_trial = np.clip(x + sol.s_star, lo, hi)
+                F_new = memo.values(x_trial, ledger)
+                rho = reduction_ratios(memory, F_new, a, sol.s_star, sol.models, cone)
+        except (DomainError, PartitionCapError, InnerSolveFailure, SolverInternalError) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"
             iterations = k
             break
-        if abs(t) < config.eps:
-            converged = True
-            iterations = k
-            break
         if trust_region:
-            memory.begin_iteration(F_x, a)
-            x_trial = np.clip(x + sol.s_star, lo, hi)
-            try:
-                F_new = memo.values(x_trial, ledger)
-                rho = reduction_ratios(memory, F_new, a, sol.s_star, sol.models, cone)
-            except (DomainError, SolverInternalError) as exc:
-                diagnostic = f"{type(exc).__name__}: {exc}"
-                iterations = k
-                break
             accepted, omega_next = accept_and_update(rho, omega, config)
             rho = tuple(float(r) for r in rho)
             omega_k, omega = omega, omega_next
@@ -531,7 +527,8 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
                     d, slopes = v, None  # restart when the combined direction loses descent
             if slopes is None:
                 slopes = cone.scalarize_rows(blocks @ d)
-            (step, x_trial), shared = memo.armijo(x, d, idx, F_x, slopes, steps, config, ledger)
+            (step, x_trial), shared = memo.armijo(x, d, idx, F_x, slopes, backtracking, config,
+                                                  ledger)
             accepted = step is not None
             rho = ()
             omega_k = step if accepted else 0.0
@@ -550,10 +547,10 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
             x = x_trial
     wall = time.perf_counter() - start + ledger.wall
     cpu = time.process_time() - cpu_start + ledger.cpu
-    steps = [r.step_norm for r in trace]
+    norms = [r.step_norm for r in trace]
     return RunResult(
         converged=converged, iterations=iterations, wall_time=wall, cpu_time=cpu,
         final_point=np.array(x), final_t=t, trace=trace, algorithm=config.variant,
-        final_omega=omega, mean_step_size=float(np.mean(steps)) if steps else 0.0,
+        final_omega=omega, mean_step_size=float(np.mean(norms)) if norms else 0.0,
         diagnostic=diagnostic, shared_steps=shared_steps,
     )

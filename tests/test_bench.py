@@ -94,6 +94,29 @@ def test_run_matrix_records_a_raising_run(tmp_path, monkeypatch):
         assert rec["final_t"] is None and rec["diagnostic"] == "RuntimeError: boom"
 
 
+def test_run_matrix_records_are_run_summaries(tmp_path, monkeypatch):
+    # ok or failed, a record is its key and start, then the run's summary()
+    results = []
+
+    def run_or_raise(problem, cone, x0, config, memo=None):
+        if config.variant == "max":
+            raise RuntimeError("boom")
+        results.append(solvers.run(problem, cone, x0, config, memo=memo))
+        return results[-1]
+
+    monkeypatch.setattr(bench, "run", run_or_raise)
+    records = run_matrix(_tiny_config(), str(tmp_path / "store.jsonl"))
+    keys = ["problem", "point_index", "x0", *results[0].summary()]
+    assert len(records) == 6 and all(list(rec) == keys for rec in records)
+    ok = [rec for rec in records if rec["algorithm"] == "trm"]
+    assert [{k: rec[k] for k in keys[3:]} for rec in ok] == \
+        [json.loads(json.dumps(res.summary())) for res in results]
+    for rec in records:
+        if rec["algorithm"] == "max":
+            assert rec["final_point"] == rec["x0"] and rec["final_omega"] is None
+            assert rec["wall_time"] == 0.0 and rec["diagnostic"] == "RuntimeError: boom"
+
+
 def test_record_store_roundtrip_exact(tmp_path):
     store = str(tmp_path / "store.jsonl")
     records = run_matrix(_tiny_config(), store)
@@ -330,8 +353,7 @@ def test_shared_memo_runs_are_fresh_memo_runs(tmp_path, monkeypatch):
                         sum(d["result"].shared_steps for d in cones["k2prime"].values()))
         cones = {algo: (_exact(dataclasses.replace(d["result"], **{f: None for f in _OWN})),
                         _exact(d["clouds"])) for algo, d in cones["k2prime"].items()}
-        records = [{k: v for k, v in r.items() if k not in ("cpu_time", "shared_steps")}
-                   for r in records]
+        records = [{k: v for k, v in r.items() if k not in _OWN} for r in records]
         out[share] = (records, cones, runs, shared_steps)
     assert len(out[True][2]) == 4 * 2 * 5 + 2
     assert out[True][:3] == out[False][:3]

@@ -78,13 +78,12 @@ def _const_problem(rows):
 def test_structure_single_function():
     problem = _const_problem([[2.0, 3.0]])
     st = structure_from_values(problem.eval_all([0.0]), orthant(2))
-    assert st.omega == 1 and st.groups == ((1,),)
+    assert st.groups == ((1,),)
 
 
 def test_structure_grouping_by_equality():
     problem = _const_problem([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
     st = structure_from_values(problem.eval_all([0.0]), orthant(2))
-    assert st.omega == 1
     assert st.groups == ((1, 2),)
     vals = problem.eval_all([0.0])
     mi, wmi = minimal_elements(vals, orthant(2), grouping_tolerance(vals))
@@ -99,8 +98,9 @@ def test_structure_matches_oracle_random_points():
         st = structure_from_values(vals, cone)
         _, wmi = oracle_minimal(vals, cone)
         assert sorted(i for g in st.groups for i in g) == [i + 1 for i in wmi]
-        # every group member agrees with its representative
-        for rep, grp in zip(st.values, st.groups):
+        # every group member agrees with its representative, its first member
+        for grp in st.groups:
+            rep = vals[grp[0] - 1]
             for i in grp:
                 assert np.max(np.abs(vals[i - 1] - rep)) <= 1e-8 * (1 + np.max(np.abs(rep)))
 
@@ -111,8 +111,7 @@ def test_structure_idempotent():
     cone = orthant(2)
     a = structure_from_values(vals, cone)
     b = structure_from_values(vals, cone)
-    assert a.groups == b.groups and a.omega == b.omega
-    assert all(np.array_equal(u, v) for u, v in zip(a.values, b.values))
+    assert a == b
 
 
 def test_partition_iter_examples():
@@ -123,9 +122,6 @@ def test_partition_iter_examples():
     class Fake:
         groups = ((1, 2), (3,))
 
-        def group_sizes(self):
-            return (2, 1)
-
         def partition_count(self):
             return 2
 
@@ -133,9 +129,6 @@ def test_partition_iter_examples():
 
     class Fake3:
         groups = ((1, 2), (3, 4), (5,))
-
-        def group_sizes(self):
-            return (2, 2, 1)
 
         def partition_count(self):
             return 4
@@ -158,7 +151,6 @@ def test_partition_cardinality_is_group_product():
 
         st = St()
         st.groups = tuple(groups)
-        st.group_sizes = lambda g=groups: tuple(len(x) for x in g)
         st.partition_count = lambda g=groups: int(np.prod([len(x) for x in g]))
         tuples = list(partition_iter(st))
         assert len(tuples) == st.partition_count()
@@ -169,13 +161,10 @@ def test_partition_cap_error():
     class Big:
         groups = tuple((i, i + 1) for i in range(1, 27, 2))  # 2^13 combinations
 
-        def group_sizes(self):
-            return tuple(2 for _ in range(13))
-
         def partition_count(self):
             return 2 ** 13
 
-    with pytest.raises(PartitionCapError, match="8192"):
+    with pytest.raises(PartitionCapError, match=r"8192 elements \(group sizes \(2, 2,"):
         list(partition_iter(Big()))
 
 
@@ -202,9 +191,9 @@ def assert_matches_reference(vals, cone):
     st = structure_from_values(vals, cone)
     reps, groups = reference_grouping(vals, cone)
     assert st.groups == groups
-    assert st.omega == len(groups)
-    assert len(st.values) == len(reps)
-    assert all(u.tobytes() == v.tobytes() for u, v in zip(st.values, reps))
+    assert len(st.groups) == len(reps)
+    # a group's representative is its first member's row
+    assert all(vals[g[0] - 1].tobytes() == v.tobytes() for g, v in zip(st.groups, reps))
     return st
 
 

@@ -32,7 +32,7 @@ def test_tracer_patches_and_restores_every_name(monkeypatch):
         assert getattr(owner, attr) is original, (owner, attr)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_certifier_rejects_a_point_without_derivatives(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     worker = importlib.import_module("worker")

@@ -13,6 +13,9 @@ from setopt.problems import (
     _fd_center,
     _family,
     _grad_steps,
+    _grid_2pi5,
+    _grid_pi5,
+    _grid_sphere,
     _hess_steps,
     derivatives_all,
     fd_jacobian_all,
@@ -115,23 +118,28 @@ def test_brown_dennis_trailing_rows_unperturbed():
     assert vals[0, 3] == pytest.approx(base4, abs=1e-12)
 
 
+# the angles of the 10 x 10 (phi_i, psi_i) grids the offset families are built from
+PI5 = [np.pi / 5.0 * j for j in range(10)]
+PI10 = [np.pi / 10.0 * j for j in range(10)]
+TWO_PI5 = [2.0 * np.pi / 5.0 * j for j in range(10)]
+OFFS = [0.01 + 0.098 * j for j in range(10)]
+
+
+def _grid(phis, psis) -> np.ndarray:
+    """The (100, 2) grid of (phi, psi) pairs, phi-major."""
+    return np.array(list(itertools.product(phis, psis)))
+
+
 def test_grid_enumerations_have_100_members():
-    pi5 = [np.pi / 5.0 * j for j in range(10)]
-    pi10 = [np.pi / 10.0 * j for j in range(10)]
-    two_pi5 = [2.0 * np.pi / 5.0 * j for j in range(10)]
-    offs = [0.01 + 0.098 * j for j in range(10)]
-    expected = {
-        "dtlz1_n6_m4": (pi5, pi5), "dtlz3_n5_m4": (pi5, pi5),
-        "dtlz5_n3_m3": (pi5, pi5), "fdsa_n2_m3": (pi5, pi5),
-        "rosenbrock_n4_m3": (pi5, pi5),
-        "brown_dennis_n4_m5": (two_pi5, offs), "trigonometric_n4_m4": (two_pi5, offs),
-        "sphere_n3_m3": (pi10, pi5),
-    }
-    for pid, (phis, psis) in expected.items():
-        grid = registry(pid).phi_psi
+    grids = {_grid_pi5: (PI5, PI5), _grid_2pi5: (TWO_PI5, OFFS), _grid_sphere: (PI10, PI5)}
+    for build, (phis, psis) in grids.items():
+        grid = build()
         assert grid.shape == (100, 2)
-        want = np.array(list(itertools.product(phis, psis)))
-        assert np.allclose(grid, want, atol=0.0)
+        assert np.allclose(grid, _grid(phis, psis), atol=0.0)
+    for pid in ("dtlz1_n6_m4", "dtlz3_n5_m4", "dtlz5_n3_m3", "fdsa_n2_m3", "rosenbrock_n4_m3",
+                "brown_dennis_n4_m5", "trigonometric_n4_m4", "sphere_n3_m3"):
+        p = registry(pid)
+        assert p.p == 100 and p.offsets.shape == (100, p.m)
 
 
 def test_determinism_bitwise():
@@ -150,7 +158,8 @@ def test_domain_error_outside_range():
         p.eval_all([10.0])  # sqrt(81 - 100) undefined
 
 
-_OVERFLOW = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# a warning on the way to the DomainError fails the test
+_OVERFLOW = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @_OVERFLOW
@@ -188,7 +197,7 @@ def test_log_tan_clamp_counter():
     # the pi/5 grid contains psi = 0 and psi >= pi where log(tan(psi/2))
     # is non-finite without the clamp
     p = registry("dtlz1_n6_m4")
-    phi, psi = p.phi_psi.T
+    phi, psi = _grid(PI5, PI5).T
     clamped = np.clip(psi, 1e-9, np.pi - 1e-9)
     assert np.sum(clamped != psi) > 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -196,8 +205,10 @@ def test_log_tan_clamp_counter():
     assert np.array_equal(p.offsets[:, 2],
                           np.cos(psi) + np.log(np.tan(clamped / 2.0)) + 0.2 * phi)
     assert np.all(np.isfinite(p.eval_all(np.full(6, 0.3))))
-    psi = registry("brown_dennis_n4_m5").phi_psi[:, 1]
+    phi, psi = _grid(TWO_PI5, OFFS).T
     assert np.array_equal(np.clip(psi, 1e-9, np.pi - 1e-9), psi)  # its psi grid stays inside (0, pi)
+    assert np.array_equal(registry("brown_dennis_n4_m5").offsets[:, 2],
+                          np.cos(psi) + np.log(np.tan(psi / 2.0)) + 0.5 * phi)
 
 
 def test_linear_plant_derivatives():

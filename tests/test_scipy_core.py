@@ -51,12 +51,12 @@ def test_missing_core_raises_the_version_import_error():
     assert "setopt needs scipy>=1.16" in done.stdout
 
 
-def test_min_norm_weights_keeps_the_wrapper_checks(monkeypatch):
+def test_min_norm_point_keeps_the_wrapper_checks(monkeypatch):
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_allclose(_scipy_core.min_norm_weights(rows), [0.5, 0.5], rtol=1e-15)
+    np.testing.assert_allclose(_scipy_core.min_norm_point(rows), [0.5, 0.5], rtol=1e-15)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
-            _scipy_core.min_norm_weights(np.array([[1.0, bad], [0.0, 1.0]]))
+            _scipy_core.min_norm_point(np.array([[1.0, bad], [0.0, 1.0]]))
 
     class CappedCore:
         @staticmethod
@@ -65,4 +65,4 @@ def test_min_norm_weights_keeps_the_wrapper_checks(monkeypatch):
 
     monkeypatch.setattr(_scipy_core, "_core", CappedCore)
     with pytest.raises(RuntimeError):
-        _scipy_core.min_norm_weights(rows)
+        _scipy_core.min_norm_point(rows)

@@ -33,7 +33,7 @@ from setopt.solvers import (
 )
 from setopt.subproblem import ModelSet
 
-from plants import make_quadratic_plant
+from plants import make_overflow_plant, make_quadratic_plant
 
 
 def test_config_validation():
@@ -401,7 +401,7 @@ def test_sd_cg_stop_where_dual_loop_missed_criticality():
 def test_record_cpu_time_is_process_time():
     fake = RunResult(converged=True, iterations=3, wall_time=2.0, cpu_time=0.25,
                      final_point=np.zeros(2), final_t=0.0, trace=[], algorithm="sd")
-    rec = _result_record("plant", "sd", 0, [1.0, 1.0], fake)
+    rec = _result_record("plant", 0, [1.0, 1.0], fake)
     assert rec["cpu_time"] == 0.25
 
 
@@ -415,8 +415,12 @@ def test_summary_is_json_ready():
     import json
     p = registry("dgo2_n1_m2")
     res = run(p, orthant(2), np.array([4.0]), SolverConfig(variant="avg"))
-    text = json.dumps(res.summary())
+    text = json.dumps(res.summary(), allow_nan=False)
     assert json.loads(text)["algorithm"] == "avg"
+    # a run that fails before any step problem has no t: strict JSON has null, not NaN
+    res = run(make_overflow_plant(), orthant(1), np.zeros(1), SolverConfig(variant="trm"))
+    assert res.iterations == 0 and res.diagnostic.startswith("DomainError: ")
+    assert json.loads(json.dumps(res.summary(), allow_nan=False))["final_t"] is None
 
 
 def test_public_api_resolves():
@@ -739,8 +743,7 @@ def test_offset_partition_is_the_partition_at_every_point(pid):
             assert memo.partition(x, F_x, ledger).groups == structure_from_values(F_x, cone).groups
     kept = memo.partition(points[0], problem.eval_all(points[0]), ledger)
     assert kept is memo.partition(points[1], problem.eval_all(points[1]), ledger)
-    assert [v.tobytes() for v in kept.values] == \
-        [v.tobytes() for v in structure_from_values(problem.offsets, cone).values]
+    assert kept == structure_from_values(problem.offsets, cone)
 
 
 def _count_partitions(monkeypatch):

@@ -5,7 +5,7 @@ from scipy.optimize import _slsqplib, minimize
 import setopt.subproblem as subproblem
 from setopt._scipy_core import min_norm_point
 from setopt.cone import k2prime, orthant
-from setopt.partition import PARTITION_CAP, structure_from_values
+from setopt.partition import PARTITION_CAP, MinimalStructure, structure_from_values
 from setopt.problems import derivatives_all, from_functions, registry
 from setopt.solvers import SolverConfig, run
 from setopt.subproblem import (
@@ -147,7 +147,7 @@ def test_theta_tie_break_lexicographic():
     # two equal-value groups of two equal functions: 4 tuples, all equivalent
     vals = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, -1.0], [1.0, -1.0]])
     st = structure_from_values(vals, orthant(2))
-    assert st.group_sizes() == (2, 2)
+    assert st == MinimalStructure(groups=((1, 2), (3, 4)))
 
     import setopt.problems as problems
     rows = [np.array([0.0, 0.0]), np.array([0.0, 0.0]),
