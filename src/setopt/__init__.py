@@ -30,6 +30,7 @@ from .solvers import (
     SolverInternalError,
     StepMemo,
     accept_and_update,
+    predicted_reductions,
     reduction_ratios,
     run,
 )
@@ -51,7 +52,8 @@ __all__ = [
     "ModelSet", "SubproblemSolution", "InnerSolveFailure", "inner_minimax",
     "theta_and_step", "criticality_value",
     "SolverConfig", "RunResult", "IterationRecord", "NonMonotoneMemory",
-    "SolverInternalError", "StepMemo", "accept_and_update", "reduction_ratios", "run",
+    "SolverInternalError", "StepMemo", "accept_and_update",
+    "predicted_reductions", "reduction_ratios", "run",
 ]
 
 __version__ = "0.1.0"

@@ -3,7 +3,8 @@
 Runs a set of algorithms from shared sampled initial points, persists one
 JSON-lines record per (problem, algorithm, point), and turns the records
 into Table-style metrics and Dolan-More profile curves.  The record store
-is append-only and resumable: existing keys are skipped on rerun.
+is append-only and resumable: existing keys are skipped on rerun, and a
+last record cut short by a killed writer is run again.
 """
 
 from __future__ import annotations
@@ -79,14 +80,39 @@ def record_key(rec: dict) -> tuple:
 
 
 def load_records(path: str) -> list:
+    """The records of a store.  A last line that lacks its newline and does
+    not parse, a record cut short by a killed writer, is dropped; a bad line
+    anywhere else raises."""
     records = []
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
+                try:
+                    if line.strip():
+                        records.append(json.loads(line))
+                except json.JSONDecodeError:
+                    if line.endswith("\n"):
+                        raise
     return records
+
+
+def _end_at_a_line(path: str) -> None:
+    """Make the store end with a newline before records are appended: a last
+    line that lacks it is given one when it parses and cut off when it does
+    not, so that its key runs again on a line of its own."""
+    if not os.path.exists(path):
+        return
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data.endswith(b"\n") or not data:
+            return
+        start = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[start:])
+        except ValueError:
+            fh.truncate(start)
+        else:
+            fh.write(b"\n")
 
 
 def _result_record(problem_id: str, index: int, x0, res: RunResult) -> dict:
@@ -118,6 +144,7 @@ def run_matrix(config: ExperimentConfig, store_path: str, cone: Cone | None = No
     new_records = []
     memo = memo_key = None
     if jobs:
+        _end_at_a_line(store_path)
         with open(store_path, "a", encoding="utf-8") as fh:
             for problem, kone, pid, algo, idx, x0 in jobs:
                 if (pid, idx) != memo_key:

@@ -16,7 +16,8 @@ With window depth 0 (``max``) or weight 0 (``avg``) both reduce exactly,
 bitwise, to the monotone driver.
 
 Runs from one start can share a ``StepMemo``: every evaluation, partition,
-step and line search that one of them computes, the others read.
+step (with its trial point and predicted reductions) and line search that
+one of them computes, the others read.
 """
 
 from __future__ import annotations
@@ -185,17 +186,24 @@ class NonMonotoneMemory:
         self._last_a = a
 
 
-def reduction_ratios(memory: NonMonotoneMemory, F_new: np.ndarray, a: tuple,
-                     s: np.ndarray, models: ModelSet, cone: Cone) -> np.ndarray:
-    """Per-block ratios of scalarized actual to predicted reduction, all
-    blocks in one pass; each ratio is bitwise that of the block alone, the
-    ``cone.scalarize`` of its reduction over that of its model decrease
-    -m^j(s)."""
+def predicted_reductions(s: np.ndarray, models: ModelSet, cone: Cone) -> np.ndarray:
+    """The scalarized model decrease ``cone.scalarize(-m^j(s))`` of every
+    block in one pass, each bitwise that of the block alone;
+    SolverInternalError names the first block whose prediction is not
+    positive."""
     pred = cone.scalarize_rows(-models.values(s))
     bad = np.flatnonzero(pred <= 0.0)
     if bad.size:
         j = int(bad[0])
         raise SolverInternalError(f"nonpositive predicted reduction {pred[j]:.3e} for block {j}")
+    return pred
+
+
+def reduction_ratios(memory: NonMonotoneMemory, F_new: np.ndarray, a: tuple,
+                     pred: np.ndarray, cone: Cone) -> np.ndarray:
+    """Per-block ratios of scalarized actual reduction, F(x_trial) against
+    this iteration's reference on the rows of a, to the predicted reductions
+    ``pred`` (``predicted_reductions``), all blocks in one pass."""
     idx = [ai - 1 for ai in a]
     return -cone.scalarize_rows(F_new[idx] - memory.reference[idx]) / pred
 
@@ -329,7 +337,9 @@ class StepMemo:
       family's does not depend on x and is kept on the problem instead
       (``partition``);
     * the trust-region step, keyed by (x, omega, eps): eps decides which
-      solves ``inner_minimax`` skips;
+      solves ``inner_minimax`` skips.  Once a run reaches the step's ratio
+      test, the entry also holds the trial point clip(x + s*, box) and the
+      predicted reductions (``trial``);
     * the SD/CG tuple, direction v and Jacobian blocks, keyed by x;
     * the Armijo search, keyed by (x, d, idx, rho_armijo, nu).
 
@@ -411,6 +421,28 @@ class StepMemo:
             return sol
         return self._get(("step", x.tobytes(), omega, eps), compute, ledger)
 
+    def trial(self, x: np.ndarray, sol, omega: float, eps: float, ledger: _Ledger):
+        """The trial point of the step at (x, omega, eps), F there and the
+        step's predicted reductions, in that order: a ``DomainError`` at the
+        trial point comes before the prediction's ``SolverInternalError``.
+        The trial point and the prediction are kept with the step, each
+        timed and charged to reader runs like an entry."""
+        key = (x.tobytes(), omega, eps)
+
+        def clip():
+            x_trial = np.clip(x + sol.s_star, *self.problem.domain_box)
+            _read_only(x_trial)
+            return x_trial
+
+        def predict():
+            pred = predicted_reductions(sol.s_star, sol.models, self.cone)
+            _read_only(pred)
+            return pred
+
+        x_trial = self._get(("trial", *key), clip, ledger)[0]
+        F_new = self.values(x_trial, ledger)
+        return x_trial, F_new, self._get(("pred", *key), predict, ledger)[0]
+
     def direction(self, x: np.ndarray, structure, ledger: _Ledger):
         """The tuple a, the steepest-descent direction v and the Jacobian
         blocks of a."""
@@ -451,18 +483,22 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     first-order bound skips the solve).  The step rule is the ratio
     test with the radius update, or Armijo backtracking along v (SD) or
     the conjugate direction (CG).  Iterates always stay inside the domain
-    box.  A failure at a point (``DomainError`` from a value or derivative,
+    box; an x0 that is not finite or lies outside it raises ValueError.
+    A failure at a point (``DomainError`` from a value or derivative,
     ``PartitionCapError``, ``InnerSolveFailure`` when no tuple's step
-    problem is solved, or ``SolverInternalError`` from the ratio test) ends
-    the run unconverged, with the exception as its diagnostic and the last
-    t as ``final_t`` (NaN when it failed before any t).  Every evaluation, partition, step and line search goes
-    through ``memo`` (a private one when None is given); a memo bound to
-    another problem or cone raises ValueError.
+    problem is solved, or ``SolverInternalError`` from a nonpositive
+    predicted reduction) ends the run unconverged, with the exception as
+    its diagnostic and the last t as ``final_t`` (NaN when it failed before
+    any t).  Every evaluation, partition, step, trial point, predicted
+    reduction and line search goes through ``memo`` (a private one when
+    None is given), so a run that reads a step another run took computes
+    only its own reference, ratios and acceptance; a memo bound to another
+    problem or cone raises ValueError.
     """
     lo, hi = problem.domain_box
     x = np.asarray(x0, dtype=float).reshape(problem.n)
-    if np.any(x < lo) or np.any(x > hi):
-        raise ValueError("x0 lies outside the domain box")
+    if not (np.isfinite(x).all() and ((lo <= x) & (x <= hi)).all()):
+        raise ValueError("x0 must be finite and lie inside the domain box")
     memo = StepMemo(problem, cone) if memo is None else memo
     ledger = memo.ledger(problem, cone)
     trust_region = config.variant not in ("sd", "cg")
@@ -496,16 +532,15 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
                 break
             if trust_region:
                 memory.begin_iteration(F_x, a)
-                x_trial = np.clip(x + sol.s_star, lo, hi)
-                F_new = memo.values(x_trial, ledger)
-                rho = reduction_ratios(memory, F_new, a, sol.s_star, sol.models, cone)
+                x_trial, F_new, pred = memo.trial(x, sol, omega, config.eps, ledger)
+                rho = reduction_ratios(memory, F_new, a, pred, cone)
         except (DomainError, PartitionCapError, InnerSolveFailure, SolverInternalError) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"
             iterations = k
             break
         if trust_region:
             accepted, omega_next = accept_and_update(rho, omega, config)
-            rho = tuple(float(r) for r in rho)
+            rho = tuple(rho.tolist())
             omega_k, omega = omega, omega_next
             if omega < OMEGA_UNDERFLOW and not underflow_logged:
                 log.warning("trust radius underflow (%.3e) at iteration %d", omega, k)

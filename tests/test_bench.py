@@ -16,6 +16,7 @@ from setopt.bench import (
     load_records,
     metric_value,
     profile,
+    record_key,
     run_matrix,
     sample_points,
 )
@@ -73,6 +74,45 @@ def test_run_matrix_completes_partial_store(tmp_path):
     assert len(finished) == 6
     keys = {(r["problem"], r["algorithm"], r["point_index"]) for r in finished}
     assert len(keys) == 6
+
+
+def test_run_matrix_resumes_a_store_cut_short(tmp_path):
+    store = tmp_path / "store.jsonl"
+    config = _tiny_config()
+    run_matrix(config, str(store))
+    whole = store.read_bytes()
+    store.write_bytes(whole[:-40])  # the last record lost its tail and newline
+    records = load_records(str(store))
+    assert len(records) == 5
+    completed = run_matrix(config, str(store))
+    assert len(completed) == 6
+    lines = store.read_bytes().split(b"\n")
+    assert lines[-1] == b"" and len(lines) == 7  # each record on a line of its own
+    finished = load_records(str(store))
+    assert finished[:5] == records
+    assert [record_key(r) for r in finished] == [record_key(r) for r in _records(whole)]
+    # a last record that parses but lacks its newline is kept and gets one
+    five = whole[:whole.rstrip(b"\n").rfind(b"\n")]
+    store.write_bytes(five)
+    assert load_records(str(store)) == _records(whole)[:5]
+    assert len(run_matrix(config, str(store))) == 6
+    assert store.read_bytes().startswith(five + b"\n") and len(load_records(str(store))) == 6
+
+
+def test_load_records_raises_on_a_bad_line_not_last(tmp_path):
+    store = tmp_path / "store.jsonl"
+    run_matrix(_tiny_config(), str(store))
+    whole = store.read_bytes()
+    first = whole.index(b"\n") + 1
+    for bad in (whole[:first - 10] + whole[first - 1:],  # a cut line inside the store
+                whole[:-10] + b"\n"):                    # a cut last line with its newline
+        store.write_bytes(bad)
+        with pytest.raises(json.JSONDecodeError):
+            load_records(str(store))
+
+
+def _records(data: bytes) -> list:
+    return [json.loads(line) for line in data.splitlines()]
 
 
 def test_run_matrix_records_a_raising_run(tmp_path, monkeypatch):

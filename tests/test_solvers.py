@@ -28,6 +28,7 @@ from setopt.solvers import (
     _distinct_rows,
     _prox_direction,
     accept_and_update,
+    predicted_reductions,
     reduction_ratios,
     run,
 )
@@ -157,7 +158,8 @@ def test_reduction_ratio_arithmetic():
     cone = orthant(1)
     mem = NonMonotoneMemory("trm", 0, 0.5)
     mem.begin_iteration(np.array([[7.0]]), (1,))
-    rho = reduction_ratios(mem, np.array([[6.0]]), (1,), s, models, cone)
+    rho = reduction_ratios(mem, np.array([[6.0]]), (1,), predicted_reductions(s, models, cone),
+                           cone)
     assert rho[0] == pytest.approx(0.5)  # decrease 1 over prediction 2
 
 
@@ -169,7 +171,8 @@ def test_reduction_ratio_variants_reduce_to_trm():
     for variant, kwargs in [("trm", {}), ("max", {"n_memory": 0}), ("avg", {"mu": 0.0})]:
         mem = NonMonotoneMemory(variant, kwargs.get("n_memory", 0), kwargs.get("mu", 0.5))
         mem.begin_iteration(f_x, (1,))
-        out[variant] = reduction_ratios(mem, f_new, (1,), s, models, cone)[0]
+        out[variant] = reduction_ratios(mem, f_new, (1,), predicted_reductions(s, models, cone),
+                                        cone)[0]
     assert out["trm"] == out["max"] == out["avg"]
 
 
@@ -193,24 +196,19 @@ def test_reduction_ratios_match_the_per_block_loop():
                   / cone.scalarize(-(models.G[j] @ s
                                      + 0.5 * np.einsum("rab,a,b->r", models.H[j], s, s)))
                   for j, ai in enumerate(a)]
-        rho = reduction_ratios(mem, F_new, a, s, models, cone)
+        rho = reduction_ratios(mem, F_new, a, predicted_reductions(s, models, cone), cone)
         assert rho.tobytes() == np.array(looped).tobytes()
 
 
 def test_reduction_ratio_nonpositive_denominator():
     models = ModelSet(G=np.array([[[2.0, 0.0]]]), H=np.zeros((1, 1, 2, 2)))
-    mem = NonMonotoneMemory("trm", 0, 0.5)
-    mem.begin_iteration(np.array([[7.0]]), (1,))
     with pytest.raises(SolverInternalError):
-        reduction_ratios(mem, np.array([[6.0]]), (1,), np.array([1.0, 0.0]),
-                         models, orthant(1))
+        predicted_reductions(np.array([1.0, 0.0]), models, orthant(1))
     # the error names the first block whose prediction is not positive
     models = ModelSet(G=np.array([[[-2.0, 0.0]], [[2.0, 0.0]], [[0.0, 0.0]]]),
                       H=np.zeros((3, 1, 2, 2)))
-    mem.begin_iteration(np.array([[7.0], [7.0], [7.0]]), (1, 2, 3))
     with pytest.raises(SolverInternalError, match="for block 1$"):
-        reduction_ratios(mem, np.full((3, 1), 6.0), (1, 2, 3), np.array([1.0, 0.0]),
-                         models, orthant(1))
+        predicted_reductions(np.array([1.0, 0.0]), models, orthant(1))
 
 
 def test_run_already_critical():
@@ -224,6 +222,15 @@ def test_run_x0_outside_box():
     p = registry("dgo2_n1_m2")
     with pytest.raises(ValueError):
         run(p, orthant(2), [15.0], SolverConfig())
+
+
+@pytest.mark.parametrize("variant", ["trm", "sd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_run_x0_not_finite(variant, bad):
+    # NaN passes no comparison with the box, so it fails the box check too
+    p = registry("zdt1_n2_m2")
+    with pytest.raises(ValueError, match="finite"):
+        run(p, orthant(2), [bad, 0.5], SolverConfig(variant=variant))
 
 
 def test_rejected_steps_keep_iterate():
@@ -707,6 +714,71 @@ def test_own_entries_are_never_charged():
     assert any(r.accepted for r in res.trace) and any(not r.accepted for r in res.trace)
     assert res.wall_time < 1e3 and res.cpu_time < 1e3
     assert res.shared_steps == 0
+
+
+def _count_predictions(monkeypatch):
+    calls = []
+    original = solvers.predicted_reductions
+    monkeypatch.setattr(solvers, "predicted_reductions",
+                        lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def test_shared_runs_predict_each_step_once(monkeypatch):
+    # trm, max and avg share their first steps; a step whose ratio test
+    # several runs reach is predicted once, by the first of them
+    p = registry("hil_n2_m2")
+    cone = orthant(2)
+    x0 = np.array([2.718, 4.675])
+    configs = [SolverConfig(variant=v, it_max=10) for v in ("trm", "max", "avg")]
+    fresh = [run(p, cone, x0, config) for config in configs]
+    calls = _count_predictions(monkeypatch)
+    memo = StepMemo(p, cone)
+    shared = [run(p, cone, x0, config, memo=memo) for config in configs]
+    # all but shared_steps, the last item
+    assert [_trace_bytes(r)[:-1] for r in shared] == [_trace_bytes(r)[:-1] for r in fresh]
+    # every trace record is one ratio test at its (x, omega)
+    tests = [(r.x.tobytes(), r.omega) for res in shared for r in res.trace]
+    assert len(calls) == len(set(tests)) < len(tests)
+    assert shared[1].shared_steps > 0 and shared[2].shared_steps > 0
+
+
+def _negated_models(monkeypatch):
+    """Make every step's models predict an increase along its step."""
+    original = solvers.theta_and_step
+
+    def negated(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        models = ModelSet(G=-sol.models.G, H=-sol.models.H)
+        return dataclasses.replace(sol, models=models)
+
+    monkeypatch.setattr(solvers, "theta_and_step", negated)
+
+
+def test_nonpositive_prediction_ends_every_run_and_is_not_stored(monkeypatch):
+    p = registry("hil_n2_m2")
+    cone = orthant(2)
+    x0 = np.array([2.718, 4.675])
+    _negated_models(monkeypatch)
+    calls = _count_predictions(monkeypatch)
+    memo = StepMemo(p, cone)
+    runs = [run(p, cone, x0, SolverConfig(variant=v), memo=memo) for v in ("trm", "max", "avg")]
+    assert all(not r.converged and r.iterations == 0 for r in runs)
+    assert runs[0].diagnostic.startswith("SolverInternalError: nonpositive predicted reduction")
+    assert len({r.diagnostic for r in runs}) == 1
+    assert len(calls) == 3 and not any(key[0] == "pred" for key in memo._entries)
+    # a DomainError at the trial point comes first: the prediction is not made
+    values = memo.values
+
+    def undefined_off_x0(x, ledger):
+        if x.tobytes() != x0.tobytes():
+            raise DomainError("F undefined")
+        return values(x, ledger)
+
+    memo.values = undefined_off_x0
+    runs = [run(p, cone, x0, SolverConfig(variant=v), memo=memo) for v in ("trm", "max", "avg")]
+    assert [r.diagnostic for r in runs] == ["DomainError: F undefined"] * 3
+    assert len(calls) == 3
 
 
 # -- the partition of an offset family -----------------------------------------
