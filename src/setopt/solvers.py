@@ -16,8 +16,8 @@ With window depth 0 (``max``) or weight 0 (``avg``) both reduce exactly,
 bitwise, to the monotone driver.
 
 Runs from one start can share a ``StepMemo``: every evaluation, partition,
-step (with its trial point and predicted reductions) and line search that
-one of them computes, the others read.
+step (with its predicted reductions) and line search that one of them
+computes, the others read.
 """
 
 from __future__ import annotations
@@ -337,9 +337,9 @@ class StepMemo:
       family's does not depend on x and is kept on the problem instead
       (``partition``);
     * the trust-region step, keyed by (x, omega, eps): eps decides which
-      solves ``inner_minimax`` skips.  Once a run reaches the step's ratio
-      test, the entry also holds the trial point clip(x + s*, box) and the
-      predicted reductions (``trial``);
+      solves ``inner_minimax`` skips, and its predicted reductions, which
+      the first run that reaches its ratio test computes, after F at the
+      trial point (``prediction``);
     * the SD/CG tuple, direction v and Jacobian blocks, keyed by x;
     * the Armijo search, keyed by (x, d, idx, rho_armijo, nu).
 
@@ -421,27 +421,14 @@ class StepMemo:
             return sol
         return self._get(("step", x.tobytes(), omega, eps), compute, ledger)
 
-    def trial(self, x: np.ndarray, sol, omega: float, eps: float, ledger: _Ledger):
-        """The trial point of the step at (x, omega, eps), F there and the
-        step's predicted reductions, in that order: a ``DomainError`` at the
-        trial point comes before the prediction's ``SolverInternalError``.
-        The trial point and the prediction are kept with the step, each
-        timed and charged to reader runs like an entry."""
-        key = (x.tobytes(), omega, eps)
-
-        def clip():
-            x_trial = np.clip(x + sol.s_star, *self.problem.domain_box)
-            _read_only(x_trial)
-            return x_trial
-
-        def predict():
+    def prediction(self, x: np.ndarray, sol, omega: float, eps: float, ledger: _Ledger):
+        """The predicted reductions of the step at (x, omega, eps), kept with
+        the step once a run reaches its ratio test."""
+        def compute():
             pred = predicted_reductions(sol.s_star, sol.models, self.cone)
             _read_only(pred)
             return pred
-
-        x_trial = self._get(("trial", *key), clip, ledger)[0]
-        F_new = self.values(x_trial, ledger)
-        return x_trial, F_new, self._get(("pred", *key), predict, ledger)[0]
+        return self._get(("pred", x.tobytes(), omega, eps), compute, ledger)[0]
 
     def direction(self, x: np.ndarray, structure, ledger: _Ledger):
         """The tuple a, the steepest-descent direction v and the Jacobian
@@ -489,11 +476,11 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     problem is solved, or ``SolverInternalError`` from a nonpositive
     predicted reduction) ends the run unconverged, with the exception as
     its diagnostic and the last t as ``final_t`` (NaN when it failed before
-    any t).  Every evaluation, partition, step, trial point, predicted
-    reduction and line search goes through ``memo`` (a private one when
-    None is given), so a run that reads a step another run took computes
-    only its own reference, ratios and acceptance; a memo bound to another
-    problem or cone raises ValueError.
+    any t).  Every evaluation, partition, step, predicted reduction and
+    line search goes through ``memo`` (a private one when None is given),
+    so a run that reads a step another run took computes only the trial
+    point clip(x + s*, box), its own reference, ratios and acceptance; a
+    memo bound to another problem or cone raises ValueError.
     """
     lo, hi = problem.domain_box
     x = np.asarray(x0, dtype=float).reshape(problem.n)
@@ -532,7 +519,9 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
                 break
             if trust_region:
                 memory.begin_iteration(F_x, a)
-                x_trial, F_new, pred = memo.trial(x, sol, omega, config.eps, ledger)
+                x_trial = np.clip(x + sol.s_star, lo, hi)
+                F_new = memo.values(x_trial, ledger)
+                pred = memo.prediction(x, sol, omega, config.eps, ledger)
                 rho = reduction_ratios(memory, F_new, a, pred, cone)
         except (DomainError, PartitionCapError, InnerSolveFailure, SolverInternalError) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"

@@ -1,13 +1,13 @@
 """Alternating parent/change pairs of perfbench runs, summarised per metric.
 
-    python tools/bench_pairs.py PARENT CHANGE --seeds 901-910 \\
-        [--workloads tr_table2 fo_table2 cone_fig1] [--seconds 20] [--out pairs.json]
+    python tools/bench_pairs.py PARENT CHANGE --seeds 901-910 [--out pairs.json]
 
-PARENT and CHANGE are the roots of two checkouts.  For every seed and
-workload the script runs ``python3 perfbench/run.py --trace 0`` once in
-each, and the side that runs first alternates from one (seed, workload) to
-the next, and for one workload from one seed to the next.  perfbench itself
-is only called, never changed.
+PARENT and CHANGE are the roots of two checkouts.  For every seed and every
+workload of ``BENCHMARK.json`` the script runs its ``command`` with
+``--trace 0`` for its ``run_seconds`` once in each, and the side that runs
+first alternates from one (seed, workload) to the next, and for one
+workload from one seed to the next.  perfbench itself is only called,
+never changed.
 
 For each workload and end-to-end metric it prints both sides' medians and
 quartiles, the parent's quartile spread as a percentage of its median, the
@@ -16,6 +16,10 @@ for neither side); better and bound come from ``BENCHMARK.json``.  It also
 says whether the two sides left byte-identical run digests in
 ``.perfbench/digests`` for each seed.  ``--out`` writes every run and the
 summary as JSON.
+
+The digest file's name copies ``stored_digests`` in ``perfbench/run.py``
+(the jobs id that perfbench prints, and a hash of ``src``'s Python files)
+and must change with it; a missing file is an error.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -40,26 +45,24 @@ def seed_list(text: str) -> list:
     return seeds
 
 
-def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON object on the last stdout line of one ``--trace 0`` run."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", "0"]
+def perfbench(root: Path, spec: dict, workload: str, seed: int) -> tuple:
+    """The JSON object on the last stdout line of one ``--trace 0`` run,
+    and the file that holds the run digests it stored or compared with."""
+    cmd = spec["command"] + ["--workload", workload, "--seed", str(seed),
+                             "--seconds", str(spec["run_seconds"]), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
-    if not lines or not lines[-1].startswith("{"):
+    jobs = re.search(r" jobs=(\S+)", lines[0]) if lines else None
+    if jobs is None or not lines[-1].startswith("{"):
         raise RuntimeError(f"{root}: {' '.join(cmd)} exited {out.returncode}: {out.stderr}")
-    return json.loads(lines[-1])
-
-
-def digest_file(root: Path, workload: str, seed: int) -> Path | None:
-    """The run digests perfbench stored for this seed and this tree's source;
-    it names the file by a hash of ``src``'s Python files."""
     code = hashlib.sha256()
     for path in sorted((root / "src").rglob("*.py")):
         code.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
-    found = sorted((root / ".perfbench" / "digests").glob(
-        f"{workload}-seed{seed}-*-{code.hexdigest()[:12]}.json"))
-    return found[-1] if len(found) == 1 else None
+    digests = (root / ".perfbench" / "digests" /
+               f"{workload}-seed{seed}-{jobs[1]}-{code.hexdigest()[:12]}.json")
+    if not digests.is_file():
+        raise FileNotFoundError(f"{root}: perfbench stored no run digests at {digests}")
+    return json.loads(lines[-1]), digests
 
 
 def summarise(runs: list, spec: dict) -> dict:
@@ -96,8 +99,6 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--seeds", type=seed_list, required=True)
-    ap.add_argument("--workloads", nargs="+", default=["tr_table2", "fo_table2", "cone_fig1"])
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -105,14 +106,13 @@ def main(argv=None) -> int:
 
     runs = []
     for i, seed in enumerate(args.seeds):
-        for j, workload in enumerate(args.workloads):
+        for j, workload in enumerate(w["name"] for w in spec["workloads"]):
             order = SIDES if (i + j) % 2 == 0 else SIDES[::-1]
             pair = {"workload": workload, "seed": seed, "first": order[0]}
+            files = {}
             for side in order:
-                pair[side] = perfbench(roots[side], workload, seed, args.seconds)
-            files = [digest_file(roots[side], workload, seed) for side in SIDES]
-            pair["digests_equal"] = None not in files and \
-                files[0].read_bytes() == files[1].read_bytes()
+                pair[side], files[side] = perfbench(roots[side], spec, workload, seed)
+            pair["digests_equal"] = files["parent"].read_bytes() == files["change"].read_bytes()
             runs.append(pair)
             print(f"seed {seed} {workload}: first {order[0]}, correct "
                   f"{pair['parent']['correct']}/{pair['change']['correct']}, "
