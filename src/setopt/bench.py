@@ -167,52 +167,45 @@ def run_matrix(config: ExperimentConfig, store_path: str, cone: Cone | None = No
 # ---------------------------------------------------------------------------
 # metrics
 
-def common_convergent(records: list, problem_id: str, algorithms) -> list:
-    """Point indices where every listed algorithm converged."""
-    by_algo = {}
+def _cells(records: list, config: ExperimentConfig) -> dict:
+    """Every Table-2 cell from one pass over the records, keyed by
+    (problem, algorithm): ``common_count``, the number of points where
+    every configured algorithm converged, then each metric of ``METRICS``.
+    ``nonconv`` counts all the pair's records (None when it has none); the
+    others are means over the common points, read from each point's last
+    record, and None when there are none (``inv_step_size`` also when the
+    mean step is not positive)."""
+    pairs = {(pid, algo): [] for pid in config.problem_ids for algo in config.algorithms}
     for rec in records:
-        if rec["problem"] == problem_id and rec["algorithm"] in algorithms:
-            by_algo.setdefault(rec["algorithm"], {})[rec["point_index"]] = rec["converged"]
-    if set(by_algo) != set(algorithms):
-        return []
-    shared = set.intersection(*(set(v) for v in by_algo.values()))
-    return sorted(i for i in shared if all(by_algo[a][i] for a in algorithms))
-
-
-def metric_value(records: list, problem_id: str, algorithm: str, metric: str,
-                 algorithms) -> float | None:
-    """Table-style cell: nonconv count, or a common-convergent mean."""
-    rows = [r for r in records
-            if r["problem"] == problem_id and r["algorithm"] == algorithm]
-    if metric == "nonconv":
-        return float(sum(not r["converged"] for r in rows)) if rows else None
-    common = common_convergent(records, problem_id, algorithms)
-    if not common:
-        return None
-    picked = {r["point_index"]: r for r in rows if r["point_index"] in set(common)}
-    if len(picked) != len(common):
-        return None
-    if metric == "iterations":
-        return float(np.mean([picked[i]["iterations"] for i in common]))
-    if metric == "cpu_time":
-        return float(np.mean([picked[i]["cpu_time"] for i in common]))
-    if metric == "inv_step_size":
-        mean_step = float(np.mean([picked[i]["mean_step_size"] for i in common]))
-        return (1.0 / mean_step) if mean_step > 0.0 else None
-    raise ValueError(f"unknown metric {metric!r}")
+        rows = pairs.get((rec["problem"], rec["algorithm"]))
+        if rows is not None:
+            rows.append(rec)
+    cells = {}
+    for pid in config.problem_ids:
+        last = {algo: {r["point_index"]: r for r in pairs[pid, algo]}
+                for algo in config.algorithms}
+        common = sorted(set.intersection(*({i for i, r in by_point.items() if r["converged"]}
+                                           for by_point in last.values())))
+        for algo in config.algorithms:
+            rows, picked = pairs[pid, algo], [last[algo][i] for i in common]
+            iterations, cpu_time, step = (float(np.mean([r[key] for r in picked]))
+                                          if picked else None
+                                          for key in ("iterations", "cpu_time", "mean_step_size"))
+            cells[pid, algo] = {
+                "common_count": len(common),
+                "nonconv": float(sum(not r["converged"] for r in rows)) if rows else None,
+                "iterations": iterations,
+                "cpu_time": cpu_time,
+                "inv_step_size": 1.0 / step if picked and step > 0.0 else None,
+            }
+    return cells
 
 
 def build_table(records: list, config: ExperimentConfig) -> list:
     """Long-format rows: one dict per (problem, algorithm) with all metrics."""
-    rows = []
-    for pid in config.problem_ids:
-        common = common_convergent(records, pid, config.algorithms)
-        for algo in config.algorithms:
-            row = {"problem": pid, "algorithm": algo, "common_count": len(common)}
-            for metric in METRICS:
-                row[metric] = metric_value(records, pid, algo, metric, config.algorithms)
-            rows.append(row)
-    return rows
+    cells = _cells(records, config)
+    return [{"problem": pid, "algorithm": algo, **cells[pid, algo]}
+            for pid in config.problem_ids for algo in config.algorithms]
 
 
 @dataclass(frozen=True)
@@ -224,11 +217,11 @@ class ProfileCurve:
 
 def profile(records: list, metric: str, config: ExperimentConfig) -> list:
     """Dolan-More curves for one metric across the configured problems."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
     algos = config.algorithms
-    t_vals = {algo: [] for algo in algos}
-    for pid in config.problem_ids:
-        for algo in algos:
-            t_vals[algo].append(metric_value(records, pid, algo, metric, algos))
+    cells = _cells(records, config)
+    t_vals = {algo: [cells[pid, algo][metric] for pid in config.problem_ids] for algo in algos}
     n_problems = len(config.problem_ids)
     ratios = {algo: [] for algo in algos}
     any_defined = False

@@ -223,33 +223,31 @@ def derivatives_all(problem: SetValuedProblem, x):
 
 
 class DerivativeTable:
-    """One-entry memo of family derivatives, keyed by the bytes of the iterate.
+    """One-entry memo of family derivatives, keyed by their kind and the
+    bytes of the iterate.
 
     Solvers move x only on acceptance, so the last point is the only one
-    that comes back.  ``jacobians`` reuses the Jacobians of a full bundle
-    at the same point; ``bundle_arrays`` recomputes after a Jacobian-only
-    entry.
+    that comes back.  The kinds are kept apart: a bundle's Jacobians are
+    not ``fd_jacobian_all``'s bits at the same point.
     """
 
     def __init__(self, problem: SetValuedProblem):
         self.problem = problem
-        self._key: bytes | None = None
-        self._jac: np.ndarray | None = None
-        self._hess: np.ndarray | None = None
+        self._key: tuple | None = None
+        self._value = None
+
+    def _lookup(self, kind: str, derive, x):
+        key = (kind, np.asarray(x, dtype=float).tobytes())
+        if key != self._key:
+            self._value = derive(self.problem, x)
+            self._key = key
+        return self._value
 
     def bundle_arrays(self, x):
-        key = np.asarray(x, dtype=float).tobytes()
-        if key != self._key or self._hess is None:
-            self._jac, self._hess = derivatives_all(self.problem, x)
-            self._key = key
-        return self._jac, self._hess
+        return self._lookup("bundle", derivatives_all, x)
 
     def jacobians(self, x) -> np.ndarray:
-        key = np.asarray(x, dtype=float).tobytes()
-        if key != self._key:
-            self._jac, self._hess = fd_jacobian_all(self.problem, x), None
-            self._key = key
-        return self._jac
+        return self._lookup("jacobians", fd_jacobian_all, x)
 
 
 # ---------------------------------------------------------------------------

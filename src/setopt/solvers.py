@@ -208,16 +208,16 @@ def reduction_ratios(memory: NonMonotoneMemory, F_new: np.ndarray, a: tuple,
     return -cone.scalarize_rows(F_new[idx] - memory.reference[idx]) / pred
 
 
-def accept_and_update(rho: np.ndarray, omega: float, config: SolverConfig):
-    """Step acceptance and the deterministic radius update.
+def accept_and_update(rho: tuple, omega: float, config: SolverConfig):
+    """Step acceptance and the deterministic radius update from the tuple
+    of ratios.
 
     All ratios >= eta2 doubles the radius (capped); acceptance with some
     ratio below eta2 keeps it; rejection shrinks to the midpoint of
-    [gamma1 omega, gamma2 omega].
+    [gamma1 omega, gamma2 omega].  A NaN ratio passes neither test.
     """
-    rho = np.asarray(rho, dtype=float)
-    accepted = bool(np.all(rho >= config.eta1))
-    if accepted and np.all(rho >= config.eta2):
+    accepted = all(r >= config.eta1 for r in rho)
+    if accepted and all(r >= config.eta2 for r in rho):
         omega_next = min(2.0 * omega, config.omega_max)
     elif accepted:
         omega_next = omega
@@ -354,8 +354,7 @@ class StepMemo:
     def __init__(self, problem: SetValuedProblem, cone: Cone):
         self.problem, self.cone = problem, cone
         self._box = self._box_bytes(problem)
-        # one table per kind: a bundle's Jacobians need not be fd_jacobian_all's bits
-        self._bundles, self._jacobians = DerivativeTable(problem), DerivativeTable(problem)
+        self._derivatives = DerivativeTable(problem)
         self._entries: dict = {}
         self._runs = itertools.count()
 
@@ -415,7 +414,7 @@ class StepMemo:
         """The trust-region solution, and whether another run computed it."""
         def compute():
             sol = theta_and_step(self.problem, self.cone, x, structure, omega,
-                                 self._bundles.bundle_arrays(x),
+                                 self._derivatives.bundle_arrays(x),
                                  box=self.problem.domain_box, stop_tol=eps)
             _read_only(sol.s_star, sol.models.G, sol.models.H)
             return sol
@@ -434,7 +433,7 @@ class StepMemo:
         """The tuple a, the steepest-descent direction v and the Jacobian
         blocks of a."""
         def compute():
-            jac = self._jacobians.jacobians(x)
+            jac = self._derivatives.jacobians(x)
 
             def solve(a):
                 v, val = _prox_direction(scalarized_rows(self.cone, jac[[ai - 1 for ai in a]]))
@@ -500,7 +499,6 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     iterations = config.it_max
     shared_steps = 0
     start, cpu_start = time.perf_counter(), time.process_time()
-    underflow_logged = False
     if not trust_region:
         backtracking = _backtracking_steps(config.nu)
     for k in range(config.it_max):
@@ -522,19 +520,18 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
                 x_trial = np.clip(x + sol.s_star, lo, hi)
                 F_new = memo.values(x_trial, ledger)
                 pred = memo.prediction(x, sol, omega, config.eps, ledger)
-                rho = reduction_ratios(memory, F_new, a, pred, cone)
+                rho = tuple(reduction_ratios(memory, F_new, a, pred, cone).tolist())
         except (DomainError, PartitionCapError, InnerSolveFailure, SolverInternalError) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"
             iterations = k
             break
         if trust_region:
             accepted, omega_next = accept_and_update(rho, omega, config)
-            rho = tuple(rho.tolist())
             omega_k, omega = omega, omega_next
-            if omega < OMEGA_UNDERFLOW and not underflow_logged:
+            # warn once: every failure breaks the loop, so only this sets the diagnostic
+            if omega < OMEGA_UNDERFLOW and diagnostic is None:
                 log.warning("trust radius underflow (%.3e) at iteration %d", omega, k)
-                diagnostic = diagnostic or "omega_underflow"
-                underflow_logged = True
+                diagnostic = "omega_underflow"
             if observer is not None:
                 details = {"F_new": F_new, "reference_full": memory.reference.copy(),
                            "C": None if memory.C is None else memory.C.copy(),

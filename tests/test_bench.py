@@ -8,13 +8,12 @@ import pytest
 from setopt.bench import (
     EmptyProfileError,
     ExperimentConfig,
+    METRICS,
     build_table,
-    common_convergent,
     cone_experiment,
     emit_profile_svg,
     emit_table_csv,
     load_records,
-    metric_value,
     profile,
     record_key,
     run_matrix,
@@ -190,15 +189,114 @@ def _fixture_records():
 
 
 def test_common_convergent_and_metrics():
-    records = _fixture_records()
-    algos = (S1, S2, S3)
-    assert common_convergent(records, P1, algos) == [0, 1, 3]
-    assert common_convergent(records, P2, algos) == []
-    assert metric_value(records, P1, S1, "nonconv", algos) == 0.0
-    assert metric_value(records, P1, S2, "nonconv", algos) == 1.0
-    assert metric_value(records, P1, S1, "iterations", algos) == 2.0
-    assert metric_value(records, P2, S1, "iterations", algos) is None  # empty subset
-    assert metric_value(records, P1, S1, "inv_step_size", algos) == pytest.approx(2.0)
+    config = ExperimentConfig(problem_ids=(P1, P2), algorithms=(S1, S2, S3),
+                              points_per_problem=4)
+    rows = {(r["problem"], r["algorithm"]): r for r in build_table(_fixture_records(), config)}
+    assert rows[P1, S1]["common_count"] == 3  # points 0, 1 and 3
+    assert rows[P2, S1]["common_count"] == 0
+    assert rows[P1, S1]["nonconv"] == 0.0
+    assert rows[P1, S2]["nonconv"] == 1.0
+    assert rows[P1, S1]["iterations"] == 2.0
+    assert rows[P1, S1]["cpu_time"] == 0.125 * (1 + 2 + 4) / 3
+    assert rows[P2, S1]["iterations"] is None  # empty subset
+    assert rows[P1, S1]["inv_step_size"] == pytest.approx(2.0)
+
+
+# the per-cell reference: every cell scans the whole store again
+
+def _reference_common(records, problem_id, algorithms):
+    by_algo = {}
+    for rec in records:
+        if rec["problem"] == problem_id and rec["algorithm"] in algorithms:
+            by_algo.setdefault(rec["algorithm"], {})[rec["point_index"]] = rec["converged"]
+    if set(by_algo) != set(algorithms):
+        return []
+    shared = set.intersection(*(set(v) for v in by_algo.values()))
+    return sorted(i for i in shared if all(by_algo[a][i] for a in algorithms))
+
+
+def _reference_cell(records, problem_id, algorithm, metric, algorithms):
+    rows = [r for r in records if r["problem"] == problem_id and r["algorithm"] == algorithm]
+    if metric == "nonconv":
+        return float(sum(not r["converged"] for r in rows)) if rows else None
+    common = _reference_common(records, problem_id, algorithms)
+    if not common:
+        return None
+    picked = {r["point_index"]: r for r in rows if r["point_index"] in set(common)}
+    if metric == "inv_step_size":
+        mean_step = float(np.mean([picked[i]["mean_step_size"] for i in common]))
+        return (1.0 / mean_step) if mean_step > 0.0 else None
+    return float(np.mean([picked[i][metric] for i in common]))
+
+
+def _reference_ratios(records, metric, config):
+    algos = config.algorithms
+    ratios = {algo: [] for algo in algos}
+    for pid in config.problem_ids:
+        t = {a: _reference_cell(records, pid, a, metric, algos) for a in algos}
+        defined = [v for v in t.values() if v is not None]
+        best = min(defined) if defined else None
+        for a in algos:
+            if t[a] is None or best is None:
+                ratios[a].append(math.inf)
+            elif best == 0.0:
+                ratios[a].append(1.0 if t[a] == 0.0 else math.inf)
+            else:
+                ratios[a].append(t[a] / best)
+    return ratios
+
+
+def _random_store(seed):
+    """Records on three problems with missing (problem, algorithm) pairs,
+    missing and duplicate points, nonconvergent runs, zero step sizes,
+    records of an algorithm the config leaves out, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for pid in problem_ids()[:3]:
+        for algo in ("sd", "cg", "trm", "max", "avg"):
+            if rng.random() < 0.1:
+                continue
+            for i in range(8):
+                for _ in range(rng.choice([0, 1, 1, 1, 1, 1, 1, 2])):
+                    records.append({
+                        "problem": pid, "algorithm": algo, "point_index": i, "x0": [0.0],
+                        "converged": bool(rng.random() < 0.9),
+                        "iterations": int(rng.integers(0, 100)),
+                        "cpu_time": float(rng.exponential()),
+                        "mean_step_size": float(rng.choice([0.0, 0.0, 0.25, rng.random()])),
+                        "final_t": 0.0, "diagnostic": None,
+                    })
+    rng.shuffle(records)
+    return records
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_table_and_profile_match_the_per_cell_reference(seed):
+    records = _random_store(seed)
+    config = ExperimentConfig(problem_ids=problem_ids()[:4], algorithms=("trm", "cg", "max", "avg"),
+                              points_per_problem=8)
+    algos = config.algorithms
+    expected = [{"problem": pid, "algorithm": algo,
+                 "common_count": len(_reference_common(records, pid, algos)),
+                 **{m: _reference_cell(records, pid, algo, m, algos) for m in METRICS}}
+                for pid in config.problem_ids for algo in algos]
+    rows = build_table(records, config)
+    assert rows == expected and [list(r) for r in rows] == [list(r) for r in expected]
+    for metric in METRICS:
+        ratios = _reference_ratios(records, metric, config)
+        if all(r == math.inf for rs in ratios.values() for r in rs):
+            with pytest.raises(EmptyProfileError):
+                profile(records, metric, config)
+            continue
+        curves = profile(records, metric, config)
+        assert {c.algorithm: list(c.ratios) for c in curves} == ratios
+
+
+def test_profile_unknown_metric_is_a_value_error():
+    config = ExperimentConfig(problem_ids=(P1, P2), algorithms=(S1, S2, S3),
+                              points_per_problem=4)
+    with pytest.raises(ValueError, match="unknown metric 'common_count'"):
+        profile(_fixture_records(), "common_count", config)
 
 
 def test_profile_single_problem_example():

@@ -278,7 +278,21 @@ def test_derivative_table_caches():
     j1, h1 = table.bundle_arrays(x)
     j2, h2 = table.bundle_arrays(x)
     assert j1 is j2 and h1 is h2
-    assert table.jacobians(x) is j1
+    assert table.jacobians(x) is table.jacobians(x)
+
+
+def test_derivative_table_keeps_the_kinds_apart():
+    # at the box corner the bundle's stencil centre is pulled further in,
+    # so its Jacobians are not fd_jacobian_all's bits
+    p = registry("zdt1_n5_m2")
+    x = np.zeros(5)
+    bundle, jac = derivatives_all(p, x), fd_jacobian_all(p, x)
+    assert bundle[0].tobytes() != jac.tobytes()
+    table = DerivativeTable(p)
+    table.bundle_arrays(x)
+    assert table.jacobians(x).tobytes() == jac.tobytes()
+    got = table.bundle_arrays(x)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in bundle]
 
 
 FULL_EVALUATORS = {"modified_ex51_n1_m2", "modified_ex53_n2_m2"}

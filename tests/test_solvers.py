@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -62,14 +63,36 @@ def test_config_validation():
 
 def test_accept_and_update_examples():
     cfg = SolverConfig()
-    accepted, omega = accept_and_update(np.array([0.9, 0.8]), 1.0, cfg)
-    assert accepted and omega == 2.0
-    accepted, omega = accept_and_update(np.array([0.5, 0.9]), 1.0, cfg)
-    assert accepted and omega == 1.0
-    accepted, omega = accept_and_update(np.array([-0.2, 0.9]), 1.0, cfg)
-    assert not accepted and omega == pytest.approx(0.65)
-    _, omega = accept_and_update(np.array([0.99]), 15.0, cfg)
+    accepted, omega = accept_and_update((0.9, 0.8), 1.0, cfg)
+    assert accepted is True and omega == 2.0
+    accepted, omega = accept_and_update((0.5, 0.9), 1.0, cfg)
+    assert accepted is True and omega == 1.0
+    accepted, omega = accept_and_update((-0.2, 0.9), 1.0, cfg)
+    assert accepted is False and omega == pytest.approx(0.65)
+    _, omega = accept_and_update((0.99,), 15.0, cfg)
     assert omega == 20.0  # doubling capped at omega_max
+    # a NaN ratio passes neither test, as under np.all
+    nan = float("nan")
+    assert accept_and_update((nan, 0.9), 1.0, cfg) == (False, pytest.approx(0.65))
+    assert accept_and_update((0.5, nan), 1.0, cfg) == (False, pytest.approx(0.65))
+    assert accept_and_update((0.9, 0.8), 1.0, cfg) == (True, 2.0)
+    assert accept_and_update((0.9, 0.5), 1.0, cfg) == (True, 1.0)
+
+
+def test_radius_collapse_warns_once(monkeypatch, caplog):
+    # every ratio test rejects and collapses the radius below OMEGA_UNDERFLOW;
+    # at this eps the collapsed steps do not stop the run
+    tiny = 0.1 * solvers.OMEGA_UNDERFLOW
+    monkeypatch.setattr(solvers, "accept_and_update", lambda rho, omega, config: (False, tiny))
+    p = registry("hil_n2_m2")
+    with caplog.at_level(logging.WARNING, logger="setopt.solvers"):
+        res = run(p, orthant(2), np.array([2.718, 4.675]), SolverConfig(eps=1e-300, it_max=5))
+    assert not res.converged and res.iterations == 5
+    assert [r.omega for r in res.trace] == [1.0] + [tiny] * 4
+    assert res.diagnostic == "omega_underflow" and res.final_omega == tiny
+    warnings = [r for r in caplog.records if r.name == "setopt.solvers"]
+    assert [r.getMessage() for r in warnings] == \
+        [f"trust radius underflow ({tiny:.3e}) at iteration 0"]
 
 
 def test_avg_q_recursion():
