@@ -9,7 +9,6 @@ from .cone import Cone, ConeError, k2prime, orthant, preset
 from .partition import (
     MinimalStructure,
     PartitionCapError,
-    minimal_elements,
     partition_iter,
     structure_from_values,
 )
@@ -45,7 +44,7 @@ from .subproblem import (
 
 __all__ = [
     "Cone", "ConeError", "orthant", "k2prime", "preset",
-    "MinimalStructure", "PartitionCapError", "minimal_elements",
+    "MinimalStructure", "PartitionCapError",
     "structure_from_values", "partition_iter",
     "SetValuedProblem", "DerivativeTable", "DomainError",
     "UnknownProblemError", "from_functions", "problem_ids", "registry",

@@ -20,6 +20,7 @@ import numpy as np
 from .cone import Cone, orthant
 from .problems import UnknownProblemError, registry
 from .solvers import RunResult, SolverConfig, StepMemo, run
+from .subproblem import _first_of_each
 
 METRICS = ("nonconv", "iterations", "cpu_time", "inv_step_size")
 
@@ -37,12 +38,17 @@ class ExperimentConfig:
     rng_seed: int = 20240801
 
     def __post_init__(self):
-        """Reject a config ``run_matrix`` could not run, before any run:
-        ``points_per_problem`` must be an integer >= 1, every algorithm and
-        ``it_max`` must pass ``SolverConfig``'s checks and every problem id
-        must be registered (ValueError)."""
+        """Reject a config ``run_matrix`` could not run or the tables could
+        not read, before any run: ``problem_ids`` and ``algorithms`` must be
+        nonempty with no repeats, ``points_per_problem`` an integer >= 1,
+        every algorithm and ``it_max`` must pass ``SolverConfig``'s checks
+        and every problem id must be registered (ValueError)."""
         object.__setattr__(self, "problem_ids", tuple(self.problem_ids))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        for name in ("problem_ids", "algorithms"):
+            items = getattr(self, name)
+            if not items or len(set(items)) != len(items):
+                raise ValueError(f"need a nonempty {name} with no repeats, got {items!r}")
         if not (type(self.points_per_problem) is int and 1 <= self.points_per_problem):
             raise ValueError(f"need an integer points_per_problem >= 1, "
                              f"got {self.points_per_problem!r}")
@@ -357,13 +363,11 @@ def cone_experiment(problem_id: str, x0, cones: dict, it_max: int = 100,
         for algo in algorithms:
             config = SolverConfig(variant=algo, it_max=it_max)
             res = run(problem, cone, x0, config, memo=memo)
-            iterates = [rec.x for rec in res.trace if rec.accepted]
-            points = [np.asarray(x0, float)] + iterates + [np.asarray(res.final_point)]
-            seen = []
-            for p in points:
-                if not any(np.array_equal(p, q) for q in seen):
-                    seen.append(p)
-            values = problem.eval_all(np.array(seen))
+            points = np.array([x0] + [rec.x for rec in res.trace if rec.accepted]
+                              + [res.final_point], dtype=float)
+            # + 0.0 makes -0.0 and 0.0 one point, as value equality does
+            seen = points[_first_of_each(points + 0.0)]
+            values = problem.eval_all(seen)
             clouds = []
             for pi, p in enumerate(seen):
                 phase = "initial" if pi == 0 else ("final" if pi == len(seen) - 1 else "intermediate")

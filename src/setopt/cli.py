@@ -79,17 +79,14 @@ def list_problems():
 @click.option("--point", required=True, help="coordinates, e.g. '0.1,0.2'")
 @click.option("--cone", "cone_spec", default=None, help="preset name or JSON file")
 def inspect(problem, point, cone_spec):
-    """Minimal structure at a point: omega, groups, partition size, regularity hint."""
+    """Weakly minimal structure at a point: omega, groups, partition size."""
     kone = _resolve_cone(cone_spec, problem)
-    values = problem.eval_all(_point(point, problem, "'--point'"))
-    structure = partition.structure_from_values(values, kone)
-    min_idx, wmin_idx = partition.minimal_elements(
-        values, kone, partition.grouping_tolerance(values))
+    x = _point(point, problem, "'--point'")
+    structure = partition.structure_from_values(problem.eval_all(x), kone)
     click.echo(json.dumps({
         "omega": len(structure.groups),
         "groups": [list(g) for g in structure.groups],
         "partition_size": structure.partition_count(),
-        "is_regular_hint": min_idx == wmin_idx,
     }, indent=2))
 
 

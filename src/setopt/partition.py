@@ -55,41 +55,25 @@ def _sup_distances(vals: np.ndarray) -> np.ndarray:
     return dist
 
 
-# absolute slack of the order tests in ``_dominated``
+# absolute slack of the order test in ``_dominated``
 ORDER_SLACK = 1e-10
 
 
-def _dominated(vals: np.ndarray, cone: Cone, strict: bool) -> np.ndarray:
-    """[i, j]: vals[j] <_K vals[i] if ``strict``, else vals[j] <=_K vals[i];
-    False for i == j.  One pass per dual normal compares w_l^T (vals[i] -
-    vals[j]) with ``ORDER_SLACK``."""
+def _dominated(vals: np.ndarray, cone: Cone) -> np.ndarray:
+    """[i, j]: vals[j] <_K vals[i].  One pass per dual normal requires
+    w_l^T (vals[i] - vals[j]) > ``ORDER_SLACK``; on the diagonal that
+    difference is 0 or NaN, so no row dominates itself."""
     out = np.ones((vals.shape[0],) * 2, dtype=bool)
     for col in (vals @ cone.dual_normals.T).T:
-        diff = col[:, None] - col[None, :]
-        out &= diff > ORDER_SLACK if strict else diff >= -ORDER_SLACK
-    np.fill_diagonal(out, False)
+        out &= col[:, None] - col[None, :] > ORDER_SLACK
     return out
-
-
-def minimal_elements(values, cone: Cone, value_tol: float = 0.0):
-    """Indices (0-based) of minimal and weakly minimal rows of ``values``.
-
-    Row i is minimal when no other row is <=_K it with a different value
-    (value equality is sup-norm distance <= value_tol); weakly minimal when
-    no row is strictly <_K it.  Minimal indices are always a subset of the
-    weakly minimal ones.
-    """
-    vals = np.atleast_2d(np.asarray(values, dtype=float))
-    leq = _dominated(vals, cone, strict=False) & ~(_sup_distances(vals) <= value_tol)
-    lt = _dominated(vals, cone, strict=True)
-    return np.flatnonzero(~leq.any(axis=1)).tolist(), np.flatnonzero(~lt.any(axis=1)).tolist()
 
 
 def structure_from_values(values: np.ndarray, cone: Cone) -> MinimalStructure:
     """Group the weakly minimal rows of an evaluated (p, m) array by value,
     within ``grouping_tolerance`` in sup norm."""
     vals = np.atleast_2d(np.asarray(values, dtype=float))
-    wmin_idx = np.flatnonzero(~_dominated(vals, cone, strict=True).any(axis=1))
+    wmin_idx = np.flatnonzero(~_dominated(vals, cone).any(axis=1))
     # Greedy grouping: each weakly minimal row, in index order, joins the
     # first group leader within the tolerance, or leads a new group.
     # close[i, r]: rows i and r are within the tolerance.

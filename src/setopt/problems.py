@@ -313,13 +313,6 @@ def _pow(a, e):
     return a ** e
 
 
-def _dot(x):
-    """x . x over the last axis: a row times a column is one BLAS ddot per
-    row, the bits of ``np.dot`` on a point (``np.vecdot`` would need
-    numpy 2)."""
-    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
-
-
 # ---------------------------------------------------------------------------
 # problem families
 
@@ -420,7 +413,7 @@ def _fdsa(n: int = 2, m: int = 3) -> SetValuedProblem:
 
     def evaluator(x):
         g1 = (k * (x - k) ** 4).sum(-1) / n ** 2
-        g2 = np.exp(x.sum(-1) / n) + _dot(x)
+        g2 = np.exp(x.sum(-1) / n) + np.vecdot(x, x)
         g3 = (k * (n - k + 1) * np.exp(-x)).sum(-1) / (n * (n + 1))
         return np.array([g1, g2, g3]).T
 
@@ -503,7 +496,7 @@ def _jos1a(n: int = 5) -> SetValuedProblem:
     pert = np.column_stack([0.1 * np.cos(a), 50.0 * np.sin(a)])
 
     def evaluator(x):
-        return np.array([_dot(x) / n, ((x - 2.0) ** 2).sum(-1) / n]).T
+        return np.array([np.vecdot(x, x) / n, ((x - 2.0) ** 2).sum(-1) / n]).T
 
     return SetValuedProblem(f"jos1a_n{n}_m2", n, 2, 100, _uniform_box(n, -2.0, 2.0), evaluator,
                             offsets=pert)
@@ -579,7 +572,7 @@ def _das_dennis(n: int = 5) -> SetValuedProblem:
     def evaluator(x):
         x0, x1, x2, x3, x4 = x.T
         return np.array([
-            _dot(x),
+            np.vecdot(x, x),
             3.0 * x0 + 2.0 * x1 - x2 / 3.0 + 0.01 * _pow(x3 - x4, 3),
         ]).T
 
@@ -625,7 +618,7 @@ def _sphere() -> SetValuedProblem:
         x0, x1, x2 = x.T
         g3 = _pow(x2 - 0.5, 2)
         u = np.pi * x0 / 2.0
-        gr = _pow(np.sqrt(_dot(x)) - 0.5, 2)
+        gr = _pow(np.sqrt(np.vecdot(x, x)) - 0.5, 2)
         v = np.pi * (1.0 + 2.0 * g3 * x1) / (4.0 * (1.0 + gr))
         return ((1.0 + g3) * np.array([np.cos(u) * np.cos(v), np.cos(u) * np.sin(v),
                                        np.sin(u)])).T

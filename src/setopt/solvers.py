@@ -149,7 +149,7 @@ class NonMonotoneMemory:
     def __init__(self, variant: str, n_memory: int, mu: float):
         self.variant = variant
         self.mu = mu
-        self.hist: deque = deque(maxlen=max(n_memory, 0))
+        self.hist: deque = deque(maxlen=n_memory)
         self.C: np.ndarray | None = None
         self.q = 1.0
         self.streak_all = True
@@ -488,15 +488,13 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     memo = StepMemo(problem, cone) if memo is None else memo
     ledger = memo.ledger(problem, cone)
     trust_region = config.variant not in ("sd", "cg")
-    memory = NonMonotoneMemory(config.variant, config.n_memory if config.variant == "max" else 0,
-                               config.mu)
+    memory = NonMonotoneMemory(config.variant, config.n_memory, config.mu)
     omega = config.omega0 if trust_region else None
     d_prev = v_prev = None
     trace: list[IterationRecord] = []
     converged = False
     diagnostic = None
     t = float("nan")
-    iterations = config.it_max
     shared_steps = 0
     start, cpu_start = time.perf_counter(), time.process_time()
     if not trust_region:
@@ -513,7 +511,6 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
                 t = -float(np.linalg.norm(v))
             if abs(t) < config.eps:
                 converged = True
-                iterations = k
                 break
             if trust_region:
                 memory.begin_iteration(F_x, a)
@@ -523,7 +520,6 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
                 rho = tuple(reduction_ratios(memory, F_new, a, pred, cone).tolist())
         except (DomainError, PartitionCapError, InnerSolveFailure, SolverInternalError) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"
-            iterations = k
             break
         if trust_region:
             accepted, omega_next = accept_and_update(rho, omega, config)
@@ -570,7 +566,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     cpu = time.process_time() - cpu_start + ledger.cpu
     norms = [r.step_norm for r in trace]
     return RunResult(
-        converged=converged, iterations=iterations, wall_time=wall, cpu_time=cpu,
+        converged=converged, iterations=len(trace), wall_time=wall, cpu_time=cpu,
         final_point=np.array(x), final_t=t, trace=trace, algorithm=config.variant,
         final_omega=omega, mean_step_size=float(np.mean(norms)) if norms else 0.0,
         diagnostic=diagnostic, shared_steps=shared_steps,

@@ -393,6 +393,10 @@ def test_experiment_config_json_roundtrip():
     ({"problem_ids": ("dgo1",)}, "'dgo1'"),
     ({"it_max": 2.5}, "integer it_max >= 1, got 2.5"),
     ({"points_per_problem": 1.5}, "integer points_per_problem >= 1, got 1.5"),
+    ({"algorithms": ()}, "nonempty algorithms"),
+    ({"algorithms": ("trm", "max", "trm")}, "algorithms with no repeats"),
+    ({"problem_ids": ()}, "nonempty problem_ids"),
+    ({"problem_ids": ("dgo1_n1_m2", "dgo1_n1_m2")}, "problem_ids with no repeats"),
 ])
 def test_experiment_config_rejects_what_run_matrix_cannot_run(fields, message):
     # checked up front, so run_matrix never stores a failure record for it
@@ -435,6 +439,55 @@ def test_cone_experiment_clouds_are_each_point():
                 single = problem.eval_all(np.array(cloud["x"]))
                 assert np.array(cloud["F"]).tobytes() == single.tobytes()
     assert max(sizes) > 2
+
+
+def _pairwise_cloud_points(x0, res):
+    """The cloud points as a pairwise ``np.array_equal`` loop keeps them:
+    the start, the accepted iterates and the final point, in order, each
+    unless an earlier kept point equals it."""
+    points = ([np.asarray(x0, float)] + [rec.x for rec in res.trace if rec.accepted]
+              + [np.asarray(res.final_point)])
+    seen = []
+    for p in points:
+        if not any(np.array_equal(p, q) for q in seen):
+            seen.append(p)
+    return seen
+
+
+def _assert_clouds_are(clouds, seen):
+    assert [np.array(c["x"]).tobytes() for c in clouds] == [p.tobytes() for p in seen]
+    assert [c["phase"] for c in clouds] == (
+        ["initial"] + ["intermediate"] * (len(seen) - 2) + ["final"] if len(seen) > 1
+        else ["initial"])
+
+
+def test_cone_experiment_clouds_match_the_pairwise_loop(monkeypatch):
+    # a real run: the start is also the first accepted iterate
+    x0 = np.array([-16.355461, -2.454201])
+    out = cone_experiment("modified_ex53_n2_m2", x0, {"k1": orthant(2)}, it_max=5)
+    for data in out["k1"].values():
+        res = data["result"]
+        assert np.array_equal(res.trace[0].x, x0) and res.trace[0].accepted
+        _assert_clouds_are(data["clouds"], _pairwise_cloud_points(x0, res))
+    # a run that revisits points, one of them as -0.0 and as 0.0
+    start = np.array([-0.0, 1.0])
+    path = [start, np.array([0.0, 1.0]), np.array([0.5, 1.0]), np.array([-0.0, 1.0]),
+            np.array([0.5, -0.0])]
+
+    def revisiting_run(problem, cone, x0, config, memo=None):
+        trace = [solvers.IterationRecord(k=k, x=x, omega=1.0, t=-1.0, a=(1,), rho=(),
+                                         accepted=k != 2, step_norm=0.0)
+                 for k, x in enumerate(path)]
+        return solvers.RunResult(converged=False, iterations=len(trace), wall_time=0.0,
+                                 cpu_time=0.0, final_point=np.array([0.5, 0.0]), final_t=-1.0,
+                                 trace=trace, algorithm=config.variant)
+
+    monkeypatch.setattr(bench, "run", revisiting_run)
+    out = cone_experiment("modified_ex53_n2_m2", start, {"k1": orthant(2)}, algorithms=("max",))
+    data = out["k1"]["max"]
+    seen = _pairwise_cloud_points(start, data["result"])
+    assert [p.tolist() for p in seen] == [[-0.0, 1.0], [0.5, -0.0]]
+    _assert_clouds_are(data["clouds"], seen)
 
 
 # -- runs from one start share a memo -----------------------------------------

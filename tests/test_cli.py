@@ -6,8 +6,6 @@ from click.testing import CliRunner
 
 from setopt.cli import main
 from setopt.cone import orthant
-from setopt.partition import grouping_tolerance, minimal_elements
-from setopt.problems import registry
 from setopt.solvers import IterationRecord
 
 
@@ -20,19 +18,15 @@ def test_list_problems():
 
 
 def test_inspect():
-    # one point where the minimal and weakly minimal sets coincide, one where not
-    for problem_id, point, regular in (("dgo1_n1_m2", 0.5, True),
-                                       ("modified_ex51_n1_m2", 5.0, False)):
+    for problem_id, point in (("dgo1_n1_m2", 0.5), ("modified_ex51_n1_m2", 5.0)):
         result = CliRunner().invoke(main, [
             "inspect", "--problem", problem_id, "--point", str(point)])
         assert result.exit_code == 0
         data = json.loads(result.output)
+        assert set(data) == {"omega", "groups", "partition_size"}
         assert data["omega"] >= 1
         assert data["partition_size"] >= 1
         assert all(isinstance(g, list) for g in data["groups"])
-        values = registry(problem_id).eval_all([point])
-        min_idx, wmin_idx = minimal_elements(values, orthant(2), grouping_tolerance(values))
-        assert data["is_regular_hint"] is (set(min_idx) == set(wmin_idx)) is regular
 
 
 def test_criticality():
@@ -100,6 +94,10 @@ def test_experiment_unknown_key_is_usage_error(tmp_path, command):
     ({"problem_ids": ["dgo1"]}, "'dgo1'"),
     ({"it_max": 2.5}, "got 2.5"),
     ({"points_per_problem": 1.5}, "got 1.5"),
+    ({"algorithms": []}, "nonempty algorithms"),
+    ({"algorithms": ["trm", "max", "trm"]}, "no repeats"),
+    ({"problem_ids": []}, "nonempty problem_ids"),
+    ({"problem_ids": ["dgo2_n1_m2", "dgo2_n1_m2"]}, "no repeats"),
 ])
 def test_run_bad_experiment_is_usage_error(tmp_path, fields, message):
     # rejected before the first run: no store file, so no failure record to resume past

@@ -7,8 +7,6 @@ from setopt.cone import k2prime, orthant
 from setopt.partition import (
     ORDER_SLACK,
     PartitionCapError,
-    grouping_tolerance,
-    minimal_elements,
     partition_iter,
     structure_from_values,
 )
@@ -16,47 +14,34 @@ from setopt.bench import _problem_seed, sample_points
 from setopt.problems import DomainError, from_functions, problem_ids, registry
 
 
-def oracle_minimal(values, cone, value_tol=0.0):
+def oracle_weakly_minimal(values, cone):
     """Brute-force double-loop dominance test, kept independent of the library path."""
     vals = [np.asarray(v, dtype=float) for v in values]
     n = len(vals)
-    min_idx, wmin_idx = [], []
+    wmin_idx = []
     for i in range(n):
-        dominated = False
         strictly = False
         for j in range(n):
             if j == i:
                 continue
-            equal = float(np.max(np.abs(vals[j] - vals[i]))) <= value_tol
             margins = cone.dual_normals @ (vals[i] - vals[j])
-            if np.all(margins >= -ORDER_SLACK) and not equal:
-                dominated = True
             if np.all(margins > ORDER_SLACK):
                 strictly = True
-        if not dominated:
-            min_idx.append(i)
         if not strictly:
             wmin_idx.append(i)
-    return min_idx, wmin_idx
+    return wmin_idx
+
+
+def weakly_minimal(values, cone):
+    """The 0-based weakly minimal rows, read from the partition's groups."""
+    return sorted(i - 1 for g in structure_from_values(values, cone).groups for i in g)
 
 
 def test_examples():
     cone = orthant(2)
-    mi, wmi = minimal_elements([[1, 2], [2, 1], [3, 3]], cone)
-    assert mi == [0, 1] and wmi == [0, 1]
-    mi, wmi = minimal_elements([[5.0, -1.0]], cone)
-    assert mi == [0] and wmi == [0]
-    mi, wmi = minimal_elements([[0, 0], [0, 0], [1, 1]], cone)
-    assert mi == [0, 1] and wmi == [0, 1]
-
-
-def test_min_subset_of_wmin_random():
-    rng = np.random.default_rng(0)
-    cone = orthant(3)
-    for _ in range(200):
-        vals = rng.normal(size=(rng.integers(1, 9), 3))
-        mi, wmi = minimal_elements(vals, cone)
-        assert set(mi) <= set(wmi)
+    assert weakly_minimal([[1, 2], [2, 1], [3, 3]], cone) == [0, 1]
+    assert weakly_minimal([[5.0, -1.0]], cone) == [0]
+    assert weakly_minimal([[0, 0], [0, 0], [1, 1]], cone) == [0, 1]
 
 
 def test_oracle_equivalence_random():
@@ -66,7 +51,7 @@ def test_oracle_equivalence_random():
         cone = cones[trial % len(cones)]
         n = int(rng.integers(1, 11))
         vals = np.round(rng.normal(size=(n, cone.m)), 3)  # rounding provokes ties
-        assert minimal_elements(vals, cone) == oracle_minimal(vals, cone)
+        assert weakly_minimal(vals, cone) == oracle_weakly_minimal(vals, cone)
 
 
 def _const_problem(rows):
@@ -85,9 +70,6 @@ def test_structure_grouping_by_equality():
     problem = _const_problem([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
     st = structure_from_values(problem.eval_all([0.0]), orthant(2))
     assert st.groups == ((1, 2),)
-    vals = problem.eval_all([0.0])
-    mi, wmi = minimal_elements(vals, orthant(2), grouping_tolerance(vals))
-    assert mi == wmi == [0, 1]
 
 
 def test_structure_matches_oracle_random_points():
@@ -96,7 +78,7 @@ def test_structure_matches_oracle_random_points():
     for _ in range(50):
         vals = rng.normal(size=(8, 3))
         st = structure_from_values(vals, cone)
-        _, wmi = oracle_minimal(vals, cone)
+        wmi = oracle_weakly_minimal(vals, cone)
         assert sorted(i for g in st.groups for i in g) == [i + 1 for i in wmi]
         # every group member agrees with its representative, its first member
         for grp in st.groups:
@@ -170,11 +152,14 @@ def test_partition_cap_error():
 
 def reference_grouping(values, cone):
     """The pairwise greedy loop that ``structure_from_values`` vectorises:
-    each weakly minimal row, in index order, joins the first representative
+    each weakly minimal row (no row is strictly below it, all dual normals
+    compared at once), in index order, joins the first representative
     within 1e-8 (1 + max |values|) in sup norm, or becomes one."""
     vals = np.atleast_2d(np.asarray(values, dtype=float))
     tol = 1e-8 * (1.0 + float(np.max(np.abs(vals))))
-    _, wmin_idx = minimal_elements(vals, cone)
+    proj = vals @ cone.dual_normals.T
+    below = np.all(proj[:, None, :] - proj[None, :, :] > ORDER_SLACK, axis=2)
+    wmin_idx = np.flatnonzero(~below.any(axis=1)).tolist()
     reps, groups = [], []
     for i in wmin_idx:
         for rep, grp in zip(reps, groups):
