@@ -159,7 +159,7 @@ def run_matrix(config: ExperimentConfig, store_path: str, cone: Cone | None = No
                     res = run(problem, kone, x0, SolverConfig(variant=algo, it_max=config.it_max),
                               memo=memo)
                 except Exception as exc:  # noqa: BLE001 -- failures become records
-                    res = RunResult(converged=False, iterations=config.it_max, wall_time=0.0,
+                    res = RunResult(converged=False, iterations=0, wall_time=0.0,
                                     cpu_time=0.0, final_point=x0, final_t=float("nan"),
                                     trace=[], algorithm=algo,
                                     diagnostic=f"{type(exc).__name__}: {exc}")

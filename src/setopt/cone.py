@@ -2,11 +2,13 @@
 
 A cone is described by the normals of its dual halfspaces,
 ``K = {y : w_j^T y >= 0 for all j}``.  The scalarization
-``scalarize(y) = max_j w_j^T y`` is a signed distance to ``-K``: negative
-inside, zero on the boundary, positive outside.  With each ``w_j``
-normalized to unit 1-norm it is 1-Lipschitz in the sup norm, and for the
-nonnegative orthant (``w_j = e_j``) it reduces to the max-coordinate
-function.
+``scalarize(y) = max_j w_j^T y`` has the sign of the oriented distance
+Delta_{-K} to ``-K``: negative inside, zero on the boundary, positive
+outside.  On ``-K`` it equals Delta_{-K} divided by the normals'
+1-norm/2-norm ratio when all normals share one (1 for the orthant); off
+``-K`` it is not the distance.  With each ``w_j`` normalized to unit 1-norm
+it is 1-Lipschitz in the sup norm, and for the nonnegative orthant
+(``w_j = e_j``) it reduces to the max-coordinate function.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class Cone:
         return self.dual_normals.shape[1]
 
     def scalarize(self, y) -> float:
-        """Signed distance of y to -K: ``max_j w_j^T y``."""
+        """``max_j w_j^T y``, with the sign of y's oriented distance to -K."""
         return float(np.max(self.dual_normals @ np.asarray(y, dtype=float)))
 
     def scalarize_rows(self, ys: np.ndarray) -> np.ndarray:

@@ -187,11 +187,18 @@ class NonMonotoneMemory:
 
 
 def predicted_reductions(s: np.ndarray, models: ModelSet, cone: Cone) -> np.ndarray:
-    """The scalarized model decrease ``cone.scalarize(-m^j(s))`` of every
-    block in one pass, each bitwise that of the block alone;
-    SolverInternalError names the first block whose prediction is not
-    positive."""
-    pred = cone.scalarize_rows(-models.values(s))
+    """The predicted reduction ``-cone.scalarize(m^j(s))`` of every block in
+    one pass, each bitwise that of the block alone.
+
+    It is the model analogue of the ratio's numerator -psi(F_j(x+s) - R_j):
+    against R = F(x), a block whose values equal its model has ratio 1, and
+    at a noncritical point a smooth family's ratios tend to 1 as the radius
+    goes to 0.  Both shipped cones give all their normals one 1-norm/2-norm
+    ratio c, and on -K the oriented distance Delta_{-K} is c psi, so the
+    ratio is also Delta_{-K}'s.  At a step that does not stop, psi(m^j(s*)) <= t* <= -eps,
+    so every prediction is at least eps up to round-off; SolverInternalError
+    still names the first block whose prediction is not positive."""
+    pred = -cone.scalarize_rows(models.values(s))
     bad = np.flatnonzero(pred <= 0.0)
     if bad.size:
         j = int(bad[0])

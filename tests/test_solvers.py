@@ -14,6 +14,7 @@ from setopt.problems import (
     SetValuedProblem,
     _grad_steps,
     _hess_steps,
+    derivatives_all,
     from_functions,
     problem_ids,
     registry,
@@ -205,8 +206,10 @@ def test_reduction_ratios_match_the_per_block_loop():
     pattern = [0, 0, 1, 0, 1, 1]
     models = ModelSet(G=G[pattern], H=H[pattern])
     s = np.array([0.3, -0.2, 0.1])
-    # blocks descend along s, so every prediction is positive
-    models = ModelSet(G=models.G - 2.0 * np.abs(models.G @ s)[..., None] * s / (s @ s),
+    # G_j s = -(1 + |G_j s|) puts every m^j(s) inside -K for both cones below,
+    # so every prediction is positive
+    Gs = models.G @ s
+    models = ModelSet(G=models.G - (Gs + 1.0 + np.abs(Gs))[..., None] * s / (s @ s),
                       H=models.H)
     a = (3, 1, 6, 2, 2, 5)  # a tuple picks the rows of F; a member may repeat
     F_new, F_x = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
@@ -214,10 +217,10 @@ def test_reduction_ratios_match_the_per_block_loop():
     mem.begin_iteration(F_x, a)
     # k2prime: a matmul over the rows would not give scalarize's bits
     for cone in (orthant(2), k2prime()):
-        # each block alone: its model decrease -m^j(s), scalarized
+        # each block alone: -psi of its model increment m^j(s)
         looped = [-cone.scalarize(F_new[ai - 1] - F_x[ai - 1])
-                  / cone.scalarize(-(models.G[j] @ s
-                                     + 0.5 * np.einsum("rab,a,b->r", models.H[j], s, s)))
+                  / -cone.scalarize(models.G[j] @ s
+                                    + 0.5 * np.einsum("rab,a,b->r", models.H[j], s, s))
                   for j, ai in enumerate(a)]
         rho = reduction_ratios(mem, F_new, a, predicted_reductions(s, models, cone), cone)
         assert rho.tobytes() == np.array(looped).tobytes()
@@ -232,6 +235,45 @@ def test_reduction_ratio_nonpositive_denominator():
                       H=np.zeros((3, 1, 2, 2)))
     with pytest.raises(SolverInternalError, match="for block 1$"):
         predicted_reductions(np.array([1.0, 0.0]), models, orthant(1))
+
+
+def test_ratio_is_one_where_the_family_is_its_model():
+    # two members whose components are quadratics of different curvature:
+    # central differences are exact on them up to round-off, so F equals its model
+    curvature = np.array([[[1.0, 0.0], [0.0, 4.0]], [[3.0, 1.0], [1.0, 2.0]]])
+    p = from_functions("vector_quadratic", 2, 2,
+                       [lambda x, A=A: 0.5 * np.einsum("a,rab,b->r", x, A, x)
+                        for A in (curvature, curvature[::-1])], (-10.0, 10.0))
+    for cone in (orthant(2), k2prime()):
+        for x0 in ([3.0, -2.0], [-7.0, 5.5], [4.0, 4.0]):
+            res = run(p, cone, x0, SolverConfig(variant="trm"))
+            assert res.converged and res.iterations > 0
+            assert all(r.accepted for r in res.trace)
+            rho = np.concatenate([r.rho for r in res.trace])
+            assert np.abs(rho - 1.0).max() < 1e-6
+            assert any(len(r.rho) == 2 for r in res.trace)
+
+
+@pytest.mark.parametrize("pid", ["rosenbrock_n4_m3", "dtlz1_n6_m4"])
+def test_ratios_tend_to_one_as_the_radius_shrinks(pid):
+    # start 0 of the shared setup is not critical on either instance
+    problem = registry(pid)
+    cone = orthant(problem.m)
+    x = sample_points(problem.domain_box, 5, _problem_seed(5, pid))[0]
+    F_x = problem.eval_all(x)
+    structure = structure_from_values(F_x, cone)
+    gaps = []
+    for radius in (2.0 ** -4, 2.0 ** -8, 2.0 ** -12):
+        sol = subproblem.theta_and_step(problem, cone, x, structure, radius,
+                                        derivatives_all(problem, x), box=problem.domain_box)
+        assert sol.t_star <= -SolverConfig().eps
+        memory = NonMonotoneMemory("trm", 0, 0.5)
+        memory.begin_iteration(F_x, sol.a_star)
+        F_new = problem.eval_all(np.clip(x + sol.s_star, *problem.domain_box))
+        rho = reduction_ratios(memory, F_new, sol.a_star,
+                               predicted_reductions(sol.s_star, sol.models, cone), cone)
+        gaps.append(np.abs(rho - 1.0).max())
+    assert gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-4
 
 
 def test_run_already_critical():

@@ -38,8 +38,9 @@ def model_value(models, j, s):
 
 
 def predicted_reduction(models, cone, j, s):
-    """Reference scalarized model decrease of block j: Delta(m^j(0) - m^j(s))."""
-    return cone.scalarize(-model_value(models, j, np.asarray(s, dtype=float)))
+    """Reference predicted reduction of block j, as ``solvers.predicted_reductions``
+    gives it: -psi(m^j(s)), the model analogue of the ratio's numerator."""
+    return -cone.scalarize(model_value(models, j, np.asarray(s, dtype=float)))
 
 
 def zero_models(omega=1, m=1, n=2):

@@ -14,7 +14,10 @@ running this on both:
 
 It pins ``OPENBLAS_NUM_THREADS=1`` before numpy loads, because the
 trust-region steps depend on the BLAS thread count.  It also prints, per
-method, the runs that converged and the iterations summed over all runs.
+method, the runs that converged, the iterations and the rejected steps
+summed over all runs, and for ``max`` and ``avg`` the runs whose iterates
+and accepted flags equal those of ``trm`` from the same start.  These
+counts are not part of the digest.
 """
 
 import hashlib
@@ -47,10 +50,17 @@ def _run_key(res) -> tuple:
     return (res.converged, res.iterations, res.diagnostic, _bits(res.final_t), point, trace)
 
 
+def _path(res) -> list:
+    """The run's iterates and accepted flags."""
+    return [(r.x.tobytes(), r.accepted) for r in res.trace]
+
+
 def main() -> int:
     digest = hashlib.sha256()
     converged = dict.fromkeys(VARIANTS, 0)
     iterations = dict.fromkeys(VARIANTS, 0)
+    rejected = dict.fromkeys(VARIANTS, 0)
+    as_trm = dict.fromkeys(("max", "avg"), 0)
     for pid in problem_ids():
         problem = registry(pid)
         cone = orthant(problem.m)
@@ -63,10 +73,17 @@ def main() -> int:
                 digest.update(repr((pid, start, variant, _run_key(res))).encode())
                 converged[variant] += res.converged
                 iterations[variant] += res.iterations
+                rejected[variant] += sum(not r.accepted for r in res.trace)
+                if variant == "trm":
+                    trm_path = _path(res)
+                elif variant in as_trm:
+                    as_trm[variant] += _path(res) == trm_path
+    runs = len(problem_ids()) * STARTS
     print(f"sha256 {digest.hexdigest()}")
     for variant in VARIANTS:
-        print(f"{variant}: converged {converged[variant]}/{len(problem_ids()) * STARTS}, "
-              f"iterations {iterations[variant]}")
+        same = f", as trm {as_trm[variant]}/{runs}" if variant in as_trm else ""
+        print(f"{variant}: converged {converged[variant]}/{runs}, "
+              f"iterations {iterations[variant]}, rejected {rejected[variant]}{same}")
     return 0
 
 
