@@ -154,7 +154,7 @@ def run_matrix(config: ExperimentConfig, store_path: str, cone: Cone | None = No
         with open(store_path, "a", encoding="utf-8") as fh:
             for problem, kone, pid, algo, idx, x0 in jobs:
                 if (pid, idx) != memo_key:
-                    memo, memo_key = StepMemo(problem, kone), (pid, idx)
+                    memo, memo_key = StepMemo(problem), (pid, idx)
                 try:
                     res = run(problem, kone, x0, SolverConfig(variant=algo, it_max=config.it_max),
                               memo=memo)
@@ -351,15 +351,16 @@ def cone_experiment(problem_id: str, x0, cones: dict, it_max: int = 100,
 
     Returns, per cone and algorithm, the run result plus the family value
     clouds at the initial, intermediate (accepted), and final iterates.
-    The runs under one cone share one ``StepMemo``.
+    The runs under every cone share one ``StepMemo``, and each cloud reads
+    F from it: only a point that no run evaluated is evaluated anew.
     """
     problem = registry(problem_id)
     if problem.m != 2:
         raise ValueError("cone experiment expects a 2-dimensional image space")
+    memo = StepMemo(problem)
     out = {}
     for cone_name, cone in cones.items():
         per_algo = {}
-        memo = StepMemo(problem, cone)
         for algo in algorithms:
             config = SolverConfig(variant=algo, it_max=it_max)
             res = run(problem, cone, x0, config, memo=memo)
@@ -367,14 +368,14 @@ def cone_experiment(problem_id: str, x0, cones: dict, it_max: int = 100,
                               + [res.final_point], dtype=float)
             # + 0.0 makes -0.0 and 0.0 one point, as value equality does
             seen = points[_first_of_each(points + 0.0)]
-            values = problem.eval_all(seen)
+            ledger = memo.ledger(problem)
             clouds = []
             for pi, p in enumerate(seen):
                 phase = "initial" if pi == 0 else ("final" if pi == len(seen) - 1 else "intermediate")
                 clouds.append({
                     "phase": phase,
                     "x": p.tolist(),
-                    "F": values[pi].tolist(),
+                    "F": memo.values(p, ledger).tolist(),
                 })
             per_algo[algo] = {"result": res, "clouds": clouds}
         out[cone_name] = per_algo

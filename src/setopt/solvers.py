@@ -15,9 +15,10 @@ reduction ratio compares against:
 With window depth 0 (``max``) or weight 0 (``avg``) both reduce exactly,
 bitwise, to the monotone driver.
 
-Runs from one start can share a ``StepMemo``: every evaluation, partition,
-step (with its predicted reductions) and line search that one of them
-computes, the others read.
+Runs from one start can share a ``StepMemo``, under one cone or several:
+every evaluation that one of them computes, the others read, and every
+partition, step (with its predicted reductions) and line search, the others
+under the same cone read.
 """
 
 from __future__ import annotations
@@ -335,11 +336,21 @@ class _Ledger:
         self.wall = self.cpu = 0.0
 
 
-class StepMemo:
-    """The work that runs from one start can share, bound to one problem,
-    cone and domain box and keyed by the exact bytes of its inputs:
+def _cone_key(cone: Cone) -> tuple:
+    """The shape and bytes of the cone's normals, which decide every
+    cone-dependent result."""
+    w = cone.dual_normals
+    return w.shape, w.tobytes()
 
-    * F(x), keyed by x (the trial point of an accepted step is the next x);
+
+class StepMemo:
+    """The work that runs from one start can share, bound to one problem
+    and domain box and keyed by the exact bytes of its inputs:
+
+    * F(x), keyed by x (the trial point of an accepted step is the next x),
+      and the derivatives of the last x asked for, in a one-entry
+      ``DerivativeTable``: neither depends on the cone, so runs under every
+      cone share them;
     * the partition at x, keyed by x for a whole-family problem; an offset
       family's does not depend on x and is kept on the problem instead
       (``partition``);
@@ -350,16 +361,18 @@ class StepMemo:
     * the SD/CG tuple, direction v and Jacobian blocks, keyed by x;
     * the Armijo search, keyed by (x, d, idx, rho_armijo, nu).
 
-    Entries hold read-only arrays, and nothing that raised is stored.  A
-    miss calls what a run without the memo calls, so a run that shares one
-    is bitwise the run that does not.  Each entry keeps the wall and CPU
-    seconds it took; a run adds to its own times those of every entry
-    another run computed, once per entry, so its reported times stay its
-    own cost.
+    Every entry but F(x) also holds the cone's normals in its key (their
+    shape and bytes), so a run reads these only from runs under its own
+    normals.  Entries hold read-only arrays, and nothing that raised is
+    stored.  A miss calls what a run without the memo calls, so a run that
+    shares one is bitwise the run that does not.  Each entry keeps the wall
+    and CPU seconds it took; a run adds to its own times those of every
+    entry another run computed, once per entry, so its reported times stay
+    its own cost.
     """
 
-    def __init__(self, problem: SetValuedProblem, cone: Cone):
-        self.problem, self.cone = problem, cone
+    def __init__(self, problem: SetValuedProblem):
+        self.problem = problem
         self._box = self._box_bytes(problem)
         self._derivatives = DerivativeTable(problem)
         self._entries: dict = {}
@@ -369,11 +382,10 @@ class StepMemo:
     def _box_bytes(problem: SetValuedProblem) -> bytes:
         return b"".join(np.asarray(b, dtype=float).tobytes() for b in problem.domain_box)
 
-    def ledger(self, problem: SetValuedProblem, cone: Cone) -> _Ledger:
-        """A new run's ledger; ValueError for another problem, cone or box."""
-        if problem is not self.problem or cone is not self.cone \
-                or self._box_bytes(problem) != self._box:
-            raise ValueError("the memo is bound to another problem, cone or domain box")
+    def ledger(self, problem: SetValuedProblem) -> _Ledger:
+        """A new run's ledger; ValueError for another problem or box."""
+        if problem is not self.problem or self._box_bytes(problem) != self._box:
+            raise ValueError("the memo is bound to another problem or domain box")
         return _Ledger(next(self._runs))
 
     def _get(self, key: tuple, compute, ledger: _Ledger):
@@ -398,70 +410,75 @@ class StepMemo:
             return F
         return self._get(("F", x.tobytes()), compute, ledger)[0]
 
-    def partition(self, x: np.ndarray, F_x: np.ndarray, ledger: _Ledger):
-        """The partition at x.  The partition of an offset family is that of
-        its offsets, grouped at ``grouping_tolerance(offsets)``: every
-        w·(F_i(x) - F_j(x)) is w·(c_i - c_j), whatever x.  It is computed
-        once per cone and kept on the problem (``problem.partitions``), so
-        runs from every start share it.  It is no memo entry: the run that
-        computes it pays for it, no other.  A whole family's partition is
-        grouped from F(x), an entry keyed by x.
+    def partition(self, x: np.ndarray, F_x: np.ndarray, cone: Cone, ledger: _Ledger):
+        """The partition at x under ``cone``.  The partition of an offset
+        family is that of its offsets, grouped at
+        ``grouping_tolerance(offsets)``: every w·(F_i(x) - F_j(x)) is
+        w·(c_i - c_j), whatever x.  It is computed once per cone's normals
+        and kept on the problem (``problem.partitions``), so runs from every
+        start share it.  It is no memo entry: the run that computes it pays
+        for it, no other.  A whole family's partition is grouped from F(x),
+        an entry keyed by x and the normals.
         """
         offsets = self.problem.offsets
+        normals = _cone_key(cone)
         if offsets is None:
-            return self._get(("partition", x.tobytes()),
-                             lambda: structure_from_values(F_x, self.cone), ledger)[0]
-        w = self.cone.dual_normals
-        key = (w.shape, w.tobytes())
-        if key not in self.problem.partitions:
-            self.problem.partitions[key] = structure_from_values(offsets, self.cone)
-        return self.problem.partitions[key]
+            return self._get(("partition", x.tobytes(), normals),
+                             lambda: structure_from_values(F_x, cone), ledger)[0]
+        if normals not in self.problem.partitions:
+            self.problem.partitions[normals] = structure_from_values(offsets, cone)
+        return self.problem.partitions[normals]
 
-    def step(self, x: np.ndarray, structure, omega: float, eps: float, ledger: _Ledger):
+    def step(self, x: np.ndarray, structure, cone: Cone, omega: float, eps: float,
+             ledger: _Ledger):
         """The trust-region solution, and whether another run computed it."""
         def compute():
-            sol = theta_and_step(self.problem, self.cone, x, structure, omega,
+            sol = theta_and_step(self.problem, cone, x, structure, omega,
                                  self._derivatives.bundle_arrays(x),
                                  box=self.problem.domain_box, stop_tol=eps)
             _read_only(sol.s_star, sol.models.G, sol.models.H)
             return sol
-        return self._get(("step", x.tobytes(), omega, eps), compute, ledger)
+        return self._get(("step", x.tobytes(), _cone_key(cone), omega, eps), compute, ledger)
 
-    def prediction(self, x: np.ndarray, sol, omega: float, eps: float, ledger: _Ledger):
+    def prediction(self, x: np.ndarray, sol, cone: Cone, omega: float, eps: float,
+                   ledger: _Ledger):
         """The predicted reductions of the step at (x, omega, eps), kept with
         the step once a run reaches its ratio test."""
         def compute():
-            pred = predicted_reductions(sol.s_star, sol.models, self.cone)
+            pred = predicted_reductions(sol.s_star, sol.models, cone)
             _read_only(pred)
             return pred
-        return self._get(("pred", x.tobytes(), omega, eps), compute, ledger)[0]
+        return self._get(("pred", x.tobytes(), _cone_key(cone), omega, eps), compute,
+                         ledger)[0]
 
-    def direction(self, x: np.ndarray, structure, ledger: _Ledger):
+    def direction(self, x: np.ndarray, structure, cone: Cone, ledger: _Ledger):
         """The tuple a, the steepest-descent direction v and the Jacobian
         blocks of a."""
         def compute():
             jac = self._derivatives.jacobians(x)
 
             def solve(a):
-                v, val = _prox_direction(scalarized_rows(self.cone, jac[[ai - 1 for ai in a]]))
+                v, val = _prox_direction(scalarized_rows(cone, jac[[ai - 1 for ai in a]]))
                 return val, v
 
             a, (_, v) = best_tuple(self.problem, structure, solve)
             blocks = jac[[ai - 1 for ai in a]]
             _read_only(v, blocks)
             return a, v, blocks
-        return self._get(("direction", x.tobytes()), compute, ledger)[0]
+        return self._get(("direction", x.tobytes(), _cone_key(cone)), compute, ledger)[0]
 
     def armijo(self, x: np.ndarray, d: np.ndarray, idx: list, F_x: np.ndarray,
-               slopes: np.ndarray, steps: np.ndarray, config: SolverConfig, ledger: _Ledger):
+               slopes: np.ndarray, steps: np.ndarray, cone: Cone, config: SolverConfig,
+               ledger: _Ledger):
         """``_armijo_step``'s (step, point), and whether another run computed it."""
         def compute():
-            step, x_new = _armijo_step(self.problem, self.cone, x, d, idx, F_x, slopes, steps,
+            step, x_new = _armijo_step(self.problem, cone, x, d, idx, F_x, slopes, steps,
                                        config.rho_armijo)
             x_new = np.array(x_new)
             _read_only(x_new)
             return step, x_new
-        key = ("armijo", x.tobytes(), d.tobytes(), tuple(idx), config.rho_armijo, config.nu)
+        key = ("armijo", x.tobytes(), _cone_key(cone), d.tobytes(), tuple(idx),
+               config.rho_armijo, config.nu)
         return self._get(key, compute, ledger)
 
 
@@ -486,14 +503,14 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     line search goes through ``memo`` (a private one when None is given),
     so a run that reads a step another run took computes only the trial
     point clip(x + s*, box), its own reference, ratios and acceptance; a
-    memo bound to another problem or cone raises ValueError.
+    memo bound to another problem or domain box raises ValueError.
     """
     lo, hi = problem.domain_box
     x = np.asarray(x0, dtype=float).reshape(problem.n)
     if not (np.isfinite(x).all() and ((lo <= x) & (x <= hi)).all()):
         raise ValueError("x0 must be finite and lie inside the domain box")
-    memo = StepMemo(problem, cone) if memo is None else memo
-    ledger = memo.ledger(problem, cone)
+    memo = StepMemo(problem) if memo is None else memo
+    ledger = memo.ledger(problem)
     trust_region = config.variant not in ("sd", "cg")
     memory = NonMonotoneMemory(config.variant, config.n_memory, config.mu)
     omega = config.omega0 if trust_region else None
@@ -509,12 +526,12 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     for k in range(config.it_max):
         try:
             F_x = memo.values(x, ledger)
-            structure = memo.partition(x, F_x, ledger)
+            structure = memo.partition(x, F_x, cone, ledger)
             if trust_region:
-                sol, shared = memo.step(x, structure, omega, config.eps, ledger)
+                sol, shared = memo.step(x, structure, cone, omega, config.eps, ledger)
                 a, t = sol.a_star, sol.t_star
             else:
-                a, v, blocks = memo.direction(x, structure, ledger)
+                a, v, blocks = memo.direction(x, structure, cone, ledger)
                 t = -float(np.linalg.norm(v))
             if abs(t) < config.eps:
                 converged = True
@@ -523,7 +540,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
                 memory.begin_iteration(F_x, a)
                 x_trial = np.clip(x + sol.s_star, lo, hi)
                 F_new = memo.values(x_trial, ledger)
-                pred = memo.prediction(x, sol, omega, config.eps, ledger)
+                pred = memo.prediction(x, sol, cone, omega, config.eps, ledger)
                 rho = tuple(reduction_ratios(memory, F_new, a, pred, cone).tolist())
         except (DomainError, PartitionCapError, InnerSolveFailure, SolverInternalError) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"
@@ -551,8 +568,8 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
                     d, slopes = v, None  # restart when the combined direction loses descent
             if slopes is None:
                 slopes = cone.scalarize_rows(blocks @ d)
-            (step, x_trial), shared = memo.armijo(x, d, idx, F_x, slopes, backtracking, config,
-                                                  ledger)
+            (step, x_trial), shared = memo.armijo(x, d, idx, F_x, slopes, backtracking, cone,
+                                                  config, ledger)
             accepted = step is not None
             rho = ()
             omega_k = step if accepted else 0.0

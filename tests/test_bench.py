@@ -21,7 +21,7 @@ from setopt.bench import (
 )
 from setopt import bench, solvers
 from setopt.cone import k2prime, orthant
-from setopt.problems import problem_ids, registry
+from setopt.problems import SetValuedProblem, problem_ids, registry
 
 # the hand-made records name any registered ids and variants: ExperimentConfig accepts no others
 P1, P2 = problem_ids()[:2]
@@ -425,8 +425,9 @@ def test_cone_experiment_shape():
 
 
 def test_cone_experiment_clouds_are_each_point():
-    # the clouds come from one batched eval_all call; each must be the
-    # single-point evaluation, bit for bit
+    # each cloud reads F from the memo the runs filled, or evaluates the
+    # point anew when no run did; either must be the single-point
+    # evaluation, bit for bit
     problem = registry("modified_ex53_n2_m2")
     out = cone_experiment("modified_ex53_n2_m2", np.array([-16.355461, -2.454201]),
                           {"k1": orthant(2), "k2prime": k2prime()}, it_max=5)
@@ -490,6 +491,29 @@ def test_cone_experiment_clouds_match_the_pairwise_loop(monkeypatch):
     _assert_clouds_are(data["clouds"], seen)
 
 
+def test_cone_experiment_evaluates_each_point_once(monkeypatch):
+    # the runs under both cones share one memo, and the clouds read F from
+    # it: F(x0) is evaluated once, and no cloud point is evaluated again
+    x0 = np.array([-16.355461, -2.454201])
+    calls, in_runs = [], []
+    eval_all = SetValuedProblem.eval_all
+    monkeypatch.setattr(SetValuedProblem, "eval_all",
+                        lambda self, x: calls.append(np.array(x)) or eval_all(self, x))
+
+    def counted_run(*args, **kwargs):
+        before = len(calls)
+        res = solvers.run(*args, **kwargs)
+        in_runs.append(len(calls) - before)
+        return res
+
+    monkeypatch.setattr(bench, "run", counted_run)
+    out = cone_experiment("modified_ex53_n2_m2", x0, {"k1": orthant(2), "k2prime": k2prime()},
+                          it_max=5)
+    assert len(in_runs) == 4 and sum(in_runs) == len(calls)
+    assert sum(x.tobytes() == x0.tobytes() for x in calls) == 1
+    assert all(len(d["clouds"]) > 2 for per_algo in out.values() for d in per_algo.values())
+
+
 # -- runs from one start share a memo -----------------------------------------
 
 def _exact(obj):
@@ -539,14 +563,17 @@ def test_shared_memo_runs_are_fresh_memo_runs(tmp_path, monkeypatch):
         runs = _capture_runs(monkeypatch, share)
         records = run_matrix(config, str(tmp_path / f"{share}.jsonl"))
         cones = cone_experiment("modified_ex53_n2_m2", np.array([-16.355461, -2.454201]),
-                                {"k2prime": k2prime()}, it_max=10)
+                                {"k1": orthant(2), "k2prime": k2prime()}, it_max=10)
         shared_steps = (sum(r["shared_steps"] for r in records),
-                        sum(d["result"].shared_steps for d in cones["k2prime"].values()))
-        cones = {algo: (_exact(dataclasses.replace(d["result"], **{f: None for f in _OWN})),
-                        _exact(d["clouds"])) for algo, d in cones["k2prime"].items()}
+                        sum(d["result"].shared_steps for per_algo in cones.values()
+                            for d in per_algo.values()))
+        cones = {(name, algo): (_exact(dataclasses.replace(d["result"],
+                                                           **{f: None for f in _OWN})),
+                                _exact(d["clouds"]))
+                 for name, per_algo in cones.items() for algo, d in per_algo.items()}
         records = [{k: v for k, v in r.items() if k not in _OWN} for r in records]
         out[share] = (records, cones, runs, shared_steps)
-    assert len(out[True][2]) == 4 * 2 * 5 + 2
+    assert len(out[True][2]) == 4 * 2 * 5 + 2 * 2
     assert out[True][:3] == out[False][:3]
     assert min(out[True][3]) > 0 and max(out[False][3]) == 0
     assert sum(len(events) for _, _, events in out[True][2]) >= 100

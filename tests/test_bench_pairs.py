@@ -1,8 +1,10 @@
 """``tools/bench_pairs.py`` summarises alternating parent/change benchmark
-runs: its seed ranges, and per metric the medians, inclusive quartiles,
-the parent's spread and the pairs the change won."""
+runs: its seed ranges, its workload filter, and per metric the medians,
+inclusive quartiles, the parent's spread, the per-pair change/parent ratios
+and the pairs the change won."""
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,8 @@ def test_summarise(bench_pairs):
     assert w["parent_quartiles"] == [2.0, 4.0] and w["change_quartiles"] == [2.0, 3.5]
     assert w["parent_iqr_pct"] == pytest.approx(100.0 * 2.0 / 3.0)
     assert w["change_pct"] == 0.0
+    # per pair, change over parent: 0.5, 1, 7/6, 0.75, 0.8
+    assert w["pair_ratio_median"] == 0.8 and w["pair_ratio_quartiles"] == [0.75, 1.0]
     # lower is better: three wins, one tie that counts for neither side, one loss
     assert w["change_better_pairs"] == 3
     assert (w["pairs"], w["bound_pct"]) == (5, 25.0)
@@ -63,3 +67,58 @@ def test_summarise(bench_pairs):
     assert b["wall_s"]["parent_quartiles"] == [2.0, 2.0] and b["wall_s"]["parent_iqr_pct"] == 0.0
     assert b["wall_s"]["change_pct"] == -50.0 and b["wall_s"]["change_better_pairs"] == 1
     assert b["ok_frac"]["change_better_pairs"] == 0 and b["ok_frac"]["pairs"] == 1
+    assert b["wall_s"]["pair_ratio_median"] == 0.5
+    assert b["wall_s"]["pair_ratio_quartiles"] == [0.5, 0.5]
+
+
+def test_pair_ratios_leave_out_a_zero_parent(bench_pairs):
+    runs = [_pair("a", wall_s=(0.0, 1.0), ok_frac=(0.0, 1.0)),
+            _pair("a", wall_s=(2.0, 3.0), ok_frac=(0.0, 0.0))]
+    summary = bench_pairs.summarise(runs, SPEC)["a"]
+    assert summary["wall_s"]["pair_ratio_median"] == 1.5
+    assert summary["wall_s"]["pair_ratio_quartiles"] == [1.5, 1.5]
+    assert summary["ok_frac"]["pair_ratio_median"] is None
+    assert summary["ok_frac"]["pair_ratio_quartiles"] is None
+
+
+def _roots(tmp_path):
+    spec = {"command": ["true"], "run_seconds": 1,
+            "workloads": [{"name": "a"}, {"name": "b"}, {"name": "c"}], **SPEC}
+    roots = [tmp_path / side for side in ("parent", "change")]
+    for root in roots:
+        root.mkdir()
+        (root / "BENCHMARK.json").write_text(json.dumps(spec))
+    return roots
+
+
+def test_workloads_filter_runs_only_the_named_workloads(bench_pairs, tmp_path, monkeypatch,
+                                                        capsys):
+    calls = []
+
+    def fake_perfbench(root, spec, workload, seed):
+        calls.append((root.name, workload, seed))
+        digests = root / f"{workload}-{seed}.json"
+        digests.write_text("same")
+        return {"correct": True,
+                "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}}, digests
+
+    monkeypatch.setattr(bench_pairs, "perfbench", fake_perfbench)
+    parent, change = _roots(tmp_path)
+    out = tmp_path / "pairs.json"
+    argv = [str(parent), str(change), "--seeds", "5,5,6", "--workloads", "c,a",
+            "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    # the spec's order, a repeated seed run again; the side that runs first
+    # alternates with (seed index + workload index)
+    pairs = list(zip(calls[::2], calls[1::2]))
+    assert [(w, s) for (_, w, s), _ in pairs] == [("a", 5), ("c", 5), ("a", 5), ("c", 5),
+                                                   ("a", 6), ("c", 6)]
+    assert all(first[1:] == second[1:] and first[0] != second[0] for first, second in pairs)
+    assert [first[0] for first, _ in pairs] == ["parent", "change", "change", "parent",
+                                               "parent", "change"]
+    data = json.loads(out.read_text())
+    assert list(data["summary"]) == ["a", "c"] and data["summary"]["a"]["wall_s"]["pairs"] == 3
+    assert all(r["digests_equal"] for r in data["runs"])
+    assert "per-pair change" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(parent), str(change), "--seeds", "5", "--workloads", "a,d"])

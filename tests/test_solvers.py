@@ -20,6 +20,7 @@ from setopt.problems import (
     registry,
 )
 from setopt.solvers import (
+    VARIANTS,
     NonMonotoneMemory,
     RunResult,
     SolverConfig,
@@ -687,16 +688,16 @@ def test_distinct_rows_match_unique(monkeypatch):
 
 # -- the step memo -------------------------------------------------------------
 
-def test_memo_is_bound_to_its_problem_cone_and_box():
+def test_memo_is_bound_to_its_problem_and_box_not_its_cone(monkeypatch):
     p, other = registry("dgo2_n1_m2"), registry("dgo1_n1_m2")
     twin = dataclasses.replace(p)  # equal fields, another problem object
     cone = orthant(2)
-    memo = StepMemo(p, cone)
+    memo = StepMemo(p)
     x0 = np.array([4.0])  # inside both boxes
     assert twin is not p and twin.domain_box[0].tobytes() == p.domain_box[0].tobytes()
-    for problem, kone in ((twin, cone), (other, cone), (p, orthant(2)), (p, k2prime())):
+    for problem in (twin, other):
         with pytest.raises(ValueError, match="bound to another"):
-            run(problem, kone, x0, SolverConfig(), memo=memo)
+            run(problem, cone, x0, SolverConfig(), memo=memo)
     lo = p.domain_box[0]
     lo[0] -= 1.0
     try:
@@ -706,6 +707,24 @@ def test_memo_is_bound_to_its_problem_cone_and_box():
         lo[0] += 1.0
     assert _run_bytes(run(p, cone, x0, SolverConfig(), memo=memo)) == \
         _run_bytes(run(p, cone, x0, SolverConfig()))
+    # from this start every method takes other steps under the two cones, so
+    # a step, partition or search read under the other cone would show; F is
+    # read: the run under the second cone evaluates no F at x0
+    p = registry("modified_ex53_n2_m2")
+    x0 = np.array([-16.355461, -2.454201])
+    at_x0 = []
+    eval_all = SetValuedProblem.eval_all
+    monkeypatch.setattr(SetValuedProblem, "eval_all", lambda self, x: at_x0.append(
+        np.asarray(x).tobytes() == x0.tobytes()) or eval_all(self, x))
+    for variant in VARIANTS:
+        config = SolverConfig(variant=variant, it_max=10)
+        memo = StepMemo(p)
+        first = run(p, orthant(2), x0, config, memo=memo)
+        at_x0.clear()
+        again = run(p, k2prime(), x0, config, memo=memo)
+        assert not any(at_x0) and at_x0
+        assert _run_bytes(again) == _run_bytes(run(p, k2prime(), x0, config))
+        assert _run_bytes(again) != _run_bytes(first) and again.shared_steps == 0
 
 
 def test_memo_keys_hold_the_line_search_parameters():
@@ -718,7 +737,7 @@ def test_memo_keys_hold_the_line_search_parameters():
         base = SolverConfig(variant=variant, it_max=5)
         configs = (base, dataclasses.replace(base, nu=0.3),
                    dataclasses.replace(base, rho_armijo=0.4))
-        memo = StepMemo(p, cone)
+        memo = StepMemo(p)
         shared = [run(p, cone, x0, config, memo=memo) for config in configs]
         fresh = [run(p, cone, x0, config) for config in configs]
         assert [_run_bytes(r) for r in shared] == [_run_bytes(r) for r in fresh]
@@ -734,7 +753,7 @@ def test_memo_keys_hold_the_stop_tolerance():
     cone = orthant(3)
     x0 = sample_points(p.domain_box, 2, _problem_seed(5, p.name))[1]
     configs = (SolverConfig(eps=0.1), SolverConfig())
-    memo = StepMemo(p, cone)
+    memo = StepMemo(p)
     shared = [run(p, cone, x0, config, memo=memo) for config in configs]
     fresh = [run(p, cone, x0, config) for config in configs]
     assert [_run_bytes(r) for r in shared] == [_run_bytes(r) for r in fresh]
@@ -753,7 +772,7 @@ def test_reading_other_runs_entries_charges_each_once():
     p = registry("hil_n2_m2")
     cone = orthant(2)
     x0 = np.array([2.718, 4.675])  # rejected steps: F(x) is read again
-    memo = StepMemo(p, cone)
+    memo = StepMemo(p)
     first = run(p, cone, x0, SolverConfig(variant="trm"), memo=memo)
     assert any(not r.accepted for r in first.trace) and first.shared_steps == 0
     n_entries = len(memo._entries)
@@ -773,7 +792,7 @@ def test_own_entries_are_never_charged():
     # the next F(x)) but its times stay its own
     p = registry("hil_n2_m2")
     cone = orthant(2)
-    memo = StepMemo(p, cone)
+    memo = StepMemo(p)
     res = run(p, cone, np.array([2.718, 4.675]), SolverConfig(variant="trm"),
               observer=lambda event: _entries_cost(memo, 1e3, 1e3), memo=memo)
     assert any(r.accepted for r in res.trace) and any(not r.accepted for r in res.trace)
@@ -798,7 +817,7 @@ def test_shared_runs_predict_each_step_once(monkeypatch):
     configs = [SolverConfig(variant=v, it_max=10) for v in ("trm", "max", "avg")]
     fresh = [run(p, cone, x0, config) for config in configs]
     calls = _count_predictions(monkeypatch)
-    memo = StepMemo(p, cone)
+    memo = StepMemo(p)
     shared = [run(p, cone, x0, config, memo=memo) for config in configs]
     # all but shared_steps, the last item
     assert [_trace_bytes(r)[:-1] for r in shared] == [_trace_bytes(r)[:-1] for r in fresh]
@@ -826,7 +845,7 @@ def test_nonpositive_prediction_ends_every_run_and_is_not_stored(monkeypatch):
     x0 = np.array([2.718, 4.675])
     _negated_models(monkeypatch)
     calls = _count_predictions(monkeypatch)
-    memo = StepMemo(p, cone)
+    memo = StepMemo(p)
     runs = [run(p, cone, x0, SolverConfig(variant=v), memo=memo) for v in ("trm", "max", "avg")]
     assert all(not r.converged and r.iterations == 0 for r in runs)
     assert runs[0].diagnostic.startswith("SolverInternalError: nonpositive predicted reduction")
@@ -873,13 +892,14 @@ def test_offset_partition_is_the_partition_at_every_point(pid):
     seeded = sample_points(problem.domain_box, 6, _problem_seed(16, pid))
     points = [*seeded, *(w for x in seeded[:2] for w in _wall_points(problem, x))]
     for cone in cones:
-        memo = StepMemo(problem, cone)
-        ledger = memo.ledger(problem, cone)
+        memo = StepMemo(problem)
+        ledger = memo.ledger(problem)
         for x in points:
             F_x = problem.eval_all(x)
-            assert memo.partition(x, F_x, ledger).groups == structure_from_values(F_x, cone).groups
-    kept = memo.partition(points[0], problem.eval_all(points[0]), ledger)
-    assert kept is memo.partition(points[1], problem.eval_all(points[1]), ledger)
+            assert memo.partition(x, F_x, cone, ledger).groups == \
+                structure_from_values(F_x, cone).groups
+    kept = memo.partition(points[0], problem.eval_all(points[0]), cone, ledger)
+    assert kept is memo.partition(points[1], problem.eval_all(points[1]), cone, ledger)
     assert kept == structure_from_values(problem.offsets, cone)
 
 
@@ -889,9 +909,9 @@ def _count_partitions(monkeypatch):
     calls, asked = [], set()
     original, partition = solvers.structure_from_values, StepMemo.partition
 
-    def asking(memo, x, F_x, ledger):
+    def asking(memo, x, F_x, cone, ledger):
         asked.add((memo, x.tobytes()))
-        return partition(memo, x, F_x, ledger)
+        return partition(memo, x, F_x, cone, ledger)
 
     monkeypatch.setattr(solvers, "structure_from_values",
                         lambda *args: calls.append(1) or original(*args))
@@ -909,8 +929,8 @@ def test_offset_partition_is_computed_once_per_problem_and_cone(monkeypatch, tmp
     # other normals are grouped anew; a new cone with the same normals is not
     problem, x = registry("zdt1_n2_m2"), np.array([0.5, 0.5])
     for cone in (k2prime(), Cone(np.eye(2)), orthant(2)):
-        memo = StepMemo(problem, cone)
-        memo.partition(x, problem.eval_all(x), memo.ledger(problem, cone))
+        memo = StepMemo(problem)
+        memo.partition(x, problem.eval_all(x), cone, memo.ledger(problem))
     assert len(calls) == 2
 
 
@@ -948,8 +968,8 @@ def test_step_bound_keeps_runs_bitwise(monkeypatch):
              for x0 in sample_points(p.domain_box, 2, _problem_seed(18, p.name))]
 
     def trust_region_runs(p, x0):
-        memo = StepMemo(p, orthant(p.m))
-        return [run(p, memo.cone, x0, SolverConfig(variant=v), memo=memo)
+        memo, cone = StepMemo(p), orthant(p.m)
+        return [run(p, cone, x0, SolverConfig(variant=v), memo=memo)
                 for v in ("trm", "max", "avg")]
 
     bounded = [trust_region_runs(p, x0) for p, x0 in cases]

@@ -1,21 +1,27 @@
 """Alternating parent/change pairs of perfbench runs, summarised per metric.
 
-    python tools/bench_pairs.py PARENT CHANGE --seeds 901-910 [--out pairs.json]
+    python tools/bench_pairs.py PARENT CHANGE --seeds 901-910 \
+        [--workloads cone_fig1,tr_table2] [--out pairs.json]
 
 PARENT and CHANGE are the roots of two checkouts.  For every seed and every
-workload of ``BENCHMARK.json`` the script runs its ``command`` with
-``--trace 0`` for its ``run_seconds`` once in each, and the side that runs
-first alternates from one (seed, workload) to the next, and for one
-workload from one seed to the next.  perfbench itself is only called,
-never changed.
+workload of ``BENCHMARK.json`` (or those ``--workloads`` names) the script
+runs its ``command`` with ``--trace 0`` for its ``run_seconds`` once in
+each, and the side that runs first alternates from one (seed, workload) to
+the next, and for one workload from one seed to the next.  A seed may be
+repeated (``--seeds 2701,2701,2701``) to time one set of starts again and
+again.  perfbench itself is only called, never changed.
 
 For each workload and end-to-end metric it prints both sides' medians and
 quartiles, the parent's quartile spread as a percentage of its median, the
-change in the median in percent, and the pairs the change won (ties count
-for neither side); better and bound come from ``BENCHMARK.json``.  It also
-says whether the two sides left byte-identical run digests in
-``.perfbench/digests`` for each seed.  ``--out`` writes every run and the
-summary as JSON.
+change in the median in percent, the median and quartiles of the per-pair
+change (change over parent minus 1, in percent; pairs whose parent value is
+0 are left out), and the pairs the change won (ties count for neither
+side); better and bound come from ``BENCHMARK.json``.  The per-pair change
+sets a gain against the noise between the two runs of a pair, where the
+parent's spread also holds how much the workload changes from seed to
+seed.  It also says whether the two sides left byte-identical run digests
+in ``.perfbench/digests`` for each seed.  ``--out`` writes every run and
+the summary as JSON.
 
 The digest file's name copies ``stored_digests`` in ``perfbench/run.py``
 (the jobs id that perfbench prints, and a hash of ``src``'s Python files)
@@ -45,6 +51,13 @@ def seed_list(text: str) -> list:
     return seeds
 
 
+def quartiles(vals: list) -> list:
+    """The inclusive first and third quartiles; one value is both."""
+    if len(vals) < 2:
+        return list(vals) * 2
+    return statistics.quantiles(vals, n=4, method="inclusive")[::2]
+
+
 def perfbench(root: Path, spec: dict, workload: str, seed: int) -> tuple:
     """The JSON object on the last stdout line of one ``--trace 0`` run,
     and the file that holds the run digests it stored or compared with."""
@@ -66,7 +79,8 @@ def perfbench(root: Path, spec: dict, workload: str, seed: int) -> tuple:
 
 
 def summarise(runs: list, spec: dict) -> dict:
-    """Per workload and metric: medians, quartiles, % change, pairs won."""
+    """Per workload and metric: medians, quartiles, % change, per-pair
+    change/parent ratios, pairs won."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = [r for r in runs if r["workload"] == workload]
@@ -75,8 +89,8 @@ def summarise(runs: list, spec: dict) -> dict:
             name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
             vals = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
             med = {side: statistics.median(vals[side]) for side in SIDES}
-            quart = {side: statistics.quantiles(vals[side], n=4, method="inclusive")[::2]
-                     if len(pairs) > 1 else [med[side]] * 2 for side in SIDES}
+            quart = {side: quartiles(vals[side]) for side in SIDES}
+            ratios = [c / p for p, c in zip(vals["parent"], vals["change"]) if p]
             base = med["parent"]
             summary[workload][name] = {
                 "parent_median": base,
@@ -86,6 +100,8 @@ def summarise(runs: list, spec: dict) -> dict:
                 "change_pct": 100.0 * (med["change"] / base - 1.0) if base else 0.0,
                 "parent_iqr_pct": 100.0 * (quart["parent"][1] - quart["parent"][0]) / base
                 if base else 0.0,
+                "pair_ratio_median": statistics.median(ratios) if ratios else None,
+                "pair_ratio_quartiles": quartiles(ratios) if ratios else None,
                 "change_better_pairs": sum(sign * (c - p) < 0.0
                                            for p, c in zip(vals["parent"], vals["change"])),
                 "pairs": len(pairs),
@@ -99,14 +115,21 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--seeds", type=seed_list, required=True)
+    ap.add_argument("--workloads", type=lambda text: text.split(","),
+                    help="comma-separated workload names (default: all)")
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    unknown = set(args.workloads or ()) - set(workloads)
+    if unknown:
+        ap.error(f"unknown workloads {sorted(unknown)}; BENCHMARK.json has {workloads}")
+    workloads = [w for w in workloads if args.workloads is None or w in args.workloads]
 
     runs = []
     for i, seed in enumerate(args.seeds):
-        for j, workload in enumerate(w["name"] for w in spec["workloads"]):
+        for j, workload in enumerate(workloads):
             order = SIDES if (i + j) % 2 == 0 else SIDES[::-1]
             pair = {"workload": workload, "seed": seed, "first": order[0]}
             files = {}
@@ -122,13 +145,17 @@ def main(argv=None) -> int:
     for workload, metrics in summary.items():
         print(f"{workload} ({len([r for r in runs if r['workload'] == workload])} pairs)")
         print(f"  {'metric':<16} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36} "
-              f"{'change':>8} {'p.IQR':>7} {'won':>5} {'bound':>6}")
+              f"{'change':>8} {'p.IQR':>7} {'per-pair change [q1, q3]':>26} {'won':>5} "
+              f"{'bound':>6}")
         for name, m in metrics.items():
             cells = [f"{m[f'{side}_median']:.4g} [{m[f'{side}_quartiles'][0]:.4g}, "
                      f"{m[f'{side}_quartiles'][1]:.4g}]" for side in SIDES]
+            ratio = "-" if m["pair_ratio_median"] is None else (
+                f"{100.0 * (m['pair_ratio_median'] - 1.0):+.1f}% ["
+                + ", ".join(f"{100.0 * (q - 1.0):+.1f}" for q in m["pair_ratio_quartiles"]) + "]")
             print(f"  {name:<16} {cells[0]:>36} {cells[1]:>36} {m['change_pct']:>+7.1f}% "
-                  f"{m['parent_iqr_pct']:>6.1f}% {m['change_better_pairs']:>2}/{m['pairs']:<2} "
-                  f"{m['bound_pct']:>5.0f}%")
+                  f"{m['parent_iqr_pct']:>6.1f}% {ratio:>26} "
+                  f"{m['change_better_pairs']:>2}/{m['pairs']:<2} {m['bound_pct']:>5.0f}%")
         equal = [r["digests_equal"] for r in runs if r["workload"] == workload]
         print(f"  digests byte-identical in {sum(equal)} of {len(equal)} pairs")
     if args.out:

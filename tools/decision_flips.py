@@ -50,7 +50,7 @@ def main() -> int:
         cone = orthant(problem.m)
         points = bench.sample_points(problem.domain_box, STARTS, bench._problem_seed(SEED, pid))
         for x0 in points:
-            memo = StepMemo(problem, cone)
+            memo = StepMemo(problem)
             for variant in variants:
                 config = SolverConfig(variant=variant, it_max=IT_MAX)
                 events = []

@@ -66,7 +66,7 @@ def main() -> int:
         cone = orthant(problem.m)
         points = bench.sample_points(problem.domain_box, STARTS, bench._problem_seed(SEED, pid))
         for start, x0 in enumerate(points):
-            memo = StepMemo(problem, cone)
+            memo = StepMemo(problem)
             for variant in VARIANTS:
                 res = run(problem, cone, x0, SolverConfig(variant=variant, it_max=IT_MAX),
                           memo=memo)
