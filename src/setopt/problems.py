@@ -39,6 +39,12 @@ def _non_finite(name: str, x: np.ndarray, what: str = "value") -> DomainError:
     return DomainError(f"{name}: non-finite {what} at x={x.tolist()}")
 
 
+def _read_only_copy(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 class UnknownProblemError(KeyError):
     """The requested problem id is not in the registry."""
 
@@ -53,8 +59,10 @@ class SetValuedProblem:
     returns (k, p, m) or (k, m), each row bitwise the value at that point
     alone.  ``eval_all`` gives F(x), (p, m), or (k, p, m) on a (k, n)
     batch.  Evaluation is deterministic and reentrant.
-    ``partitions`` is where ``solvers.StepMemo`` keeps an offset family's
-    partition, one per cone, once computed.
+    ``domain_box`` and ``offsets`` are read-only float copies, made when
+    the problem is built: ``solvers.StepMemo`` relies on the box never
+    changing, and the offset family's partition it keeps in
+    ``partitions``, one per cone, on the offsets never changing.
     """
 
     name: str
@@ -68,11 +76,9 @@ class SetValuedProblem:
     partitions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # a read-only copy: the partition kept in ``partitions`` assumes it never changes
+        object.__setattr__(self, "domain_box", tuple(map(_read_only_copy, self.domain_box)))
         if self.offsets is not None:
-            offsets = np.array(self.offsets, dtype=float)
-            offsets.flags.writeable = False
-            object.__setattr__(self, "offsets", offsets)
+            object.__setattr__(self, "offsets", _read_only_copy(self.offsets))
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
         """The evaluator's output at a point or each row of a batch: the
@@ -108,8 +114,8 @@ class SetValuedProblem:
 
 def from_functions(name, n, m, fns, box) -> SetValuedProblem:
     """Wrap plain callables f_i(x) -> R^m into a problem (p = len(fns))."""
-    lo, hi = (np.full(n, box[0], dtype=float), np.full(n, box[1], dtype=float)) \
-        if np.isscalar(box[0]) else (np.asarray(box[0], float), np.asarray(box[1], float))
+    if np.isscalar(box[0]):
+        box = (np.full(n, box[0]), np.full(n, box[1]))
 
     def evaluator(x):
         if x.ndim > 1:
@@ -123,7 +129,7 @@ def from_functions(name, n, m, fns, box) -> SetValuedProblem:
             return np.array(rows)
         return np.stack([np.atleast_1d(np.asarray(f(x), dtype=float)) for f in fns])
 
-    return SetValuedProblem(name, n, m, len(fns), (lo, hi), evaluator)
+    return SetValuedProblem(name, n, m, len(fns), box, evaluator)
 
 
 # ---------------------------------------------------------------------------

@@ -345,7 +345,7 @@ def _cone_key(cone: Cone) -> tuple:
 
 class StepMemo:
     """The work that runs from one start can share, bound to one problem
-    and domain box and keyed by the exact bytes of its inputs:
+    (its box is read-only) and keyed by the exact bytes of its inputs:
 
     * F(x), keyed by x (the trial point of an accepted step is the next x),
       and the derivatives of the last x asked for, in a one-entry
@@ -355,9 +355,9 @@ class StepMemo:
       family's does not depend on x and is kept on the problem instead
       (``partition``);
     * the trust-region step, keyed by (x, omega, eps): eps decides which
-      solves ``inner_minimax`` skips, and its predicted reductions, which
-      the first run that reaches its ratio test computes, after F at the
-      trial point (``prediction``);
+      solves ``inner_minimax`` skips, and with it the predicted reductions
+      whenever |t*| >= eps, where every run that reads the entry goes on to
+      its ratio test;
     * the SD/CG tuple, direction v and Jacobian blocks, keyed by x;
     * the Armijo search, keyed by (x, d, idx, rho_armijo, nu).
 
@@ -373,19 +373,14 @@ class StepMemo:
 
     def __init__(self, problem: SetValuedProblem):
         self.problem = problem
-        self._box = self._box_bytes(problem)
         self._derivatives = DerivativeTable(problem)
         self._entries: dict = {}
         self._runs = itertools.count()
 
-    @staticmethod
-    def _box_bytes(problem: SetValuedProblem) -> bytes:
-        return b"".join(np.asarray(b, dtype=float).tobytes() for b in problem.domain_box)
-
     def ledger(self, problem: SetValuedProblem) -> _Ledger:
-        """A new run's ledger; ValueError for another problem or box."""
-        if problem is not self.problem or self._box_bytes(problem) != self._box:
-            raise ValueError("the memo is bound to another problem or domain box")
+        """A new run's ledger; ValueError for another problem."""
+        if problem is not self.problem:
+            raise ValueError("the memo is bound to another problem")
         return _Ledger(next(self._runs))
 
     def _get(self, key: tuple, compute, ledger: _Ledger):
@@ -431,25 +426,19 @@ class StepMemo:
 
     def step(self, x: np.ndarray, structure, cone: Cone, omega: float, eps: float,
              ledger: _Ledger):
-        """The trust-region solution, and whether another run computed it."""
+        """(solution, predicted reductions or None when |t*| < eps), and
+        whether another run computed them."""
         def compute():
             sol = theta_and_step(self.problem, cone, x, structure, omega,
                                  self._derivatives.bundle_arrays(x),
                                  box=self.problem.domain_box, stop_tol=eps)
             _read_only(sol.s_star, sol.models.G, sol.models.H)
-            return sol
+            pred = None
+            if abs(sol.t_star) >= eps:
+                pred = predicted_reductions(sol.s_star, sol.models, cone)
+                _read_only(pred)
+            return sol, pred
         return self._get(("step", x.tobytes(), _cone_key(cone), omega, eps), compute, ledger)
-
-    def prediction(self, x: np.ndarray, sol, cone: Cone, omega: float, eps: float,
-                   ledger: _Ledger):
-        """The predicted reductions of the step at (x, omega, eps), kept with
-        the step once a run reaches its ratio test."""
-        def compute():
-            pred = predicted_reductions(sol.s_star, sol.models, cone)
-            _read_only(pred)
-            return pred
-        return self._get(("pred", x.tobytes(), _cone_key(cone), omega, eps), compute,
-                         ledger)[0]
 
     def direction(self, x: np.ndarray, structure, cone: Cone, ledger: _Ledger):
         """The tuple a, the steepest-descent direction v and the Jacobian
@@ -492,18 +481,21 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     -|v|, and the run stops when |t| < eps (t = 0 where ``inner_minimax``'s
     first-order bound skips the solve).  The step rule is the ratio
     test with the radius update, or Armijo backtracking along v (SD) or
-    the conjugate direction (CG).  Iterates always stay inside the domain
-    box; an x0 that is not finite or lies outside it raises ValueError.
-    A failure at a point (``DomainError`` from a value or derivative,
-    ``PartitionCapError``, ``InnerSolveFailure`` when no tuple's step
-    problem is solved, or ``SolverInternalError`` from a nonpositive
-    predicted reduction) ends the run unconverged, with the exception as
-    its diagnostic and the last t as ``final_t`` (NaN when it failed before
-    any t).  Every evaluation, partition, step, predicted reduction and
-    line search goes through ``memo`` (a private one when None is given),
-    so a run that reads a step another run took computes only the trial
-    point clip(x + s*, box), its own reference, ratios and acceptance; a
-    memo bound to another problem or domain box raises ValueError.
+    the conjugate direction (CG); a failed search along v, which would
+    fail again, ends the run with the diagnostic "line_search_failed", and
+    one along a conjugate direction restarts CG from v.  Iterates always
+    stay inside the domain box; an x0 that is not finite or lies outside it
+    raises ValueError.  A failure at a point (``DomainError`` from a value
+    or derivative, ``PartitionCapError``, ``InnerSolveFailure`` when no
+    tuple's step problem is solved, or ``SolverInternalError`` from a
+    nonpositive predicted reduction) ends the run unconverged, with the
+    exception as its diagnostic and the last t as ``final_t`` (NaN when it
+    failed before any t).  Every evaluation, partition, step (with its
+    predicted reductions) and line search goes through ``memo`` (a private
+    one when None is given), so a run that reads a step another run took
+    computes only the trial point clip(x + s*, box), its own reference,
+    ratios and acceptance; a memo bound to another problem raises
+    ValueError.
     """
     lo, hi = problem.domain_box
     x = np.asarray(x0, dtype=float).reshape(problem.n)
@@ -528,7 +520,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
             F_x = memo.values(x, ledger)
             structure = memo.partition(x, F_x, cone, ledger)
             if trust_region:
-                sol, shared = memo.step(x, structure, cone, omega, config.eps, ledger)
+                (sol, pred), shared = memo.step(x, structure, cone, omega, config.eps, ledger)
                 a, t = sol.a_star, sol.t_star
             else:
                 a, v, blocks = memo.direction(x, structure, cone, ledger)
@@ -540,7 +532,6 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
                 memory.begin_iteration(F_x, a)
                 x_trial = np.clip(x + sol.s_star, lo, hi)
                 F_new = memo.values(x_trial, ledger)
-                pred = memo.prediction(x, sol, cone, omega, config.eps, ledger)
                 rho = tuple(reduction_ratios(memory, F_new, a, pred, cone).tolist())
         except (DomainError, PartitionCapError, InnerSolveFailure, SolverInternalError) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"
@@ -573,7 +564,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
             accepted = step is not None
             rho = ()
             omega_k = step if accepted else 0.0
-            # restart CG after a failed line search
+            # restart CG after a failed line search; one along v ends the run below
             d_prev, v_prev = (d, v) if accepted else (None, None)
             details = {"direction": v}
         record = IterationRecord(
@@ -586,6 +577,9 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
             observer({"record": record, "F_x": F_x, **details})
         if accepted:
             x = x_trial
+        elif not trust_region and d is v:
+            diagnostic = "line_search_failed"
+            break
     wall = time.perf_counter() - start + ledger.wall
     cpu = time.process_time() - cpu_start + ledger.cpu
     norms = [r.step_norm for r in trace]

@@ -30,7 +30,6 @@ a test keeps that ``minimize`` form as the reference.
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +39,6 @@ from ._scipy_core import min_norm_point, slsqp as _slsqp
 from .cone import Cone
 from .partition import MinimalStructure, best_tuple
 from .problems import SetValuedProblem
-
-log = logging.getLogger(__name__)
 
 _N_STARTS = 2
 # SLSQP's ftol is absolute and also bounds the constraint violation, which
@@ -335,6 +332,8 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
     never wins; when no tuple is solved, ``InnerSolveFailure`` is raised.
     ``stop_tol`` goes to each ``inner_minimax`` call; a tuple it skips has
     t = 0 > -stop_tol, so it never wins over a tuple that would go on.
+    For x inside ``box`` the zero step is among every solve's candidates,
+    so t* <= phi(0) = 0.
     """
     x = np.asarray(x, dtype=float).reshape(problem.n)
     jac_all, hess_all = derivatives
@@ -354,9 +353,6 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
     a_star, (t_star, s_star, models, failure) = best_tuple(problem, structure, solve)
     if failure is not None:
         raise InnerSolveFailure(f"no partition tuple solved at x={x.tolist()}: {failure}")
-    if t_star > 0.0:
-        log.debug("clamping positive subproblem value %.3e to 0", t_star)
-        t_star = 0.0
     return SubproblemSolution(a_star=a_star, s_star=s_star, t_star=t_star, models=models)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -45,11 +46,20 @@ EXPECTED_IDS = {
 def test_registry_has_all_instances():
     assert set(problem_ids()) == EXPECTED_IDS
     for pid in problem_ids():
-        p = registry(pid)
-        assert p.p == (5 if pid == "modified_ex51_n1_m2" else 100)
+        assert registry(pid).p == (5 if pid == "modified_ex51_n1_m2" else 100)
+    # with a plant from the caller's own box arrays, and a twin by replace
+    box = (np.full(2, -10.0), np.full(2, 10.0))
+    plant = from_functions("box_plant", 2, 1, [lambda x: np.array([x @ x])], box)
+    twin = dataclasses.replace(registry("hil_n2_m2"))
+    for p in [*map(registry, problem_ids()), plant, twin]:
         lo, hi = p.domain_box
         assert lo.shape == (p.n,) and hi.shape == (p.n,) and np.all(lo < hi)
+        # read-only float copies: the step memo relies on the box never changing
+        assert lo.dtype == hi.dtype == float and not (lo.flags.writeable or hi.flags.writeable)
         assert p.eval_all(0.5 * (lo + hi)).shape == (p.p, p.m)
+    assert all(b.flags.writeable for b in box)
+    assert not any(np.shares_memory(b, c) for b, c in zip(twin.domain_box,
+                                                          registry("hil_n2_m2").domain_box))
     with pytest.raises(UnknownProblemError):
         registry("nope_n1_m1")
 

@@ -606,17 +606,27 @@ def test_failed_armijo_search_takes_doubling_chunks(monkeypatch):
 
 
 def test_failed_armijo_search_in_a_run(monkeypatch):
-    # f(x) = |x|^2 / 2, but 1e3 lower at x0 alone: the derivatives miss the dip,
-    # every trial point lies above F(x0), so every search fails and CG keeps
-    # restarting
-    x0 = np.array([3.0, -2.0])
-    p = from_functions("dipped_plant", 2, 1,
-                       [lambda x: np.array([0.5 * x @ x - 1e3 * np.array_equal(x, x0)])],
-                       (-10.0, 10.0))
-    for variant in ("sd", "cg"):
-        res = _batched_and_looped(monkeypatch, p, orthant(1), x0,
-                                  SolverConfig(variant=variant, it_max=3))
-        assert [(r.accepted, r.omega) for r in res.trace] == [(False, 0.0)] * 3
+    # f(x) = x^T A x / 2, but 1e3 lower at one point alone: the derivatives
+    # miss the dip, so every search from there fails.  One along v ends the
+    # run, since from the same x it would fail again; one along CG's
+    # conjugate direction restarts CG from v once.  The dip sits at x0, then
+    # at x1, the first iterate of SD and of CG
+    x0, stiff = np.array([3.0, -2.0]), np.diag([1.0, 10.0])
+    x1 = run(make_quadratic_plant(stiff), orthant(1), x0,
+             SolverConfig(variant="sd", it_max=1)).final_point
+    cases = ((np.eye(2), x0, {"sd": [False], "cg": [False]}),
+             (stiff, x1, {"sd": [True, False], "cg": [True, False, False]}))
+    for a, dip, accepted in cases:
+        f = lambda x, a=a, dip=dip: np.array([0.5 * x @ a @ x - 1e3 * np.array_equal(x, dip)])
+        p = from_functions("dipped_plant", 2, 1, [f], (-10.0, 10.0))
+        for variant in ("sd", "cg"):
+            res = _batched_and_looped(monkeypatch, p, orthant(1), x0,
+                                      SolverConfig(variant=variant, it_max=10))
+            assert [r.accepted for r in res.trace] == accepted[variant]
+            assert all(r.x.tobytes() == dip.tobytes() and r.omega == 0.0
+                       for r in res.trace if not r.accepted)
+            assert not res.converged and res.diagnostic == "line_search_failed"
+            assert res.final_point.tobytes() == dip.tobytes() and res.final_t == res.trace[-1].t
 
 
 def test_batched_armijo_skips_domain_errors_like_the_loop(monkeypatch):
@@ -698,13 +708,11 @@ def test_memo_is_bound_to_its_problem_and_box_not_its_cone(monkeypatch):
     for problem in (twin, other):
         with pytest.raises(ValueError, match="bound to another"):
             run(problem, cone, x0, SolverConfig(), memo=memo)
-    lo = p.domain_box[0]
-    lo[0] -= 1.0
-    try:
-        with pytest.raises(ValueError, match="bound to another"):
-            run(p, cone, x0, SolverConfig(), memo=memo)
-    finally:
-        lo[0] += 1.0
+    # the memo checks only the problem object: the box it relies on cannot change
+    with pytest.raises(ValueError, match="read-only"):
+        p.domain_box[0][0] -= 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.domain_box = (p.domain_box[0] - 1.0, p.domain_box[1])
     assert _run_bytes(run(p, cone, x0, SolverConfig(), memo=memo)) == \
         _run_bytes(run(p, cone, x0, SolverConfig()))
     # from this start every method takes other steps under the two cones, so
@@ -843,26 +851,22 @@ def test_nonpositive_prediction_ends_every_run_and_is_not_stored(monkeypatch):
     p = registry("hil_n2_m2")
     cone = orthant(2)
     x0 = np.array([2.718, 4.675])
-    _negated_models(monkeypatch)
-    calls = _count_predictions(monkeypatch)
+    variants = ("trm", "max", "avg")
     memo = StepMemo(p)
-    runs = [run(p, cone, x0, SolverConfig(variant=v), memo=memo) for v in ("trm", "max", "avg")]
-    assert all(not r.converged and r.iterations == 0 for r in runs)
-    assert runs[0].diagnostic.startswith("SolverInternalError: nonpositive predicted reduction")
-    assert len({r.diagnostic for r in runs}) == 1
-    assert len(calls) == 3 and not any(key[0] == "pred" for key in memo._entries)
-    # a DomainError at the trial point comes first: the prediction is not made
-    values = memo.values
-
-    def undefined_off_x0(x, ledger):
-        if x.tobytes() != x0.tobytes():
-            raise DomainError("F undefined")
-        return values(x, ledger)
-
-    memo.values = undefined_off_x0
-    runs = [run(p, cone, x0, SolverConfig(variant=v), memo=memo) for v in ("trm", "max", "avg")]
-    assert [r.diagnostic for r in runs] == ["DomainError: F undefined"] * 3
-    assert len(calls) == 3
+    with monkeypatch.context() as patch:
+        _negated_models(patch)
+        calls = _count_predictions(patch)
+        runs = [run(p, cone, x0, SolverConfig(variant=v), memo=memo) for v in variants]
+        assert all(not r.converged and r.iterations == 0 for r in runs)
+        assert runs[0].diagnostic.startswith("SolverInternalError: nonpositive predicted reduction")
+        assert len({r.diagnostic for r in runs}) == 1
+        # the step whose prediction raised is not stored: each run solved it anew
+        assert len(calls) == 3 and not any(key[0] == "step" for key in memo._entries)
+    # so with the true models the memo's runs are those without it
+    shared = [run(p, cone, x0, SolverConfig(variant=v), memo=memo) for v in variants]
+    fresh = [run(p, cone, x0, SolverConfig(variant=v)) for v in variants]
+    assert [_run_bytes(r) for r in shared] == [_run_bytes(r) for r in fresh]
+    assert shared[0].converged and shared[0].shared_steps == 0
 
 
 # -- the partition of an offset family -----------------------------------------

@@ -90,7 +90,10 @@ def test_predicted_reduction_examples():
 
 
 def test_t_nonpositive_and_self_consistent_random():
-    rng = np.random.default_rng(7)
+    # each model set without a box, and with a seeded box shift around 0 (x
+    # inside the box, on a wall where a bound is 0): the zero step is always
+    # a candidate, so t <= 0 with no clamp
+    rng, shifts = np.random.default_rng(7), np.random.default_rng(8)
     for _ in range(30):
         omega, m, n = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 5))
         g = rng.normal(size=(omega, m, n))
@@ -98,19 +101,24 @@ def test_t_nonpositive_and_self_consistent_random():
         models = ModelSet(G=g, H=0.5 * (h + h.swapaxes(2, 3)))
         cone = orthant(m)
         radius = float(rng.uniform(0.2, 5.0))
-        res = inner_minimax(models, cone, radius)
-        assert res.t <= 0.0
-        assert np.linalg.norm(res.s) <= radius + 1e-9
-        recompute = max(
-            max(cone.scalarize(model_value(models, j, res.s)) for j in range(omega)),
-            max(cone.scalarize(models.G[j] @ res.s) for j in range(omega)),
-        )
-        assert res.t == pytest.approx(recompute, abs=1e-9)
-        if res.t < 0.0:
-            for j in range(omega):
-                assert predicted_reduction(models, cone, j, res.s) > 0.0
-                # s is a common descent direction: every linear branch sits below t
-                assert cone.scalarize(models.G[j] @ res.s) <= res.t + 1e-12
+        lo, hi = -shifts.uniform(0.0, 3.0, n), shifts.uniform(0.0, 3.0, n)
+        lo[shifts.random(n) < 0.25] = 0.0
+        hi[shifts.random(n) < 0.25] = 0.0
+        for box_shift in (None, (lo, hi)):
+            res = inner_minimax(models, cone, radius, box_shift)
+            assert res.t <= 0.0
+            assert np.linalg.norm(res.s) <= radius + 1e-9
+            assert box_shift is None or (np.all(lo <= res.s) and np.all(res.s <= hi))
+            recompute = max(
+                max(cone.scalarize(model_value(models, j, res.s)) for j in range(omega)),
+                max(cone.scalarize(models.G[j] @ res.s) for j in range(omega)),
+            )
+            assert res.t == pytest.approx(recompute, abs=1e-9)
+            if res.t < 0.0:
+                for j in range(omega):
+                    assert predicted_reduction(models, cone, j, res.s) > 0.0
+                    # s is a common descent direction: every linear branch sits below t
+                    assert cone.scalarize(models.G[j] @ res.s) <= res.t + 1e-12
 
 
 def test_box_shift_respected():

@@ -12,6 +12,10 @@ running this on both:
 
     python tools/shared_setup_digest.py
 
+After that total it prints one sha256 per method, over that method's runs
+alone, so a change that must keep some methods bitwise can show which
+moved.
+
 It pins ``OPENBLAS_NUM_THREADS=1`` before numpy loads, because the
 trust-region steps depend on the BLAS thread count.  It also prints, per
 method, the runs that converged, the iterations and the rejected steps
@@ -57,6 +61,7 @@ def _path(res) -> list:
 
 def main() -> int:
     digest = hashlib.sha256()
+    by_method = {variant: hashlib.sha256() for variant in VARIANTS}
     converged = dict.fromkeys(VARIANTS, 0)
     iterations = dict.fromkeys(VARIANTS, 0)
     rejected = dict.fromkeys(VARIANTS, 0)
@@ -70,7 +75,9 @@ def main() -> int:
             for variant in VARIANTS:
                 res = run(problem, cone, x0, SolverConfig(variant=variant, it_max=IT_MAX),
                           memo=memo)
-                digest.update(repr((pid, start, variant, _run_key(res))).encode())
+                key = repr((pid, start, variant, _run_key(res))).encode()
+                digest.update(key)
+                by_method[variant].update(key)
                 converged[variant] += res.converged
                 iterations[variant] += res.iterations
                 rejected[variant] += sum(not r.accepted for r in res.trace)
@@ -80,6 +87,8 @@ def main() -> int:
                     as_trm[variant] += _path(res) == trm_path
     runs = len(problem_ids()) * STARTS
     print(f"sha256 {digest.hexdigest()}")
+    for variant in VARIANTS:
+        print(f"{variant}: sha256 {by_method[variant].hexdigest()}")
     for variant in VARIANTS:
         same = f", as trm {as_trm[variant]}/{runs}" if variant in as_trm else ""
         print(f"{variant}: converged {converged[variant]}/{runs}, "
