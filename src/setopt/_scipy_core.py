@@ -49,7 +49,10 @@ def min_norm_point(rows) -> np.ndarray:
     R = np.asarray_chkfinite(rows, dtype=np.float64)
     rhs = np.zeros(R.shape[1] + 1)
     rhs[-1] = 1.0
-    u, _, info = _core.nnls(np.vstack([R.T, np.ones(R.shape[0])]), rhs, 30 * R.shape[0])
+    A = np.empty((R.shape[1] + 1, R.shape[0]))
+    A[:-1] = R.T
+    A[-1] = 1.0
+    u, _, info = _core.nnls(A, rhs, 30 * R.shape[0])
     if info == 3:
         raise RuntimeError("NNLS reached its iteration cap")
     return R.T @ (u / u.sum())

@@ -71,7 +71,7 @@ class Cone:
         ``np.matvec`` gives each row the bits of ``scalarize`` on it alone;
         ``ys @ W.T`` need not, away from the orthant.
         """
-        return np.max(np.matvec(self.dual_normals, np.asarray(ys, dtype=float)), axis=-1)
+        return np.matvec(self.dual_normals, np.asarray(ys, dtype=float)).max(axis=-1)
 
     def to_json(self) -> str:
         return json.dumps({"dual_normals": self.dual_normals.tolist()})

@@ -149,7 +149,7 @@ def _fd_center(problem: SetValuedProblem, x: np.ndarray, with_hessian: bool) -> 
     h = _grad_steps(x)
     margin = (_hess_steps(x) + 2.0 * h) if with_hessian else 1.5 * h
     lo2, hi2 = lo + margin, hi - margin
-    center = np.where(lo2 <= hi2, np.clip(x, lo2, hi2), 0.5 * (lo + hi))
+    center = np.where(lo2 <= hi2, x.clip(lo2, hi2), 0.5 * (lo + hi))
     return center
 
 
@@ -192,6 +192,13 @@ def _jacobians(problem: SetValuedProblem, centres: np.ndarray) -> np.ndarray:
 def _family(problem: SetValuedProblem, arr: np.ndarray) -> np.ndarray:
     """Broadcast a base derivative to every member (a view, no copy)."""
     return arr if problem.offsets is None else np.broadcast_to(arr, (problem.p, *arr.shape))
+
+
+def derivative_rows(problem: SetValuedProblem, a) -> list:
+    """The rows of the family's derivatives that the 1-based tuple a needs:
+    one, ``[a[0] - 1]``, for an offset family, whose members share one
+    block, and ``[ai - 1 for ai in a]`` otherwise."""
+    return [a[0] - 1] if problem.offsets is not None else [ai - 1 for ai in a]
 
 
 def fd_jacobian_all(problem: SetValuedProblem, x) -> np.ndarray:

@@ -23,8 +23,10 @@ under the same cone read.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -34,7 +36,7 @@ import numpy as np
 from ._scipy_core import min_norm_point
 from .cone import Cone
 from .partition import PartitionCapError, best_tuple, structure_from_values
-from .problems import DerivativeTable, DomainError, SetValuedProblem
+from .problems import DerivativeTable, DomainError, SetValuedProblem, derivative_rows
 from .subproblem import InnerSolveFailure, ModelSet, scalarized_rows, theta_and_step
 
 log = logging.getLogger(__name__)
@@ -189,7 +191,9 @@ class NonMonotoneMemory:
 
 def predicted_reductions(s: np.ndarray, models: ModelSet, cone: Cone) -> np.ndarray:
     """The predicted reduction ``-cone.scalarize(m^j(s))`` of every block in
-    one pass, each bitwise that of the block alone.
+    one pass, each bitwise that of the block alone: one entry per derivative
+    row of the tuple, so one for an offset family, whose omega members
+    share their model.
 
     It is the model analogue of the ratio's numerator -psi(F_j(x+s) - R_j):
     against R = F(x), a block whose values equal its model has ratio 1, and
@@ -211,7 +215,8 @@ def reduction_ratios(memory: NonMonotoneMemory, F_new: np.ndarray, a: tuple,
                      pred: np.ndarray, cone: Cone) -> np.ndarray:
     """Per-block ratios of scalarized actual reduction, F(x_trial) against
     this iteration's reference on the rows of a, to the predicted reductions
-    ``pred`` (``predicted_reductions``), all blocks in one pass."""
+    ``pred`` (``predicted_reductions``), all blocks in one pass; an offset
+    family's one prediction broadcasts against its omega member rows."""
     idx = [ai - 1 for ai in a]
     return -cone.scalarize_rows(F_new[idx] - memory.reference[idx]) / pred
 
@@ -234,13 +239,19 @@ def accept_and_update(rho: tuple, omega: float, config: SolverConfig):
     return accepted, omega_next
 
 
+def _norm(v: np.ndarray) -> float:
+    """|v| of a 1-D float vector: ``np.linalg.norm``'s sqrt(v . v), without
+    its wrapper."""
+    return math.sqrt(v.dot(v))
+
+
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows in lexicographic order, as ``np.unique(rows, axis=0)``
     gives them but without its structured-dtype sort: a stable sort, then
     each row equal (==) to the one before it is dropped.  Of two rows equal
     up to signed zeros the first in ``rows`` stays."""
     R = rows[np.lexsort(rows.T[::-1])]
-    return R[np.concatenate(([True], np.any(R[1:] != R[:-1], axis=1)))]
+    return R[np.concatenate(([True], (R[1:] != R[:-1]).any(axis=1)))]
 
 
 def _prox_direction(rows: np.ndarray):
@@ -253,43 +264,52 @@ def _prox_direction(rows: np.ndarray):
     R = _distinct_rows(rows)
     # 0.0 - p, not -p: an entry that cancels is +0.0 in -R^T lam, never -0.0
     v = 0.0 - min_norm_point(R)
-    val = float(np.max(R @ v) + 0.5 * v @ v)
+    val = float((R @ v).max() + 0.5 * v @ v)
     return v, val
 
 
+@functools.lru_cache(maxsize=32)
 def _backtracking_steps(nu: float) -> np.ndarray:
-    """The Armijo steps 1, nu, nu^2, ... above 1e-14, in the order tried."""
+    """The Armijo steps 1, nu, nu^2, ... above 1e-14, in the order tried;
+    one read-only array per nu."""
     steps = []
     step = 1.0
     while step > 1e-14:
         steps.append(step)
         step *= nu
-    return np.array(steps)
+    steps = np.array(steps)
+    _read_only(steps)
+    return steps
 
 
 def _armijo_step(problem: SetValuedProblem, cone: Cone, x: np.ndarray, d: np.ndarray,
                  idx: list, F_x: np.ndarray, slopes: np.ndarray, steps: np.ndarray,
                  rho_armijo: float):
     """The first of ``steps`` whose point clip(x + step d) passes the Armijo
-    test on the blocks ``idx``, and that point; (None, x) when none does.
+    test on the members ``idx``, that point and F there (its row of the
+    batch that tested it); (None, x, None) when none does.  ``slopes`` has
+    one entry per member, or one for all.
 
     The candidates go to the evaluator in chunks of 1, 2, 4, ... points, one
     ``eval_all`` call each, and every row is tested with the operations of a
     one-point loop, so the step found is that loop's, bit for bit.  A chunk
     whose evaluation raises is re-run one point at a time in that loop,
     which skips a point that raises DomainError: an exception escapes only
-    where the loop would have met it.
+    where the loop would have met it.  The F row holds the bits of
+    ``eval_all`` at the point alone as long as the evaluator gives a batch
+    row those bits (``tests/test_problems.py`` guards this).
     """
     lo, hi = problem.domain_box
+    F_ref = F_x[idx]
 
     def passes(F, chunk):
-        decrease = cone.scalarize_rows(F[:, idx] - F_x[idx])
-        return np.all(decrease <= (rho_armijo * chunk)[:, None] * slopes, axis=1)
+        decrease = cone.scalarize_rows(F[:, idx] - F_ref)
+        return (decrease <= (rho_armijo * chunk)[:, None] * slopes).all(axis=1)
 
     start = 0
     while start < len(steps):
         chunk = steps[start:2 * start + 1]
-        cands = np.clip(x + chunk[:, None] * d, lo, hi)
+        cands = (x + chunk[:, None] * d).clip(lo, hi)
         try:
             F = problem.eval_all(cands)
         except Exception:
@@ -300,14 +320,14 @@ def _armijo_step(problem: SetValuedProblem, cone: Cone, x: np.ndarray, d: np.nda
                 except DomainError:
                     continue
                 if passes(F_cand[None], chunk[i:i + 1])[0]:
-                    return float(chunk[i]), cand
+                    return float(chunk[i]), cand, F_cand
         else:
             ok = passes(F, chunk)
             if ok.any():
-                i = int(np.argmax(ok))
-                return float(chunk[i]), cands[i]
+                i = int(ok.argmax())
+                return float(chunk[i]), cands[i], F[i]
         start += len(chunk)
-    return None, x
+    return None, x, None
 
 
 def _read_only(*arrays) -> None:
@@ -350,7 +370,9 @@ class StepMemo:
     * F(x), keyed by x (the trial point of an accepted step is the next x),
       and the derivatives of the last x asked for, in a one-entry
       ``DerivativeTable``: neither depends on the cone, so runs under every
-      cone share them;
+      cone share them.  F at the point an Armijo search accepts is the row
+      its batch tested there, kept as that point's entry when the search is
+      computed; the search's entry carries its cost;
     * the partition at x, keyed by x for a whole-family problem; an offset
       family's does not depend on x and is kept on the problem instead
       (``partition``);
@@ -358,7 +380,8 @@ class StepMemo:
       solves ``inner_minimax`` skips, and with it the predicted reductions
       whenever |t*| >= eps, where every run that reads the entry goes on to
       its ratio test;
-    * the SD/CG tuple, direction v and Jacobian blocks, keyed by x;
+    * the SD/CG tuple, direction v and the Jacobian blocks of the tuple's
+      derivative rows (one block for an offset family), keyed by x;
     * the Armijo search, keyed by (x, d, idx, rho_armijo, nu).
 
     Every entry but F(x) also holds the cone's normals in its key (their
@@ -442,16 +465,17 @@ class StepMemo:
 
     def direction(self, x: np.ndarray, structure, cone: Cone, ledger: _Ledger):
         """The tuple a, the steepest-descent direction v and the Jacobian
-        blocks of a."""
+        blocks of a's ``derivative_rows``: one block for an offset family,
+        whose members share it, so its slopes are one entry for all."""
         def compute():
             jac = self._derivatives.jacobians(x)
 
             def solve(a):
-                v, val = _prox_direction(scalarized_rows(cone, jac[[ai - 1 for ai in a]]))
-                return val, v
+                blocks = jac[derivative_rows(self.problem, a)]
+                v, val = _prox_direction(scalarized_rows(cone, blocks))
+                return val, v, blocks
 
-            a, (_, v) = best_tuple(self.problem, structure, solve)
-            blocks = jac[[ai - 1 for ai in a]]
+            a, (_, v, blocks) = best_tuple(self.problem, structure, solve)
             _read_only(v, blocks)
             return a, v, blocks
         return self._get(("direction", x.tobytes(), _cone_key(cone)), compute, ledger)[0]
@@ -459,12 +483,19 @@ class StepMemo:
     def armijo(self, x: np.ndarray, d: np.ndarray, idx: list, F_x: np.ndarray,
                slopes: np.ndarray, steps: np.ndarray, cone: Cone, config: SolverConfig,
                ledger: _Ledger):
-        """``_armijo_step``'s (step, point), and whether another run computed it."""
+        """``_armijo_step``'s (step, point), and whether another run computed
+        it.  F at an accepted point becomes that point's F entry, unless it
+        has one, at no cost of its own: the search's entry carries it."""
         def compute():
-            step, x_new = _armijo_step(self.problem, cone, x, d, idx, F_x, slopes, steps,
-                                       config.rho_armijo)
+            step, x_new, F_new = _armijo_step(self.problem, cone, x, d, idx, F_x, slopes,
+                                              steps, config.rho_armijo)
             x_new = np.array(x_new)
             _read_only(x_new)
+            if F_new is not None:
+                F_new = np.array(F_new)
+                _read_only(F_new)
+                self._entries.setdefault(("F", x_new.tobytes()),
+                                         _Entry(F_new, 0.0, 0.0, ledger.owner))
             return step, x_new
         key = ("armijo", x.tobytes(), _cone_key(cone), d.tobytes(), tuple(idx),
                config.rho_armijo, config.nu)
@@ -524,13 +555,13 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
                 a, t = sol.a_star, sol.t_star
             else:
                 a, v, blocks = memo.direction(x, structure, cone, ledger)
-                t = -float(np.linalg.norm(v))
+                t = -_norm(v)
             if abs(t) < config.eps:
                 converged = True
                 break
             if trust_region:
                 memory.begin_iteration(F_x, a)
-                x_trial = np.clip(x + sol.s_star, lo, hi)
+                x_trial = (x + sol.s_star).clip(lo, hi)
                 F_new = memo.values(x_trial, ledger)
                 rho = tuple(reduction_ratios(memory, F_new, a, pred, cone).tolist())
         except (DomainError, PartitionCapError, InnerSolveFailure, SolverInternalError) as exc:
@@ -555,7 +586,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
                 beta_cd = float(v @ v) / denom if denom > 1e-300 else 0.0
                 d = v + 0.99 * (1.0 - config.sigma) * beta_cd * d_prev
                 slopes = cone.scalarize_rows(blocks @ d)
-                if not np.all(slopes < 0.0):
+                if not (slopes < 0.0).all():
                     d, slopes = v, None  # restart when the combined direction loses descent
             if slopes is None:
                 slopes = cone.scalarize_rows(blocks @ d)
@@ -569,7 +600,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
             details = {"direction": v}
         record = IterationRecord(
             k=k, x=x.copy(), omega=omega_k, t=t, a=a, rho=rho, accepted=accepted,
-            step_norm=float(np.linalg.norm(x_trial - x)) if accepted else 0.0,
+            step_norm=_norm(x_trial - x) if accepted else 0.0,
         )
         trace.append(record)
         shared_steps += shared

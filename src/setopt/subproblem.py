@@ -38,7 +38,7 @@ from . import problems
 from ._scipy_core import min_norm_point, slsqp as _slsqp
 from .cone import Cone
 from .partition import MinimalStructure, best_tuple
-from .problems import SetValuedProblem
+from .problems import SetValuedProblem, derivative_rows
 
 _N_STARTS = 2
 # SLSQP's ftol is absolute and also bounds the constraint violation, which
@@ -56,14 +56,15 @@ class InnerSolveFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelSet:
-    """Gradient blocks (omega, m, n) and Hessian blocks (omega, m, n, n)."""
+    """Gradient blocks (b, m, n) and Hessian blocks (b, m, n, n), one per
+    derivative row of a tuple: b = omega, or 1 for an offset family."""
 
     G: np.ndarray
     H: np.ndarray
 
     def values(self, s: np.ndarray) -> np.ndarray:
         """Model increments m^j(s) = G_j s + s^T H_j s / 2 of every block,
-        (omega, m); m^j(0) = 0."""
+        (b, m); m^j(0) = 0."""
         return self.G @ s + 0.5 * np.einsum("jrab,a,b->jr", self.H, s, s)
 
 
@@ -75,7 +76,9 @@ def scalarized_rows(cone: Cone, G: np.ndarray) -> np.ndarray:
 @dataclass
 class SubproblemSolution:
     """Winning tuple a*, trial step s*, criticality value t* <= 0, and the
-    models of a*'s blocks."""
+    models of a*'s derivative rows (``problems.derivative_rows``): one block
+    per member of a, or one block in all for an offset family, whose
+    members share it."""
 
     a_star: tuple
     s_star: np.ndarray
@@ -144,16 +147,15 @@ def _project(S: np.ndarray, radius: float, box_shift) -> np.ndarray:
     return S
 
 
-def _scaled_ftol(branches: _Branches, radius: float) -> float:
+def _scaled_ftol(branches: _Branches, row_norms: np.ndarray, radius: float) -> float:
     """_SLSQP_FTOL times max(1, a bound on |phi| over the ball).
 
     On the ball, |r_b.s| <= |r_b| radius and |s^T WH_b s| <= |WH_b|_F
     radius^2, so max_b |r_b| radius + max_b |WH_b|_F radius^2 / 2 bounds
-    every branch.
+    every branch; ``row_norms`` are the |r_b|.
     """
-    n_b = len(branches.R)
-    lin = np.linalg.norm(branches.R, axis=1).max()
-    quad = np.linalg.norm(branches.WH.reshape(n_b, -1), axis=1).max()
+    lin = row_norms.max()
+    quad = np.linalg.norm(branches.WH.reshape(len(row_norms), -1), axis=1).max()
     return _SLSQP_FTOL * max(1.0, lin * radius + 0.5 * quad * radius * radius)
 
 
@@ -303,7 +305,7 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None, *
     lower, upper = np.full(n, -radius), np.full(n, radius)
     if box_shift is not None:
         lower, upper = np.maximum(lower, box_shift[0]), np.minimum(upper, box_shift[1])
-    ftol = _scaled_ftol(branches, radius)
+    ftol = _scaled_ftol(branches, norms, radius)
     ends, statuses = _epigraph_slsqp(branches, S[:_N_STARTS], phi[:_N_STARTS], radius,
                                      lower, upper, ftol)
     if len(S) > _N_STARTS and all(mode != 0 for mode, _ in statuses):
@@ -326,6 +328,8 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
 
     ``derivatives`` is the family's (Jacobians, Hessians) bundle at x, as
     ``problems.derivatives_all`` returns it; the caller owns its caching.
+    A tuple's models take the bundle's ``derivative_rows``: in an offset
+    family one block, not the omega equal ones the members share.
     ``best_tuple`` picks the tuple: the least t, ties to the earliest tuple
     in lexicographic order, one tuple for an offset family.  A tuple whose
     ``inner_minimax`` raises ``InnerSolveFailure`` counts as t = +inf, so it
@@ -342,8 +346,8 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
         box_shift = (np.asarray(box[0], float) - x, np.asarray(box[1], float) - x)
 
     def solve(a):
-        idx = [ai - 1 for ai in a]
-        models = ModelSet(G=jac_all[idx], H=hess_all[idx])
+        rows = derivative_rows(problem, a)
+        models = ModelSet(G=jac_all[rows], H=hess_all[rows])
         try:
             res = inner_minimax(models, cone, radius, box_shift, stop_tol=stop_tol)
         except InnerSolveFailure as exc:

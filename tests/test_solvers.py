@@ -522,7 +522,8 @@ def test_observer_sees_every_record_in_order(variant):
 
 def _looped_armijo(nu):
     """The one-point-at-a-time Armijo loop that ``_armijo_step`` batches,
-    kept as the reference: one ``eval_all`` call per candidate step."""
+    kept as the reference: one ``eval_all`` call per candidate step, and F
+    at the accepted point from its own call."""
     def step_rule(problem, cone, x, d, idx, F_x, slopes, steps, rho_armijo):
         lo, hi = problem.domain_box
         step = 1.0
@@ -535,9 +536,26 @@ def _looped_armijo(nu):
                 continue
             decrease = cone.scalarize_rows(F_cand[idx] - F_x[idx])
             if np.all(decrease <= rho_armijo * step * slopes):
-                return step, cand
+                return step, cand, F_cand
             step *= nu
-        return None, x
+        return None, x, None
+    return step_rule
+
+
+def _checked_armijo(checks):
+    """``_armijo_step`` asserting that the F row it returns for an accepted
+    point is ``eval_all`` at that point alone, bit for bit; ``checks``
+    counts the accepted points."""
+    original = solvers._armijo_step
+
+    def step_rule(problem, *args):
+        step, point, F = original(problem, *args)
+        if step is None:
+            assert F is None
+        else:
+            assert F.tobytes() == problem.eval_all(point).tobytes()
+            checks.append(step)
+        return step, point, F
     return step_rule
 
 
@@ -550,8 +568,10 @@ def _run_bytes(res):
             res.converged, res.diagnostic)
 
 
-def _batched_and_looped(monkeypatch, problem, cone, x0, config):
-    batched = run(problem, cone, x0, config)
+def _batched_and_looped(monkeypatch, problem, cone, x0, config, checks=None):
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_armijo_step", _checked_armijo([] if checks is None else checks))
+        batched = run(problem, cone, x0, config)
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "_armijo_step", _looped_armijo(config.nu))
         looped = run(problem, cone, x0, config)
@@ -564,12 +584,16 @@ def test_batched_armijo_is_looped(monkeypatch, pid):
     p = registry(pid)
     cones = [orthant(p.m)] + ([k2prime()] if p.m == 2 else [])
     starts = sample_points(p.domain_box, 2, _problem_seed(13, pid))
+    checks, accepted = [], 0
     for variant in ("sd", "cg"):
         for cone in cones:
             for i, x0 in enumerate(starts):
                 for nu in ((0.5, 0.3, 0.9) if i == 0 else (0.5,)):
                     config = SolverConfig(variant=variant, it_max=5, nu=nu)
-                    _batched_and_looped(monkeypatch, p, cone, x0, config)
+                    res = _batched_and_looped(monkeypatch, p, cone, x0, config, checks)
+                    accepted += sum(r.accepted for r in res.trace)
+    # the F row of every accepted point was checked against eval_all
+    assert len(checks) == accepted
 
 
 def _counted_eval_all(monkeypatch):
@@ -600,6 +624,7 @@ def test_failed_armijo_search_takes_doubling_chunks(monkeypatch):
             calls = _counted_eval_all(patch)
             batched = _armijo_step(p, cone, x, d, idx, F_x, slopes, steps, 1e-4)
         assert looped[0] is batched[0] is None and looped[1] is batched[1] is x
+        assert looped[2] is batched[2] is None
         sizes = [shape[0] for shape in calls]
         assert sizes[:-1] == [2 ** i for i in range(len(sizes) - 1)]
         assert sum(sizes) == n_steps and len(sizes) == int(np.ceil(np.log2(n_steps + 1)))
@@ -659,6 +684,41 @@ def test_batched_armijo_meets_an_exception_only_where_the_loop_does(monkeypatch)
                               SolverConfig(variant="sd", it_max=2))
     assert res.trace[0].accepted and res.trace[0].omega == 0.5
     assert res.converged and res.final_point[0] == 0.0
+
+
+def _without_armijo_F(step_rule):
+    """``step_rule`` returning no F row, so the memo keeps no F entry from it."""
+    def dropped(*args):
+        step, point, _ = step_rule(*args)
+        return step, point, None
+    return dropped
+
+
+@pytest.mark.parametrize("pid, start", [("dtlz5_n7_m5", 1), ("modified_ex53_n2_m2", 2)])
+@pytest.mark.parametrize("variant", ["sd", "cg"])
+def test_armijo_point_reads_F_from_its_search(monkeypatch, pid, start, variant):
+    # F at a point an accepted search reached is the row of its batch: the
+    # run never evaluates the family there again, and is bitwise the run
+    # that does
+    p = registry(pid)
+    cone = orthant(p.m)
+    x0 = sample_points(p.domain_box, 3, _problem_seed(29, pid))[start]
+    config = SolverConfig(variant=variant, it_max=20)
+    points = []  # the points evaluated alone, not in a search's batch
+    evaluate = SetValuedProblem.eval_all
+    monkeypatch.setattr(SetValuedProblem, "eval_all", lambda self, x: np.ndim(x) == 1 and (
+        points.append(np.asarray(x).tobytes())) or evaluate(self, x))
+    res = run(p, cone, x0, config)
+    # the iterates an accepted search reached, each one F(x) of the run
+    reached = [r.x.tobytes() for r, before in zip(res.trace[1:], res.trace) if before.accepted]
+    assert len(reached) >= 3
+    assert not (set(reached) | {res.final_point.tobytes()}) & set(points)
+    points.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_armijo_step", _without_armijo_F(solvers._armijo_step))
+        again = run(p, cone, x0, config)
+    assert [point for point in points if point in reached] == reached
+    assert _trace_bytes(again) == _trace_bytes(res) and again.final_t == res.final_t
 
 
 def _planted_stacks(with_zeros):
@@ -867,6 +927,56 @@ def test_nonpositive_prediction_ends_every_run_and_is_not_stored(monkeypatch):
     fresh = [run(p, cone, x0, SolverConfig(variant=v)) for v in variants]
     assert [_run_bytes(r) for r in shared] == [_run_bytes(r) for r in fresh]
     assert shared[0].converged and shared[0].shared_steps == 0
+
+
+# -- offset families ------------------------------------------------------------
+
+def _member_rows(problem, a):
+    """The derivative rows of a taken member by member, omega equal blocks
+    in an offset family: the reference for its one block."""
+    return [ai - 1 for ai in a]
+
+
+@pytest.mark.parametrize("pid, start", [("dtlz5_n7_m5", 1), ("rosenbrock_n4_m3", 0)])
+def test_offset_family_takes_one_derivative_block(monkeypatch, pid, start):
+    p = registry(pid)
+    cone = orthant(p.m)
+    x = sample_points(p.domain_box, 3, _problem_seed(29, pid))[start]
+    structure = structure_from_values(p.offsets, cone)
+    omega = len(structure.groups)
+
+    def solved():
+        memo = StepMemo(p)
+        ledger = memo.ledger(p)
+        (sol, pred), _ = memo.step(x, structure, cone, 1.0, 1e-3, ledger)
+        a, v, blocks = memo.direction(x, structure, cone, ledger)
+        memory = NonMonotoneMemory("trm", 0, 0.0)
+        memory.begin_iteration(p.eval_all(x), a)
+        F_new = p.eval_all(np.clip(x + sol.s_star, *p.domain_box))
+        rho = reduction_ratios(memory, F_new, a, pred, cone)
+        slopes = cone.scalarize_rows(blocks @ v)
+        runs = [run(p, cone, x, SolverConfig(variant=variant, it_max=10))
+                for variant in ("trm", "sd")]
+        return sol, pred, a, v, blocks, rho, slopes, runs
+
+    sol, pred, a, v, blocks, rho, slopes, runs = solved()
+    with monkeypatch.context() as patch:
+        for module in (subproblem, solvers):
+            patch.setattr(module, "derivative_rows", _member_rows)
+        ref_sol, ref_pred, ref_a, ref_v, ref_blocks, ref_rho, ref_slopes, ref_runs = solved()
+    assert omega > 1 and len(sol.a_star) == len(a) == omega
+    assert sol.models.G.shape[0] == sol.models.H.shape[0] == blocks.shape[0] == 1
+    assert ref_sol.models.G.shape[0] == ref_blocks.shape[0] == omega
+    assert (sol.a_star, a) == (ref_sol.a_star, ref_a)
+    assert sol.s_star.tobytes() == ref_sol.s_star.tobytes() and sol.t_star == ref_sol.t_star
+    assert sol.t_star <= -1e-3 and v.tobytes() == ref_v.tobytes()
+    # one prediction and one slope, each the bits of every member's
+    assert pred.shape == slopes.shape == (1,)
+    assert np.broadcast_to(pred, (omega,)).tobytes() == ref_pred.tobytes()
+    assert np.broadcast_to(slopes, (omega,)).tobytes() == ref_slopes.tobytes()
+    assert rho.shape == (omega,) and rho.tobytes() == ref_rho.tobytes()
+    for res, ref in zip(runs, ref_runs):
+        assert res.iterations > 0 and _trace_bytes(res) == _trace_bytes(ref)
 
 
 # -- the partition of an offset family -----------------------------------------

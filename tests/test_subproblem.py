@@ -417,7 +417,7 @@ def _seeded_epigraph_cases(count):
             lower, upper = np.maximum(lower, box_shift[0]), np.minimum(upper, box_shift[1])
         starts = subproblem._project(rng.uniform(-radius, radius, (4, n)), radius, box_shift)
         yield (branches, starts, branches.phi_values(starts), radius, lower, upper,
-               subproblem._scaled_ftol(branches, radius))
+               subproblem._scaled_ftol(branches, np.linalg.norm(branches.R, axis=1), radius))
 
 
 def test_epigraph_driver_is_bitwise_minimize():
@@ -441,7 +441,8 @@ def test_inner_minimax_reports_one_status_per_start(monkeypatch):
 
     def record(branches, starts, phi0, radius, lower, upper, ftol):
         # every solve stops at the ftol scaled to its branches
-        assert ftol == subproblem._scaled_ftol(branches, radius)
+        assert ftol == subproblem._scaled_ftol(branches, np.linalg.norm(branches.R, axis=1),
+                                               radius)
         solved.append(starts.copy())
         return original(branches, starts, phi0, radius, lower, upper, ftol)
 

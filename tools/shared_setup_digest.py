@@ -20,13 +20,15 @@ It pins ``OPENBLAS_NUM_THREADS=1`` before numpy loads, because the
 trust-region steps depend on the BLAS thread count.  It also prints, per
 method, the runs that converged, the iterations and the rejected steps
 summed over all runs, and for ``max`` and ``avg`` the runs whose iterates
-and accepted flags equal those of ``trm`` from the same start.  These
-counts are not part of the digest.
+and accepted flags equal those of ``trm`` from the same start, and last
+the wall seconds the 550 runs took (problem set-up included, process start
+and imports not).  These counts and the time are not part of the digest.
 """
 
 import hashlib
 import os
 import sys
+import time
 from pathlib import Path
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -66,6 +68,7 @@ def main() -> int:
     iterations = dict.fromkeys(VARIANTS, 0)
     rejected = dict.fromkeys(VARIANTS, 0)
     as_trm = dict.fromkeys(("max", "avg"), 0)
+    began = time.perf_counter()
     for pid in problem_ids():
         problem = registry(pid)
         cone = orthant(problem.m)
@@ -85,6 +88,7 @@ def main() -> int:
                     trm_path = _path(res)
                 elif variant in as_trm:
                     as_trm[variant] += _path(res) == trm_path
+    seconds = time.perf_counter() - began
     runs = len(problem_ids()) * STARTS
     print(f"sha256 {digest.hexdigest()}")
     for variant in VARIANTS:
@@ -93,6 +97,7 @@ def main() -> int:
         same = f", as trm {as_trm[variant]}/{runs}" if variant in as_trm else ""
         print(f"{variant}: converged {converged[variant]}/{runs}, "
               f"iterations {iterations[variant]}, rejected {rejected[variant]}{same}")
+    print(f"{runs * len(VARIANTS)} runs in {seconds:.2f} s")
     return 0
 
 
