@@ -9,6 +9,7 @@ search over that product that every solver uses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -33,6 +34,11 @@ class MinimalStructure:
     """
 
     groups: tuple
+
+    @functools.cached_property
+    def leaders(self) -> tuple:
+        """Each group's first member, in group order: built once, on first use."""
+        return tuple(g[0] for g in self.groups)
 
     def partition_count(self) -> int:
         count = 1
@@ -112,11 +118,11 @@ def best_tuple(problem, structure: MinimalStructure, solve):
     tuple in lexicographic order.  The members of an offset family
     (``problem.offsets`` set) share one Jacobian and Hessian, so every
     tuple of the group product gives the same value and the tie rule keeps
-    the first: only that tuple, each group's first member, is solved.
+    the first: only that tuple, the structure's ``leaders``, is solved.
     Otherwise every tuple of ``partition_iter`` is, within its cap.
     """
     if problem.offsets is not None:
-        tuples = [tuple(g[0] for g in structure.groups)]
+        tuples = [structure.leaders]
     else:
         tuples = partition_iter(structure)
     a_star = best = None

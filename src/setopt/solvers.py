@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
-import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from ._scipy_core import min_norm_point
 from .cone import Cone
 from .partition import PartitionCapError, best_tuple, structure_from_values
 from .problems import DerivativeTable, DomainError, SetValuedProblem, derivative_rows
-from .subproblem import InnerSolveFailure, ModelSet, scalarized_rows, theta_and_step
+from .subproblem import InnerSolveFailure, ModelSet, _norm, scalarized_rows, theta_and_step
 
 log = logging.getLogger(__name__)
 
@@ -204,9 +203,9 @@ def predicted_reductions(s: np.ndarray, models: ModelSet, cone: Cone) -> np.ndar
     so every prediction is at least eps up to round-off; SolverInternalError
     still names the first block whose prediction is not positive."""
     pred = -cone.scalarize_rows(models.values(s))
-    bad = np.flatnonzero(pred <= 0.0)
-    if bad.size:
-        j = int(bad[0])
+    bad = pred <= 0.0
+    if bad.any():
+        j = int(bad.argmax())
         raise SolverInternalError(f"nonpositive predicted reduction {pred[j]:.3e} for block {j}")
     return pred
 
@@ -237,12 +236,6 @@ def accept_and_update(rho: tuple, omega: float, config: SolverConfig):
     else:
         omega_next = 0.5 * (config.gamma1 + config.gamma2) * omega
     return accepted, omega_next
-
-
-def _norm(v: np.ndarray) -> float:
-    """|v| of a 1-D float vector: ``np.linalg.norm``'s sqrt(v . v), without
-    its wrapper."""
-    return math.sqrt(v.dot(v))
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:

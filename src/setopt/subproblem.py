@@ -24,12 +24,18 @@ SLSQP runs as scipy's compiled core, driven through its reverse-
 communication interface (``_slsqplib.slsqp``, scipy >= 1.16, loaded on its
 own by ``_scipy_core``) without the ``minimize`` wrapper: every input the
 core sees is bit for bit what ``minimize(method="SLSQP")`` would pass, and
-a test keeps that ``minimize`` form as the reference.
+a test keeps that ``minimize`` form as the reference.  One loop answers
+the core's requests: it writes the constraint values and normals into
+preallocated views with ``out=`` ufuncs, and its products R s, (sym s) s
+and s.s are ``ndarray.dot``, bit for bit the ``@`` of the ``minimize``
+form.  The stacked product sym @ s stays ``@``: ``dot`` of the 3-D stack,
+or of one matrix stacking R and sym, rounds differently.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,13 +141,25 @@ def _fixed_directions(n: int) -> np.ndarray:
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
+def _norm(v: np.ndarray) -> float:
+    """|v| of a 1-D float vector: ``np.linalg.norm``'s sqrt(v . v), without
+    its wrapper."""
+    return math.sqrt(v.dot(v))
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a 2-D array, as ``np.linalg.norm(A,
+    axis=1)`` computes them, without its wrapper."""
+    return np.sqrt(np.add.reduce(A * A, axis=1))
+
+
 def _project(S: np.ndarray, radius: float, box_shift) -> np.ndarray:
     """Feasible-point map: clip to the box shift, then scale into the ball."""
     if box_shift is not None:
-        S = np.clip(S, box_shift[0], box_shift[1])
-    norms = np.linalg.norm(S, axis=1)
+        S = S.clip(box_shift[0], box_shift[1])
+    norms = _row_norms(S)
     over = norms > radius
-    if np.any(over):
+    if over.any():
         S = S.copy()
         S[over] *= (radius / norms[over])[:, None]
     return S
@@ -155,7 +173,7 @@ def _scaled_ftol(branches: _Branches, row_norms: np.ndarray, radius: float) -> f
     every branch; ``row_norms`` are the |r_b|.
     """
     lin = row_norms.max()
-    quad = np.linalg.norm(branches.WH.reshape(len(row_norms), -1), axis=1).max()
+    quad = _row_norms(branches.WH.reshape(len(row_norms), -1)).max()
     return _SLSQP_FTOL * max(1.0, lin * radius + 0.5 * quad * radius * radius)
 
 
@@ -171,14 +189,18 @@ def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray, r
     constraints by round-off, so the caller projects them.
 
     The loop is scipy 1.17's ``_slsqp_py._minimize_slsqp`` with the wrapper
-    work taken out: the objective is tau, so f = z[n] and its gradient is
-    the constant e_tau; the tau column and the -R rows of the constraint
-    Jacobian C are constant and written once; a gradient request (mode -1)
-    refills the curvature rows and the ball row, a function request (mode 1)
-    the constraint values d, with the expressions of the ``minimize`` form.
-    A gradient request comes at the point of the function request before
-    it, so the two share one stacked product sym @ s, recomputed whenever
-    s changes.
+    work taken out, and its callbacks written into the loop body.  The
+    objective is tau, so f = z[n] and its gradient is the constant e_tau;
+    the bounds, the tau column and the -R rows of the constraint Jacobian C
+    are constant and written once per call.  A function request (mode 1)
+    refills the constraint values d, a gradient request (mode -1) the
+    curvature rows and the ball row of C, each through ufuncs with ``out=``
+    into views of d and C and with the expressions of the ``minimize`` form.
+    R s, (sym s) s and s.s are ``ndarray.dot``, which gives the bits of
+    ``@`` here; the stacked product sym @ s stays ``@``, because ``dot`` of
+    the 3-D stack (or one matrix stacking R and sym) rounds differently.  A
+    gradient request comes at the point of the function request before it,
+    so the two share one sym @ s, recomputed whenever s changes.
     """
     R = branches.R
     n_b, n = R.shape
@@ -187,41 +209,28 @@ def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray, r
     m, nz = 2 * n_b + 1, n + 1
     g = np.zeros(nz)
     g[n] = 1.0
-    # tau is unbounded: +-inf when clipping the start, NaN for the core
-    lo, hi = np.append(lower, -np.inf), np.append(upper, np.inf)
-    xl, xu = np.append(lower, np.nan), np.append(upper, np.nan)
+    # tau is unbounded, which the core reads from NaN bounds
+    xl, xu = np.empty(nz), np.empty(nz)
+    xl[:n], xu[:n] = lower, upper
+    xl[n] = xu[n] = np.nan
     C = np.zeros((m, nz), order="F")
     C[n_b:2 * n_b, :n] = -R
     C[:2 * n_b, n] = 1.0
     d = np.zeros(m)
+    curv, ball = C[:n_b, :n], C[-1, :n]
+    d_quad, d_lin = d[:n_b], d[n_b:2 * n_b]
     # _minimize_slsqp's worst-case workspace with meq = 0 and mieq = m > 0,
     # and its index and multiplier arrays of m + 2 nz + 2 (scipy 1.17.1,
     # _slsqp_py.py, lines 481-509)
     n_work = nz * (nz + 1) // 2 + 3 * m * nz + 9 * m + 8 * nz * nz + 35 * nz + 28
+    # one row z = (s, tau) per start, the start clipped to the bounds
+    Z = np.empty((len(starts), nz))
+    starts.clip(lower, upper, out=Z[:, :n])
+    Z[:, n] = phi0
 
-    last = [None, None]  # the bytes of the last s and its sym @ s
-
-    def sym_s(s):
-        key = s.tobytes()
-        if key != last[0]:
-            last[:] = key, sym @ s
-        return last[1]
-
-    def normals(z):
+    statuses = []
+    for z in Z:
         s = z[:n]
-        C[:n_b, :n] = -(R + sym_s(s))
-        C[-1, :n] = -2.0 * s
-
-    def values(z):
-        s, tau = z[:n], z[n]
-        lin = R @ s
-        d[:n_b] = tau - lin - 0.5 * (sym_s(s) @ s)
-        d[n_b:2 * n_b] = tau - lin
-        d[-1] = r2 - s @ s
-
-    ends, statuses = [], []
-    for s0, t0 in zip(starts, phi0):
-        z = np.clip(np.append(s0, t0), lo, hi)
         state = {"acc": ftol, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0,
                  "h2": 0.0, "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0,
                  "tol": 10.0 * ftol, "exact": 0, "inconsistent": 0, "reset": 0,
@@ -230,22 +239,26 @@ def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray, r
         mult = np.zeros(m + 2 * nz + 2)
         indices = np.zeros(m + 2 * nz + 2, dtype=np.int32)
         work = np.zeros(n_work)
-        fz = z[n]
-        values(z)
-        normals(z)
+        mode = 0  # at the start, fill d and C both
         while True:
+            if mode != -1:
+                fz = z[n]
+                key, sym_s = s.tobytes(), sym @ s
+                np.subtract(fz, R.dot(s), out=d_lin)
+                np.subtract(d_lin, 0.5 * sym_s.dot(s), out=d_quad)
+                d[-1] = r2 - s.dot(s)
+            if mode != 1:
+                if s.tobytes() != key:
+                    key, sym_s = s.tobytes(), sym @ s
+                np.add(R, sym_s, out=curv)
+                np.negative(curv, out=curv)
+                np.multiply(s, -2.0, out=ball)
             _slsqp(state, fz, g, C, d, z, mult, xl, xu, work, indices)
             mode = state["mode"]
-            if mode == 1:
-                fz = z[n]
-                values(z)
-            elif mode == -1:
-                normals(z)
-            else:
+            if mode != 1 and mode != -1:
                 break
-        ends.append(z[:n])
         statuses.append((mode, state["iter"]))
-    return np.array(ends), tuple(statuses)
+    return Z[:, :n], tuple(statuses)
 
 
 @dataclass(frozen=True)
@@ -272,7 +285,8 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None, *
     next 2 when neither solve ends on mode 0), projects the end points and
     returns the lowest phi among them and the best start, with each solve's
     SLSQP exit mode and iteration count.  Always returns a feasible s with
-    phi(s) <= phi(0) = 0.
+    phi(s) <= phi(0) = 0; a NaN value never wins the pick, and when no
+    candidate's value is finite ``InnerSolveFailure`` is raised.
 
     With ``stop_tol`` (``run`` passes its eps), it returns s = 0, t = phi(0)
     = 0 and no statuses without solving when radius |p*| < stop_tol, p* the
@@ -280,7 +294,7 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None, *
     max_b r_b.s >= p*.s >= -radius |p*|, so the solve would give |t| <
     stop_tol too.
     """
-    if not (np.all(np.isfinite(models.G)) and np.all(np.isfinite(models.H))):
+    if not (np.isfinite(models.G).all() and np.isfinite(models.H).all()):
         raise InnerSolveFailure("non-finite model data")
     n = models.G.shape[2]
     if radius <= 0.0:
@@ -288,10 +302,10 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None, *
     branches = _Branches.build(models, cone)
     # the margin keeps the bound strict under round-off in |p*|
     if stop_tol is not None and \
-            radius * np.linalg.norm(min_norm_point(branches.R)) < stop_tol * (1.0 - 1e-9):
+            radius * _norm(min_norm_point(branches.R)) < stop_tol * (1.0 - 1e-9):
         return InnerResult(np.zeros(n), 0.0)
 
-    norms = np.linalg.norm(branches.R, axis=1)
+    norms = _row_norms(branches.R)
     moving = norms > 0.0
     starts = np.concatenate([np.zeros((1, n)),
                              -radius * branches.R[moving] / norms[moving, None],
@@ -299,7 +313,7 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None, *
     S = _project(starts, radius, box_shift)
     S = S[_first_of_each(S)]
     phi = branches.phi_values(S)
-    order = np.argsort(phi, kind="stable")[:2 * _N_STARTS]
+    order = phi.argsort(kind="stable")[:2 * _N_STARTS]
     S, phi = S[order], phi[order]
 
     lower, upper = np.full(n, -radius), np.full(n, radius)
@@ -315,8 +329,9 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None, *
         ends, statuses = np.concatenate([ends, more]), statuses + more_statuses
     cand = np.concatenate([S[:1], _project(ends, radius, box_shift)])
     vals = branches.phi_values(cand)
-    k = int(np.nanargmin(vals))
-    if not np.isfinite(vals[k]):
+    # the least value, NaN read as +inf so that it never wins
+    k = int(np.fmin(vals, np.inf).argmin())
+    if not math.isfinite(vals[k]):
         raise InnerSolveFailure("non-finite subproblem value")
     return InnerResult(cand[k], float(vals[k]), statuses)
 

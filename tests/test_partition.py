@@ -6,7 +6,9 @@ import pytest
 from setopt.cone import k2prime, orthant
 from setopt.partition import (
     ORDER_SLACK,
+    MinimalStructure,
     PartitionCapError,
+    best_tuple,
     partition_iter,
     structure_from_values,
 )
@@ -148,6 +150,28 @@ def test_partition_cap_error():
 
     with pytest.raises(PartitionCapError, match=r"8192 elements \(group sizes \(2, 2,"):
         list(partition_iter(Big()))
+
+
+def test_offset_family_tuple_is_built_once_per_structure():
+    # an offset family solves one tuple, each group's first member; the
+    # structure keeps it, so every call hands ``solve`` the same object
+    class Offsets:
+        offsets = np.zeros((5, 2))
+
+    structure = MinimalStructure(groups=((2, 4), (1,), (3, 5)))
+    seen = []
+
+    def solve(a):
+        seen.append(a)
+        return (0.0,)
+
+    for _ in range(3):
+        assert best_tuple(Offsets(), structure, solve) == ((2, 1, 3), (0.0,))
+    assert len(seen) == 3
+    assert all(a is structure.leaders for a in seen)
+    # the cached tuple is no field: equality and repr stay those of the groups
+    assert structure == MinimalStructure(groups=((2, 4), (1,), (3, 5)))
+    assert "leaders" not in repr(structure)
 
 
 def reference_grouping(values, cone):

@@ -398,33 +398,45 @@ def _epigraph_minimize(branches, starts, phi0, radius, lower, upper, ftol):
     return np.array([r.x[:n] for r in res]), tuple((r.status, r.nit) for r in res)
 
 
-def _seeded_epigraph_cases(count):
+def _epigraph_case(rng, n, n_b, scale, boxed):
+    """Branch set, projected starts, their phi, radius, bounds and the ftol
+    that ``inner_minimax`` would use."""
+    branches = _Branches(R=scale * rng.normal(size=(n_b, n)),
+                         WH=scale * rng.normal(size=(n_b, n, n)))
+    radius = float(rng.uniform(0.2, 3.0))
+    lower, upper = np.full(n, -radius), np.full(n, radius)
+    box_shift = None
+    if boxed:
+        box_shift = (-radius * rng.uniform(0.05, 0.8, n), radius * rng.uniform(0.05, 0.8, n))
+        lower, upper = np.maximum(lower, box_shift[0]), np.minimum(upper, box_shift[1])
+    starts = subproblem._project(rng.uniform(-radius, radius, (4, n)), radius, box_shift)
+    return (branches, starts, branches.phi_values(starts), radius, lower, upper,
+            subproblem._scaled_ftol(branches, np.linalg.norm(branches.R, axis=1), radius))
+
+
+def _seeded_epigraph_cases(count, fig1_count=0):
     """Seeded branch sets: n = 1-10, 1-60 branches, indefinite curvatures,
     every other case with a box shift that cuts the ball, every third with
     branch magnitudes of 1e3-1e6; each at the ftol that ``inner_minimax``
-    would use."""
+    would use.  Then ``fig1_count`` sets of the Fig-1 shape: n = 2 with
+    61-120 branches (K2' gives omega up to 50 there, about 100 branches),
+    every other one under a box shift."""
     rng = np.random.default_rng(2024)
     for k in range(count):
         n, n_b = 1 + k % 10, int(rng.integers(1, 61))
         scale = 10.0 ** rng.uniform(3.0, 6.0) if k % 3 == 0 else 1.0
-        branches = _Branches(R=scale * rng.normal(size=(n_b, n)),
-                             WH=scale * rng.normal(size=(n_b, n, n)))
-        radius = float(rng.uniform(0.2, 3.0))
-        lower, upper = np.full(n, -radius), np.full(n, radius)
-        box_shift = None
-        if k % 2:
-            box_shift = (-radius * rng.uniform(0.05, 0.8, n), radius * rng.uniform(0.05, 0.8, n))
-            lower, upper = np.maximum(lower, box_shift[0]), np.minimum(upper, box_shift[1])
-        starts = subproblem._project(rng.uniform(-radius, radius, (4, n)), radius, box_shift)
-        yield (branches, starts, branches.phi_values(starts), radius, lower, upper,
-               subproblem._scaled_ftol(branches, np.linalg.norm(branches.R, axis=1), radius))
+        yield _epigraph_case(rng, n, n_b, scale, k % 2)
+    rng = np.random.default_rng(2025)
+    for k in range(fig1_count):
+        scale = 10.0 ** rng.uniform(1.0, 3.0) if k % 3 == 0 else 1.0
+        yield _epigraph_case(rng, 2, int(rng.integers(61, 121)), scale, k % 2)
 
 
 def test_epigraph_driver_is_bitwise_minimize():
     # _epigraph_slsqp calls a core loaded on its own, apart from the copy minimize uses
     assert subproblem._slsqp is not _slsqplib.slsqp
     modes = set()
-    for case in _seeded_epigraph_cases(60):
+    for case in _seeded_epigraph_cases(60, fig1_count=16):
         ends, statuses = subproblem._epigraph_slsqp(*case)
         ref_ends, ref_statuses = _epigraph_minimize(*case)
         assert ends.tobytes() == ref_ends.tobytes()
@@ -624,6 +636,38 @@ def test_duplicate_starts_are_solved_once(monkeypatch):
     res = inner_minimax(models, orthant(1), radius, (np.zeros(2), np.zeros(2)))
     assert [s.tolist() for s in np.concatenate(solved)] == [[0.0, 0.0]]
     assert len(res.statuses) == 1 and res.t == 0.0
+
+
+def test_final_pick_never_takes_a_nan_value(monkeypatch):
+    # the final pick reads a NaN candidate value as +inf: with the least
+    # value made NaN the next least wins; with every value NaN there is
+    # nothing to return, and InnerSolveFailure says so
+    models, cone, radius, box_shift = next(_reference_model_sets(1))
+    original = _Branches.phi_values
+    seen = []
+
+    def poisoned(nan_at):
+        def phi_values(self, S):
+            vals = original(self, S)
+            seen.append(S.copy())
+            if len(seen) == 2:  # the candidates: the best start, then the end points
+                vals[nan_at(vals)] = np.nan
+            return vals
+        return phi_values
+
+    monkeypatch.setattr(_Branches, "phi_values", poisoned(lambda v: v.argmin()))
+    res = inner_minimax(models, cone, radius, box_shift)
+    cand = seen[1]
+    vals = original(_Branches.build(models, cone), cand)
+    assert len(set(vals.tolist())) >= 2
+    vals[vals.argmin()] = np.nan
+    k = int(np.nanargmin(vals))
+    assert res.s.tobytes() == cand[k].tobytes() and res.t == vals[k]
+
+    seen.clear()
+    monkeypatch.setattr(_Branches, "phi_values", poisoned(lambda v: slice(None)))
+    with pytest.raises(InnerSolveFailure, match="non-finite subproblem value"):
+        inner_minimax(models, cone, radius, box_shift)
 
 
 # -- the first-order bound that decides the stop test -------------------------
