@@ -49,7 +49,7 @@ class MinimalStructure:
 
 def grouping_tolerance(values) -> float:
     """Sup-norm distance within which two rows of ``values`` are one value."""
-    return 1e-8 * (1.0 + float(np.max(np.abs(values))))
+    return 1e-8 * (1.0 + float(np.abs(values).max()))
 
 
 def _sup_distances(vals: np.ndarray) -> np.ndarray:
@@ -69,34 +69,51 @@ def _dominated(vals: np.ndarray, cone: Cone) -> np.ndarray:
     """[i, j]: vals[j] <_K vals[i].  One pass per dual normal requires
     w_l^T (vals[i] - vals[j]) > ``ORDER_SLACK``; on the diagonal that
     difference is 0 or NaN, so no row dominates itself."""
-    out = np.ones((vals.shape[0],) * 2, dtype=bool)
-    for col in (vals @ cone.dual_normals.T).T:
-        out &= col[:, None] - col[None, :] > ORDER_SLACK
+    cols = (vals @ cone.dual_normals.T).T
+    out = cols[0][:, None] - cols[0] > ORDER_SLACK
+    for col in cols[1:]:
+        out &= col[:, None] - col > ORDER_SLACK
     return out
 
 
 def structure_from_values(values: np.ndarray, cone: Cone) -> MinimalStructure:
     """Group the weakly minimal rows of an evaluated (p, m) array by value,
-    within ``grouping_tolerance`` in sup norm."""
+    within ``grouping_tolerance`` in sup norm.
+
+    Greedy grouping: each weakly minimal row, in index order, joins the
+    first group leader within the tolerance, or leads a new group.  Only a
+    row with a neighbour within the tolerance (or NaN apart) in the sorted
+    first column can tie, since rounding a difference is monotone; the
+    grouping passes run over those rows alone, if any.
+    """
     vals = np.atleast_2d(np.asarray(values, dtype=float))
-    wmin_idx = np.flatnonzero(~_dominated(vals, cone).any(axis=1))
-    # Greedy grouping: each weakly minimal row, in index order, joins the
-    # first group leader within the tolerance, or leads a new group.
-    # close[i, r]: rows i and r are within the tolerance.
-    wv = vals[wmin_idx]
-    close = _sup_distances(wv) <= grouping_tolerance(vals)
+    wmin_idx = (~_dominated(vals, cone).any(axis=1)).nonzero()[0]
+    tol = grouping_tolerance(vals)
+    first = vals[wmin_idx, 0]
+    order = first.argsort()
+    first = first[order]
+    near = ~(first[1:] - first[:-1] > tol)
+    if not near.any():
+        return MinimalStructure(tuple((i,) for i in (wmin_idx + 1).tolist()))
+    tied = np.zeros(len(wmin_idx), dtype=bool)
+    tied[order[1:][near]] = tied[order[:-1][near]] = True
+    rows = tied.nonzero()[0]
+    # close[i, r]: rows i and r (of those that can tie) are within the
+    # tolerance.  A row close to no earlier row leads; a row close to an
+    # earlier such leader follows.  Only the rows left depend on the
+    # leaders before them.
+    close = _sup_distances(vals[wmin_idx[rows]]) <= tol
     np.fill_diagonal(close, True)
     earlier = np.tril(close, -1)
-    # A row close to no earlier row leads; a row close to an earlier such
-    # leader follows.  Only the rows left depend on the leaders before them.
     leads = ~earlier.any(axis=1)
     for i in np.flatnonzero(~leads & ~(earlier & leads).any(axis=1)):
         leads[i] = not (earlier[i] & leads).any()
-    label = (np.cumsum(leads) - 1)[np.argmax(np.tril(close) & leads, axis=1)]
-    groups: list[list[int]] = [[] for _ in range(int(leads.sum()))]
-    for i, g in zip(wmin_idx.tolist(), label.tolist()):
-        groups[g].append(i + 1)
-    return MinimalStructure(tuple(tuple(g) for g in groups))
+    leader = np.arange(len(wmin_idx))
+    leader[rows] = rows[np.argmax(np.tril(close) & leads, axis=1)]
+    groups: dict = {}
+    for i, g in zip((wmin_idx + 1).tolist(), leader.tolist()):
+        groups.setdefault(g, []).append(i)
+    return MinimalStructure(tuple(tuple(g) for g in groups.values()))
 
 
 def partition_iter(structure: MinimalStructure):

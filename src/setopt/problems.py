@@ -236,31 +236,37 @@ def derivatives_all(problem: SetValuedProblem, x):
 
 
 class DerivativeTable:
-    """One-entry memo of family derivatives, keyed by their kind and the
-    bytes of the iterate.
-
-    Solvers move x only on acceptance, so the last point is the only one
-    that comes back.  The kinds are kept apart: a bundle's Jacobians are
-    not ``fd_jacobian_all``'s bits at the same point.
-    """
+    """Family derivatives, one read-only entry per kind and bytes of x, kept
+    as long as the table.  The kinds are kept apart: a bundle's Jacobians
+    are not ``fd_jacobian_all``'s bits at the same point.  ``StepMemo``'s
+    own ``_lookup`` makes each entry a memo entry of its runs."""
 
     def __init__(self, problem: SetValuedProblem):
         self.problem = problem
-        self._key: tuple | None = None
-        self._value = None
+        self._entries: dict = {}
 
-    def _lookup(self, kind: str, derive, x):
-        key = (kind, np.asarray(x, dtype=float).tobytes())
-        if key != self._key:
-            self._value = derive(self.problem, x)
-            self._key = key
-        return self._value
+    def _lookup(self, key: tuple, compute, ledger):
+        if key not in self._entries:
+            self._entries[key] = compute()
+        return self._entries[key]
 
-    def bundle_arrays(self, x):
-        return self._lookup("bundle", derivatives_all, x)
+    def _derive(self, kind: str, derive, x, ledger):
+        x = np.asarray(x, dtype=float)
 
-    def jacobians(self, x) -> np.ndarray:
-        return self._lookup("jacobians", fd_jacobian_all, x)
+        def compute():
+            value = derive(self.problem, x)
+            for a in value if isinstance(value, tuple) else (value,):
+                a.flags.writeable = False
+            return value
+        return self._lookup((kind, x.tobytes()), compute, ledger)
+
+    def bundle_arrays(self, x, ledger=None):
+        """``derivatives_all(problem, x)``: the (Jacobians, Hessians) bundle."""
+        return self._derive("bundle", derivatives_all, x, ledger)
+
+    def jacobians(self, x, ledger=None) -> np.ndarray:
+        """``fd_jacobian_all(problem, x)``."""
+        return self._derive("jacobians", fd_jacobian_all, x, ledger)
 
 
 # ---------------------------------------------------------------------------

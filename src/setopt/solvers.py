@@ -328,15 +328,17 @@ def _read_only(*arrays) -> None:
         a.flags.writeable = False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class _Entry:
-    """A memo value, the wall and CPU seconds it took to compute, and the
-    number of the run that computed it."""
+    """A memo value, the wall and CPU seconds it took to compute, the number
+    of the run that computed it, and the keys of the entries it was computed
+    from."""
 
     value: object
     wall: float
     cpu: float
     owner: int
+    parts: tuple = ()
 
 
 class _Ledger:
@@ -356,16 +358,17 @@ def _cone_key(cone: Cone) -> tuple:
     return w.shape, w.tobytes()
 
 
-class StepMemo:
+class StepMemo(DerivativeTable):
     """The work that runs from one start can share, bound to one problem
     (its box is read-only) and keyed by the exact bytes of its inputs:
 
     * F(x), keyed by x (the trial point of an accepted step is the next x),
-      and the derivatives of the last x asked for, in a one-entry
-      ``DerivativeTable``: neither depends on the cone, so runs under every
-      cone share them.  F at the point an Armijo search accepts is the row
-      its batch tested there, kept as that point's entry when the search is
-      computed; the search's entry carries its cost;
+      and the derivative bundle (trust-region steps) and the Jacobians
+      (SD/CG) at x, keyed by their kind and x (``DerivativeTable``): none
+      depends on the cone, so runs under every cone share them.  F at the
+      point an Armijo search accepts is the row its batch tested there,
+      kept as that point's entry when the search is computed; the search's
+      entry carries its cost;
     * the partition at x, keyed by x for a whole-family problem; an offset
       family's does not depend on x and is kept on the problem instead
       (``partition``);
@@ -377,20 +380,20 @@ class StepMemo:
       derivative rows (one block for an offset family), keyed by x;
     * the Armijo search, keyed by (x, d, idx, rho_armijo, nu).
 
-    Every entry but F(x) also holds the cone's normals in its key (their
-    shape and bytes), so a run reads these only from runs under its own
-    normals.  Entries hold read-only arrays, and nothing that raised is
-    stored.  A miss calls what a run without the memo calls, so a run that
-    shares one is bitwise the run that does not.  Each entry keeps the wall
-    and CPU seconds it took; a run adds to its own times those of every
-    entry another run computed, once per entry, so its reported times stay
-    its own cost.
+    Every other entry also holds the cone's normals in its key (their shape
+    and bytes), so a run reads these only from runs under its own normals.
+    A step or direction reads the derivatives only when it is computed
+    (``_get``'s ``derived_from``), and its cost leaves theirs out.  Entries
+    hold read-only arrays, and nothing that raised is stored.  A
+    miss calls what a run without the memo calls, so a run that shares one
+    is bitwise the run that does not.  Each entry keeps the wall and CPU
+    seconds it took; a run adds to its own times those of every entry
+    another run computed, and of the derivatives it was computed from, once
+    per entry, so its reported times stay its own cost.
     """
 
     def __init__(self, problem: SetValuedProblem):
-        self.problem = problem
-        self._derivatives = DerivativeTable(problem)
-        self._entries: dict = {}
+        super().__init__(problem)
         self._runs = itertools.count()
 
     def ledger(self, problem: SetValuedProblem) -> _Ledger:
@@ -399,20 +402,40 @@ class StepMemo:
             raise ValueError("the memo is bound to another problem")
         return _Ledger(next(self._runs))
 
-    def _get(self, key: tuple, compute, ledger: _Ledger):
-        """The entry's value and whether another run computed it."""
+    def _get(self, key: tuple, compute, ledger: _Ledger, derived_from: tuple | None = None):
+        """The entry's value and whether another run computed it.
+
+        With ``derived_from`` = (kind, x), ``compute`` takes the derivatives
+        of that kind ("bundle" or "jacobians") at x.  They are read only on
+        a miss, as an entry of their own and a part of this one: a run that
+        reads this entry is charged for both, each once."""
         entry = self._entries.get(key)
         if entry is None:
+            args = parts = ()
+            if derived_from is not None:
+                kind, x = derived_from
+                args = ((self.bundle_arrays if kind == "bundle" else self.jacobians)(x, ledger),)
+                parts = ((kind, x.tobytes()),)
             wall, cpu = time.perf_counter(), time.process_time()
-            value = compute()
+            value = compute(*args)
             entry = _Entry(value, time.perf_counter() - wall, time.process_time() - cpu,
-                           ledger.owner)
+                           ledger.owner, parts)
             self._entries[key] = entry
         elif entry.owner != ledger.owner and entry not in ledger.read:
+            # inline, not a helper call: every hit of a memo-reading run ends here
             ledger.read.add(entry)
             ledger.wall += entry.wall
             ledger.cpu += entry.cpu
+            for part_key in entry.parts:
+                part = self._entries[part_key]
+                if part.owner != ledger.owner and part not in ledger.read:
+                    ledger.read.add(part)
+                    ledger.wall += part.wall
+                    ledger.cpu += part.cpu
         return entry.value, entry.owner != ledger.owner
+
+    def _lookup(self, key: tuple, compute, ledger: _Ledger):
+        return self._get(key, compute, ledger)[0]
 
     def values(self, x: np.ndarray, ledger: _Ledger) -> np.ndarray:
         def compute():
@@ -444,9 +467,8 @@ class StepMemo:
              ledger: _Ledger):
         """(solution, predicted reductions or None when |t*| < eps), and
         whether another run computed them."""
-        def compute():
-            sol = theta_and_step(self.problem, cone, x, structure, omega,
-                                 self._derivatives.bundle_arrays(x),
+        def compute(derivatives):
+            sol = theta_and_step(self.problem, cone, x, structure, omega, derivatives,
                                  box=self.problem.domain_box, stop_tol=eps)
             _read_only(sol.s_star, sol.models.G, sol.models.H)
             pred = None
@@ -454,15 +476,14 @@ class StepMemo:
                 pred = predicted_reductions(sol.s_star, sol.models, cone)
                 _read_only(pred)
             return sol, pred
-        return self._get(("step", x.tobytes(), _cone_key(cone), omega, eps), compute, ledger)
+        return self._get(("step", x.tobytes(), _cone_key(cone), omega, eps), compute, ledger,
+                         ("bundle", x))
 
     def direction(self, x: np.ndarray, structure, cone: Cone, ledger: _Ledger):
         """The tuple a, the steepest-descent direction v and the Jacobian
         blocks of a's ``derivative_rows``: one block for an offset family,
         whose members share it, so its slopes are one entry for all."""
-        def compute():
-            jac = self._derivatives.jacobians(x)
-
+        def compute(jac):
             def solve(a):
                 blocks = jac[derivative_rows(self.problem, a)]
                 v, val = _prox_direction(scalarized_rows(cone, blocks))
@@ -471,7 +492,8 @@ class StepMemo:
             a, (_, v, blocks) = best_tuple(self.problem, structure, solve)
             _read_only(v, blocks)
             return a, v, blocks
-        return self._get(("direction", x.tobytes(), _cone_key(cone)), compute, ledger)[0]
+        return self._get(("direction", x.tobytes(), _cone_key(cone)), compute, ledger,
+                         ("jacobians", x))[0]
 
     def armijo(self, x: np.ndarray, d: np.ndarray, idx: list, F_x: np.ndarray,
                slopes: np.ndarray, steps: np.ndarray, cone: Cone, config: SolverConfig,

@@ -19,7 +19,7 @@ from setopt.bench import (
     run_matrix,
     sample_points,
 )
-from setopt import bench, solvers
+from setopt import bench, problems, solvers
 from setopt.cone import k2prime, orthant
 from setopt.problems import SetValuedProblem, problem_ids, registry
 
@@ -577,3 +577,20 @@ def test_shared_memo_runs_are_fresh_memo_runs(tmp_path, monkeypatch):
     assert out[True][:3] == out[False][:3]
     assert min(out[True][3]) > 0 and max(out[False][3]) == 0
     assert sum(len(events) for _, _, events in out[True][2]) >= 100
+
+
+def test_cone_experiment_differentiates_each_point_once(monkeypatch):
+    # the runs under both cones share one memo per start, so a point that
+    # runs under either cone step from is differentiated once
+    points = []
+    original = problems.derivatives_all
+    monkeypatch.setattr(problems, "derivatives_all",
+                        lambda problem, x: points.append(x.tobytes()) or original(problem, x))
+    x0 = np.array([-16.355461, -2.454201])
+    cones = {"k1": orthant(2), "k2prime": k2prime()}
+    out = cone_experiment("modified_ex53_n2_m2", x0, cones, it_max=10)
+    assert len(points) == len(set(points)) and x0.tobytes() in points
+    # the runs under each cone step from x0, so without the memo it would be twice
+    stepped = [{r.x.tobytes() for d in per_algo.values() for r in d["result"].trace}
+               for per_algo in out.values()]
+    assert x0.tobytes() in stepped[0] & stepped[1]

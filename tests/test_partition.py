@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from setopt.cone import k2prime, orthant
+from setopt import partition
+from setopt.cone import k2prime, orthant, preset
 from setopt.partition import (
     ORDER_SLACK,
     MinimalStructure,
@@ -206,19 +209,74 @@ def assert_matches_reference(vals, cone):
     return st
 
 
-def test_grouping_matches_reference_on_all_instances():
+def _check_instances(cone_for, pids) -> int:
+    """Match the reference at 10 seeded points of each instance."""
     checked = 0
-    for pid in problem_ids():
+    for pid in pids:
         problem = registry(pid)
-        cone = orthant(problem.m)
         for x in sample_points(problem.domain_box, 10, _problem_seed(3, pid)):
             try:
                 vals = problem.eval_all(x)
             except DomainError:
                 continue
-            assert_matches_reference(vals, cone)
+            assert_matches_reference(vals, cone_for(problem))
             checked += 1
-    assert checked >= 200
+    return checked
+
+
+def test_grouping_matches_reference_on_all_instances():
+    assert _check_instances(lambda problem: orthant(problem.m), problem_ids()) >= 200
+
+
+def test_grouping_matches_reference_under_k2prime():
+    pids = [pid for pid in problem_ids() if registry(pid).m == 2]
+    assert _check_instances(lambda problem: k2prime(), pids) >= 100
+
+
+@st.composite
+def planted_values(draw, m):
+    """Random finite (p, m) values with exact duplicates and chains of
+    near-ties planted.  A chain's rows step by 0.3-1.0 of the grouping
+    tolerance along (1, -1, 0, ...), a direction in which no row dominates
+    another under the orthant or K2', so whether a row leads depends on the
+    rows before it."""
+    p = draw(st.integers(1, 24))
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    vals = draw(arrays(float, (p, m), elements=finite | st.sampled_from([0.0, -0.0, 1.0])))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
+                                  max_size=4)):
+        vals[dst] = vals[src]
+    direction = np.zeros(m)
+    direction[:2] = (1.0, -1.0)
+    for start, length, frac in draw(st.lists(st.tuples(st.integers(0, p - 1),
+                                                       st.integers(1, 5),
+                                                       st.floats(0.3, 1.0)), max_size=3)):
+        tol = partition.grouping_tolerance(vals)
+        for k in range(1, length + 1):
+            vals[(start + k) % p] = vals[start] + k * frac * tol * direction
+    return vals
+
+
+@pytest.mark.parametrize("cone_name", ["orthant:2", "orthant:3", "k2prime"])
+def test_grouping_matches_reference_on_planted_ties(cone_name):
+    cone = preset(cone_name)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(planted_values(cone.m))
+    def check(vals):
+        assert_matches_reference(vals, cone)
+
+    check()
+
+
+def test_values_that_cannot_tie_skip_the_grouping_passes(monkeypatch):
+    # no two rows are within the tolerance in the first column, so every
+    # weakly minimal row leads a group of its own without a distance matrix
+    monkeypatch.setattr(partition, "_sup_distances", None)
+    vals = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [2.0, 5.0], [3.0, 0.0]])
+    assert assert_matches_reference(vals, orthant(2)).groups == ((1,), (2,), (3,), (5,))
+    with pytest.raises(TypeError):  # a near-tie in the first column needs it
+        structure_from_values(vals[[0, 1, 2, 4, 4]], orthant(2))
 
 
 def test_grouping_chained_near_tie():

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from setopt import problems
 from setopt.bench import _problem_seed, sample_points
 from setopt.cone import orthant
 from setopt.partition import structure_from_values
@@ -281,14 +282,23 @@ def test_fd_safe_near_boundary():
     assert np.all(np.isfinite(jac)) and np.all(np.isfinite(hess))
 
 
-def test_derivative_table_caches():
+def test_derivative_table_caches(monkeypatch):
+    # every entry lives as long as the table: a point that comes back after
+    # another is not differentiated again, and the arrays are read-only
     p = registry("dgo1_n1_m2")
     table = DerivativeTable(p)
-    x = np.array([0.25])
+    x, y = np.array([0.25]), np.array([0.5])
+    calls = []
+    original = problems.derivatives_all
+    monkeypatch.setattr(problems, "derivatives_all",
+                        lambda problem, z: calls.append(z.tobytes()) or original(problem, z))
     j1, h1 = table.bundle_arrays(x)
+    table.bundle_arrays(y)
     j2, h2 = table.bundle_arrays(x)
     assert j1 is j2 and h1 is h2
+    assert calls == [x.tobytes(), y.tobytes()]
     assert table.jacobians(x) is table.jacobians(x)
+    assert not (j1.flags.writeable or h1.flags.writeable or table.jacobians(y).flags.writeable)
 
 
 def test_derivative_table_keeps_the_kinds_apart():
@@ -299,9 +309,11 @@ def test_derivative_table_keeps_the_kinds_apart():
     bundle, jac = derivatives_all(p, x), fd_jacobian_all(p, x)
     assert bundle[0].tobytes() != jac.tobytes()
     table = DerivativeTable(p)
-    table.bundle_arrays(x)
+    first = table.bundle_arrays(x)
     assert table.jacobians(x).tobytes() == jac.tobytes()
+    # both kinds stay: the bundle is read, not differentiated again
     got = table.bundle_arrays(x)
+    assert got is first
     assert [a.tobytes() for a in got] == [a.tobytes() for a in bundle]
 
 

@@ -868,6 +868,40 @@ def test_own_entries_are_never_charged():
     assert res.shared_steps == 0
 
 
+def test_derivatives_read_under_another_cone_are_charged_once(monkeypatch):
+    # the run under K2' reads F and the derivative bundle that the run under
+    # the orthant computed at x0, where its first steps are rejected: it
+    # pays for each such entry once, however often it reads it, and is
+    # bitwise a run alone
+    p = registry("hil_n2_m2")
+    x0 = sample_points(p.domain_box, 4, _problem_seed(7, p.name))[3]
+    config = SolverConfig(variant="max", it_max=10)
+    memo = StepMemo(p)
+    run(p, orthant(2), x0, config, memo=memo)
+    _entries_cost(memo, 1.0, 2.0)
+    before = set(memo._entries)
+    keys = []
+    get = StepMemo._get
+    monkeypatch.setattr(StepMemo, "_get", lambda self, key, *args:
+                        keys.append(key) or get(self, key, *args))
+    shared = run(p, k2prime(), x0, config, memo=memo)
+    read = {key for key in keys if key in before}
+    assert keys.count(("bundle", x0.tobytes())) > 1 and ("bundle", x0.tobytes()) in read
+    assert {key[0] for key in read} == {"F", "bundle"}
+    assert len(read) <= shared.wall_time < len(read) + 0.5
+    assert 2.0 * len(read) <= shared.cpu_time < 2.0 * len(read) + 0.5
+    assert _run_bytes(shared) == _run_bytes(run(p, k2prime(), x0, config))
+    # a third run (the memo's third ledger) reads the second's steps, whose
+    # part is the first run's bundle: each entry and part once
+    _entries_cost(memo, 1.0, 2.0)
+    keys.clear()
+    third = run(p, k2prime(), x0, dataclasses.replace(config, variant="avg"), memo=memo)
+    read = {key for key in keys for key in (key, *memo._entries[key].parts)
+            if memo._entries[key].owner != 2}
+    assert any(memo._entries[key].parts for key in keys) and third.shared_steps > 0
+    assert len(read) <= third.wall_time < len(read) + 0.5
+
+
 def _count_predictions(monkeypatch):
     calls = []
     original = solvers.predicted_reductions
