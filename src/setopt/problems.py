@@ -239,16 +239,18 @@ class DerivativeTable:
     """Family derivatives, one read-only entry per kind and bytes of x, kept
     as long as the table.  The kinds are kept apart: a bundle's Jacobians
     are not ``fd_jacobian_all``'s bits at the same point.  ``StepMemo``'s
-    own ``_lookup`` makes each entry a memo entry of its runs."""
+    own ``_get`` makes each entry a memo entry of its runs."""
 
     def __init__(self, problem: SetValuedProblem):
         self.problem = problem
         self._entries: dict = {}
 
-    def _lookup(self, key: tuple, compute, ledger):
+    def _get(self, key: tuple, compute, ledger):
+        """The entry under ``key``, computed on a miss, and whether another
+        run computed it: never, in a table of one's own."""
         if key not in self._entries:
             self._entries[key] = compute()
-        return self._entries[key]
+        return self._entries[key], False
 
     def _derive(self, kind: str, derive, x, ledger):
         x = np.asarray(x, dtype=float)
@@ -258,7 +260,7 @@ class DerivativeTable:
             for a in value if isinstance(value, tuple) else (value,):
                 a.flags.writeable = False
             return value
-        return self._lookup((kind, x.tobytes()), compute, ledger)
+        return self._get((kind, x.tobytes()), compute, ledger)[0]
 
     def bundle_arrays(self, x, ledger=None):
         """``derivatives_all(problem, x)``: the (Jacobians, Hessians) bundle."""

@@ -434,9 +434,6 @@ class StepMemo(DerivativeTable):
                     ledger.cpu += part.cpu
         return entry.value, entry.owner != ledger.owner
 
-    def _lookup(self, key: tuple, compute, ledger: _Ledger):
-        return self._get(key, compute, ledger)[0]
-
     def values(self, x: np.ndarray, ledger: _Ledger) -> np.ndarray:
         def compute():
             F = self.problem.eval_all(x)
