@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 
 import click
@@ -97,6 +98,9 @@ def inspect(problem, point, cone_spec):
 @click.option("--radius", type=float, default=1.0, show_default=True)
 def criticality(problem, point, cone_spec, radius):
     """Criticality value t*, winning tuple a*, and trial step s* at a point."""
+    if not 0.0 < radius < math.inf:
+        raise click.BadParameter(f"need a positive finite radius, got {radius!r}",
+                                 param_hint="'--radius'")
     kone = _resolve_cone(cone_spec, problem)
     x = _point(point, problem, "'--point'")
     structure = partition.structure_from_values(problem.eval_all(x), kone)

@@ -236,21 +236,11 @@ def derivatives_all(problem: SetValuedProblem, x):
 
 
 class DerivativeTable:
-    """Family derivatives, one read-only entry per kind and bytes of x, kept
-    as long as the table.  The kinds are kept apart: a bundle's Jacobians
-    are not ``fd_jacobian_all``'s bits at the same point.  ``StepMemo``'s
-    own ``_get`` makes each entry a memo entry of its runs."""
-
-    def __init__(self, problem: SetValuedProblem):
-        self.problem = problem
-        self._entries: dict = {}
-
-    def _get(self, key: tuple, compute, ledger):
-        """The entry under ``key``, computed on a miss, and whether another
-        run computed it: never, in a table of one's own."""
-        if key not in self._entries:
-            self._entries[key] = compute()
-        return self._entries[key], False
+    """Family derivatives, one read-only entry per kind and bytes of x, as
+    entries of ``solvers.StepMemo``, its subclass.  The kinds are kept
+    apart: a bundle's Jacobians are not ``fd_jacobian_all``'s bits at the
+    same point.  Runs read the bundle alone; perfbench counts calls to
+    both methods."""
 
     def _derive(self, kind: str, derive, x, ledger):
         x = np.asarray(x, dtype=float)
@@ -262,11 +252,11 @@ class DerivativeTable:
             return value
         return self._get((kind, x.tobytes()), compute, ledger)[0]
 
-    def bundle_arrays(self, x, ledger=None):
+    def bundle_arrays(self, x, ledger):
         """``derivatives_all(problem, x)``: the (Jacobians, Hessians) bundle."""
         return self._derive("bundle", derivatives_all, x, ledger)
 
-    def jacobians(self, x, ledger=None) -> np.ndarray:
+    def jacobians(self, x, ledger) -> np.ndarray:
         """``fd_jacobian_all(problem, x)``."""
         return self._derive("jacobians", fd_jacobian_all, x, ledger)
 

@@ -32,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy_core import min_norm_point
+from . import problems
 from .cone import Cone
 from .partition import PartitionCapError, best_tuple, structure_from_values
 from .problems import DerivativeTable, DomainError, SetValuedProblem, derivative_rows
-from .subproblem import InnerSolveFailure, ModelSet, _norm, scalarized_rows, theta_and_step
+from .subproblem import (InnerSolveFailure, ModelSet, _norm, first_order, scalarized_rows,
+                         theta_and_step)
 
 log = logging.getLogger(__name__)
 
@@ -238,29 +239,6 @@ def accept_and_update(rho: tuple, omega: float, config: SolverConfig):
     return accepted, omega_next
 
 
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows in lexicographic order, as ``np.unique(rows, axis=0)``
-    gives them but without its structured-dtype sort: a stable sort, then
-    each row equal (==) to the one before it is dropped.  Of two rows equal
-    up to signed zeros the first in ``rows`` stays."""
-    R = rows[np.lexsort(rows.T[::-1])]
-    return R[np.concatenate(([True], (R[1:] != R[:-1]).any(axis=1)))]
-
-
-def _prox_direction(rows: np.ndarray):
-    """Steepest-descent direction v and value of min_s max(rows @ s) + ||s||^2 / 2.
-
-    v = -p with p the min-norm element of conv(rows) (Fliege & Svaiter
-    2000), so val = -||v||^2 / 2.  p is ``min_norm_point`` of the distinct
-    rows R: R^T lam for the simplex weights lam of one NNLS solve.
-    """
-    R = _distinct_rows(rows)
-    # 0.0 - p, not -p: an entry that cancels is +0.0 in -R^T lam, never -0.0
-    v = 0.0 - min_norm_point(R)
-    val = float((R @ v).max() + 0.5 * v @ v)
-    return v, val
-
-
 @functools.lru_cache(maxsize=32)
 def _backtracking_steps(nu: float) -> np.ndarray:
     """The Armijo steps 1, nu, nu^2, ... above 1e-14, in the order tried;
@@ -363,37 +341,38 @@ class StepMemo(DerivativeTable):
     (its box is read-only) and keyed by the exact bytes of its inputs:
 
     * F(x), keyed by x (the trial point of an accepted step is the next x),
-      and the derivative bundle (trust-region steps) and the Jacobians
-      (SD/CG) at x, keyed by their kind and x (``DerivativeTable``): none
-      depends on the cone, so runs under every cone share them.  F at the
-      point an Armijo search accepts is the row its batch tested there,
-      kept as that point's entry when the search is computed; the search's
-      entry carries its cost;
+      and the derivative bundle at x, keyed by ("bundle", x)
+      (``DerivativeTable``): neither depends on the cone, so runs under
+      every cone share them.  F at the point an Armijo search accepts is
+      the row its batch tested there, kept as that point's entry when the
+      search is computed; the search's entry carries its cost;
     * the partition at x, keyed by x for a whole-family problem; an offset
       family's does not depend on x and is kept on the problem instead
       (``partition``);
     * the trust-region step, keyed by (x, omega, eps): eps decides which
-      solves ``inner_minimax`` skips, and with it the predicted reductions
-      whenever |t*| >= eps, where every run that reads the entry goes on to
-      its ratio test;
+      solves ``theta_and_step``'s first-order bound skips, and with it the
+      predicted reductions whenever |t*| >= eps, where every run that reads
+      the entry goes on to its ratio test;
     * the SD/CG tuple, direction v and the Jacobian blocks of the tuple's
-      derivative rows (one block for an offset family), keyed by x;
+      derivative rows (one block for an offset family), keyed by x and
+      computed with the family's Jacobians inside the entry;
     * the Armijo search, keyed by (x, d, idx, rho_armijo, nu).
 
     Every other entry also holds the cone's normals in its key (their shape
     and bytes), so a run reads these only from runs under its own normals.
-    A step or direction reads the derivatives only when it is computed
-    (``_get``'s ``derived_from``), and its cost leaves theirs out.  Entries
-    hold read-only arrays, and nothing that raised is stored.  A
-    miss calls what a run without the memo calls, so a run that shares one
-    is bitwise the run that does not.  Each entry keeps the wall and CPU
-    seconds it took; a run adds to its own times those of every entry
-    another run computed, and of the derivatives it was computed from, once
-    per entry, so its reported times stay its own cost.
+    A step reads the bundle only when it is computed (``_get``'s
+    ``derived_from``), and its cost leaves the bundle's out.  Entries hold
+    read-only arrays, and nothing that raised is stored.  A miss calls what
+    a run without the memo calls, so a run that shares one is bitwise the
+    run that does not.  Each entry keeps the wall and CPU seconds it took;
+    a run adds to its own times those of every entry another run computed,
+    and of the bundle it was computed from, once per entry, so its reported
+    times stay its own cost.
     """
 
     def __init__(self, problem: SetValuedProblem):
-        super().__init__(problem)
+        self.problem = problem
+        self._entries: dict = {}
         self._runs = itertools.count()
 
     def ledger(self, problem: SetValuedProblem) -> _Ledger:
@@ -402,20 +381,17 @@ class StepMemo(DerivativeTable):
             raise ValueError("the memo is bound to another problem")
         return _Ledger(next(self._runs))
 
-    def _get(self, key: tuple, compute, ledger: _Ledger, derived_from: tuple | None = None):
-        """The entry's value and whether another run computed it.
-
-        With ``derived_from`` = (kind, x), ``compute`` takes the derivatives
-        of that kind ("bundle" or "jacobians") at x.  They are read only on
-        a miss, as an entry of their own and a part of this one: a run that
-        reads this entry is charged for both, each once."""
+    def _get(self, key: tuple, compute, ledger: _Ledger, derived_from=None):
+        """The entry's value and whether another run computed it.  With
+        ``derived_from`` = x, ``compute`` takes the derivative bundle at x,
+        read only on a miss, as an entry of its own and a part of this one:
+        a run that reads this entry is charged for both, each once."""
         entry = self._entries.get(key)
         if entry is None:
             args = parts = ()
             if derived_from is not None:
-                kind, x = derived_from
-                args = ((self.bundle_arrays if kind == "bundle" else self.jacobians)(x, ledger),)
-                parts = ((kind, x.tobytes()),)
+                args = (self.bundle_arrays(derived_from, ledger),)
+                parts = (("bundle", derived_from.tobytes()),)
             wall, cpu = time.perf_counter(), time.process_time()
             value = compute(*args)
             entry = _Entry(value, time.perf_counter() - wall, time.process_time() - cpu,
@@ -473,24 +449,25 @@ class StepMemo(DerivativeTable):
                 pred = predicted_reductions(sol.s_star, sol.models, cone)
                 _read_only(pred)
             return sol, pred
-        return self._get(("step", x.tobytes(), _cone_key(cone), omega, eps), compute, ledger,
-                         ("bundle", x))
+        return self._get(("step", x.tobytes(), _cone_key(cone), omega, eps), compute, ledger, x)
 
     def direction(self, x: np.ndarray, structure, cone: Cone, ledger: _Ledger):
-        """The tuple a, the steepest-descent direction v and the Jacobian
+        """The tuple a, the ``first_order`` direction v and the Jacobian
         blocks of a's ``derivative_rows``: one block for an offset family,
-        whose members share it, so its slopes are one entry for all."""
-        def compute(jac):
+        whose members share it, so its slopes are one entry for all.  The
+        family's Jacobians at x are computed inside the entry."""
+        def compute():
+            jac = problems.fd_jacobian_all(self.problem, x)
+
             def solve(a):
                 blocks = jac[derivative_rows(self.problem, a)]
-                v, val = _prox_direction(scalarized_rows(cone, blocks))
+                v, val = first_order(scalarized_rows(cone, blocks))
                 return val, v, blocks
 
             a, (_, v, blocks) = best_tuple(self.problem, structure, solve)
             _read_only(v, blocks)
             return a, v, blocks
-        return self._get(("direction", x.tobytes(), _cone_key(cone)), compute, ledger,
-                         ("jacobians", x))[0]
+        return self._get(("direction", x.tobytes(), _cone_key(cone)), compute, ledger)[0]
 
     def armijo(self, x: np.ndarray, d: np.ndarray, idx: list, F_x: np.ndarray,
                slopes: np.ndarray, steps: np.ndarray, cone: Cone, config: SolverConfig,
@@ -521,7 +498,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     The step problem is the box-constrained min-max subproblem at the
     current radius for the trust-region variants, and the box-free
     steepest-descent direction v for SD and CG; t is its value, t* or
-    -|v|, and the run stops when |t| < eps (t = 0 where ``inner_minimax``'s
+    -|v|, and the run stops when |t| < eps (t = 0 where ``theta_and_step``'s
     first-order bound skips the solve).  The step rule is the ratio
     test with the radius update, or Armijo backtracking along v (SD) or
     the conjugate direction (CG); a failed search along v, which would

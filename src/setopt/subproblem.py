@@ -79,6 +79,28 @@ def scalarized_rows(cone: Cone, G: np.ndarray) -> np.ndarray:
     return np.einsum("lm,jmn->jln", cone.dual_normals, G).reshape(-1, G.shape[2])
 
 
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows in lexicographic order, as ``np.unique(rows, axis=0)``
+    gives them but without its structured-dtype sort: a stable sort, then
+    each row equal (==) to the one before it is dropped.  Of two rows equal
+    up to signed zeros the first in ``rows`` stays."""
+    R = rows[np.lexsort(rows.T[::-1])]
+    return R[np.concatenate(([True], (R[1:] != R[:-1]).any(axis=1)))]
+
+
+def first_order(rows: np.ndarray):
+    """Steepest-descent direction v and value of min_s max(rows @ s) + ||s||^2 / 2.
+
+    v = -p with p the min-norm element of conv(rows) (Fliege & Svaiter
+    2000), so val = -||v||^2 / 2; p is ``min_norm_point`` of the distinct
+    rows.  SD/CG stop on |v|, and ``theta_and_step``'s bound reads it."""
+    R = _distinct_rows(rows)
+    # 0.0 - p, not -p: an entry that cancels is +0.0 in -R^T lam, never -0.0
+    v = 0.0 - min_norm_point(R)
+    val = float((R @ v).max() + 0.5 * v @ v)
+    return v, val
+
+
 @dataclass
 class SubproblemSolution:
     """Winning tuple a*, trial step s*, criticality value t* <= 0, and the
@@ -264,9 +286,8 @@ def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray, r
 @dataclass(frozen=True)
 class InnerResult:
     """Step s and value t; ``statuses`` holds one (SLSQP exit mode,
-    iterations) pair per distinct start solved (empty at radius 0 or when
-    ``inner_minimax``'s first-order bound decided the stop test): at most
-    ``_N_STARTS``, or ``2 * _N_STARTS`` when none of the first
+    iterations) pair per distinct start solved (empty at radius 0 only): at
+    most ``_N_STARTS``, or ``2 * _N_STARTS`` when none of the first
     ``_N_STARTS`` solves ended on mode 0."""
 
     s: np.ndarray
@@ -274,8 +295,12 @@ class InnerResult:
     statuses: tuple = ()
 
 
-def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None, *,
-                  stop_tol: float | None = None) -> InnerResult:
+def _require_finite(models: ModelSet) -> None:
+    if not (np.isfinite(models.G).all() and np.isfinite(models.H).all()):
+        raise InnerSolveFailure("non-finite model data")
+
+
+def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None) -> InnerResult:
     """Minimize phi over the ball of the given radius and the box shift.
 
     Deterministic: projects the cheap starts (0, the ball point of steepest
@@ -286,24 +311,14 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None, *
     returns the lowest phi among them and the best start, with each solve's
     SLSQP exit mode and iteration count.  Always returns a feasible s with
     phi(s) <= phi(0) = 0; a NaN value never wins the pick, and when no
-    candidate's value is finite ``InnerSolveFailure`` is raised.
-
-    With ``stop_tol`` (``run`` passes its eps), it returns s = 0, t = phi(0)
-    = 0 and no statuses without solving when radius |p*| < stop_tol, p* the
-    min-norm point of the hull of the branch rows r_b: on the ball phi(s) >=
-    max_b r_b.s >= p*.s >= -radius |p*|, so the solve would give |t| <
-    stop_tol too.
-    """
-    if not (np.isfinite(models.G).all() and np.isfinite(models.H).all()):
-        raise InnerSolveFailure("non-finite model data")
+    candidate's value is finite ``InnerSolveFailure`` is raised, as for
+    non-finite model data.  It always solves at a positive radius: the
+    bound that can skip a solve is ``theta_and_step``'s."""
+    _require_finite(models)
     n = models.G.shape[2]
     if radius <= 0.0:
         return InnerResult(np.zeros(n), 0.0)
     branches = _Branches.build(models, cone)
-    # the margin keeps the bound strict under round-off in |p*|
-    if stop_tol is not None and \
-            radius * _norm(min_norm_point(branches.R)) < stop_tol * (1.0 - 1e-9):
-        return InnerResult(np.zeros(n), 0.0)
 
     norms = _row_norms(branches.R)
     moving = norms > 0.0
@@ -346,13 +361,16 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
     A tuple's models take the bundle's ``derivative_rows``: in an offset
     family one block, not the omega equal ones the members share.
     ``best_tuple`` picks the tuple: the least t, ties to the earliest tuple
-    in lexicographic order, one tuple for an offset family.  A tuple whose
-    ``inner_minimax`` raises ``InnerSolveFailure`` counts as t = +inf, so it
-    never wins; when no tuple is solved, ``InnerSolveFailure`` is raised.
-    ``stop_tol`` goes to each ``inner_minimax`` call; a tuple it skips has
-    t = 0 > -stop_tol, so it never wins over a tuple that would go on.
-    For x inside ``box`` the zero step is among every solve's candidates,
-    so t* <= phi(0) = 0.
+    in lexicographic order, one tuple for an offset family.  A tuple with
+    non-finite models or values (``InnerSolveFailure``) counts as t = +inf,
+    so it never wins; when no tuple is solved, ``InnerSolveFailure`` is
+    raised.  With ``stop_tol`` (``run`` passes its eps) a tuple with finite
+    models takes s = 0 and t = phi(0) = 0 without ``_Branches`` or a solve
+    when radius |v| < stop_tol, v the ``first_order`` direction of its
+    scalarized Jacobian rows: on the ball phi(s) >= max_b r_b.s >= -v.s >=
+    -radius |v|, so the solve would give |t| < stop_tol too, and t = 0
+    never wins over a tuple that would go on.  For x inside ``box`` the
+    zero step is among every solve's candidates, so t* <= phi(0) = 0.
     """
     x = np.asarray(x, dtype=float).reshape(problem.n)
     jac_all, hess_all = derivatives
@@ -364,7 +382,13 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
         rows = derivative_rows(problem, a)
         models = ModelSet(G=jac_all[rows], H=hess_all[rows])
         try:
-            res = inner_minimax(models, cone, radius, box_shift, stop_tol=stop_tol)
+            if stop_tol is not None:
+                _require_finite(models)
+                v, _ = first_order(scalarized_rows(cone, models.G))
+                # the margin keeps the bound strict under round-off in |v|
+                if radius * _norm(v) < stop_tol * (1.0 - 1e-9):
+                    return 0.0, np.zeros(problem.n), models, None
+            res = inner_minimax(models, cone, radius, box_shift)
         except InnerSolveFailure as exc:
             return np.inf, None, None, exc
         return res.t, res.s, models, None
@@ -386,9 +410,12 @@ def criticality_value(problem: SetValuedProblem, cone: Cone, x, structure: Minim
     current radius, which can vanish at a point that this certificate shows
     is not critical (a box wall, or a collapsed radius); for SD and CG it
     reads -|v| of the box-free steepest-descent direction.  It passes no
-    ``stop_tol``, so every value it returns is a full solve's.  Non-finite
-    derivatives raise ``DomainError``, and a point where no tuple is solved
-    ``InnerSolveFailure``.
+    ``stop_tol``, so every value it returns is a full solve's.  A radius
+    that is not positive and finite, where t = 0 certifies nothing, raises
+    ``ValueError``; non-finite derivatives ``DomainError``, and a point
+    where no tuple is solved ``InnerSolveFailure``.
     """
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"need a positive finite radius, got {radius!r}")
     return theta_and_step(problem, cone, x, structure, radius,
                           problems.derivatives_all(problem, x))

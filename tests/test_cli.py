@@ -38,6 +38,17 @@ def test_criticality():
     assert len(data["s"]) == 1
 
 
+@pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
+def test_criticality_radius_must_be_positive_and_finite(radius):
+    # at each of these the value is 0 wherever the point is: no certificate
+    args = ["criticality", "--problem", "jos1a_n5_m2", "--point", "0.3,0.1,0.2,-0.4,0.5"]
+    result = CliRunner().invoke(main, [*args, "--radius", radius])
+    assert result.exit_code == 2, result.output
+    assert "'--radius'" in result.output and "positive finite" in result.output
+    # the same point at radius 1 is not critical
+    assert json.loads(CliRunner().invoke(main, [*args, "--radius", "1"]).output)["t"] < -0.09
+
+
 def test_solve_with_trace_and_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"it_max": 5}))

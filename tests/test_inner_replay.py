@@ -16,19 +16,19 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _calls():
-    """(G, H, cone, radius, box_shift, stop_tol) as the capture keeps them:
-    a plain solve, one under a box shift, one the first-order bound decides
-    and one at radius 0."""
+    """(G, H, cone, radius, box_shift) as the capture keeps them: a plain
+    solve, one under a box shift, one whose gradients are tiny and one at
+    radius 0."""
     rng = np.random.default_rng(5)
     calls = []
-    for n, cone, shift, stop_tol, radius in ((3, orthant(2), False, None, 1.0),
-                                             (2, k2prime(), True, 1e-3, 0.5),
-                                             (4, orthant(2), False, 1e6, 1.0),
-                                             (2, orthant(2), False, None, 0.0)):
-        G = rng.normal(size=(2, 2, n))
+    for n, cone, shift, scale, radius in ((3, orthant(2), False, 1.0, 1.0),
+                                          (2, k2prime(), True, 1.0, 0.5),
+                                          (4, orthant(2), False, 1e-9, 1.0),
+                                          (2, orthant(2), False, 1.0, 0.0)):
+        G = scale * rng.normal(size=(2, 2, n))
         H = rng.normal(size=(2, 2, n, n))
         box_shift = (-rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)) if shift else None
-        calls.append((G, 0.5 * (H + H.swapaxes(2, 3)), cone, radius, box_shift, stop_tol))
+        calls.append((G, 0.5 * (H + H.swapaxes(2, 3)), cone, radius, box_shift))
     return calls
 
 

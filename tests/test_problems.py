@@ -25,7 +25,7 @@ from setopt.problems import (
     problem_ids,
     registry,
 )
-from setopt.solvers import VARIANTS, SolverConfig, run
+from setopt.solvers import VARIANTS, SolverConfig, StepMemo, run
 from setopt.subproblem import criticality_value
 
 from plants import (
@@ -283,22 +283,25 @@ def test_fd_safe_near_boundary():
 
 
 def test_derivative_table_caches(monkeypatch):
-    # every entry lives as long as the table: a point that comes back after
+    # every entry lives as long as the memo: a point that comes back after
     # another is not differentiated again, and the arrays are read-only
     p = registry("dgo1_n1_m2")
-    table = DerivativeTable(p)
+    table = StepMemo(p)
+    ledger = table.ledger(p)
+    assert isinstance(table, DerivativeTable)
     x, y = np.array([0.25]), np.array([0.5])
     calls = []
     original = problems.derivatives_all
     monkeypatch.setattr(problems, "derivatives_all",
                         lambda problem, z: calls.append(z.tobytes()) or original(problem, z))
-    j1, h1 = table.bundle_arrays(x)
-    table.bundle_arrays(y)
-    j2, h2 = table.bundle_arrays(x)
+    j1, h1 = table.bundle_arrays(x, ledger)
+    table.bundle_arrays(y, ledger)
+    j2, h2 = table.bundle_arrays(x, ledger)
     assert j1 is j2 and h1 is h2
     assert calls == [x.tobytes(), y.tobytes()]
-    assert table.jacobians(x) is table.jacobians(x)
-    assert not (j1.flags.writeable or h1.flags.writeable or table.jacobians(y).flags.writeable)
+    assert table.jacobians(x, ledger) is table.jacobians(x, ledger)
+    assert not (j1.flags.writeable or h1.flags.writeable
+                or table.jacobians(y, ledger).flags.writeable)
 
 
 def test_derivative_table_keeps_the_kinds_apart():
@@ -308,11 +311,12 @@ def test_derivative_table_keeps_the_kinds_apart():
     x = np.zeros(5)
     bundle, jac = derivatives_all(p, x), fd_jacobian_all(p, x)
     assert bundle[0].tobytes() != jac.tobytes()
-    table = DerivativeTable(p)
-    first = table.bundle_arrays(x)
-    assert table.jacobians(x).tobytes() == jac.tobytes()
+    table = StepMemo(p)
+    ledger = table.ledger(p)
+    first = table.bundle_arrays(x, ledger)
+    assert table.jacobians(x, ledger).tobytes() == jac.tobytes()
     # both kinds stay: the bundle is read, not differentiated again
-    got = table.bundle_arrays(x)
+    got = table.bundle_arrays(x, ledger)
     assert got is first
     assert [a.tobytes() for a in got] == [a.tobytes() for a in bundle]
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog, nnls
 
-from setopt import solvers, subproblem
+from setopt import problems, solvers, subproblem
 from setopt.bench import ExperimentConfig, _problem_seed, _result_record, run_matrix, sample_points
 from setopt.cone import Cone, k2prime, orthant
 from setopt.partition import structure_from_values
@@ -28,14 +28,12 @@ from setopt.solvers import (
     StepMemo,
     _armijo_step,
     _backtracking_steps,
-    _distinct_rows,
-    _prox_direction,
     accept_and_update,
     predicted_reductions,
     reduction_ratios,
     run,
 )
-from setopt.subproblem import ModelSet
+from setopt.subproblem import ModelSet, _distinct_rows, first_order
 
 from plants import make_overflow_plant, make_quadratic_plant
 
@@ -409,7 +407,7 @@ def _oracle_row_sets():
 def test_prox_direction_oracle():
     checked = {True: 0, False: 0}
     for zero_inside, rows in _oracle_row_sets():
-        v, val = _prox_direction(rows)
+        v, val = first_order(rows)
         p = -v
         scale = float(np.max(np.sum(rows * rows, axis=1)))
         assert _hull_distance(rows, p) <= 1e-10 * np.sqrt(scale)
@@ -421,13 +419,13 @@ def test_prox_direction_oracle():
         else:
             assert np.linalg.norm(v) > 0.0
         checked[zero_inside] += 1
-        stacked = _prox_direction(np.vstack([rows, rows, rows]))
+        stacked = first_order(np.vstack([rows, rows, rows]))
         assert stacked[0].tobytes() == v.tobytes() and stacked[1] == val
     assert checked[True] == checked[False] == 20
 
 
-def _prox_direction_scipy(rows: np.ndarray):
-    """``_prox_direction`` through scipy's public ``nnls``: the reference that
+def _first_order_scipy(rows: np.ndarray):
+    """``first_order`` through scipy's public ``nnls``: the reference that
     the core loaded on its own must match bit for bit."""
     R = _distinct_rows(rows)
     rhs = np.zeros(R.shape[1] + 1)
@@ -444,8 +442,8 @@ def test_prox_direction_is_bitwise_scipy_nnls():
     cases += [np.array([[a], [-b]]) for a, b in [(1.0, 1.0), (1e3, 1e-2), (1e-2, 1e3),
                                                   (0.37, 52.0)]]
     for rows in cases:
-        v, val = _prox_direction(rows)
-        v_ref, val_ref = _prox_direction_scipy(rows)
+        v, val = first_order(rows)
+        v_ref, val_ref = _first_order_scipy(rows)
         assert v.tobytes() == v_ref.tobytes() and val == val_ref
 
 
@@ -453,10 +451,10 @@ def test_prox_direction_single_row_and_1d():
     rng = np.random.default_rng(7)
     for n in range(1, 11):
         row = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 3.0)
-        v, _ = _prox_direction(row[None, :])
+        v, _ = first_order(row[None, :])
         np.testing.assert_array_max_ulp(v, -row, maxulp=4)
     for a, b in [(1.0, 1.0), (1e3, 1e-2), (1e-2, 1e3), (0.37, 52.0)]:
-        v, _ = _prox_direction(np.array([[a], [-b]]))
+        v, _ = first_order(np.array([[a], [-b]]))
         assert np.linalg.norm(v) < 1e-12
 
 
@@ -742,10 +740,10 @@ def test_distinct_rows_match_unique(monkeypatch):
             assert np.array_equal(got, ref)
             if not with_zeros:
                 assert got.tobytes() == ref.tobytes()
-            v, val = _prox_direction(rows)
+            v, val = first_order(rows)
             with monkeypatch.context() as patch:
-                patch.setattr(solvers, "_distinct_rows", lambda r: np.unique(r, axis=0))
-                v_ref, val_ref = _prox_direction(rows)
+                patch.setattr(subproblem, "_distinct_rows", lambda r: np.unique(r, axis=0))
+                v_ref, val_ref = first_order(rows)
             if with_zeros:
                 assert np.array_equal(v, v_ref) and val == val_ref
             else:
@@ -900,6 +898,31 @@ def test_derivatives_read_under_another_cone_are_charged_once(monkeypatch):
             if memo._entries[key].owner != 2}
     assert any(memo._entries[key].parts for key in keys) and third.shared_steps > 0
     assert len(read) <= third.wall_time < len(read) + 0.5
+
+
+def test_sd_and_cg_share_directions_and_keep_no_jacobians(monkeypatch):
+    # cg's first direction and search at x0 are sd's: cg reads them and
+    # differentiates nothing at x0, while the Jacobians live inside the
+    # direction entries alone
+    p = registry("rosenbrock_n4_m3")
+    cone = orthant(3)
+    x0 = sample_points(p.domain_box, 1, _problem_seed(7, p.name))[0]
+    configs = [SolverConfig(variant=v, it_max=5) for v in ("sd", "cg")]
+    fresh = [run(p, cone, x0, config) for config in configs]
+    at = []
+    fd_jacobian_all = problems.fd_jacobian_all
+    monkeypatch.setattr(problems, "fd_jacobian_all",
+                        lambda problem, x: at.append(x.tobytes()) or fd_jacobian_all(problem, x))
+    memo = StepMemo(p)
+    sd = run(p, cone, x0, configs[0], memo=memo)
+    assert x0.tobytes() in at
+    at.clear()
+    cg = run(p, cone, x0, configs[1], memo=memo)
+    assert at and x0.tobytes() not in at
+    assert not any(key[0] == "jacobians" for key in memo._entries)
+    assert sd.shared_steps == 0 and cg.shared_steps >= 1
+    assert [_run_bytes(sd), _run_bytes(cg)] == [_run_bytes(r) for r in fresh]
+    assert _run_bytes(sd) != _run_bytes(cg)
 
 
 def _count_predictions(monkeypatch):
@@ -1094,11 +1117,10 @@ def test_whole_family_partition_is_computed_once_per_new_x(monkeypatch, tmp_path
 # -- the first-order bound on the step problem ---------------------------------
 
 def _full_solves(monkeypatch):
-    """Make ``inner_minimax`` ignore ``stop_tol``: every step problem is solved."""
-    original = subproblem.inner_minimax
-    monkeypatch.setattr(subproblem, "inner_minimax",
-                        lambda models, cone, radius, box_shift=None, *, stop_tol=None:
-                        original(models, cone, radius, box_shift))
+    """Make ``theta_and_step`` ignore ``stop_tol``: every step problem is solved."""
+    original = solvers.theta_and_step
+    monkeypatch.setattr(solvers, "theta_and_step",
+                        lambda *args, stop_tol=None, **kwargs: original(*args, **kwargs))
 
 
 def _trace_bytes(res):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import _slsqplib, minimize
@@ -698,36 +700,90 @@ def _bound_model_sets(count, eps):
         yield models, cone, radius, box_shift
 
 
-def test_step_bound_fires_only_where_the_solve_would_stop():
+def _one_tuple(models):
+    """A stand-in problem and partition whose one tuple takes the blocks of
+    ``models`` as its derivative rows."""
+    omega, _, n = models.G.shape
+    structure = MinimalStructure(tuple((j + 1,) for j in range(omega)))
+    return SimpleNamespace(n=n, offsets=None), structure
+
+
+def _bounded_step(monkeypatch, models, cone, radius, box_shift, stop_tol):
+    """``theta_and_step`` with ``stop_tol`` on the one tuple of ``models``
+    at x = 0, the box shift as its box, and the statuses of its
+    ``inner_minimax`` call: None when the first-order bound decided."""
+    problem, structure = _one_tuple(models)
+    solves = []
+    original = subproblem.inner_minimax
+    with monkeypatch.context() as patch:
+        patch.setattr(subproblem, "inner_minimax",
+                      lambda *args: solves.append(original(*args)) or solves[-1])
+        sol = theta_and_step(problem, cone, np.zeros(problem.n), structure, radius,
+                             (models.G, models.H), box=box_shift, stop_tol=stop_tol)
+    return sol, solves[0].statuses if solves else None
+
+
+def test_step_bound_fires_only_where_the_solve_would_stop(monkeypatch):
     eps = 1e-3
     fired = 0
     for models, cone, radius, box_shift in _bound_model_sets(120, eps):
         full = inner_minimax(models, cone, radius, box_shift)
-        res = inner_minimax(models, cone, radius, box_shift, stop_tol=eps)
-        if res.statuses == ():
+        res, statuses = _bounded_step(monkeypatch, models, cone, radius, box_shift, eps)
+        if statuses is None:
             fired += 1
-            assert res.t == 0.0 and res.s.tobytes() == np.zeros(len(res.s)).tobytes()
+            assert res.t_star == 0.0 and \
+                res.s_star.tobytes() == np.zeros(len(res.s_star)).tobytes()
             assert abs(full.t) < eps
         else:
-            assert res.t == full.t and res.s.tobytes() == full.s.tobytes()
-            assert res.statuses == full.statuses
+            assert res.t_star == full.t and res.s_star.tobytes() == full.s.tobytes()
+            assert statuses == full.statuses
     # both sides of the bound occur (85 and 35 of the 120)
     assert fired >= 30 and 120 - fired >= 20
 
 
-def test_step_bound_is_strict():
-    # phi(s) = a s1 over the ball of radius 1: t = -a, and the bound radius |p*| = a
+def test_step_bound_is_strict(monkeypatch):
+    # phi(s) = a s1 over the ball of radius 1: t = -a, and the bound radius |v| = a
     for a, fires in ((1e-3 * (1.0 - 1e-6), True), (1e-3, False), (1e-3 * (1.0 + 1e-6), False)):
         models = ModelSet(G=np.array([[[a, 0.0]]]), H=np.zeros((1, 1, 2, 2)))
-        res = inner_minimax(models, orthant(1), 1.0, stop_tol=1e-3)
-        assert (res.statuses == ()) == fires
+        res, statuses = _bounded_step(monkeypatch, models, orthant(1), 1.0, None, 1e-3)
+        assert (statuses is None) == fires
         full = inner_minimax(models, orthant(1), 1.0)
         assert full.t == pytest.approx(-a, rel=1e-9)
-        assert res.t == (0.0 if fires else full.t)
+        assert res.t_star == (0.0 if fires else full.t)
+
+
+def test_bound_decides_before_any_branches_are_built(monkeypatch):
+    # a tuple that the bound decides builds no _Branches and calls no
+    # inner_minimax; without stop_tol the same tuple is solved
+    models = ModelSet(G=np.array([[[1e-4, 0.0]]]), H=np.eye(2)[None, None])
+    problem, structure = _one_tuple(models)
+    calls = {"build": 0, "inner_minimax": 0}
+    build, original = _Branches.build.__func__, subproblem.inner_minimax
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(_Branches, "build", classmethod(counted("build", build)))
+    monkeypatch.setattr(subproblem, "inner_minimax", counted("inner_minimax", original))
+    for stop_tol, solved in ((1e-3, 0), (None, 1)):
+        sol = theta_and_step(problem, orthant(1), np.zeros(2), structure, 1.0,
+                             (models.G, models.H), stop_tol=stop_tol)
+        assert calls == {"build": solved, "inner_minimax": solved}
+        assert (sol.t_star == 0.0) == (stop_tol is not None)
+        assert sol.models.G.tobytes() == models.G.tobytes()
+    # non-finite model data fails the tuple before the bound is read
+    for G, H in ((np.array([[[np.nan, 0.0]]]), models.H),
+                 (models.G, np.full((1, 1, 2, 2), np.inf))):
+        with pytest.raises(InnerSolveFailure, match="non-finite model data"):
+            theta_and_step(problem, orthant(1), np.zeros(2), structure, 1.0, (G, H),
+                           stop_tol=1e-3)
 
 
 def test_criticality_value_never_takes_the_bound(monkeypatch):
-    # at this corner of the box |p*| < eps, so the bound at radius 1 would
+    # at this corner of the box |v| < eps, so the bound at radius 1 would
     # skip the solve; the certificate must stay the full solve's value
     p = registry("dtlz3_n5_m4")
     cone = orthant(4)
@@ -735,12 +791,20 @@ def test_criticality_value_never_takes_the_bound(monkeypatch):
     st = structure_from_values(p.eval_all(x), cone)
     skipped = theta_and_step(p, cone, x, st, 1.0, derivatives_all(p, x), stop_tol=1e-3)
     assert skipped.t_star == 0.0 and not np.any(skipped.s_star)
+    monkeypatch.setattr(subproblem, "first_order",
+                        lambda rows: pytest.fail("the certificate read the first-order bound"))
     cert = criticality_value(p, cone, x, st, radius=1.0)
-    original = subproblem.inner_minimax
-    monkeypatch.setattr(subproblem, "inner_minimax",
-                        lambda models, cone, radius, box_shift=None, *, stop_tol=None:
-                        original(models, cone, radius, box_shift))
-    full = criticality_value(p, cone, x, st, radius=1.0)
+    full = theta_and_step(p, cone, x, st, 1.0, derivatives_all(p, x))
     assert cert.t_star == full.t_star and cert.s_star.tobytes() == full.s_star.tobytes()
     assert cert.a_star == full.a_star
     assert -1e-3 < cert.t_star < 0.0
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, float("nan"), float("inf")])
+def test_criticality_value_needs_a_positive_finite_radius(radius):
+    p = registry("jos1a_n5_m2")
+    x = np.array([0.3, 0.1, 0.2, -0.4, 0.5])
+    st = structure_from_values(p.eval_all(x), orthant(2))
+    with pytest.raises(ValueError, match="positive finite radius"):
+        criticality_value(p, orthant(2), x, st, radius=radius)
+    assert criticality_value(p, orthant(2), x, st, radius=1.0).t_star < -0.09

@@ -7,10 +7,13 @@
 Capture builds the jobs of ``perfbench/worker.py``'s workload for the seed
 and ``--seconds`` (the same arguments give the same jobs), wraps
 ``subproblem.inner_minimax`` and runs the workload's timed region once,
-keeping a copy of every call's model blocks, cone, radius, box shift and
-``stop_tol``.  ``--save`` pickles them, so that another checkout's copy of
-this script can ``--load`` and replay the very same calls; load only files
-that ``--save`` wrote, since unpickling can run code.
+keeping a copy of every call's model blocks, cone, radius and box shift.
+The first-order bound that can skip a solve is ``theta_and_step``'s, ahead
+of ``inner_minimax``, so the captured calls are full solves only.
+``--save`` pickles them, so that another checkout's copy of this script can
+``--load`` and replay the very same calls; load only files that ``--save``
+wrote, since unpickling can run code.  Files saved by versions whose calls
+held a sixth item, ``stop_tol``, no longer load.
 
 Replay calls ``inner_minimax`` on every captured call in order and prints
 one sha256 over each call's (s, t, statuses), or its ``InnerSolveFailure``
@@ -35,7 +38,6 @@ It uses this checkout's ``src`` and ``perfbench`` and pins
 
 import argparse
 import hashlib
-import importlib.util
 import os
 import pickle
 import statistics
@@ -51,19 +53,20 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 from setopt import subproblem  # noqa: E402
+from shared_setup_digest import other_tree  # noqa: E402
 
 
 def capture(workload: str, seed: int, seconds: float) -> list:
-    """(G, H, cone, radius, box_shift, stop_tol) of every call the jobs make."""
+    """(G, H, cone, radius, box_shift) of every call the jobs make."""
     import worker
 
     calls = []
     original = subproblem.inner_minimax
 
-    def record(models, cone, radius, box_shift=None, *, stop_tol=None):
+    def record(models, cone, radius, box_shift=None):
         shift = None if box_shift is None else tuple(np.array(b) for b in box_shift)
-        calls.append((np.array(models.G), np.array(models.H), cone, radius, shift, stop_tol))
-        return original(models, cone, radius, box_shift, stop_tol=stop_tol)
+        calls.append((np.array(models.G), np.array(models.H), cone, radius, shift))
+        return original(models, cone, radius, box_shift)
 
     subproblem.inner_minimax = record
     try:
@@ -74,24 +77,12 @@ def capture(workload: str, seed: int, seconds: float) -> list:
     return calls
 
 
-def other_tree(root: Path):
-    """The ``subproblem`` module of the checkout at root, as package ``setopt_against``."""
-    pkg = root.resolve() / "src" / "setopt"
-    spec = importlib.util.spec_from_file_location("setopt_against", pkg / "__init__.py",
-                                                  submodule_search_locations=[str(pkg)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module.subproblem
-
-
 def replay(calls: list, module=subproblem) -> list:
     """Every call's result, or the ``InnerSolveFailure`` it raised."""
     out = []
-    for G, H, cone, radius, box_shift, stop_tol in calls:
+    for G, H, cone, radius, box_shift in calls:
         try:
-            out.append(module.inner_minimax(module.ModelSet(G=G, H=H), cone, radius, box_shift,
-                                            stop_tol=stop_tol))
+            out.append(module.inner_minimax(module.ModelSet(G=G, H=H), cone, radius, box_shift))
         except module.InnerSolveFailure as exc:
             out.append(exc)
     return out
@@ -187,7 +178,7 @@ def main(argv=None) -> int:
         args.save.write_bytes(pickle.dumps(calls))
     print(f"{len(calls)} inner_minimax calls from {source}")
     print(f"sha256 {digest(replay(calls))}")
-    other = other_tree(args.against) if args.against is not None else None
+    other = other_tree(args.against).subproblem if args.against is not None else None
     if other is not None:
         print(f"sha256 {digest(replay(calls, other))} against {args.against}")
     if not calls:
