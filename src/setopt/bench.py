@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import math
+import numbers
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .cone import Cone, orthant
-from .problems import UnknownProblemError, registry
+from .problems import UnknownProblemError, checked_box, registry
 from .solvers import RunResult, SolverConfig, StepMemo, run
 from .subproblem import _first_of_each
 
@@ -74,11 +75,45 @@ def _problem_seed(seed: int, problem_id: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+_MASK64 = 2 ** 64 - 1
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+
+
+def _philox_words(key: int, n_words: int) -> list:
+    """The first ``n_words`` 64-bit outputs of Philox4x64-10 (Salmon et al.
+    2011) under the key (key, 0), as ``np.random.Philox(key=key)`` gives
+    them: the counter (c, 0, 0, 0) runs from c = 1, one 4-word block each."""
+    words = []
+    for counter in range(1, (n_words + 3) // 4 + 1):
+        c0, c1, c2, c3, k0, k1 = counter, 0, 0, 0, key, 0
+        for _ in range(10):
+            p0, p2 = _PHILOX_M0 * c0, _PHILOX_M1 * c2
+            c0, c1, c2, c3 = (p2 >> 64) ^ c1 ^ k0, p2 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
+            k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
+        words += (c0, c1, c2, c3)
+    return words[:n_words]
+
+
 def sample_points(box, n_points: int, seed: int) -> np.ndarray:
-    """Uniform box samples from a counter-based generator; seed-stable."""
-    lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
-    rng = np.random.Generator(np.random.Philox(key=seed % (2 ** 64)))
-    return rng.uniform(lo, hi, size=(n_points, lo.size))
+    """``n_points`` uniform samples of the box, (n_points, n), seed-stable:
+    point i is the same in every longer draw.
+
+    Bit for bit ``np.random.Generator(np.random.Philox(key=seed %
+    2**64)).uniform(lo, hi, size=(n_points, n))``, without numpy.random,
+    whose distribution algorithms numpy does not hold fixed: entry j of
+    each row, in C order, is lo_j + (hi_j - lo_j) u with u = (w >> 11) 2^-53
+    for the next Philox word w.  The box must pass ``checked_box`` and
+    ``n_points`` be an integer >= 0 (ValueError)."""
+    lo, hi = checked_box(box)
+    if not (isinstance(n_points, numbers.Integral) and not isinstance(n_points, bool)
+            and n_points >= 0):
+        raise ValueError(f"need an integer n_points >= 0, got {n_points!r}")
+    lo_j, width = lo.tolist(), (hi - lo).tolist()
+    n = len(lo_j)
+    words = _philox_words(seed % 2 ** 64, n_points * n)
+    return np.array([lo_j[i % n] + width[i % n] * ((w >> 11) * 2.0 ** -53)
+                     for i, w in enumerate(words)], dtype=float).reshape(n_points, n)
 
 
 def record_key(rec: dict) -> tuple:

@@ -45,6 +45,25 @@ def _read_only_copy(a) -> np.ndarray:
     return a
 
 
+def checked_box(box, n: int | None = None) -> tuple:
+    """``box`` as a pair (lo, hi) of float arrays, once it is checked to be a
+    box: two finite bounds of shape (n,), or of one 1-D shape when n is None,
+    with lo <= hi and a finite width hi - lo (ValueError)."""
+    try:
+        lo, hi = (np.array(bound, dtype=float) for bound in box)
+    except (TypeError, ValueError):
+        lo = hi = None
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or an overflowing width
+        ok = (lo is not None and lo.ndim == 1 and lo.shape == hi.shape
+              and (n is None or lo.shape == (n,))
+              and np.isfinite(hi - lo).all() and (lo <= hi).all())
+    if not ok:
+        shape = "one 1-D shape" if n is None else f"shape ({n},)"
+        raise ValueError(f"need a box (lo, hi) of finite bounds of {shape} with lo <= hi "
+                         f"and a finite width, got {box!r}")
+    return lo, hi
+
+
 class UnknownProblemError(KeyError):
     """The requested problem id is not in the registry."""
 
@@ -62,7 +81,9 @@ class SetValuedProblem:
     ``domain_box`` and ``offsets`` are read-only float copies, made when
     the problem is built: ``solvers.StepMemo`` relies on the box never
     changing, and the offset family's partition it keeps in
-    ``partitions``, one per cone, on the offsets never changing.
+    ``partitions``, one per cone, on the offsets never changing.  A
+    ``domain_box`` that fails ``checked_box(domain_box, n)`` raises
+    ValueError.
     """
 
     name: str
@@ -76,7 +97,8 @@ class SetValuedProblem:
     partitions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "domain_box", tuple(map(_read_only_copy, self.domain_box)))
+        object.__setattr__(self, "domain_box",
+                           tuple(map(_read_only_copy, checked_box(self.domain_box, self.n))))
         if self.offsets is not None:
             object.__setattr__(self, "offsets", _read_only_copy(self.offsets))
 
@@ -113,8 +135,9 @@ class SetValuedProblem:
 
 
 def from_functions(name, n, m, fns, box) -> SetValuedProblem:
-    """Wrap plain callables f_i(x) -> R^m into a problem (p = len(fns))."""
-    if np.isscalar(box[0]):
+    """Wrap plain callables f_i(x) -> R^m into a problem (p = len(fns)).
+    A box of two scalars bounds every coordinate alike."""
+    if np.isscalar(box[0]) and np.isscalar(box[1]):
         box = (np.full(n, box[0]), np.full(n, box[1]))
 
     def evaluator(x):

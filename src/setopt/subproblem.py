@@ -156,10 +156,56 @@ class _Branches:
         return np.maximum(quad.max(axis=1), lin.max(axis=1))
 
 
+# The first 128 values of ``np.random.default_rng(0).standard_normal``:
+# numpy's policy fixes a bit generator's raw stream, not the algorithm that
+# turns it into normals, so the start set is pinned here, for n <= 16.
+_NORMALS = np.array([
+    0.1257302210933933, -0.1321048632913019, 0.6404226504432821, 0.10490011715303971,
+    -0.535669373161111, 0.36159505490948474, 1.3040000451301372, 0.9470809631292422,
+    -0.7037352358069926, -1.2654214710460525, -0.6232744625373522, 0.0413259793472436,
+    -2.3250307746388343, -0.21879166393254573, -1.2459109472530652, -0.7322673547034516,
+    -0.5442589828573099, -0.31630015636915454, 0.4116305363741328, 1.0425133694426776,
+    -0.12853466294403426, 1.3664634705496859, -0.6651946734866135, 0.3515100700930197,
+    0.9034701816518086, 0.09401229776087457, -0.7434992493538084, -0.9217253762584194,
+    -0.45772582566733916, 0.2201951234700494, -1.009618183538736, -0.20917557487171307,
+    -0.15922500991447772, 0.5408455846858077, 0.2146591225063409, 0.3553727090399214,
+    -0.6538286094183394, -0.12961363369276946, 0.7839754700613295, 1.4934311452207607,
+    -1.2590655321041202, 1.5139237747390626, 1.3458754237823045, 0.7813114007004275,
+    0.2644556303293035, -0.3139228145364278, 1.4580206835369587, 1.9602583164499647,
+    1.801634869866125, 1.31510376473437, 0.357380410658956, -1.2083186322821715,
+    -0.004454133120083229, 0.6564749350763358, -1.2883614637495544, 0.39512206018200824,
+    0.42986369482223, 0.6960427239628685, -1.184117966757189, -0.6617025720390349,
+    -0.43643524714322124, -1.169801907772864, 1.739367877130134, -0.4959107284421519,
+    0.3289696294602021, -0.258572545473924, 1.5834728788021222, 1.3203609870818391,
+    0.6333526228249152, -2.2035098806466507, 0.05202897425988651, 0.6836861907765345,
+    1.0039615758421696, -0.6179070447076008, 1.8220113633283233, -1.3204309700132935,
+    -0.6615280218152191, 0.9350499881140221, 0.049054613825311656, 2.002392583645255,
+    0.18851919251246557, -0.6331940901922267, -0.37756350523280824, -1.0911461176191954,
+    -1.277680166386608, 0.6304114907682319, 0.5811658124128057, 1.294558819441117,
+    -0.7546057912599311, 1.689107452443673, -0.2873877078086663, 1.5744082788445868,
+    -0.4327858471825968, -0.735483292342275, 0.24978537155866684, 1.0314530848694723,
+    0.16100957671534466, -0.5855288241233366, -1.341219714076669, -1.401520214917428,
+    0.5026828498748657, 0.989713033285805, -0.1642945926252907, -1.0743648582284346,
+    0.8730421526217066, -1.2803939447145731, -0.7130680950592722, 0.6210178535400985,
+    -2.2501411735745918, 0.38636959756630584, -0.5816408364095031, 0.10927969747781388,
+    -0.07570152622082311, 0.20211439504395987, 0.6941719367070082, -0.7583697508984092,
+    1.4209820223119163, 0.726093788947765, 0.843732662303268, 1.1648639811110282,
+    0.7875882217058694, 0.844078680578592, 0.07559361074288512, -1.4267738509897323,
+    -0.13504510003701392, -0.7695146401767057, -1.4227417685154136, 0.25845279091298756,
+])
+
+
 @functools.lru_cache(maxsize=None)
 def _fixed_directions(n: int) -> np.ndarray:
-    rng = np.random.default_rng(0)
-    d = rng.standard_normal((8, n))
+    """Eight unit directions in R^n, the rows of the normalised
+    ``np.random.default_rng(0).standard_normal((8, n))``: a slice of
+    ``_NORMALS`` for n <= 16, so numpy.random is not imported, and that
+    call itself for larger n."""
+    if 8 * n <= _NORMALS.size:
+        d = _NORMALS[:8 * n].reshape(8, n)
+    else:
+        from numpy.random import default_rng
+        d = default_rng(0).standard_normal((8, n))
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 

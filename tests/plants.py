@@ -1,11 +1,24 @@
 """Smoke-test plants: small problems with closed-form derivatives, built
 with ``from_functions``; ``test_problems`` checks the finite differences
 against each plant's exact Jacobian.  The overflow plant has finite values
-and no finite difference quotient at 0."""
+and no finite difference quotient at 0.  ``BAD_BOXES`` are pairs (lo, hi)
+that are no box in R^2."""
 
 import numpy as np
 
 from setopt.problems import from_functions
+
+BAD_BOXES = {
+    "short_hi": ((0.0, 0.0), (1.0,)),
+    "scalar_lo_short_hi": (0.0, (1.0,)),
+    "matrix_bounds": (np.zeros((1, 2)), np.ones((1, 2))),
+    "three_bounds": ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)),
+    "nan_lo": ((np.nan, 0.0), (1.0, 1.0)),
+    "inf_hi": ((0.0, 0.0), (1.0, np.inf)),
+    "infinite_box": ((-np.inf, -np.inf), (np.inf, np.inf)),
+    "overflowing_width": ((-1e308, 0.0), (1e308, 1.0)),
+    "inverted": ((0.0, 1.0), (1.0, 0.0)),
+}
 
 
 def make_linear_plant(c, box=(-10.0, 10.0)):

@@ -23,6 +23,8 @@ from setopt import bench, problems, solvers
 from setopt.cone import k2prime, orthant
 from setopt.problems import SetValuedProblem, problem_ids, registry
 
+from plants import BAD_BOXES
+
 # the hand-made records name any registered ids and variants: ExperimentConfig accepts no others
 P1, P2 = problem_ids()[:2]
 S1, S2, S3 = "trm", "max", "avg"
@@ -40,6 +42,42 @@ def test_sample_points_contract():
     # a longer draw starts with the same prefix, so point i is stable
     longer = sample_points(box, 60, 7)
     assert np.array_equal(longer[:50], pts)
+
+
+REFERENCE_SEEDS = [0, 7, -3, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5,
+                   *(bench._problem_seed(s, pid) for s in (5, 20240801) for pid in (P1, P2))]
+REFERENCE_BOXES = [registry(pid).domain_box for pid in problem_ids()] + [((-2.5,), (4.0,))]
+
+
+@pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+def test_sample_points_is_bitwise_numpy_philox_uniform(seed):
+    # the numpy.random call that sample_points replaced is its reference
+    for lo, hi in REFERENCE_BOXES:
+        for k in (0, 1, 6, 60):
+            rng = np.random.Generator(np.random.Philox(key=seed % 2 ** 64))
+            want = rng.uniform(lo, hi, size=(k, len(lo)))
+            got = sample_points((lo, hi), k, seed)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("box", BAD_BOXES.values(), ids=BAD_BOXES)
+def test_sample_points_needs_a_box(box):
+    with pytest.raises(ValueError, match="need a box"):
+        sample_points(box, 3, 7)
+
+
+@pytest.mark.parametrize("n_points", [-1, 2.0, 1.5, True, "3", None])
+def test_sample_points_needs_a_count(n_points):
+    with pytest.raises(ValueError, match="n_points"):
+        sample_points((np.zeros(2), np.ones(2)), n_points, 7)
+
+
+def test_sample_points_takes_a_numpy_count_and_a_flat_box():
+    box = (np.zeros(2), np.ones(2))
+    assert sample_points(box, np.int64(3), 7).tobytes() == sample_points(box, 3, 7).tobytes()
+    flat = sample_points(((0.0, 0.5), (1.0, 0.5)), 4, 7)
+    assert np.all(flat[:, 1] == 0.5)
 
 
 def _tiny_config():

@@ -29,6 +29,7 @@ from setopt.solvers import VARIANTS, SolverConfig, StepMemo, run
 from setopt.subproblem import criticality_value
 
 from plants import (
+    BAD_BOXES,
     make_linear_plant,
     make_overflow_plant,
     make_quadratic_plant,
@@ -63,6 +64,27 @@ def test_registry_has_all_instances():
                                                           registry("hil_n2_m2").domain_box))
     with pytest.raises(UnknownProblemError):
         registry("nope_n1_m1")
+
+
+@pytest.mark.parametrize("box", BAD_BOXES.values(), ids=BAD_BOXES)
+def test_a_problem_needs_a_box(box):
+    fns = [lambda x: np.array([x @ x])]
+    with pytest.raises(ValueError, match="need a box"):
+        from_functions("p", 2, 1, fns, box)
+    with pytest.raises(ValueError, match="need a box"):
+        problems.SetValuedProblem("p", 2, 1, 1, box, lambda x: x @ x)
+
+
+def test_box_bounds_of_another_dimension_or_of_no_width():
+    fns = [lambda x: np.array([x @ x])]
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        from_functions("p", 2, 1, fns, ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
+    # a box of width 0 in a coordinate is a box
+    flat = from_functions("p", 2, 1, fns, ((0.0, 0.5), (1.0, 0.5)))
+    assert flat.domain_box[0].tolist() == [0.0, 0.5]
+    for pid in problem_ids():
+        built = problems._BUILDERS[pid]()  # registry's cache bypassed: every build checks
+        assert built.domain_box[0].shape == (built.n,)
 
 
 def test_table_boxes():

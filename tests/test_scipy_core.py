@@ -1,5 +1,6 @@
 """setopt loads scipy's compiled SLSQP/NNLS core on its own, never
-``scipy.optimize`` and what its ``__init__`` pulls in."""
+``scipy.optimize`` and what its ``__init__`` pulls in, and its sampling, runs
+and certificate never import numpy.random."""
 
 import os
 import subprocess
@@ -34,6 +35,22 @@ def test_import_and_runs_load_no_scipy_optimize():
     assert "setopt.solvers" in loaded and "scipy" in loaded
     for package in ("scipy.optimize", "scipy.linalg", "scipy.sparse"):
         assert not [name for name in loaded if name == package or name.startswith(package + ".")]
+
+
+def test_sampling_runs_and_certificate_load_no_numpy_random():
+    done = _python(
+        "import sys\n"
+        "import setopt\n"
+        "from setopt import bench, partition, subproblem\n"
+        "problem, cone = setopt.registry('zdt1_n5_m2'), setopt.orthant(2)\n"
+        "x0 = bench.sample_points(problem.domain_box, 1, bench._problem_seed(7, problem.name))[0]\n"
+        "for variant in ('trm', 'sd'):\n"
+        "    setopt.run(problem, cone, x0, setopt.SolverConfig(variant=variant, it_max=3))\n"
+        "structure = partition.structure_from_values(problem.eval_all(x0), cone)\n"
+        "subproblem.criticality_value(problem, cone, x0, structure, radius=1.0)\n"
+        "print('numpy.random' in sys.modules)\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_missing_core_raises_the_version_import_error():

@@ -546,6 +546,22 @@ def test_first_of_each_matches_unique_form_on_the_battery(monkeypatch):
     assert any(len(original(rows)) < len(rows) for rows in seen)
 
 
+# -- the fixed start directions against the numpy.random call they pin -----
+
+def test_pinned_normals_are_numpy_default_rng_0():
+    want = np.random.default_rng(0).standard_normal(128)
+    assert subproblem._NORMALS.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_fixed_directions_are_the_normalised_numpy_draw(n):
+    # n <= 16 reads the pinned normals, n > 16 still draws from numpy.random
+    d = np.random.default_rng(0).standard_normal((8, n))
+    want = d / np.linalg.norm(d, axis=1, keepdims=True)
+    got = subproblem._fixed_directions(n)
+    assert got.shape == (8, n) and got.tobytes() == want.tobytes()
+
+
 # -- two distinct starts at the scaled ftol against the four-start solve -----
 
 def _four_start_inner_minimax(models, cone, radius, box_shift=None):
