@@ -53,10 +53,14 @@ def _resolve_cone(spec: str | None, problem, hint: str = "'--cone'") -> cone_mod
 
 
 def _read_config(path: str, build):
-    """``build`` applied to the text of the file at ``path``; a config it
-    rejects is a usage error on ``--config``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """``build`` applied to the text of the file at ``path``; a file that
+    cannot be read as UTF-8 text, or a config ``build`` rejects, is a usage
+    error on ``--config``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise click.BadParameter(f"cannot read {path}: {exc}", param_hint="'--config'") from exc
     try:
         return build(text)
     except (TypeError, ValueError) as exc:
@@ -177,7 +181,11 @@ def profile(store_path, config_path, metric, svg_path):
 @click.option("--it-max", type=click.IntRange(min=1), default=100, show_default=True)
 def cone_experiment(problem, x0, cones, out_path, it_max):
     """Compare the non-monotone variants under different ordering cones."""
-    cone_map = {name: _resolve_cone(name, problem, "'--cones'") for name in cones.split(",")}
+    names = cones.split(",")
+    if len(set(names)) < len(names):
+        raise click.BadParameter(f"need cone presets with no repeats, got {cones!r}",
+                                 param_hint="'--cones'")
+    cone_map = {name: _resolve_cone(name, problem, "'--cones'") for name in names}
     if problem.m != 2:
         raise click.BadParameter(f"the cone experiment needs m = 2, but {problem.name} maps "
                                  f"into R^{problem.m}", param_hint="'--problem'")

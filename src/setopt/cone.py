@@ -25,7 +25,28 @@ class ConeError(ValueError):
     """The given dual normals do not describe a usable ordering cone."""
 
 
-@dataclass(frozen=True)
+def _spans(w: np.ndarray) -> bool:
+    """Whether the rows of the (q, m) array w span R^m, by modified
+    Gram-Schmidt with row pivoting: each of m steps takes the largest
+    remaining row as the next direction and projects it out of every row.
+    The rows span R^m when every pivot exceeds ``np.linalg.matrix_rank``'s
+    default tolerance, max(q, m) eps times a bound on the largest singular
+    value (here the Frobenius norm).  Unlike ``matrix_rank`` it makes no
+    LAPACK call, so building a cone pages none of LAPACK in."""
+    q, m = w.shape
+    tol = max(q, m) * np.finfo(float).eps * np.linalg.norm(w)
+    r = w
+    for _ in range(m):
+        norms = np.linalg.norm(r, axis=1)
+        k = int(np.argmax(norms))
+        if norms[k] <= tol:
+            return False
+        u = r[k] / norms[k]
+        r = r - np.outer(r @ u, u)
+    return True
+
+
+@dataclass(frozen=True, eq=False)
 class Cone:
     """Closed convex pointed solid polyhedral cone in R^m.
 
@@ -34,10 +55,16 @@ class Cone:
     dual_normals : array_like, shape (q, m)
         Halfspace normals; each row is rescaled to unit 1-norm.
 
-    Construction verifies that the cone is solid (some y has
-    ``w_j^T y > 0`` for every j: by Gordan's alternative, when the min-norm
-    point of conv(w_j) has norm above 1e-9) and pointed (``w_j^T y = 0``
-    for all j only at y = 0, i.e. the normals span R^m).
+    Construction verifies that the cone is pointed (``w_j^T y = 0`` for
+    all j only at y = 0, i.e. the normals span R^m, decided by pivoted
+    Gram-Schmidt at ``matrix_rank``'s tolerance without LAPACK) and solid
+    (some y has ``w_j^T y > 0`` for every j: by Gordan's alternative, when
+    the min-norm point of conv(w_j) has norm above 1e-9).
+
+    Two cones are equal, and hash alike, when their rescaled normals have
+    the same shape and bytes: the identity that ``solvers.StepMemo`` keys
+    cone-dependent results by, since those bytes decide every such result.
+    So ``Cone([[2, 0], [0, 2]]) == orthant(2)``.
     """
 
     dual_normals: np.ndarray
@@ -52,10 +79,22 @@ class Cone:
         w = w / norms[:, None]
         w.setflags(write=False)
         object.__setattr__(self, "dual_normals", w)
-        if np.linalg.matrix_rank(w) < self.m:
+        if not _spans(w):
             raise ConeError("cone is not pointed: dual normals do not span R^m")
         if np.linalg.norm(min_norm_point(w)) <= 1e-9:
             raise ConeError("cone has empty interior under the given normals")
+
+    def _key(self) -> tuple:
+        w = self.dual_normals
+        return w.shape, w.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, Cone):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def m(self) -> int:

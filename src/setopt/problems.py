@@ -68,7 +68,7 @@ class UnknownProblemError(KeyError):
     """The requested problem id is not in the registry."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetValuedProblem:
     """A finite family of vector objectives on a box.
 
@@ -83,7 +83,8 @@ class SetValuedProblem:
     changing, and the offset family's partition it keeps in
     ``partitions``, one per cone, on the offsets never changing.  A
     ``domain_box`` that fails ``checked_box(domain_box, n)`` raises
-    ValueError.
+    ValueError.  A problem compares and hashes by identity: its evaluator
+    is a closure, and ``solvers.StepMemo`` binds one problem object.
     """
 
     name: str
@@ -94,7 +95,7 @@ class SetValuedProblem:
     evaluator: object
     notes: str = ""
     offsets: np.ndarray | None = None
-    partitions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    partitions: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "domain_box",

@@ -196,11 +196,23 @@ _OUT = ["--out", "cones.json"]
       "--cones", "orthant:3", *_OUT], "--problem", "m = 2"),
     (["cone-experiment", "--problem", "modified_ex53_n2_m2", "--x0", "-16,-2",
       "--it-max", "0", *_OUT], "--it-max", "0"),
+    (["cone-experiment", "--problem", "modified_ex53_n2_m2", "--x0", "-16,-2",
+      "--cones", "orthant:2,k2prime,orthant:2", *_OUT], "--cones", "no repeats"),
+    (["solve", "--problem", "dgo2_n1_m2", "--x0", "4.0", "--config", "missing.json"],
+     "--config", "missing.json"),
+    (["run", "--config", "folder.json", "--out", "store.jsonl"], "--config", "folder.json"),
+    (["table", "--store", "store.jsonl", "--config", "latin1.json", "--csv", "t.csv"],
+     "--config", "latin1.json"),
+    (["profile", "--store", "store.jsonl", "--config", "missing.json", "--metric", "nonconv",
+      "--svg", "p.svg"], "--config", "missing.json"),
 ])
 def test_bad_cone_or_point_is_usage_error(tmp_path, monkeypatch, args, option, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "k3.json").write_text(orthant(3).to_json())
     (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "folder.json").mkdir()
+    (tmp_path / "latin1.json").write_bytes('{"it_max": 5, "notes": "café"}'.encode("latin-1"))
+    (tmp_path / "store.jsonl").write_text("")
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 2, result.output
     assert f"'{option}'" in result.output and message in result.output

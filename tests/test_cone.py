@@ -185,3 +185,60 @@ def test_scalarize_rows_is_bitwise_scalarize():
         assert rows.shape == (2000,)
         for y, value in zip(ys, rows):
             assert value.tobytes() == np.float64(cone.scalarize(y)).tobytes()
+
+
+def test_cones_compare_and_hash_by_their_normals():
+    # the shape and bytes of the rescaled normals, as the step memo keys cones
+    assert orthant(2) == orthant(2) and hash(orthant(2)) == hash(orthant(2))
+    assert Cone([[2.0, 0.0], [0.0, 2.0]]) == orthant(2)
+    assert orthant(2) in [k2prime(), orthant(2)]
+    assert {orthant(2): "K1", k2prime(): "K2'"}[Cone(np.eye(2))] == "K1"
+    assert len({orthant(2), orthant(2), k2prime(), preset("k2prime"), orthant(3)}) == 3
+    assert orthant(2) != k2prime() and orthant(2) != orthant(3)
+    assert Cone(np.eye(2)[::-1]) != orthant(2)  # the same cone, normals in another order
+    assert orthant(2) != np.eye(2).tolist()
+
+
+def _normals_battery(rng, kind, q, m):
+    """One (q, m) array of nonzero normals of the given kind, before rescaling."""
+    w = rng.standard_normal((q, m))
+    if kind == "duplicated" and q >= 2:
+        i, j = rng.choice(q, 2, replace=False)
+        w[j] = w[i] * rng.choice([1.0, -1.0, 0.5, 3.0])
+    elif kind == "combination" and q >= 2:
+        # every row an integer combination of at most min(q - 1, m) integer rows
+        basis = rng.integers(1, 6, size=(int(rng.integers(1, min(q - 1, m) + 1)), m))
+        basis = (basis * rng.choice([-1, 1], size=basis.shape)).astype(float)
+        w = rng.integers(-4, 5, size=(q, len(basis))) @ basis
+        w[np.abs(w).sum(axis=1) == 0.0] = basis[0]
+    elif kind == "near-parallel" and q >= 2:
+        w[1] = w[0] + 10.0 ** -float(rng.integers(1, 13)) * rng.standard_normal(m)
+    elif kind == "scaled":
+        w *= 10.0 ** rng.uniform(-100.0, 100.0, size=(q, 1))
+    return w
+
+
+def test_pointedness_agrees_with_matrix_rank():
+    # 2,880 seeded normal sets, m = 1-6 and q = 1-12: Gaussian, a duplicated
+    # row (exact multiples included), rows that are integer combinations of
+    # fewer integer rows, a pair 1e-1 to 1e-12 apart, and rows scaled by
+    # 1e-100 to 1e100.  Closer pairs leave the smallest singular value within
+    # a small factor of the tolerance, where the SVD's and Gram-Schmidt's
+    # rounding decide the rank and either verdict is a valid one.
+    rng = np.random.default_rng(20261019)
+    kinds = ("gaussian", "duplicated", "combination", "near-parallel", "scaled")
+    outcomes = {(kind, pointed): 0 for kind in kinds for pointed in (True, False)}
+    for q in range(1, 13):
+        for m in range(1, 7):
+            for kind in kinds:
+                for _ in range(8):
+                    w = _normals_battery(rng, kind, q, m)
+                    rescaled = w / np.abs(w).sum(axis=1)[:, None]
+                    try:
+                        Cone(w)
+                        pointed = True
+                    except ConeError as exc:
+                        pointed = "not pointed" not in str(exc)
+                    assert pointed == (np.linalg.matrix_rank(rescaled) == m), (kind, w)
+                    outcomes[kind, pointed] += 1
+    assert min(outcomes.values()) >= 100, outcomes

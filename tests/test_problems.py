@@ -66,6 +66,17 @@ def test_registry_has_all_instances():
         registry("nope_n1_m1")
 
 
+def test_problems_compare_and_hash_by_identity():
+    # the evaluator is a closure, and a step memo binds one problem object
+    p = registry("dgo1_n1_m2")
+    twin = dataclasses.replace(p)
+    assert p == registry("dgo1_n1_m2") and p != twin
+    assert p in [twin, p] and twin not in [p]
+    assert {p: 1, twin: 2}[p] == 1 and hash(p) == hash(p)
+    with pytest.raises(ValueError, match="another problem"):
+        StepMemo(p).ledger(twin)
+
+
 @pytest.mark.parametrize("box", BAD_BOXES.values(), ids=BAD_BOXES)
 def test_a_problem_needs_a_box(box):
     fns = [lambda x: np.array([x @ x])]

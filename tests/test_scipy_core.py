@@ -1,6 +1,7 @@
 """setopt loads scipy's compiled SLSQP/NNLS core on its own, never
-``scipy.optimize`` and what its ``__init__`` pulls in, and its sampling, runs
-and certificate never import numpy.random."""
+``scipy.optimize`` and what its ``__init__`` pulls in; its sampling, runs
+and certificate never import numpy.random, and its cones, runs and
+certificate make no call into numpy's LAPACK."""
 
 import os
 import subprocess
@@ -51,6 +52,40 @@ def test_sampling_runs_and_certificate_load_no_numpy_random():
         "print('numpy.random' in sys.modules)\n")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+_LAPACK = ("svd", "matrix_rank", "qr", "eig", "eigh", "eigvals", "eigvalsh", "solve", "lstsq",
+           "inv", "det", "slogdet", "cholesky", "pinv")
+
+
+def test_cones_runs_and_certificate_make_no_lapack_call():
+    # numpy's LAPACK routines raise, both as numpy.linalg.X and as the
+    # numpy.linalg._linalg.X that numpy's own functions call, and log the call
+    done = _python(
+        "import numpy as np\n"
+        "import numpy.linalg._linalg as impl\n"
+        "called = []\n"
+        "def forbidden(name):\n"
+        "    def call(*args, **kwargs):\n"
+        "        called.append(name)\n"
+        "        raise AssertionError(f'numpy.linalg.{name} called')\n"
+        "    return call\n"
+        f"for name in {_LAPACK!r}:\n"
+        "    setattr(np.linalg, name, forbidden(name))\n"
+        "    setattr(impl, name, forbidden(name))\n"
+        "import setopt\n"
+        "from setopt import bench, partition, subproblem\n"
+        "cones = [setopt.orthant(m) for m in range(1, 6)] + [setopt.k2prime()]\n"
+        "for pid, cone in (('zdt1_n5_m2', cones[1]), ('modified_ex53_n2_m2', cones[-1])):\n"
+        "    problem = setopt.registry(pid)\n"
+        "    x0 = bench.sample_points(problem.domain_box, 1, bench._problem_seed(7, pid))[0]\n"
+        "    for variant in ('trm', 'max', 'sd', 'cg'):\n"
+        "        setopt.run(problem, cone, x0, setopt.SolverConfig(variant=variant, it_max=3))\n"
+        "    structure = partition.structure_from_values(problem.eval_all(x0), cone)\n"
+        "    subproblem.criticality_value(problem, cone, x0, structure, radius=1.0)\n"
+        "print(called)\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_missing_core_raises_the_version_import_error():
