@@ -62,9 +62,9 @@ class Cone:
     the min-norm point of conv(w_j) has norm above 1e-9).
 
     Two cones are equal, and hash alike, when their rescaled normals have
-    the same shape and bytes: the identity that ``solvers.StepMemo`` keys
-    cone-dependent results by, since those bytes decide every such result.
-    So ``Cone([[2, 0], [0, 2]]) == orthant(2)``.
+    the same shape and bytes (``key``), which ``solvers.StepMemo`` also
+    keys cone-dependent results by.  So ``Cone([[2, 0], [0, 2]]) ==
+    orthant(2)``, while the same normals in another order make another key.
     """
 
     dual_normals: np.ndarray
@@ -84,17 +84,19 @@ class Cone:
         if np.linalg.norm(min_norm_point(w)) <= 1e-9:
             raise ConeError("cone has empty interior under the given normals")
 
-    def _key(self) -> tuple:
+    def key(self) -> tuple:
+        """The shape and bytes of the rescaled normals, which decide every
+        cone-dependent result."""
         w = self.dual_normals
         return w.shape, w.tobytes()
 
     def __eq__(self, other):
         if not isinstance(other, Cone):
             return NotImplemented
-        return self._key() == other._key()
+        return self.key() == other.key()
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self.key())
 
     @property
     def m(self) -> int:

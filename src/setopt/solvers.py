@@ -329,13 +329,6 @@ class _Ledger:
         self.wall = self.cpu = 0.0
 
 
-def _cone_key(cone: Cone) -> tuple:
-    """The shape and bytes of the cone's normals, which decide every
-    cone-dependent result."""
-    w = cone.dual_normals
-    return w.shape, w.tobytes()
-
-
 class StepMemo(DerivativeTable):
     """The work that runs from one start can share, bound to one problem
     (its box is read-only) and keyed by the exact bytes of its inputs:
@@ -359,7 +352,8 @@ class StepMemo(DerivativeTable):
     * the Armijo search, keyed by (x, d, idx, rho_armijo, nu).
 
     Every other entry also holds the cone's normals in its key (their shape
-    and bytes), so a run reads these only from runs under its own normals.
+    and bytes, ``Cone.key``), so a run reads these only from runs under its
+    own normals.
     A step reads the bundle only when it is computed (``_get``'s
     ``derived_from``), and its cost leaves the bundle's out.  Entries hold
     read-only arrays, and nothing that raised is stored.  A miss calls what
@@ -428,7 +422,7 @@ class StepMemo(DerivativeTable):
         an entry keyed by x and the normals.
         """
         offsets = self.problem.offsets
-        normals = _cone_key(cone)
+        normals = cone.key()
         if offsets is None:
             return self._get(("partition", x.tobytes(), normals),
                              lambda: structure_from_values(F_x, cone), ledger)[0]
@@ -449,7 +443,7 @@ class StepMemo(DerivativeTable):
                 pred = predicted_reductions(sol.s_star, sol.models, cone)
                 _read_only(pred)
             return sol, pred
-        return self._get(("step", x.tobytes(), _cone_key(cone), omega, eps), compute, ledger, x)
+        return self._get(("step", x.tobytes(), cone.key(), omega, eps), compute, ledger, x)
 
     def direction(self, x: np.ndarray, structure, cone: Cone, ledger: _Ledger):
         """The tuple a, the ``first_order`` direction v and the Jacobian
@@ -467,7 +461,7 @@ class StepMemo(DerivativeTable):
             a, (_, v, blocks) = best_tuple(self.problem, structure, solve)
             _read_only(v, blocks)
             return a, v, blocks
-        return self._get(("direction", x.tobytes(), _cone_key(cone)), compute, ledger)[0]
+        return self._get(("direction", x.tobytes(), cone.key()), compute, ledger)[0]
 
     def armijo(self, x: np.ndarray, d: np.ndarray, idx: list, F_x: np.ndarray,
                slopes: np.ndarray, steps: np.ndarray, cone: Cone, config: SolverConfig,
@@ -486,7 +480,7 @@ class StepMemo(DerivativeTable):
                 self._entries.setdefault(("F", x_new.tobytes()),
                                          _Entry(F_new, 0.0, 0.0, ledger.owner))
             return step, x_new
-        key = ("armijo", x.tobytes(), _cone_key(cone), d.tobytes(), tuple(idx),
+        key = ("armijo", x.tobytes(), cone.key(), d.tobytes(), tuple(idx),
                config.rho_armijo, config.nu)
         return self._get(key, compute, ledger)
 
