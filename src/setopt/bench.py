@@ -123,17 +123,23 @@ def record_key(rec: dict) -> tuple:
 def load_records(path: str) -> list:
     """The records of a store.  A last line that lacks its newline and does
     not parse, a record cut short by a killed writer, is dropped; a bad line
-    anywhere else raises."""
+    anywhere else raises, and so does a line that parses to something other
+    than a JSON object (ValueError naming the line)."""
     records = []
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
                 try:
-                    if line.strip():
-                        records.append(json.loads(line))
+                    rec = json.loads(line)
                 except json.JSONDecodeError:
                     if line.endswith("\n"):
                         raise
+                    continue
+                if not isinstance(rec, dict):
+                    raise ValueError(f"line {number} of {path} is not a JSON object")
+                records.append(rec)
     return records
 
 
@@ -166,8 +172,10 @@ def run_matrix(config: ExperimentConfig, store_path: str, cone: Cone | None = No
     """Fill in every missing (problem, algorithm, point) record.
 
     Per-run failures are recorded as nonconvergent with a diagnostic and
-    never abort the matrix.  The runs from one start share one ``StepMemo``.
-    Returns all records (old and new).
+    never abort the matrix.  A ``cone`` in another R^m than some problem's
+    image space raises ValueError before any record is written.  The runs
+    from one start share one ``StepMemo``.  Returns all records (old and
+    new).
     """
     records = load_records(store_path)
     have = {record_key(r) for r in records}
@@ -175,6 +183,7 @@ def run_matrix(config: ExperimentConfig, store_path: str, cone: Cone | None = No
     for pid in config.problem_ids:
         problem = registry(pid)
         kone = cone if cone is not None else orthant(problem.m)
+        problem.check_cone(kone)
         points = sample_points(problem.domain_box, config.points_per_problem,
                                _problem_seed(config.rng_seed, pid))
         for idx in range(config.points_per_problem):

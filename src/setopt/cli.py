@@ -35,21 +35,56 @@ def _point(text: str, problem: problems.SetValuedProblem, hint: str) -> np.ndarr
 
 
 def _resolve_cone(spec: str | None, problem, hint: str = "'--cone'") -> cone_mod.Cone:
-    """The cone ``spec`` names (None: the orthant); a bad one is a usage error on ``hint``."""
+    """The cone ``spec`` names (None: the orthant); a bad one, or one in
+    another R^m than the problem's image space, is a usage error on
+    ``hint``.  The M of ``orthant:M`` is checked before the cone is built,
+    so a large M allocates nothing."""
     try:
         if spec is None:
             return cone_mod.orthant(problem.m)
         if os.path.exists(spec):
             with open(spec, "r", encoding="utf-8") as fh:
                 kone = cone_mod.Cone.from_json(fh.read())
+            m = kone.m
+        elif spec.startswith("orthant:"):
+            # M first: orthant(M) builds M x M normals, whatever M is
+            kone, m = None, int(spec.split(":", 1)[1])
         else:
             kone = cone_mod.preset(spec)
+            m = kone.m
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise click.BadParameter(f"{spec}: {exc}", param_hint=hint) from exc
-    if kone.m != problem.m:
-        raise click.BadParameter(f"{spec} is a cone in R^{kone.m}, but {problem.name} "
+    if m != problem.m:
+        raise click.BadParameter(f"{spec} is a cone in R^{m}, but {problem.name} "
                                  f"maps into R^{problem.m}", param_hint=hint)
-    return kone
+    return kone if kone is not None else cone_mod.orthant(m)
+
+
+def _out_path(ctx, param, path: str) -> str:
+    """An output file's callback: a directory, or a file in a directory that
+    does not exist, is a usage error, found before any run."""
+    if os.path.isdir(path):
+        raise click.BadParameter(f"{path} is a directory")
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise click.BadParameter(f"{path}: no directory {folder}")
+    return path
+
+
+def _records(ctx, param, path: str) -> list:
+    """``--store``'s callback: the store's records (``bench.load_records``);
+    a store that cannot be read is a usage error."""
+    try:
+        return bench.load_records(path)
+    except (OSError, ValueError) as exc:
+        raise click.BadParameter(f"cannot read {path}: {exc}") from exc
+
+
+def _store_out(ctx, param, path: str) -> str:
+    """``run --out``'s callback: an output file, and a store whose records
+    can be read when it exists."""
+    _records(ctx, param, _out_path(ctx, param, path))
+    return path
 
 
 def _read_config(path: str, build):
@@ -139,7 +174,8 @@ def solve(problem, algo, x0, cone_spec, config_path, trace):
 
 @main.command("run")
 @click.option("--config", "config_path", required=True, help="ExperimentConfig JSON")
-@click.option("--out", "store_path", required=True, help="JSON-lines record store")
+@click.option("--out", "store_path", required=True, callback=_store_out,
+              help="JSON-lines record store")
 def run_experiment(config_path, store_path):
     """Fill the (problem x algorithm x point) record store; resumable."""
     config = _read_config(config_path, bench.ExperimentConfig.from_json)
@@ -148,26 +184,29 @@ def run_experiment(config_path, store_path):
 
 
 @main.command()
-@click.option("--store", "store_path", required=True)
+@click.option("--store", "records", required=True, callback=_records)
 @click.option("--config", "config_path", required=True)
-@click.option("--csv", "csv_path", required=True)
-def table(store_path, config_path, csv_path):
+@click.option("--csv", "csv_path", required=True, callback=_out_path)
+def table(records, config_path, csv_path):
     """Aggregate the record store into a metrics table CSV."""
     config = _read_config(config_path, bench.ExperimentConfig.from_json)
-    rows = bench.build_table(bench.load_records(store_path), config)
+    rows = bench.build_table(records, config)
     bench.emit_table_csv(rows, csv_path)
     click.echo(f"wrote {csv_path}")
 
 
 @main.command()
-@click.option("--store", "store_path", required=True)
+@click.option("--store", "records", required=True, callback=_records)
 @click.option("--config", "config_path", required=True)
 @click.option("--metric", type=click.Choice(bench.METRICS), required=True)
-@click.option("--svg", "svg_path", required=True)
-def profile(store_path, config_path, metric, svg_path):
+@click.option("--svg", "svg_path", required=True, callback=_out_path)
+def profile(records, config_path, metric, svg_path):
     """Performance-profile staircase plot for one metric."""
     config = _read_config(config_path, bench.ExperimentConfig.from_json)
-    curves = bench.profile(bench.load_records(store_path), metric, config)
+    try:
+        curves = bench.profile(records, metric, config)
+    except bench.EmptyProfileError as exc:
+        raise click.BadParameter(f"{exc}: no usable record", param_hint="'--store'") from exc
     bench.emit_profile_svg(curves, metric, svg_path)
     click.echo(f"wrote {svg_path}")
 
@@ -177,7 +216,7 @@ def profile(store_path, config_path, metric, svg_path):
 @click.option("--x0", required=True)
 @click.option("--cones", default="orthant:2,k2prime", show_default=True,
               help="comma-separated cone presets")
-@click.option("--out", "out_path", required=True, help="output JSON path")
+@click.option("--out", "out_path", required=True, callback=_out_path, help="output JSON path")
 @click.option("--it-max", type=click.IntRange(min=1), default=100, show_default=True)
 def cone_experiment(problem, x0, cones, out_path, it_max):
     """Compare the non-monotone variants under different ordering cones."""

@@ -117,6 +117,11 @@ class SetValuedProblem:
             raise _non_finite(self.name, x)
         return vals
 
+    def check_cone(self, cone) -> None:
+        """ValueError unless ``cone`` orders the image space R^m."""
+        if cone.m != self.m:
+            raise ValueError(f"{self.name} maps into R^{self.m}, but the cone is in R^{cone.m}")
+
     def eval_all(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         vals = self._evaluate(x if x.ndim == 2 else x.reshape(self.n))

@@ -34,10 +34,9 @@ import numpy as np
 
 from . import problems
 from .cone import Cone
-from .partition import PartitionCapError, best_tuple, structure_from_values
-from .problems import DerivativeTable, DomainError, SetValuedProblem, derivative_rows
-from .subproblem import (InnerSolveFailure, ModelSet, _norm, first_order, scalarized_rows,
-                         theta_and_step)
+from .partition import PartitionCapError, structure_from_values
+from .problems import DerivativeTable, DomainError, SetValuedProblem
+from .subproblem import InnerSolveFailure, ModelSet, _norm, steepest_descent, theta_and_step
 
 log = logging.getLogger(__name__)
 
@@ -346,9 +345,9 @@ class StepMemo(DerivativeTable):
       solves ``theta_and_step``'s first-order bound skips, and with it the
       predicted reductions whenever |t*| >= eps, where every run that reads
       the entry goes on to its ratio test;
-    * the SD/CG tuple, direction v and the Jacobian blocks of the tuple's
-      derivative rows (one block for an offset family), keyed by x and
-      computed with the family's Jacobians inside the entry;
+    * the SD/CG step problem (``steepest_descent``'s tuple, value, direction
+      and Jacobian blocks), keyed by x and computed with the family's
+      Jacobians inside the entry;
     * the Armijo search, keyed by (x, d, idx, rho_armijo, nu).
 
     Every other entry also holds the cone's normals in its key (their shape
@@ -446,21 +445,14 @@ class StepMemo(DerivativeTable):
         return self._get(("step", x.tobytes(), cone.key(), omega, eps), compute, ledger, x)
 
     def direction(self, x: np.ndarray, structure, cone: Cone, ledger: _Ledger):
-        """The tuple a, the ``first_order`` direction v and the Jacobian
-        blocks of a's ``derivative_rows``: one block for an offset family,
-        whose members share it, so its slopes are one entry for all.  The
-        family's Jacobians at x are computed inside the entry."""
+        """``steepest_descent``'s (a, t, v, blocks) at x: an offset family
+        has one block, so its slopes are one entry for all.  The family's
+        Jacobians at x are computed inside the entry."""
         def compute():
-            jac = problems.fd_jacobian_all(self.problem, x)
-
-            def solve(a):
-                blocks = jac[derivative_rows(self.problem, a)]
-                v, val = first_order(scalarized_rows(cone, blocks))
-                return val, v, blocks
-
-            a, (_, v, blocks) = best_tuple(self.problem, structure, solve)
+            a, t, v, blocks = steepest_descent(self.problem, cone, structure,
+                                               problems.fd_jacobian_all(self.problem, x))
             _read_only(v, blocks)
-            return a, v, blocks
+            return a, t, v, blocks
         return self._get(("direction", x.tobytes(), cone.key()), compute, ledger)[0]
 
     def armijo(self, x: np.ndarray, d: np.ndarray, idx: list, F_x: np.ndarray,
@@ -498,8 +490,9 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     the conjugate direction (CG); a failed search along v, which would
     fail again, ends the run with the diagnostic "line_search_failed", and
     one along a conjugate direction restarts CG from v.  Iterates always
-    stay inside the domain box; an x0 that is not finite or lies outside it
-    raises ValueError.  A failure at a point (``DomainError`` from a value
+    stay inside the domain box; an x0 that is not finite or lies outside it,
+    or a cone in another R^m than the family's image space, raises
+    ValueError.  A failure at a point (``DomainError`` from a value
     or derivative, ``PartitionCapError``, ``InnerSolveFailure`` when no
     tuple's step problem is solved, or ``SolverInternalError`` from a
     nonpositive predicted reduction) ends the run unconverged, with the
@@ -515,6 +508,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     x = np.asarray(x0, dtype=float).reshape(problem.n)
     if not (np.isfinite(x).all() and ((lo <= x) & (x <= hi)).all()):
         raise ValueError("x0 must be finite and lie inside the domain box")
+    problem.check_cone(cone)
     memo = StepMemo(problem) if memo is None else memo
     ledger = memo.ledger(problem)
     trust_region = config.variant not in ("sd", "cg")
@@ -537,8 +531,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
                 (sol, pred), shared = memo.step(x, structure, cone, omega, config.eps, ledger)
                 a, t = sol.a_star, sol.t_star
             else:
-                a, v, blocks = memo.direction(x, structure, cone, ledger)
-                t = -_norm(v)
+                a, t, v, blocks = memo.direction(x, structure, cone, ledger)
             if abs(t) < config.eps:
                 converged = True
                 break

@@ -56,17 +56,22 @@ _SLSQP_FTOL = 1e-12
 
 
 class InnerSolveFailure(RuntimeError):
-    """The inner solver met non-finite model data or values; from
-    ``theta_and_step``, no tuple of the partition could be solved."""
+    """Non-finite model data (``ModelSet``) or values (``inner_minimax``);
+    from ``theta_and_step``, no tuple of the partition could be solved."""
 
 
 @dataclass(frozen=True)
 class ModelSet:
     """Gradient blocks (b, m, n) and Hessian blocks (b, m, n, n), one per
-    derivative row of a tuple: b = omega, or 1 for an offset family."""
+    derivative row of a tuple: b = omega, or 1 for an offset family.  A
+    non-finite entry raises ``InnerSolveFailure`` when the set is built."""
 
     G: np.ndarray
     H: np.ndarray
+
+    def __post_init__(self):
+        if not (np.isfinite(self.G).all() and np.isfinite(self.H).all()):
+            raise InnerSolveFailure("non-finite model data")
 
     def values(self, s: np.ndarray) -> np.ndarray:
         """Model increments m^j(s) = G_j s + s^T H_j s / 2 of every block,
@@ -88,17 +93,15 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     return R[np.concatenate(([True], (R[1:] != R[:-1]).any(axis=1)))]
 
 
-def first_order(rows: np.ndarray):
-    """Steepest-descent direction v and value of min_s max(rows @ s) + ||s||^2 / 2.
+def first_order(rows: np.ndarray) -> np.ndarray:
+    """Steepest-descent direction v, the minimizer of max(rows @ s) + ||s||^2 / 2.
 
     v = -p with p the min-norm element of conv(rows) (Fliege & Svaiter
-    2000), so val = -||v||^2 / 2; p is ``min_norm_point`` of the distinct
-    rows.  SD/CG stop on |v|, and ``theta_and_step``'s bound reads it."""
-    R = _distinct_rows(rows)
+    2000), ``min_norm_point`` of the distinct rows.  ``steepest_descent``
+    takes it as the SD/CG direction, and ``theta_and_step``'s bound reads
+    its norm."""
     # 0.0 - p, not -p: an entry that cancels is +0.0 in -R^T lam, never -0.0
-    v = 0.0 - min_norm_point(R)
-    val = float((R @ v).max() + 0.5 * v @ v)
-    return v, val
+    return 0.0 - min_norm_point(_distinct_rows(rows))
 
 
 @dataclass
@@ -111,7 +114,7 @@ class SubproblemSolution:
     a_star: tuple
     s_star: np.ndarray
     t_star: float
-    models: ModelSet | None = field(default=None, repr=False)
+    models: ModelSet = field(repr=False)
 
 
 def _first_of_each(rows: np.ndarray) -> list:
@@ -341,11 +344,6 @@ class InnerResult:
     statuses: tuple = ()
 
 
-def _require_finite(models: ModelSet) -> None:
-    if not (np.isfinite(models.G).all() and np.isfinite(models.H).all()):
-        raise InnerSolveFailure("non-finite model data")
-
-
 def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None) -> InnerResult:
     """Minimize phi over the ball of the given radius and the box shift.
 
@@ -357,10 +355,9 @@ def inner_minimax(models: ModelSet, cone: Cone, radius: float, box_shift=None) -
     returns the lowest phi among them and the best start, with each solve's
     SLSQP exit mode and iteration count.  Always returns a feasible s with
     phi(s) <= phi(0) = 0; a NaN value never wins the pick, and when no
-    candidate's value is finite ``InnerSolveFailure`` is raised, as for
-    non-finite model data.  It always solves at a positive radius: the
-    bound that can skip a solve is ``theta_and_step``'s."""
-    _require_finite(models)
+    candidate's value is finite ``InnerSolveFailure`` is raised (``models``
+    is finite: ``ModelSet`` checks that).  It always solves at a positive
+    radius: the bound that can skip a solve is ``theta_and_step``'s."""
     n = models.G.shape[2]
     if radius <= 0.0:
         return InnerResult(np.zeros(n), 0.0)
@@ -408,10 +405,11 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
     family one block, not the omega equal ones the members share.
     ``best_tuple`` picks the tuple: the least t, ties to the earliest tuple
     in lexicographic order, one tuple for an offset family.  A tuple with
-    non-finite models or values (``InnerSolveFailure``) counts as t = +inf,
-    so it never wins; when no tuple is solved, ``InnerSolveFailure`` is
-    raised.  With ``stop_tol`` (``run`` passes its eps) a tuple with finite
-    models takes s = 0 and t = phi(0) = 0 without ``_Branches`` or a solve
+    non-finite models or values (``InnerSolveFailure``, from building its
+    ``ModelSet`` or from the solve) counts as t = +inf, so it never wins;
+    when no tuple is solved, ``InnerSolveFailure`` is raised.  With
+    ``stop_tol`` (``run`` passes its eps) a tuple takes s = 0 and
+    t = phi(0) = 0 without ``_Branches`` or a solve
     when radius |v| < stop_tol, v the ``first_order`` direction of its
     scalarized Jacobian rows: on the ball phi(s) >= max_b r_b.s >= -v.s >=
     -radius |v|, so the solve would give |t| < stop_tol too, and t = 0
@@ -426,11 +424,10 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
 
     def solve(a):
         rows = derivative_rows(problem, a)
-        models = ModelSet(G=jac_all[rows], H=hess_all[rows])
         try:
+            models = ModelSet(G=jac_all[rows], H=hess_all[rows])
             if stop_tol is not None:
-                _require_finite(models)
-                v, _ = first_order(scalarized_rows(cone, models.G))
+                v = first_order(scalarized_rows(cone, models.G))
                 # the margin keeps the bound strict under round-off in |v|
                 if radius * _norm(v) < stop_tol * (1.0 - 1e-9):
                     return 0.0, np.zeros(problem.n), models, None
@@ -445,6 +442,21 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
     return SubproblemSolution(a_star=a_star, s_star=s_star, t_star=t_star, models=models)
 
 
+def steepest_descent(problem: SetValuedProblem, cone: Cone, structure: MinimalStructure,
+                     jac: np.ndarray):
+    """The SD/CG step problem: the tuple a that ``best_tuple`` picks by
+    t = -|v|, the value ``run`` stops on, then t, the ``first_order``
+    direction v of a's scalarized rows and a's blocks of ``jac`` (the
+    family's (p, m, n) Jacobians at x) by ``derivative_rows``."""
+    def solve(a):
+        blocks = jac[derivative_rows(problem, a)]
+        v = first_order(scalarized_rows(cone, blocks))
+        return -_norm(v), v, blocks
+
+    a, (t, v, blocks) = best_tuple(problem, structure, solve)
+    return a, t, v, blocks
+
+
 def criticality_value(problem: SetValuedProblem, cone: Cone, x, structure: MinimalStructure,
                       radius: float = 1.0) -> SubproblemSolution:
     """Criticality certificate: the subproblem without box rows at a fixed radius.
@@ -457,11 +469,13 @@ def criticality_value(problem: SetValuedProblem, cone: Cone, x, structure: Minim
     is not critical (a box wall, or a collapsed radius); for SD and CG it
     reads -|v| of the box-free steepest-descent direction.  It passes no
     ``stop_tol``, so every value it returns is a full solve's.  A radius
-    that is not positive and finite, where t = 0 certifies nothing, raises
+    that is not positive and finite, where t = 0 certifies nothing, or a
+    cone in another R^m than the family's image space raises
     ``ValueError``; non-finite derivatives ``DomainError``, and a point
     where no tuple is solved ``InnerSolveFailure``.
     """
     if not 0.0 < radius < math.inf:
         raise ValueError(f"need a positive finite radius, got {radius!r}")
+    problem.check_cone(cone)
     return theta_and_step(problem, cone, x, structure, radius,
                           problems.derivatives_all(problem, x))

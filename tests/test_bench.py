@@ -148,6 +148,31 @@ def test_load_records_raises_on_a_bad_line_not_last(tmp_path):
             load_records(str(store))
 
 
+def test_load_records_names_a_line_that_is_not_an_object(tmp_path):
+    store = tmp_path / "store.jsonl"
+    run_matrix(_tiny_config(), str(store))
+    lines = store.read_text().splitlines(keepends=True)
+    for bad in ("[1, 2]\n", "7\n", '"text"\n'):
+        store.write_text("".join(lines[:2] + [bad] + lines[2:]))
+        with pytest.raises(ValueError, match="line 3 of .* is not a JSON object"):
+            load_records(str(store))
+
+
+def test_run_matrix_rejects_a_cone_of_another_dimension(tmp_path):
+    # dgo2 maps into R^2: no run, and no failure record that a rerun would skip
+    store = tmp_path / "store.jsonl"
+    config = ExperimentConfig(problem_ids=("dgo2_n1_m2",), algorithms=("trm",),
+                              points_per_problem=1, it_max=2)
+    with pytest.raises(ValueError, match=r"R\^2, but the cone is in R\^3"):
+        run_matrix(config, str(store), cone=orthant(3))
+    assert not store.exists()
+    run_matrix(config, str(store))
+    before = store.read_bytes()
+    with pytest.raises(ValueError, match=r"R\^2, but the cone is in R\^3"):
+        run_matrix(config, str(store), cone=orthant(3))
+    assert store.read_bytes() == before
+
+
 def _records(data: bytes) -> list:
     return [json.loads(line) for line in data.splitlines()]
 

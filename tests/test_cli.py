@@ -4,6 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from setopt import bench, cone
 from setopt.cli import main
 from setopt.cone import orthant
 from setopt.solvers import IterationRecord
@@ -205,15 +206,58 @@ _OUT = ["--out", "cones.json"]
      "--config", "latin1.json"),
     (["profile", "--store", "store.jsonl", "--config", "missing.json", "--metric", "nonconv",
       "--svg", "p.svg"], "--config", "missing.json"),
+    (["run", "--config", "exp.json", "--out", "runs"], "--out", "runs is a directory"),
+    (["run", "--config", "exp.json", "--out", "missing/s.jsonl"], "--out", "no directory"),
+    (["run", "--config", "exp.json", "--out", "list.jsonl"], "--out", "not a JSON object"),
+    (["table", "--store", "runs", "--config", "exp.json", "--csv", "t.csv"],
+     "--store", "Is a directory"),
+    (["table", "--store", "list.jsonl", "--config", "exp.json", "--csv", "t.csv"],
+     "--store", "line 2 of list.jsonl is not a JSON object"),
+    (["table", "--store", "store.jsonl", "--config", "exp.json", "--csv", "runs"],
+     "--csv", "runs is a directory"),
+    (["table", "--store", "store.jsonl", "--config", "exp.json", "--csv", "missing/t.csv"],
+     "--csv", "no directory"),
+    (["profile", "--store", "runs", "--config", "exp.json", "--metric", "nonconv",
+      "--svg", "p.svg"], "--store", "Is a directory"),
+    (["profile", "--store", "store.jsonl", "--config", "exp.json", "--metric", "nonconv",
+      "--svg", "runs"], "--svg", "runs is a directory"),
+    (["profile", "--store", "store.jsonl", "--config", "exp.json", "--metric", "nonconv",
+      "--svg", "p.svg"], "--store", "no usable record"),
+    (["cone-experiment", "--problem", "modified_ex53_n2_m2", "--x0", "-16,-2",
+      "--out", "runs"], "--out", "runs is a directory"),
+    (["cone-experiment", "--problem", "modified_ex53_n2_m2", "--x0", "-16,-2",
+      "--out", "missing/c.json"], "--out", "no directory"),
 ])
 def test_bad_cone_or_point_is_usage_error(tmp_path, monkeypatch, args, option, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "k3.json").write_text(orthant(3).to_json())
     (tmp_path / "empty.json").write_text("{}")
     (tmp_path / "folder.json").mkdir()
+    (tmp_path / "runs").mkdir()
     (tmp_path / "latin1.json").write_bytes('{"it_max": 5, "notes": "café"}'.encode("latin-1"))
+    (tmp_path / "exp.json").write_text(json.dumps({"problem_ids": ["dgo2_n1_m2"],
+                                                   "points_per_problem": 1, "it_max": 2}))
     (tmp_path / "store.jsonl").write_text("")
+    (tmp_path / "list.jsonl").write_text('{"problem": "dgo2_n1_m2"}\n[1, 2]\n')
+    # a usage error comes before any run
+    for name in ("run_matrix", "cone_experiment"):
+        monkeypatch.setattr(bench, name, lambda *a, **k: pytest.fail("a run was started"))
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 2, result.output
     assert f"'{option}'" in result.output and message in result.output
 
+
+
+@pytest.mark.parametrize("args, option", [
+    (["solve", "--problem", "dgo1_n1_m2", "--x0", "1", "--cone", "orthant:100000"], "--cone"),
+    (["inspect", "--problem", "dgo1_n1_m2", "--point", "1", "--cone", "orthant:3"], "--cone"),
+    (["cone-experiment", "--problem", "modified_ex53_n2_m2", "--x0", "-16,-2",
+      "--cones", "k2prime,orthant:100000", "--out", "c.json"], "--cones"),
+])
+def test_orthant_of_another_dimension_is_never_built(tmp_path, monkeypatch, args, option):
+    # orthant:M is checked against m before its M x M normals are built
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cone, "orthant", lambda m: pytest.fail(f"orthant({m}) was built"))
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"'{option}'" in result.output and "but" in result.output

@@ -407,21 +407,39 @@ def _oracle_row_sets():
 def test_prox_direction_oracle():
     checked = {True: 0, False: 0}
     for zero_inside, rows in _oracle_row_sets():
-        v, val = first_order(rows)
+        v = first_order(rows)
         p = -v
         scale = float(np.max(np.sum(rows * rows, axis=1)))
         assert _hull_distance(rows, p) <= 1e-10 * np.sqrt(scale)
         # p is the projection of 0 onto the hull: r . p >= |p|^2 for every row
         assert np.all(rows @ p >= p @ p - 1e-10 * scale)
-        assert abs(val + 0.5 * v @ v) <= 1e-12 * scale
         if zero_inside:
             assert np.linalg.norm(v) <= 1e-10 * np.sqrt(scale)
         else:
             assert np.linalg.norm(v) > 0.0
         checked[zero_inside] += 1
-        stacked = first_order(np.vstack([rows, rows, rows]))
-        assert stacked[0].tobytes() == v.tobytes() and stacked[1] == val
+        assert first_order(np.vstack([rows, rows, rows])).tobytes() == v.tobytes()
     assert checked[True] == checked[False] == 20
+
+
+def test_sd_ranks_tuples_by_t():
+    # two linear members, equal at 0, whose slopes differ by 1e-9 at about
+    # 1e-4: -|v| tells them apart, -|v|^2 / 2 would not (1e-13 apart, inside
+    # best_tuple's 1e-12 tie window, which keeps the earlier tuple)
+    slopes = (1e-4, 1e-4 + 1e-9)
+    p = from_functions("tie_plant", 1, 1, [lambda x, g=g: g * x[0] for g in slopes],
+                       (-1.0, 1.0))
+    assert structure_from_values(p.eval_all([0.0]), orthant(1)).groups == ((1, 2),)
+    res = run(p, orthant(1), [0.0], SolverConfig(variant="sd", it_max=1, eps=1e-5))
+    assert res.trace[0].a == (2,)
+    assert res.trace[0].t == pytest.approx(-slopes[1], rel=1e-12)
+
+
+def test_run_rejects_a_cone_of_another_dimension():
+    p = registry("dgo1_n1_m2")
+    for variant in ("trm", "sd"):
+        with pytest.raises(ValueError, match=r"dgo1_n1_m2 maps into R\^2, but the cone is in R\^3"):
+            run(p, orthant(3), [0.5], SolverConfig(variant=variant))
 
 
 def _first_order_scipy(rows: np.ndarray):
@@ -431,8 +449,7 @@ def _first_order_scipy(rows: np.ndarray):
     rhs = np.zeros(R.shape[1] + 1)
     rhs[-1] = 1.0
     u, _ = nnls(np.vstack([R.T, np.ones(R.shape[0])]), rhs, maxiter=30 * R.shape[0])
-    v = -R.T @ (u / u.sum())
-    return v, float(np.max(R @ v) + 0.5 * v @ v)
+    return -R.T @ (u / u.sum())
 
 
 def test_prox_direction_is_bitwise_scipy_nnls():
@@ -442,19 +459,17 @@ def test_prox_direction_is_bitwise_scipy_nnls():
     cases += [np.array([[a], [-b]]) for a, b in [(1.0, 1.0), (1e3, 1e-2), (1e-2, 1e3),
                                                   (0.37, 52.0)]]
     for rows in cases:
-        v, val = first_order(rows)
-        v_ref, val_ref = _first_order_scipy(rows)
-        assert v.tobytes() == v_ref.tobytes() and val == val_ref
+        assert first_order(rows).tobytes() == _first_order_scipy(rows).tobytes()
 
 
 def test_prox_direction_single_row_and_1d():
     rng = np.random.default_rng(7)
     for n in range(1, 11):
         row = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 3.0)
-        v, _ = first_order(row[None, :])
+        v = first_order(row[None, :])
         np.testing.assert_array_max_ulp(v, -row, maxulp=4)
     for a, b in [(1.0, 1.0), (1e3, 1e-2), (1e-2, 1e3), (0.37, 52.0)]:
-        v, _ = first_order(np.array([[a], [-b]]))
+        v = first_order(np.array([[a], [-b]]))
         assert np.linalg.norm(v) < 1e-12
 
 
@@ -740,14 +755,14 @@ def test_distinct_rows_match_unique(monkeypatch):
             assert np.array_equal(got, ref)
             if not with_zeros:
                 assert got.tobytes() == ref.tobytes()
-            v, val = first_order(rows)
+            v = first_order(rows)
             with monkeypatch.context() as patch:
                 patch.setattr(subproblem, "_distinct_rows", lambda r: np.unique(r, axis=0))
-                v_ref, val_ref = first_order(rows)
+                v_ref = first_order(rows)
             if with_zeros:
-                assert np.array_equal(v, v_ref) and val == val_ref
+                assert np.array_equal(v, v_ref)
             else:
-                assert v.tobytes() == v_ref.tobytes() and val == val_ref
+                assert v.tobytes() == v_ref.tobytes()
     # a +-0.0 twin is one row; the first of the pair in the stack stays
     twins = np.array([[1.0, -0.0], [1.0, 0.0], [-1.0, 2.0]])
     got = _distinct_rows(twins)
@@ -1006,7 +1021,8 @@ def test_offset_family_takes_one_derivative_block(monkeypatch, pid, start):
         memo = StepMemo(p)
         ledger = memo.ledger(p)
         (sol, pred), _ = memo.step(x, structure, cone, 1.0, 1e-3, ledger)
-        a, v, blocks = memo.direction(x, structure, cone, ledger)
+        a, t, v, blocks = memo.direction(x, structure, cone, ledger)
+        assert t == -np.linalg.norm(v)
         memory = NonMonotoneMemory("trm", 0, 0.0)
         memory.begin_iteration(p.eval_all(x), a)
         F_new = p.eval_all(np.clip(x + sol.s_star, *p.domain_box))
@@ -1018,8 +1034,7 @@ def test_offset_family_takes_one_derivative_block(monkeypatch, pid, start):
 
     sol, pred, a, v, blocks, rho, slopes, runs = solved()
     with monkeypatch.context() as patch:
-        for module in (subproblem, solvers):
-            patch.setattr(module, "derivative_rows", _member_rows)
+        patch.setattr(subproblem, "derivative_rows", _member_rows)
         ref_sol, ref_pred, ref_a, ref_v, ref_blocks, ref_rho, ref_slopes, ref_runs = solved()
     assert omega > 1 and len(sol.a_star) == len(a) == omega
     assert sol.models.G.shape[0] == sol.models.H.shape[0] == blocks.shape[0] == 1

@@ -798,6 +798,22 @@ def test_bound_decides_before_any_branches_are_built(monkeypatch):
                            stop_tol=1e-3)
 
 
+def test_model_set_rejects_non_finite_data():
+    G, H = np.zeros((1, 1, 2)), np.zeros((1, 1, 2, 2))
+    for bad in (dict(G=np.array([[[np.nan, 0.0]]]), H=H),
+                dict(G=G, H=np.full((1, 1, 2, 2), np.inf))):
+        with pytest.raises(InnerSolveFailure, match="non-finite model data"):
+            ModelSet(**bad)
+
+
+def test_criticality_value_rejects_a_cone_of_another_dimension():
+    p = registry("dgo1_n1_m2")
+    x = np.array([0.5])
+    st = structure_from_values(p.eval_all(x), orthant(2))
+    with pytest.raises(ValueError, match=r"R\^2, but the cone is in R\^3"):
+        criticality_value(p, orthant(3), x, st)
+
+
 def test_criticality_value_never_takes_the_bound(monkeypatch):
     # at this corner of the box |v| < eps, so the bound at radius 1 would
     # skip the solve; the certificate must stay the full solve's value

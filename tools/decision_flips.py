@@ -5,7 +5,7 @@ formula would flip.
 
 It runs ``trm``, ``max`` and ``avg`` on the setup of
 ``tools/shared_setup_digest.py`` (22 instances, 5 seeded starts each, orthant
-cone, ``it_max`` 100).  At every ratio test of each trajectory it re-computes
+cone, ``it_max`` 100), whose starts and ``it_max`` it imports.  At every ratio test of each trajectory it re-computes
 the ratios with the alternative prediction psi(-m^j(s*)) in place of
 ``predicted_reductions``' -psi(m^j(s*)), from the observer's events, and
 compares the (accepted, next radius) pair that ``accept_and_update`` gives
@@ -21,12 +21,11 @@ from pathlib import Path
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from setopt import bench  # noqa: E402
+import setopt  # noqa: E402
 from setopt.cone import orthant  # noqa: E402
 from setopt.problems import problem_ids, registry  # noqa: E402
 from setopt.solvers import SolverConfig, StepMemo, accept_and_update, run  # noqa: E402
-
-STARTS, SEED, IT_MAX = 5, 5, 100
+from shared_setup_digest import IT_MAX, starts  # noqa: E402
 
 
 def _flips(events: list, cone, config: SolverConfig) -> int:
@@ -45,24 +44,23 @@ def _flips(events: list, cone, config: SolverConfig) -> int:
 def main() -> int:
     variants = ("trm", "max", "avg")
     tests, flips, runs = (dict.fromkeys(variants, 0) for _ in range(3))
-    for pid in problem_ids():
+    blocks = starts(setopt, problem_ids())
+    for pid, _, x0 in blocks:
         problem = registry(pid)
         cone = orthant(problem.m)
-        points = bench.sample_points(problem.domain_box, STARTS, bench._problem_seed(SEED, pid))
-        for x0 in points:
-            memo = StepMemo(problem)
-            for variant in variants:
-                config = SolverConfig(variant=variant, it_max=IT_MAX)
-                events = []
-                run(problem, cone, x0, config, observer=events.append, memo=memo)
-                n = _flips(events, cone, config)
-                tests[variant] += len(events)
-                flips[variant] += n
-                runs[variant] += n > 0
+        memo = StepMemo(problem)
+        for variant in variants:
+            config = SolverConfig(variant=variant, it_max=IT_MAX)
+            events = []
+            run(problem, cone, x0, config, observer=events.append, memo=memo)
+            n = _flips(events, cone, config)
+            tests[variant] += len(events)
+            flips[variant] += n
+            runs[variant] += n > 0
     print("prediction psi(-m) in place of -psi(m):")
     for variant in variants:
         print(f"{variant}: {flips[variant]}/{tests[variant]} decisions flipped, "
-              f"in {runs[variant]}/{len(problem_ids()) * STARTS} runs")
+              f"in {runs[variant]}/{len(blocks)} runs")
     return 0
 
 

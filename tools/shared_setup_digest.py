@@ -84,6 +84,15 @@ def _path(res) -> list:
     return [(r.x.tobytes(), r.accepted) for r in res.trace]
 
 
+def starts(package, pids) -> list:
+    """The setup's (problem id, start index, x0) blocks for the ``setopt``
+    package given, in run order."""
+    bench = importlib.import_module(f"{package.__name__}.bench")
+    return [(pid, start, x0) for pid in pids
+            for start, x0 in enumerate(bench.sample_points(
+                package.registry(pid).domain_box, STARTS, bench._problem_seed(SEED, pid)))]
+
+
 def other_tree(root: Path):
     """The ``setopt`` package of the checkout at root, as ``setopt_against``."""
     pkg = root.resolve() / "src" / "setopt"
@@ -99,12 +108,8 @@ class Setup:
     """One tree's shared setup: its blocks, digests and counts."""
 
     def __init__(self, package, pids):
-        bench = importlib.import_module(f"{package.__name__}.bench")
         self.pkg = package
-        self.blocks = [(pid, start, x0) for pid in pids
-                       for start, x0 in enumerate(bench.sample_points(
-                           package.registry(pid).domain_box, STARTS,
-                           bench._problem_seed(SEED, pid)))]
+        self.blocks = starts(package, pids)
         self.digest = hashlib.sha256()
         self.by_method = {m: hashlib.sha256() for m in METHODS}
         self.converged = dict.fromkeys(METHODS, 0)
