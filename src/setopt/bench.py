@@ -116,15 +116,20 @@ def sample_points(box, n_points: int, seed: int) -> np.ndarray:
                      for i, w in enumerate(words)], dtype=float).reshape(n_points, n)
 
 
+_KEY_FIELDS = ("problem", "algorithm", "point_index")
+
+
 def record_key(rec: dict) -> tuple:
-    return (rec["problem"], rec["algorithm"], rec["point_index"])
+    return tuple(rec[name] for name in _KEY_FIELDS)
 
 
 def load_records(path: str) -> list:
     """The records of a store.  A last line that lacks its newline and does
     not parse, a record cut short by a killed writer, is dropped; a bad line
     anywhere else raises, and so does a line that parses to something other
-    than a JSON object (ValueError naming the line)."""
+    than a JSON object (ValueError naming the line).  Then a record without
+    the key fields ``problem``, ``algorithm`` and ``point_index`` raises
+    (ValueError naming the line)."""
     records = []
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
@@ -139,8 +144,12 @@ def load_records(path: str) -> list:
                     continue
                 if not isinstance(rec, dict):
                     raise ValueError(f"line {number} of {path} is not a JSON object")
-                records.append(rec)
-    return records
+                records.append((number, rec))
+    for number, rec in records:
+        missing = [name for name in _KEY_FIELDS if name not in rec]
+        if missing:
+            raise ValueError(f"line {number} of {path} has no {', '.join(missing)}")
+    return [rec for _, rec in records]
 
 
 def _end_at_a_line(path: str) -> None:

@@ -73,7 +73,9 @@ def _out_path(ctx, param, path: str) -> str:
 
 def _records(ctx, param, path: str) -> list:
     """``--store``'s callback: the store's records (``bench.load_records``);
-    a store that cannot be read is a usage error."""
+    a store that does not exist or cannot be read is a usage error."""
+    if not os.path.exists(path):
+        raise click.BadParameter(f"no store at {path}")
     try:
         return bench.load_records(path)
     except (OSError, ValueError) as exc:
@@ -83,7 +85,8 @@ def _records(ctx, param, path: str) -> list:
 def _store_out(ctx, param, path: str) -> str:
     """``run --out``'s callback: an output file, and a store whose records
     can be read when it exists."""
-    _records(ctx, param, _out_path(ctx, param, path))
+    if os.path.exists(_out_path(ctx, param, path)):
+        _records(ctx, param, path)
     return path
 
 

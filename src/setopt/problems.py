@@ -20,7 +20,6 @@ goes to the evaluator in one call.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -330,31 +329,11 @@ def _uniform_box(n, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# helpers that keep a batch row bitwise equal to the same point alone
+# problem families
 #
 # An evaluator unpacks components as ``x0, x1, ... = x.T``: numpy scalars for
 # a point, (k,) views for a batch.  ``np.array([...]).T`` puts the results
 # back on the last axis.
-
-_libm_pow = np.frompyfunc(math.pow, 2, 1)
-
-
-def _pow(a, e):
-    """a ** e for a component that is a numpy scalar at a single point.
-
-    numpy's scalar power calls libm ``pow``, but its array power takes
-    other paths (a plain square for e = 2, SIMD code otherwise) whose last
-    bit differs on some inputs.  So an array goes through libm ``pow``
-    element by element.  Terms that are array powers at a single point too
-    keep ``**``.
-    """
-    if isinstance(a, np.ndarray):
-        return _libm_pow(a, e).astype(float)
-    return a ** e
-
-
-# ---------------------------------------------------------------------------
-# problem families
 
 def _zdt1(n: int) -> SetValuedProblem:
     i = np.arange(1, 101)
@@ -504,7 +483,8 @@ def _dgo2() -> SetValuedProblem:
     pert = np.column_stack([np.sin(a + np.cos(a)), np.cos(a + np.sin(2.0 * a))])
 
     def evaluator(x):
-        sq = _pow(x.T[0], 2)
+        x0 = x.T[0]
+        sq = x0 * x0
         with np.errstate(invalid="ignore"):
             return np.array([sq, 9.0 - np.sqrt(81.0 - sq)]).T
 
@@ -553,7 +533,7 @@ def _rosenbrock(n: int = 4, m: int = 3) -> SetValuedProblem:
 
     def evaluator(x):
         xt = x.T
-        return np.array([100.0 * _pow(xt[j + 1] - _pow(xt[j], 2), 2) + _pow(xt[j + 1] - 1.0, 2)
+        return np.array([100.0 * np.square(xt[j + 1] - xt[j] * xt[j]) + np.square(xt[j + 1] - 1.0)
                          for j in range(3)]).T
 
     return SetValuedProblem(f"rosenbrock_n{n}_m{m}", n, m, 100, _uniform_box(n, -2.0, 2.0),
@@ -592,9 +572,9 @@ def _trigonometric(n: int = 4, m: int = 4) -> SetValuedProblem:
         x0, x1, x2, x3 = x.T
         cum = x.cumsum(-1).T
         return np.array([
-            _pow(1.0 - np.cos(x0) + (1.0 - np.cos(x0)) - np.sin(x0), 2),
-            _pow(2.0 - np.cos(cum[1]) + 2.0 * (1.0 - np.cos(x1)) - np.sin(x1), 2),
-            _pow(3.0 - np.cos(cum[2]) + 3.0 * (1.0 - np.cos(x2)) - np.sin(x2), 2),
+            np.square(1.0 - np.cos(x0) + (1.0 - np.cos(x0)) - np.sin(x0)),
+            np.square(2.0 - np.cos(cum[1]) + 2.0 * (1.0 - np.cos(x1)) - np.sin(x1)),
+            np.square(3.0 - np.cos(cum[2]) + 3.0 * (1.0 - np.cos(x2)) - np.sin(x2)),
             4.0 - np.cos(cum[3]) + 4.0 * (1.0 - np.cos(x3)) - np.sin(x3),
         ]).T
 
@@ -611,9 +591,10 @@ def _das_dennis(n: int = 5) -> SetValuedProblem:
 
     def evaluator(x):
         x0, x1, x2, x3, x4 = x.T
+        d = x3 - x4
         return np.array([
             np.vecdot(x, x),
-            3.0 * x0 + 2.0 * x1 - x2 / 3.0 + 0.01 * _pow(x3 - x4, 3),
+            3.0 * x0 + 2.0 * x1 - x2 / 3.0 + 0.01 * (d * d * d),
         ]).T
 
     return SetValuedProblem(f"das_dennis_n{n}_m2", n, 2, 100,
@@ -627,7 +608,7 @@ def _modified_ex51() -> SetValuedProblem:
     def evaluator(x):
         x0 = x.T[0]
         base = np.array([x0, 0.5 * x0 * np.sin(x0)]).T
-        return base[..., None, :] + _pow(np.cos(x0), 2)[..., None, None] * coeff
+        return base[..., None, :] + np.square(np.cos(x0))[..., None, None] * coeff
 
     return SetValuedProblem("modified_ex51_n1_m2", 1, 2, 5,
                             _uniform_box(1, 2.0, 10.0), evaluator)
@@ -656,9 +637,9 @@ def _sphere() -> SetValuedProblem:
 
     def evaluator(x):
         x0, x1, x2 = x.T
-        g3 = _pow(x2 - 0.5, 2)
+        g3 = np.square(x2 - 0.5)
         u = np.pi * x0 / 2.0
-        gr = _pow(np.sqrt(np.vecdot(x, x)) - 0.5, 2)
+        gr = np.square(np.sqrt(np.vecdot(x, x)) - 0.5)
         v = np.pi * (1.0 + 2.0 * g3 * x1) / (4.0 * (1.0 + gr))
         return ((1.0 + g3) * np.array([np.cos(u) * np.cos(v), np.cos(u) * np.sin(v),
                                        np.sin(u)])).T

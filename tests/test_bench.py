@@ -158,6 +158,25 @@ def test_load_records_names_a_line_that_is_not_an_object(tmp_path):
             load_records(str(store))
 
 
+def test_load_records_names_a_record_without_its_key_fields(tmp_path):
+    store = tmp_path / "store.jsonl"
+    run_matrix(_tiny_config(), str(store))
+    lines = store.read_text().splitlines(keepends=True)
+    for name in ("problem", "algorithm", "point_index"):
+        rec = json.loads(lines[1])
+        del rec[name]
+        store.write_text("".join(lines[:1] + [json.dumps(rec) + "\n"] + lines[2:]))
+        with pytest.raises(ValueError, match=f"line 2 of .* has no {name}$"):
+            load_records(str(store))
+    store.write_text('{"a": 1}\n')
+    with pytest.raises(ValueError, match="line 1 of .* has no problem, algorithm, point_index"):
+        load_records(str(store))
+    # run_matrix reads the store first: no run, and nothing appended
+    with pytest.raises(ValueError, match="has no problem"):
+        run_matrix(_tiny_config(), str(store))
+    assert store.read_text() == '{"a": 1}\n'
+
+
 def test_run_matrix_rejects_a_cone_of_another_dimension(tmp_path):
     # dgo2 maps into R^2: no run, and no failure record that a rerun would skip
     store = tmp_path / "store.jsonl"

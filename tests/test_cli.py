@@ -227,6 +227,17 @@ _OUT = ["--out", "cones.json"]
       "--out", "runs"], "--out", "runs is a directory"),
     (["cone-experiment", "--problem", "modified_ex53_n2_m2", "--x0", "-16,-2",
       "--out", "missing/c.json"], "--out", "no directory"),
+    (["table", "--store", "missing.jsonl", "--config", "exp.json", "--csv", "t.csv"],
+     "--store", "no store at missing.jsonl"),
+    (["profile", "--store", "missing.jsonl", "--config", "exp.json", "--metric", "nonconv",
+      "--svg", "p.svg"], "--store", "no store at missing.jsonl"),
+    (["run", "--config", "exp.json", "--out", "keyless.jsonl"], "--out",
+     "line 1 of keyless.jsonl has no problem, algorithm, point_index"),
+    (["table", "--store", "keyless.jsonl", "--config", "exp.json", "--csv", "t.csv"],
+     "--store", "line 1 of keyless.jsonl has no problem, algorithm, point_index"),
+    (["profile", "--store", "keyless.jsonl", "--config", "exp.json", "--metric", "nonconv",
+      "--svg", "p.svg"], "--store", "line 1 of keyless.jsonl has no problem, algorithm, "
+                                    "point_index"),
 ])
 def test_bad_cone_or_point_is_usage_error(tmp_path, monkeypatch, args, option, message):
     monkeypatch.chdir(tmp_path)
@@ -239,6 +250,7 @@ def test_bad_cone_or_point_is_usage_error(tmp_path, monkeypatch, args, option, m
                                                    "points_per_problem": 1, "it_max": 2}))
     (tmp_path / "store.jsonl").write_text("")
     (tmp_path / "list.jsonl").write_text('{"problem": "dgo2_n1_m2"}\n[1, 2]\n')
+    (tmp_path / "keyless.jsonl").write_text('{"a": 1}\n')
     # a usage error comes before any run
     for name in ("run_matrix", "cone_experiment"):
         monkeypatch.setattr(bench, name, lambda *a, **k: pytest.fail("a run was started"))

@@ -28,6 +28,11 @@ def test_against_its_own_tree_agrees_and_times_every_method():
     assert re.findall(r"^(?:\w+: )?sha256 [0-9a-f]{64}$", against.stdout, flags=re.M) == digests
     assert "trm: converged 10/10" in alone.stdout and "50 runs in" in alone.stdout
     assert f"digests equal against {ROOT}" in against.stdout
+    # the SIMD level that the digests hold at, alone and against
+    simd = r"^numpy \S+, SIMD baseline [\w ]+, dispatched [\w ]+$"
+    assert len(re.findall(simd, alone.stdout, flags=re.M)) == 1
+    assert re.findall(simd, against.stdout, flags=re.M) == re.findall(simd, alone.stdout,
+                                                                       flags=re.M)
     rows = re.findall(r"^(\w+): wall [+-]\d+\.\d% (\d+)/(\d+) p=\S+; "
                       r"cpu [+-]\d+\.\d% (\d+)/(\d+) p=\S+$", against.stdout, flags=re.M)
     assert [r[0] for r in rows] == ["trm", "max", "avg", "sd", "cg", "all"]

@@ -15,7 +15,9 @@ running this on both:
 
 After that total it prints one sha256 per method, over that method's runs
 alone, so a change that must keep some methods bitwise can show which
-moved.
+moved, and then numpy's version and the SIMD extensions it dispatches to on
+this host: numpy's transcendental ufuncs give other bits at another SIMD
+level, so a digest holds only at the level printed beside it.
 
 It pins ``OPENBLAS_NUM_THREADS=1`` before numpy loads, because the
 trust-region steps depend on the BLAS thread count.  It also prints, per
@@ -65,6 +67,16 @@ import setopt  # noqa: E402
 from setopt.solvers import VARIANTS as METHODS  # noqa: E402
 
 STARTS, SEED, IT_MAX = 5, 5, 100
+
+
+def simd_level() -> str:
+    """numpy's version, its baseline SIMD extensions and the dispatch
+    targets it uses here: those the CPU has and ``NPY_DISABLE_CPU_FEATURES``
+    leaves on."""
+    from numpy._core import _multiarray_umath as umath
+    used = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return (f"numpy {np.__version__}, SIMD baseline {' '.join(umath.__cpu_baseline__)}, "
+            f"dispatched {' '.join(used) or 'none'}")
 
 
 def _bits(v) -> str:
@@ -152,6 +164,7 @@ class Setup:
         print(f"sha256 {self.digest.hexdigest()}")
         for m in METHODS:
             print(f"{m}: sha256 {self.by_method[m].hexdigest()}")
+        print(simd_level())
         for m in METHODS:
             same = f", as trm {self.as_trm[m]}/{runs}" if m in self.as_trm else ""
             print(f"{m}: converged {self.converged[m]}/{runs}, "
