@@ -117,6 +117,10 @@ def sample_points(box, n_points: int, seed: int) -> np.ndarray:
 
 
 _KEY_FIELDS = ("problem", "algorithm", "point_index")
+# the fields that ``record_key`` and ``_cells`` read, and the JSON types they need
+_READ_FIELDS = {"problem": (str,), "algorithm": (str,), "point_index": (int,),
+                "converged": (bool,), "iterations": (int,), "cpu_time": (int, float),
+                "mean_step_size": (int, float)}
 
 
 def record_key(rec: dict) -> tuple:
@@ -128,8 +132,10 @@ def load_records(path: str) -> list:
     not parse, a record cut short by a killed writer, is dropped; a bad line
     anywhere else raises, and so does a line that parses to something other
     than a JSON object (ValueError naming the line).  Then a record without
-    the key fields ``problem``, ``algorithm`` and ``point_index`` raises
-    (ValueError naming the line)."""
+    a field that the tables read (its key ``problem``, ``algorithm`` and
+    ``point_index``, then ``converged``, ``iterations``, ``cpu_time`` and
+    ``mean_step_size``), or with one of another JSON type (a true or false
+    where a number belongs included), raises ValueError naming the line."""
     records = []
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
@@ -146,9 +152,14 @@ def load_records(path: str) -> list:
                     raise ValueError(f"line {number} of {path} is not a JSON object")
                 records.append((number, rec))
     for number, rec in records:
-        missing = [name for name in _KEY_FIELDS if name not in rec]
+        missing = [name for name in _READ_FIELDS if name not in rec]
         if missing:
             raise ValueError(f"line {number} of {path} has no {', '.join(missing)}")
+        for name, types in _READ_FIELDS.items():
+            value = rec[name]
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise ValueError(f"line {number} of {path} has {name} {value!r}, not "
+                                 f"{' or '.join(t.__name__ for t in types)}")
     return [rec for _, rec in records]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy_core import min_norm_point
+from ._qp import min_norm_point
 
 
 class ConeError(ValueError):

@@ -22,13 +22,13 @@ phi(s) <= 0, not global optimality.
 
 SLSQP runs as scipy's compiled core, driven through its reverse-
 communication interface (``_slsqplib.slsqp``, scipy >= 1.16, loaded on its
-own by ``_scipy_core``) without the ``minimize`` wrapper: every input the
-core sees is bit for bit what ``minimize(method="SLSQP")`` would pass, and
-a test keeps that ``minimize`` form as the reference.  One loop answers
-the core's requests: it writes the constraint values and normals into
-preallocated views with ``out=`` ufuncs, and its products R s, (sym s) s
-and s.s are ``ndarray.dot``, bit for bit the ``@`` of the ``minimize``
-form.  The stacked product sym @ s stays ``@``: ``dot`` of the 3-D stack,
+own by ``_scipy_core`` at the first solve) without the ``minimize`` wrapper:
+every input the core sees is bit for bit what ``minimize(method="SLSQP")``
+would pass, and a test keeps that ``minimize`` form as the reference.  One
+loop answers the core's requests: it writes the constraint values and
+normals into preallocated views with ``out=`` ufuncs, and its products
+R s, (sym s) s and s.s are ``ndarray.dot``, bit for bit the ``@`` of the
+``minimize`` form.  The stacked product sym @ s stays ``@``: ``dot`` of the 3-D stack,
 or of one matrix stacking R and sym, rounds differently.
 """
 
@@ -40,13 +40,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import problems
-from ._scipy_core import min_norm_point, slsqp as _slsqp
+from . import _scipy_core, problems
+from ._qp import min_norm_point
 from .cone import Cone
 from .partition import MinimalStructure, best_tuple
 from .problems import SetValuedProblem, derivative_rows
 
 _N_STARTS = 2
+_PYTHON_SORT_ROWS = 12
 # SLSQP's ftol is absolute and also bounds the constraint violation, which
 # round-off keeps above a fixed ftol when branch values are large; so each
 # solve stops at _SLSQP_FTOL times a bound on |phi| over the ball
@@ -88,7 +89,18 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows in lexicographic order, as ``np.unique(rows, axis=0)``
     gives them but without its structured-dtype sort: a stable sort, then
     each row equal (==) to the one before it is dropped.  Of two rows equal
-    up to signed zeros the first in ``rows`` stays."""
+    up to signed zeros the first in ``rows`` stays.  Up to
+    ``_PYTHON_SORT_ROWS`` rows the sort compares the rows as lists of
+    Python floats, which orders them as ``np.lexsort`` does and costs less
+    than its numpy calls."""
+    if len(rows) <= _PYTHON_SORT_ROWS:
+        Rl = rows.tolist()
+        keep, last = [], None
+        for i in sorted(range(len(Rl)), key=Rl.__getitem__):
+            if Rl[i] != last:
+                keep.append(i)
+                last = Rl[i]
+        return rows[keep]
     R = rows[np.lexsort(rows.T[::-1])]
     return R[np.concatenate(([True], (R[1:] != R[:-1]).any(axis=1)))]
 
@@ -97,7 +109,9 @@ def first_order(rows: np.ndarray) -> np.ndarray:
     """Steepest-descent direction v, the minimizer of max(rows @ s) + ||s||^2 / 2.
 
     v = -p with p the min-norm element of conv(rows) (Fliege & Svaiter
-    2000), ``min_norm_point`` of the distinct rows.  ``steepest_descent``
+    2000), ``_qp.min_norm_point`` (Wolfe's algorithm) of the distinct rows
+    in their sorted order, so that v does not depend on the order of the
+    rows or on their repeats, up to the sign of a zero.  ``steepest_descent``
     takes it as the SD/CG direction, and ``theta_and_step``'s bound reads
     its norm."""
     # 0.0 - p, not -p: an entry that cancels is +0.0 in -R^T lam, never -0.0
@@ -271,10 +285,13 @@ def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray, r
     ``@`` here; the stacked product sym @ s stays ``@``, because ``dot`` of
     the 3-D stack (or one matrix stacking R and sym) rounds differently.  A
     gradient request comes at the point of the function request before it,
-    so the two share one sym @ s, recomputed whenever s changes.
+    so the two share one sym @ s, recomputed whenever s changes.  The core
+    itself comes from ``_scipy_core.slsqp()`` once per call, before the loop;
+    the first call in a process loads it.
     """
     R = branches.R
     n_b, n = R.shape
+    slsqp = _scipy_core.slsqp()
     sym = 0.5 * (branches.WH + branches.WH.transpose(0, 2, 1))
     r2 = radius * radius
     m, nz = 2 * n_b + 1, n + 1
@@ -324,7 +341,7 @@ def _epigraph_slsqp(branches: _Branches, starts: np.ndarray, phi0: np.ndarray, r
                 np.add(R, sym_s, out=curv)
                 np.negative(curv, out=curv)
                 np.multiply(s, -2.0, out=ball)
-            _slsqp(state, fz, g, C, d, z, mult, xl, xu, work, indices)
+            slsqp(state, fz, g, C, d, z, mult, xl, xu, work, indices)
             mode = state["mode"]
             if mode != 1 and mode != -1:
                 break

@@ -238,6 +238,11 @@ _OUT = ["--out", "cones.json"]
     (["profile", "--store", "keyless.jsonl", "--config", "exp.json", "--metric", "nonconv",
       "--svg", "p.svg"], "--store", "line 1 of keyless.jsonl has no problem, algorithm, "
                                     "point_index"),
+    (["table", "--store", "resultless.jsonl", "--config", "exp.json", "--csv", "t.csv"],
+     "--store", "line 1 of resultless.jsonl has no converged, iterations, cpu_time, "
+                "mean_step_size"),
+    (["table", "--store", "listkey.jsonl", "--config", "exp.json", "--csv", "t.csv"],
+     "--store", "line 1 of listkey.jsonl has problem ['dgo2_n1_m2'], not str"),
 ])
 def test_bad_cone_or_point_is_usage_error(tmp_path, monkeypatch, args, option, message):
     monkeypatch.chdir(tmp_path)
@@ -251,6 +256,11 @@ def test_bad_cone_or_point_is_usage_error(tmp_path, monkeypatch, args, option, m
     (tmp_path / "store.jsonl").write_text("")
     (tmp_path / "list.jsonl").write_text('{"problem": "dgo2_n1_m2"}\n[1, 2]\n')
     (tmp_path / "keyless.jsonl").write_text('{"a": 1}\n')
+    key = {"problem": "dgo2_n1_m2", "algorithm": "trm", "point_index": 0}
+    (tmp_path / "resultless.jsonl").write_text(json.dumps(key) + "\n")
+    (tmp_path / "listkey.jsonl").write_text(json.dumps(
+        key | {"problem": ["dgo2_n1_m2"], "converged": True, "iterations": 3, "cpu_time": 0.5,
+               "mean_step_size": 0.25}) + "\n")
     # a usage error comes before any run
     for name in ("run_matrix", "cone_experiment"):
         monkeypatch.setattr(bench, name, lambda *a, **k: pytest.fail("a run was started"))

@@ -1,7 +1,9 @@
-"""setopt loads scipy's compiled SLSQP/NNLS core on its own, never
-``scipy.optimize`` and what its ``__init__`` pulls in; its sampling, runs
-and certificate never import numpy.random, and its cones, runs and
-certificate make no call into numpy's LAPACK."""
+"""setopt loads scipy's compiled SLSQP core on its own, never
+``scipy.optimize`` and what its ``__init__`` pulls in, and only at the first
+trust-region solve; its sampling, runs and certificate never import
+numpy.random, and its cones, runs and certificate make no call into numpy's
+LAPACK.  The min-norm point that replaced the core's NNLS keeps the
+wrapper's checks."""
 
 import os
 import subprocess
@@ -11,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from setopt import _scipy_core
+from setopt import _qp
+from setopt._qp import min_norm_point
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -105,16 +108,77 @@ def test_missing_core_raises_the_version_import_error():
 
 def test_min_norm_point_keeps_the_wrapper_checks(monkeypatch):
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_allclose(_scipy_core.min_norm_point(rows), [0.5, 0.5], rtol=1e-15)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            _scipy_core.min_norm_point(np.array([[1.0, bad], [0.0, 1.0]]))
+    np.testing.assert_allclose(min_norm_point(rows), [0.5, 0.5], rtol=1e-15)
+    # non-finite rows raise on every path: one row, the segment, the Gram
+    # oracle and rows @ x
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 3, _qp._GRAM_ROWS + 4):
+        for bad in (np.nan, np.inf, -np.inf):
+            R = rng.standard_normal((k, 3))
+            R[-1, 1] = bad
+            with pytest.raises(ValueError):
+                min_norm_point(R)
+    # a triangle around 0 in the plane takes major cycles; with none allowed the cap raises
+    triangle = np.array([[1.0, 0.1], [-0.6, 1.0], [-0.5, -1.1]])
+    assert np.abs(min_norm_point(triangle)).max() < 1e-15
+    monkeypatch.setattr(_qp, "_CAP_PER_ROW", 0)
+    with pytest.raises(RuntimeError, match="iteration cap"):
+        min_norm_point(triangle)
 
-    class CappedCore:
-        @staticmethod
-        def nnls(a, b, maxiter):
-            return np.ones(a.shape[1]), 0.0, 3
 
-    monkeypatch.setattr(_scipy_core, "_core", CappedCore)
-    with pytest.raises(RuntimeError):
-        _scipy_core.min_norm_point(rows)
+_GUARD = """
+import hashlib
+import sys
+import numpy as np
+import setopt
+from setopt import bench, _scipy_core
+from setopt.subproblem import first_order
+
+def core_loaded():
+    # the extension's file among the mapped files, where the OS lists them
+    try:
+        with open("/proc/self/maps") as fh:
+            mapped = "_slsqplib" in fh.read()
+    except OSError:
+        mapped = None
+    return (_scipy_core.slsqp.cache_info().currsize == 1, mapped)
+
+cones = [setopt.orthant(m) for m in range(1, 6)] + [setopt.k2prime()]
+code = hashlib.sha256()
+for pid, cone in (("zdt1_n5_m2", cones[1]), ("dtlz1_n6_m4", cones[3]),
+                  ("modified_ex53_n2_m2", cones[-1])):
+    problem = setopt.registry(pid)
+    for x0 in bench.sample_points(problem.domain_box, 2, bench._problem_seed(7, pid)):
+        for variant in ("sd", "cg"):
+            res = setopt.run(problem, cone, x0, setopt.SolverConfig(variant=variant, it_max=4))
+            code.update(res.final_point.tobytes())
+rng = np.random.default_rng(11)
+for case in range(200):
+    n, k = 1 + case % 10, 1 + case % 23
+    rows = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (k, 1))
+    if case % 3 == 0:
+        rows = np.vstack([rows, -rng.uniform(0.1, 1.0, k) @ rows])
+    code.update(first_order(rows).tobytes())
+print(core_loaded())
+print(code.hexdigest())
+problem = setopt.registry("zdt1_n2_m2")
+setopt.run(problem, cones[1], [0.5, 0.5], setopt.SolverConfig(variant="trm", it_max=2))
+print(core_loaded())
+"""
+
+
+def test_first_order_runs_never_load_the_slsqp_core():
+    # cones, SD/CG runs and first_order leave the core, and with it scipy's
+    # OpenBLAS, unloaded; a trust-region run loads it.  first_order gives
+    # the same bytes at 1 and 2 BLAS threads.
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _GUARD], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout.splitlines())
+    for before, digest, after in outs:
+        assert before in ("(False, False)", "(False, None)")
+        assert after in ("(True, True)", "(True, None)")
+    assert outs[0][1] == outs[1][1]

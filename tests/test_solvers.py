@@ -442,24 +442,49 @@ def test_run_rejects_a_cone_of_another_dimension():
             run(p, orthant(3), [0.5], SolverConfig(variant=variant))
 
 
-def _first_order_scipy(rows: np.ndarray):
-    """``first_order`` through scipy's public ``nnls``: the reference that
-    the core loaded on its own must match bit for bit."""
-    R = _distinct_rows(rows)
-    rhs = np.zeros(R.shape[1] + 1)
-    rhs[-1] = 1.0
-    u, _ = nnls(np.vstack([R.T, np.ones(R.shape[0])]), rhs, maxiter=30 * R.shape[0])
-    return -R.T @ (u / u.sum())
+def _kkt_row_sets():
+    """Seeded row sets, n = 1-10 and up to 60 rows, row norms 1e-2 to 1e2:
+    general rows, rows repeated, collinear rows (of one sign, or of both, so
+    that 0 is in the hull) and rows with 0 inside their hull, each kind
+    also scaled by 1e100 and by 1e-100."""
+    rng = np.random.default_rng(20261019)
+    kinds = ("general", "duplicates", "collinear", "zero_inside")
+    for case in range(240):
+        kind = kinds[case % 4]
+        n, k = 1 + case % 10, int(rng.integers(1, 31))
+        rows = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-2.0, 2.0, (k, 1))
+        if kind == "duplicates":
+            rows = np.vstack([rows, rows[rng.integers(0, k, size=k)]])
+        elif kind == "collinear":
+            one_sign = rng.choice([-1.0, 1.0]) if case % 8 == 2 else None
+            signs = one_sign if one_sign is not None else rng.choice([-1.0, 1.0], size=k)
+            rows = np.outer(signs * 10.0 ** rng.uniform(-2.0, 2.0, k), rng.standard_normal(n))
+        elif kind == "zero_inside":
+            rows = np.vstack([rows, -rng.uniform(0.1, 1.0, k) @ rows])
+        yield kind, rows * (1e100, 1.0, 1e-100)[case // 4 % 3]
 
 
-def test_prox_direction_is_bitwise_scipy_nnls():
-    rng = np.random.default_rng(7)
-    cases = [rows for _, rows in _oracle_row_sets()]
-    cases += [rng.standard_normal((1, n)) * 10.0 ** rng.uniform(-2.0, 3.0) for n in range(1, 11)]
-    cases += [np.array([[a], [-b]]) for a, b in [(1.0, 1.0), (1e3, 1e-2), (1e-2, 1e3),
-                                                  (0.37, 52.0)]]
-    for rows in cases:
-        assert first_order(rows).tobytes() == _first_order_scipy(rows).tobytes()
+def test_prox_direction_meets_the_kkt_conditions():
+    # p = -first_order(rows) is the min-norm point of conv(rows) when some
+    # lam >= 0 with sum 1 gives p = rows^T lam and min_i r_i.p >= |p|^2.
+    # In units of the largest row norm s: the lam that scipy's nnls finds
+    # reproduces p and sums to 1 within 1e-13, the gap |p|^2 - min_i r_i.p
+    # is at most 1e-13 s^2, and p is within 1e-13 s of the min-norm point
+    # through scipy's nnls (u >= 0 least |[R^T; 1^T] u - e_{n+1}|,
+    # p = R^T u / sum(u); Lawson & Hanson 1974, ch. 23).
+    seen = set()
+    for kind, rows in _kkt_row_sets():
+        p = -first_order(rows)
+        s = np.linalg.norm(rows, axis=1).max()
+        R, p = rows / s, p / s
+        A = np.vstack([R.T, np.ones(len(R))])
+        lam = nnls(A, np.r_[p, 1.0], maxiter=50 * len(R))[0]
+        assert np.abs(R.T @ lam - p).max() <= 1e-13 and abs(lam.sum() - 1.0) <= 1e-13, kind
+        assert (R @ p).min() >= p @ p - 1e-13, kind
+        u = nnls(A, np.r_[np.zeros(R.shape[1]), 1.0], maxiter=50 * len(R))[0]
+        assert np.abs(p - R.T @ (u / u.sum())).max() <= 1e-13, kind
+        seen.add(kind)
+    assert len(seen) == 4
 
 
 def test_prox_direction_single_row_and_1d():

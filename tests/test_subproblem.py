@@ -5,7 +5,8 @@ import pytest
 from scipy.optimize import _slsqplib, minimize
 
 import setopt.subproblem as subproblem
-from setopt._scipy_core import min_norm_point
+from setopt import _scipy_core
+from setopt._qp import min_norm_point
 from setopt.cone import k2prime, orthant
 from setopt.partition import PARTITION_CAP, MinimalStructure, structure_from_values
 from setopt.problems import derivatives_all, from_functions, registry
@@ -436,7 +437,7 @@ def _seeded_epigraph_cases(count, fig1_count=0):
 
 def test_epigraph_driver_is_bitwise_minimize():
     # _epigraph_slsqp calls a core loaded on its own, apart from the copy minimize uses
-    assert subproblem._slsqp is not _slsqplib.slsqp
+    assert _scipy_core.slsqp() is not _slsqplib.slsqp
     modes = set()
     for case in _seeded_epigraph_cases(60, fig1_count=16):
         ends, statuses = subproblem._epigraph_slsqp(*case)

@@ -19,9 +19,10 @@ Replay calls ``inner_minimax`` on every captured call in order and prints
 one sha256 over each call's (s, t, statuses), or its ``InnerSolveFailure``
 message: two trees with bitwise-equal steps print the same digest.  Then it
 times ``--repeat`` rounds of two replays each: one plain, and one with
-``subproblem._epigraph_slsqp`` and the SLSQP core (``subproblem._slsqp``)
-wrapped in timers.  It prints the fastest plain replay and the split of the
-fastest timed one: the time in the core, in the rest of
+``subproblem._epigraph_slsqp`` and the SLSQP core (the function that
+``_scipy_core.slsqp()`` returns, which ``_epigraph_slsqp`` fetches once per
+call) wrapped in timers.  It prints the fastest plain replay and the split
+of the fastest timed one: the time in the core, in the rest of
 ``_epigraph_slsqp`` (the reverse-communication loop and its products) and
 outside the solve (set-up, starts and the final pick), in milliseconds.
 The timers add a wrapper call per core call, most of it counted as core.
@@ -98,39 +99,38 @@ def digest(results: list) -> str:
     return code.hexdigest()
 
 
-def timed(module, name: str, spent: dict):
-    """Wrap ``module.name`` so that its calls add their seconds to spent[name]."""
-    f = getattr(module, name)
-
+def timer(f, name: str, spent: dict):
+    """``f`` wrapped so that its calls add their seconds to spent[name]."""
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         try:
             return f(*args, **kwargs)
         finally:
             spent[name] += time.perf_counter() - t0
-    setattr(module, name, wrapper)
-    return f
+    return wrapper
 
 
 def split(calls: list, repeat: int) -> tuple:
     """The fastest plain replay of ``repeat``, and the split of the fastest
     timed one: (whole replay, inside the epigraph solve, inside the core)."""
     plain, best = float("inf"), (float("inf"),)
-    names = ("_epigraph_slsqp", "_slsqp")
+    core_module, epigraph = subproblem._scipy_core, subproblem._epigraph_slsqp
+    fetch = core_module.slsqp
     for _ in range(repeat):
         t0 = time.perf_counter()
         replay(calls)
         plain = min(plain, time.perf_counter() - t0)
-        spent = dict.fromkeys(names, 0.0)
-        originals = [timed(subproblem, name, spent) for name in names]
+        spent = {"epigraph": 0.0, "core": 0.0}
+        core = timer(fetch(), "core", spent)
+        subproblem._epigraph_slsqp = timer(epigraph, "epigraph", spent)
+        core_module.slsqp = lambda: core
         try:
             t0 = time.perf_counter()
             replay(calls)
             total = time.perf_counter() - t0
         finally:
-            for name, f in zip(names, originals):
-                setattr(subproblem, name, f)
-        best = min(best, (total, spent["_epigraph_slsqp"], spent["_slsqp"]))
+            subproblem._epigraph_slsqp, core_module.slsqp = epigraph, fetch
+        best = min(best, (total, spent["epigraph"], spent["core"]))
     return plain, best
 
 
