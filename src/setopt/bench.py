@@ -12,14 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .cone import Cone, orthant
-from .problems import UnknownProblemError, checked_box, registry
+from .problems import UnknownProblemError, checked_box, checked_integer, registry
 from .solvers import RunResult, SolverConfig, StepMemo, run
 from .subproblem import _first_of_each
 
@@ -41,18 +40,17 @@ class ExperimentConfig:
     def __post_init__(self):
         """Reject a config ``run_matrix`` could not run or the tables could
         not read, before any run: ``problem_ids`` and ``algorithms`` must be
-        nonempty with no repeats, ``points_per_problem`` an integer >= 1,
-        every algorithm and ``it_max`` must pass ``SolverConfig``'s checks
-        and every problem id must be registered (ValueError)."""
+        nonempty with no repeats, ``points_per_problem`` >= 1, ``it_max`` >= 1
+        and ``rng_seed`` integers (``checked_integer``), every algorithm
+        valid for ``SolverConfig`` and every problem id registered (ValueError)."""
         object.__setattr__(self, "problem_ids", tuple(self.problem_ids))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         for name in ("problem_ids", "algorithms"):
             items = getattr(self, name)
             if not items or len(set(items)) != len(items):
                 raise ValueError(f"need a nonempty {name} with no repeats, got {items!r}")
-        if not (type(self.points_per_problem) is int and 1 <= self.points_per_problem):
-            raise ValueError(f"need an integer points_per_problem >= 1, "
-                             f"got {self.points_per_problem!r}")
+        for name, least in (("points_per_problem", 1), ("it_max", 1), ("rng_seed", None)):
+            object.__setattr__(self, name, checked_integer(getattr(self, name), name, least))
         for algo in self.algorithms:
             SolverConfig(variant=algo, it_max=self.it_max)
         for pid in self.problem_ids:
@@ -103,12 +101,11 @@ def sample_points(box, n_points: int, seed: int) -> np.ndarray:
     2**64)).uniform(lo, hi, size=(n_points, n))``, without numpy.random,
     whose distribution algorithms numpy does not hold fixed: entry j of
     each row, in C order, is lo_j + (hi_j - lo_j) u with u = (w >> 11) 2^-53
-    for the next Philox word w.  The box must pass ``checked_box`` and
-    ``n_points`` be an integer >= 0 (ValueError)."""
+    for the next Philox word w.  ``checked_box`` and ``checked_integer``
+    check the box, ``n_points`` >= 0 and ``seed`` (ValueError)."""
     lo, hi = checked_box(box)
-    if not (isinstance(n_points, numbers.Integral) and not isinstance(n_points, bool)
-            and n_points >= 0):
-        raise ValueError(f"need an integer n_points >= 0, got {n_points!r}")
+    n_points = checked_integer(n_points, "n_points", 0)
+    seed = checked_integer(seed, "seed")
     lo_j, width = lo.tolist(), (hi - lo).tolist()
     n = len(lo_j)
     words = _philox_words(seed % 2 ** 64, n_points * n)

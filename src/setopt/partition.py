@@ -133,7 +133,7 @@ def best_tuple(problem, structure: MinimalStructure, solve):
     ``solve(a)`` returns a sequence whose first item is the value to
     minimize.  Ties within 1e-12 of the best value resolve to the earliest
     tuple in lexicographic order.  The members of an offset family
-    (``problem.offsets`` set) share one Jacobian and Hessian, so every
+    (``problem.offsets`` set) share one derivative block, so every
     tuple of the group product gives the same value and the tie rule keeps
     the first: only that tuple, the structure's ``leaders``, is solved.
     Otherwise every tuple of ``partition_iter`` is, within its cap.

@@ -12,14 +12,16 @@ p = 100 members.  Their evaluator returns the base alone and
 Every evaluator works over the last axis of its input: a point (n,)
 gives one value and a batch (k, n) gives k values, row by row.
 Derivatives are central finite differences of what the evaluator returns,
-so the members of an offset family share one bitwise Jacobian and
-Hessian; the whole stencil of a Jacobian, or of a Jacobian and Hessian,
-goes to the evaluator in one call.
+in blocks: one, the base's, that an offset family's members share, else
+one per member.  The whole stencil of a Jacobian, or of a Jacobian and
+Hessian, goes to the evaluator in one call.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +65,16 @@ def checked_box(box, n: int | None = None) -> tuple:
     return lo, hi
 
 
+def checked_integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int, once it is checked to be an integer (a numpy one
+    too, not a bool) of at least ``least`` (ValueError)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"need an integer {name}{bound}, got {value!r}")
+    return operator.index(value)
+
+
 class UnknownProblemError(KeyError):
     """The requested problem id is not in the registry."""
 
@@ -80,10 +92,10 @@ class SetValuedProblem:
     ``domain_box`` and ``offsets`` are read-only float copies, made when
     the problem is built: ``solvers.StepMemo`` relies on the box never
     changing, and the offset family's partition it keeps in
-    ``partitions``, one per cone, on the offsets never changing.  A
-    ``domain_box`` that fails ``checked_box(domain_box, n)`` raises
-    ValueError.  A problem compares and hashes by identity: its evaluator
-    is a closure, and ``solvers.StepMemo`` binds one problem object.
+    ``partitions``, one per cone, on the offsets never changing.  Sizes n,
+    m, p below 1 (``checked_integer``) or a box that fails ``checked_box``
+    raise ValueError.  A problem compares and hashes by identity: its
+    evaluator is a closure, and ``solvers.StepMemo`` binds one problem object.
     """
 
     name: str
@@ -97,18 +109,20 @@ class SetValuedProblem:
     partitions: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("n", "m", "p"):
+            checked_integer(getattr(self, name), name, 1)
         object.__setattr__(self, "domain_box",
                            tuple(map(_read_only_copy, checked_box(self.domain_box, self.n))))
         if self.offsets is not None:
             object.__setattr__(self, "offsets", _read_only_copy(self.offsets))
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        """The evaluator's output at a point or each row of a batch: the
-        (m,) base of an offset family, else the (p, m) values.  A finite
+        """The evaluator's (b, m) output at a point or each row of a batch:
+        the base of an offset family (b = 1), else F (b = p).  A finite
         offset added to a finite base stays finite, so checking this output
         checks F(x).  The error names the first row with a non-finite
         value, the point a one-by-one evaluation would have stopped at."""
-        shape = (self.p, self.m) if self.offsets is None else (self.m,)
+        shape = (self.p if self.offsets is None else 1, self.m)
         vals = np.asarray(self.evaluator(x), dtype=float).reshape(x.shape[:-1] + shape)
         if not np.isfinite(vals).all():
             if x.ndim > 1:
@@ -124,7 +138,7 @@ class SetValuedProblem:
     def eval_all(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         vals = self._evaluate(x if x.ndim == 2 else x.reshape(self.n))
-        return vals if self.offsets is None else vals[..., None, :] + self.offsets
+        return vals if self.offsets is None else vals + self.offsets
 
     def metadata(self) -> dict:
         lo, hi = self.domain_box
@@ -177,8 +191,7 @@ def _fd_center(problem: SetValuedProblem, x: np.ndarray, with_hessian: bool) -> 
     h = _grad_steps(x)
     margin = (_hess_steps(x) + 2.0 * h) if with_hessian else 1.5 * h
     lo2, hi2 = lo + margin, hi - margin
-    center = np.where(lo2 <= hi2, x.clip(lo2, hi2), 0.5 * (lo + hi))
-    return center
+    return np.where(lo2 <= hi2, x.clip(lo2, hi2), 0.5 * (lo + hi))
 
 
 def _stencil(centres: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -210,47 +223,40 @@ def _differences(vals: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def _jacobians(problem: SetValuedProblem, centres: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobians of the evaluator's output at each of
-    the (r, n) centres, (r, ..., m, n), from one evaluator call."""
+    """Central-difference Jacobians of the evaluator's (b, m) blocks at each
+    of the (r, n) centres, (r, b, m, n), from one evaluator call."""
     steps = (centres + _grad_steps(centres)) - centres  # exactly representable steps
     vals = problem._evaluate(_stencil(centres, steps).reshape(-1, problem.n))
     return _differences(vals.reshape(*steps.shape, 2, *vals.shape[1:]), steps)
 
 
-def _family(problem: SetValuedProblem, arr: np.ndarray) -> np.ndarray:
-    """Broadcast a base derivative to every member (a view, no copy)."""
-    return arr if problem.offsets is None else np.broadcast_to(arr, (problem.p, *arr.shape))
-
-
 def derivative_rows(problem: SetValuedProblem, a) -> list:
-    """The rows of the family's derivatives that the 1-based tuple a needs:
-    one, ``[a[0] - 1]``, for an offset family, whose members share one
-    block, and ``[ai - 1 for ai in a]`` otherwise."""
-    return [a[0] - 1] if problem.offsets is not None else [ai - 1 for ai in a]
+    """The blocks of the family's derivatives that the 1-based tuple a
+    needs: ``[0]``, the one block of an offset family, and
+    ``[ai - 1 for ai in a]`` otherwise."""
+    return [0] if problem.offsets is not None else [ai - 1 for ai in a]
 
 
 def fd_jacobian_all(problem: SetValuedProblem, x) -> np.ndarray:
-    """Central-difference Jacobians of all p functions, shape (p, m, n);
-    DomainError when an entry is not finite (finite values whose difference
-    quotient overflows)."""
+    """Central-difference Jacobian blocks (b, m, n) of the family: the one
+    block of an offset family's base, else one per member.  DomainError
+    when an entry is not finite (finite values whose difference quotient
+    overflows)."""
     x = np.asarray(x, dtype=float).reshape(problem.n)
     c = _fd_center(problem, x, with_hessian=False)
     jac = _jacobians(problem, c[None])[0]
     if not np.isfinite(jac).all():
         raise _non_finite(problem.name, x, "derivative")
-    return _family(problem, jac)
+    return jac
 
 
 def derivatives_all(problem: SetValuedProblem, x):
-    """Jacobians (p, m, n) and Hessians (p, m, n, n) of the whole family.
-
-    The members of an offset family share the derivatives of the base:
-    every member's block is the same read-only view.  The Hessian is the
-    symmetrised central differences of the Jacobians at the 2n points
-    c +- d_j e_j; those Jacobians and the one at the centre c come from
-    one evaluator call.  DomainError when an entry of either is not finite,
-    as ``fd_jacobian_all``.
-    """
+    """Jacobian blocks (b, m, n) and Hessian blocks (b, m, n, n) of the
+    family, b as ``fd_jacobian_all``'s.  The Hessian is the symmetrised
+    central differences of the Jacobians at the 2n points c +- d_j e_j;
+    those Jacobians and the one at the centre c come from one evaluator
+    call.  DomainError when an entry of either is not finite, as
+    ``fd_jacobian_all``."""
     x = np.asarray(x, dtype=float).reshape(problem.n)
     c = _fd_center(problem, x, with_hessian=True)
     steps = ((c + _hess_steps(c)) - c)[None]
@@ -260,12 +266,12 @@ def derivatives_all(problem: SetValuedProblem, x):
     hess = 0.5 * (hess + hess.swapaxes(-2, -1))
     if not (np.isfinite(jac[0]).all() and np.isfinite(hess).all()):
         raise _non_finite(problem.name, x, "derivative")
-    return _family(problem, jac[0]), _family(problem, hess)
+    return jac[0], hess
 
 
 class DerivativeTable:
-    """Family derivatives, one read-only entry per kind and bytes of x, as
-    entries of ``solvers.StepMemo``, its subclass.  The kinds are kept
+    """Family derivative blocks, one read-only entry per kind and bytes of
+    x, as entries of ``solvers.StepMemo``, its subclass.  The kinds are kept
     apart: a bundle's Jacobians are not ``fd_jacobian_all``'s bits at the
     same point.  Runs read the bundle alone; perfbench counts calls to
     both methods."""
@@ -320,12 +326,8 @@ def _log_tan_half(psi: np.ndarray) -> np.ndarray:
     return np.log(np.tan(np.clip(psi, _CLAMP_DELTA, np.pi - _CLAMP_DELTA) / 2.0))
 
 
-def _box(lo, hi):
-    return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-
-
 def _uniform_box(n, lo, hi):
-    return _box([lo] * n, [hi] * n)
+    return [lo] * n, [hi] * n
 
 
 # ---------------------------------------------------------------------------

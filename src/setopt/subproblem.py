@@ -121,8 +121,8 @@ def first_order(rows: np.ndarray) -> np.ndarray:
 @dataclass
 class SubproblemSolution:
     """Winning tuple a*, trial step s*, criticality value t* <= 0, and the
-    models of a*'s derivative rows (``problems.derivative_rows``): one block
-    per member of a, or one block in all for an offset family, whose
+    models of a*'s derivative blocks (``problems.derivative_rows``): one
+    block per member of a, or the one block of an offset family, whose
     members share it."""
 
     a_star: tuple
@@ -417,9 +417,9 @@ def theta_and_step(problem: SetValuedProblem, cone: Cone, x, structure: MinimalS
     """Solve the inner problem for the partition elements, keep the best.
 
     ``derivatives`` is the family's (Jacobians, Hessians) bundle at x, as
-    ``problems.derivatives_all`` returns it; the caller owns its caching.
-    A tuple's models take the bundle's ``derivative_rows``: in an offset
-    family one block, not the omega equal ones the members share.
+    ``problems.derivatives_all`` returns it, in blocks; the caller owns its
+    caching.  A tuple's models take the ``derivative_rows`` blocks: in an
+    offset family the one block that its members share.
     ``best_tuple`` picks the tuple: the least t, ties to the earliest tuple
     in lexicographic order, one tuple for an offset family.  A tuple with
     non-finite models or values (``InnerSolveFailure``, from building its
@@ -464,7 +464,7 @@ def steepest_descent(problem: SetValuedProblem, cone: Cone, structure: MinimalSt
     """The SD/CG step problem: the tuple a that ``best_tuple`` picks by
     t = -|v|, the value ``run`` stops on, then t, the ``first_order``
     direction v of a's scalarized rows and a's blocks of ``jac`` (the
-    family's (p, m, n) Jacobians at x) by ``derivative_rows``."""
+    family's ``fd_jacobian_all`` blocks at x) by ``derivative_rows``."""
     def solve(a):
         blocks = jac[derivative_rows(problem, a)]
         v = first_order(scalarized_rows(cone, blocks))

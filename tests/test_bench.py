@@ -80,6 +80,19 @@ def test_sample_points_takes_a_numpy_count_and_a_flat_box():
     assert np.all(flat[:, 1] == 0.5)
 
 
+@pytest.mark.parametrize("seed, value", [(np.int64(5), 5), (np.uint64(5), 5), (np.int32(5), 5),
+                                         (np.uint64(2 ** 64 - 1), 2 ** 64 - 1)])
+def test_sample_points_takes_a_numpy_seed(seed, value):
+    box = (np.zeros(3), np.ones(3))
+    assert sample_points(box, 2, seed).tobytes() == sample_points(box, 2, value).tobytes()
+
+
+@pytest.mark.parametrize("seed", [5.0, np.float64(5.0), True, np.bool_(False), "5", None])
+def test_sample_points_needs_an_integer_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        sample_points((np.zeros(2), np.ones(2)), 2, seed)
+
+
 def _tiny_config():
     return ExperimentConfig(problem_ids=("dgo2_n1_m2",), algorithms=("trm", "max"),
                             points_per_problem=3, it_max=5, rng_seed=99)
@@ -465,6 +478,11 @@ def test_experiment_config_json_roundtrip():
                               points_per_problem=2, it_max=7, rng_seed=5)
     again = ExperimentConfig.from_json(config.to_json())
     assert again == config
+    # numpy integers are taken as ints, so the config still writes as JSON
+    numpy_ints = ExperimentConfig(problem_ids=("dgo1_n1_m2",), algorithms=("trm",),
+                                  points_per_problem=np.int64(2), it_max=np.int32(7),
+                                  rng_seed=np.uint64(5))
+    assert numpy_ints.to_json() == config.to_json()
     with pytest.raises(ValueError):
         ExperimentConfig(problem_ids=("x",), points_per_problem=0)
 
@@ -479,6 +497,8 @@ def test_experiment_config_json_roundtrip():
     ({"algorithms": ("trm", "max", "trm")}, "algorithms with no repeats"),
     ({"problem_ids": ()}, "nonempty problem_ids"),
     ({"problem_ids": ("dgo1_n1_m2", "dgo1_n1_m2")}, "problem_ids with no repeats"),
+    ({"rng_seed": 1.5}, "integer rng_seed, got 1.5"),
+    ({"rng_seed": True}, "integer rng_seed, got True"),
 ])
 def test_experiment_config_rejects_what_run_matrix_cannot_run(fields, message):
     # checked up front, so run_matrix never stores a failure record for it

@@ -1,15 +1,19 @@
 """``tools/bench_pairs.py`` summarises alternating parent/change benchmark
 runs: its seed ranges, its workload filter, and per metric the medians,
 inclusive quartiles, the parent's spread, the per-pair change/parent ratios
-and the pairs the change won."""
+and the pairs the change won.  It reads the run digests from the file that
+perfbench writes."""
 
+import argparse
 import importlib
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 SPEC = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},
                        {"name": "ok_frac", "better": "higher", "bound": 0.1}]}
@@ -122,3 +126,23 @@ def test_workloads_filter_runs_only_the_named_workloads(bench_pairs, tmp_path, m
     assert "per-pair change" in capsys.readouterr().out
     with pytest.raises(SystemExit):
         bench_pairs.main([str(parent), str(change), "--seeds", "5", "--workloads", "a,d"])
+
+
+def test_digests_path_names_the_file_perfbench_stores(bench_pairs, tmp_path):
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    perfbench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perfbench_run)
+    root = tmp_path / "checkout"
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+    out = root / ".perfbench"
+    out.mkdir()
+    args = argparse.Namespace(workload="tr_table2", seed=7)
+    plain = {"jobs_id": "abc123", "digests": ["d0", "d1"]}
+    assert perfbench_run.stored_digests(root, out, args, plain) == []
+    written = list((out / "digests").iterdir())
+    assert written == [bench_pairs.digests_path(root, "tr_table2", 7, "abc123")]
+    assert json.loads(written[0].read_text()) == ["d0", "d1"]
+    # another source is another file
+    (root / "src" / "pkg" / "mod.py").write_text("X = 2\n")
+    assert not bench_pairs.digests_path(root, "tr_table2", 7, "abc123").exists()

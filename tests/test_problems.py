@@ -13,7 +13,6 @@ from setopt.problems import (
     UnknownProblemError,
     DerivativeTable,
     _fd_center,
-    _family,
     _grad_steps,
     _grid_2pi5,
     _grid_pi5,
@@ -84,6 +83,18 @@ def test_a_problem_needs_a_box(box):
         from_functions("p", 2, 1, fns, box)
     with pytest.raises(ValueError, match="need a box"):
         problems.SetValuedProblem("p", 2, 1, 1, box, lambda x: x @ x)
+
+
+def test_a_problem_needs_sizes_of_at_least_one():
+    # p = 0 would fail only at the first evaluation, in numpy's np.stack
+    with pytest.raises(ValueError, match=r"integer p >= 1, got 0"):
+        from_functions("e", 1, 1, [], (0.0, 1.0))
+    fns = [lambda x: np.array([x @ x])]
+    for n, m, field in [(0, 1, "n"), (-2, 1, "n"), (2, 0, "m"), (2.0, 1, "n"), (True, 1, "n")]:
+        with pytest.raises(ValueError, match=rf"integer {field} >= 1"):
+            problems.SetValuedProblem("e", n, m, 1, (np.zeros(2), np.ones(2)), lambda x: x)
+    assert problems.SetValuedProblem("e", np.int64(2), 1, 1, (np.zeros(2), np.ones(2)),
+                                     lambda x: x @ x).n == 2
 
 
 def test_box_bounds_of_another_dimension_or_of_no_width():
@@ -366,14 +377,12 @@ def test_offset_families_share_bitwise_derivatives():
         p = registry(pid)
         assert (p.offsets is None) == (pid in FULL_EVALUATORS)
         x = sample_points(p.domain_box, 1, _problem_seed(3, pid))[0]
-        jac, hess = derivatives_all(p, x)
-        assert jac.shape == (p.p, p.m, p.n) and hess.shape == (p.p, p.m, p.n, p.n)
-        counts = (_distinct_blocks(jac), _distinct_blocks(hess),
-                  _distinct_blocks(fd_jacobian_all(p, x)))
+        jac, hess, fd = *derivatives_all(p, x), fd_jacobian_all(p, x)
+        # one block for the members of an offset family, one per member otherwise
+        b = p.p if p.offsets is None else 1
+        assert jac.shape == fd.shape == (b, p.m, p.n) and hess.shape == (b, p.m, p.n, p.n), pid
         if p.offsets is None:
-            assert min(counts) > 1, pid
-        else:
-            assert counts == (1, 1, 1), pid
+            assert min(map(_distinct_blocks, (jac, hess, fd))) > 1, pid
     ex53 = registry("modified_ex53_n2_m2")
     jac, hess = derivatives_all(ex53, [0.3, -1.2])
     assert _distinct_blocks(jac) == _distinct_blocks(hess) == ex53.p
@@ -448,11 +457,11 @@ def test_batched_stencil_is_bitwise_looped(pid):
         single = p._evaluate(x)
         assert _same(p.eval_all(x), single if p.offsets is None else single + p.offsets)
         c = _fd_center(p, x, with_hessian=False)
-        assert _same(fd_jacobian_all(p, x), _family(p, _looped_jac(p, c))), x
+        assert _same(fd_jacobian_all(p, x), _looped_jac(p, c)), x
         c = _fd_center(p, x, with_hessian=True)
         jac, hess = derivatives_all(p, x)
-        assert _same(jac, _family(p, _looped_jac(p, c))), x
-        assert _same(hess, _family(p, _looped_hess(p, c))), x
+        assert _same(jac, _looped_jac(p, c)), x
+        assert _same(hess, _looped_hess(p, c)), x
 
 
 @pytest.mark.parametrize("pid", sorted(EXPECTED_IDS))

@@ -233,9 +233,10 @@ def test_theta_solves_first_tuple_of_offset_family():
     sol = theta_and_step(p, cone, x, st, 1.0, derivatives_all(p, x), box=p.domain_box)
     first = tuple(g[0] for g in st.groups)
     assert sol.a_star == first
+    # every tuple's models are the family's one block
     jac, hess = derivatives_all(p, x)
-    i = first[0] - 1
-    alone = inner_minimax(ModelSet(G=jac[[i]], H=hess[[i]]), cone, 1.0, box_shift)
+    assert jac.shape[0] == hess.shape[0] == 1
+    alone = inner_minimax(ModelSet(G=jac, H=hess), cone, 1.0, box_shift)
     assert sol.t_star == alone.t < 0.0
     assert sol.s_star.tobytes() == alone.s.tobytes()
 

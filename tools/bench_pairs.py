@@ -23,9 +23,9 @@ seed.  It also says whether the two sides left byte-identical run digests
 in ``.perfbench/digests`` for each seed.  ``--out`` writes every run and
 the summary as JSON.
 
-The digest file's name copies ``stored_digests`` in ``perfbench/run.py``
-(the jobs id that perfbench prints, and a hash of ``src``'s Python files)
-and must change with it; a missing file is an error.
+``digests_path`` names the file that ``stored_digests`` in
+``perfbench/run.py`` writes (the jobs id that perfbench prints, and a hash
+of ``src``'s Python files); a missing file is an error.
 """
 
 from __future__ import annotations
@@ -58,6 +58,16 @@ def quartiles(vals: list) -> list:
     return statistics.quantiles(vals, n=4, method="inclusive")[::2]
 
 
+def digests_path(root: Path, workload: str, seed: int, jobs_id: str) -> Path:
+    """The file in which perfbench stores the run digests of one workload
+    and seed, for the jobs id it printed and the code under ``root/src``."""
+    code = hashlib.sha256()
+    for path in sorted((root / "src").rglob("*.py")):
+        code.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+    return (root / ".perfbench" / "digests" /
+            f"{workload}-seed{seed}-{jobs_id}-{code.hexdigest()[:12]}.json")
+
+
 def perfbench(root: Path, spec: dict, workload: str, seed: int) -> tuple:
     """The JSON object on the last stdout line of one ``--trace 0`` run,
     and the file that holds the run digests it stored or compared with."""
@@ -68,11 +78,7 @@ def perfbench(root: Path, spec: dict, workload: str, seed: int) -> tuple:
     jobs = re.search(r" jobs=(\S+)", lines[0]) if lines else None
     if jobs is None or not lines[-1].startswith("{"):
         raise RuntimeError(f"{root}: {' '.join(cmd)} exited {out.returncode}: {out.stderr}")
-    code = hashlib.sha256()
-    for path in sorted((root / "src").rglob("*.py")):
-        code.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
-    digests = (root / ".perfbench" / "digests" /
-               f"{workload}-seed{seed}-{jobs[1]}-{code.hexdigest()[:12]}.json")
+    digests = digests_path(root, workload, seed, jobs[1])
     if not digests.is_file():
         raise FileNotFoundError(f"{root}: perfbench stored no run digests at {digests}")
     return json.loads(lines[-1]), digests
