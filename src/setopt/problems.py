@@ -67,7 +67,10 @@ def checked_box(box, n: int | None = None) -> tuple:
 
 def checked_integer(value, name: str, least: int | None = None) -> int:
     """``value`` as an int, once it is checked to be an integer (a numpy one
-    too, not a bool) of at least ``least`` (ValueError)."""
+    too, not a bool) of at least ``least`` (ValueError); an int passes
+    through as itself."""
+    if type(value) is int and (least is None or value >= least):
+        return value
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
@@ -266,7 +269,8 @@ def derivatives_all(problem: SetValuedProblem, x):
     hess = 0.5 * (hess + hess.swapaxes(-2, -1))
     if not (np.isfinite(jac[0]).all() and np.isfinite(hess).all()):
         raise _non_finite(problem.name, x, "derivative")
-    return jac[0], hess
+    # a copy: the view jac[0] would keep all 2n + 1 stencil Jacobians alive
+    return jac[0].copy(), hess
 
 
 class DerivativeTable:

@@ -82,28 +82,41 @@ class SolverConfig:
         for name in ("nu", "sigma", "rho_armijo"):
             if not (0.0 < getattr(self, name) < 1.0):
                 raise ValueError(f"need 0 < {name} < 1, got {getattr(self, name)!r}")
-        if not (type(self.n_memory) is int and 0 <= self.n_memory):
-            raise ValueError(f"need an integer n_memory >= 0, got {self.n_memory!r}")
-        if not (type(self.it_max) is int and 1 <= self.it_max):
-            raise ValueError(f"need an integer it_max >= 1, got {self.it_max!r}")
+        n_memory = problems.checked_integer(self.n_memory, "n_memory", 0)
+        it_max = problems.checked_integer(self.it_max, "it_max", 1)
+        if n_memory is not self.n_memory or it_max is not self.it_max:
+            # a numpy integer is stored as its int (an int comes back as itself)
+            object.__setattr__(self, "n_memory", n_memory)
+            object.__setattr__(self, "it_max", it_max)
         if not (0.0 < self.eps < np.inf):
             raise ValueError(f"need 0 < eps < inf, got {self.eps!r}")
 
 
 @dataclass
 class IterationRecord:
+    """One iteration of ``run``: x_k, the radius (trust region) or Armijo
+    step (SD/CG; 0 when the search failed), t, the tuple a, the ratios,
+    acceptance and |x_{k+1} - x_k|.  ``x`` is one of the run's read-only
+    iterates, not a copy: a later record or ``RunResult.final_point`` may
+    hold the same array, and none holds the caller's x0.  ``rho`` is the
+    read-only float64 array that ``reduction_ratios`` returned, one ratio
+    per member of a; SD/CG records share one empty read-only array."""
+
     k: int
     x: np.ndarray
     omega: float
     t: float
     a: tuple
-    rho: tuple
+    rho: np.ndarray
     accepted: bool
     step_norm: float
 
 
 @dataclass
 class RunResult:
+    """A run's outcome and trace (``IterationRecord``s).  ``final_point``
+    is the run's last iterate, a read-only array that a record may share."""
+
     converged: bool
     iterations: int
     wall_time: float
@@ -220,16 +233,19 @@ def reduction_ratios(memory: NonMonotoneMemory, F_new: np.ndarray, a: tuple,
     return -cone.scalarize_rows(F_new[idx] - memory.reference[idx]) / pred
 
 
-def accept_and_update(rho: tuple, omega: float, config: SolverConfig):
-    """Step acceptance and the deterministic radius update from the tuple
-    of ratios.
+def accept_and_update(rho, omega: float, config: SolverConfig):
+    """Step acceptance and the deterministic radius update from the ratios,
+    an array (``reduction_ratios``') or any sequence of floats.
 
     All ratios >= eta2 doubles the radius (capped); acceptance with some
     ratio below eta2 keeps it; rejection shrinks to the midpoint of
-    [gamma1 omega, gamma2 omega].  A NaN ratio passes neither test.
+    [gamma1 omega, gamma2 omega].  Both tests read the least ratio, which
+    is NaN when a ratio is, so a NaN ratio passes neither test; an empty
+    set of ratios passes both.
     """
-    accepted = all(r >= config.eta1 for r in rho)
-    if accepted and all(r >= config.eta2 for r in rho):
+    least = float(np.minimum.reduce(np.asarray(rho, dtype=float), initial=np.inf))
+    accepted = least >= config.eta1
+    if accepted and least >= config.eta2:
         omega_next = min(2.0 * omega, config.omega_max)
     elif accepted:
         omega_next = omega
@@ -303,6 +319,10 @@ def _armijo_step(problem: SetValuedProblem, cone: Cone, x: np.ndarray, d: np.nda
 def _read_only(*arrays) -> None:
     for a in arrays:
         a.flags.writeable = False
+
+
+_NO_RATIOS = np.empty(0)
+_read_only(_NO_RATIOS)
 
 
 @dataclass(eq=False, slots=True)
@@ -490,14 +510,16 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     the conjugate direction (CG); a failed search along v, which would
     fail again, ends the run with the diagnostic "line_search_failed", and
     one along a conjugate direction restarts CG from v.  Iterates always
-    stay inside the domain box; an x0 that is not finite or lies outside it,
-    or a cone in another R^m than the family's image space, raises
-    ValueError.  A failure at a point (``DomainError`` from a value
-    or derivative, ``PartitionCapError``, ``InnerSolveFailure`` when no
-    tuple's step problem is solved, or ``SolverInternalError`` from a
-    nonpositive predicted reduction) ends the run unconverged, with the
-    exception as its diagnostic and the last t as ``final_t`` (NaN when it
-    failed before any t).  Every evaluation, partition, step (with its
+    stay inside the domain box, and are read-only arrays that the records
+    and the result hold without a copy (x0 is copied once, on entry); an
+    x0 that is not finite or lies outside it, or a cone in another R^m
+    than the family's image space, raises ValueError.  A failure at a
+    point (``DomainError`` from a value or derivative,
+    ``PartitionCapError``, ``InnerSolveFailure`` when no tuple's step
+    problem is solved, or ``SolverInternalError`` from a nonpositive
+    predicted reduction) ends the run unconverged, with the exception as
+    its diagnostic and the last t as ``final_t`` (NaN when it failed
+    before any t).  Every evaluation, partition, step (with its
     predicted reductions) and line search goes through ``memo`` (a private
     one when None is given), so a run that reads a step another run took
     computes only the trial point clip(x + s*, box), its own reference,
@@ -505,7 +527,8 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     ValueError.
     """
     lo, hi = problem.domain_box
-    x = np.asarray(x0, dtype=float).reshape(problem.n)
+    x = np.asarray(x0, dtype=float).reshape(problem.n).copy()  # an array of its own, no view
+    _read_only(x)
     if not (np.isfinite(x).all() and ((lo <= x) & (x <= hi)).all()):
         raise ValueError("x0 must be finite and lie inside the domain box")
     problem.check_cone(cone)
@@ -538,8 +561,10 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
             if trust_region:
                 memory.begin_iteration(F_x, a)
                 x_trial = (x + sol.s_star).clip(lo, hi)
+                _read_only(x_trial)
                 F_new = memo.values(x_trial, ledger)
-                rho = tuple(reduction_ratios(memory, F_new, a, pred, cone).tolist())
+                rho = reduction_ratios(memory, F_new, a, pred, cone)
+                _read_only(rho)
         except (DomainError, PartitionCapError, InnerSolveFailure, SolverInternalError) as exc:
             diagnostic = f"{type(exc).__name__}: {exc}"
             break
@@ -569,13 +594,13 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
             (step, x_trial), shared = memo.armijo(x, d, idx, F_x, slopes, backtracking, cone,
                                                   config, ledger)
             accepted = step is not None
-            rho = ()
+            rho = _NO_RATIOS
             omega_k = step if accepted else 0.0
             # restart CG after a failed line search; one along v ends the run below
             d_prev, v_prev = (d, v) if accepted else (None, None)
             details = {"direction": v}
         record = IterationRecord(
-            k=k, x=x.copy(), omega=omega_k, t=t, a=a, rho=rho, accepted=accepted,
+            k=k, x=x, omega=omega_k, t=t, a=a, rho=rho, accepted=accepted,
             step_norm=_norm(x_trial - x) if accepted else 0.0,
         )
         trace.append(record)
@@ -592,7 +617,7 @@ def run(problem: SetValuedProblem, cone: Cone, x0, config: SolverConfig,
     norms = [r.step_norm for r in trace]
     return RunResult(
         converged=converged, iterations=len(trace), wall_time=wall, cpu_time=cpu,
-        final_point=np.array(x), final_t=t, trace=trace, algorithm=config.variant,
+        final_point=x, final_t=t, trace=trace, algorithm=config.variant,
         final_omega=omega, mean_step_size=float(np.mean(norms)) if norms else 0.0,
         diagnostic=diagnostic, shared_steps=shared_steps,
     )

@@ -1,8 +1,8 @@
 """``tools/bench_pairs.py`` summarises alternating parent/change benchmark
 runs: its seed ranges, its workload filter, and per metric the medians,
-inclusive quartiles, the parent's spread, the per-pair change/parent ratios
-and the pairs the change won.  It reads the run digests from the file that
-perfbench writes."""
+inclusive quartiles, the parent's spread, the per-pair change/parent ratios,
+the pairs the change won and the verdict.  It reads the run digests from the
+file that perfbench writes."""
 
 import argparse
 import importlib
@@ -73,6 +73,31 @@ def test_summarise(bench_pairs):
     assert b["ok_frac"]["change_better_pairs"] == 0 and b["ok_frac"]["pairs"] == 1
     assert b["wall_s"]["pair_ratio_median"] == 0.5
     assert b["wall_s"]["pair_ratio_quartiles"] == [0.5, 0.5]
+
+
+def test_verdict(bench_pairs):
+    parent = [10.0 + i for i in range(10)]  # median 14.5, inclusive quartiles 12.25 and 16.75
+    wall = {
+        # 9/10 pairs won and the median 5 lower, beyond the parent's spread of 4.5
+        "gain": [p - 5.0 for p in parent[:9]] + [parent[9] + 1.0],
+        # 10/10 won, but the median only 1 lower
+        "close": [p - 1.0 for p in parent],
+        # the median 5 lower, but only 8/10 won
+        "eight": [p - 5.0 for p in parent[:8]] + [p + 1.0 for p in parent[8:]],
+        # the median 30% higher, beyond the 25% bound
+        "worse": [1.3 * p for p in parent],
+    }
+    # higher is better: 9/10 won with no parent spread; a fall of 15% beyond the 10% bound
+    ok = {"gain": [0.6] * 9 + [0.4], "close": [0.5] * 10, "eight": [0.5] * 10,
+          "worse": [0.425] * 10}
+    runs = [_pair(w, wall_s=(p, c), ok_frac=(0.5, o))
+            for w in wall for p, c, o in zip(parent, wall[w], ok[w])]
+    summary = bench_pairs.summarise(runs, SPEC)
+    assert {w: summary[w]["wall_s"]["verdict"] for w in wall} == {
+        "gain": "gain", "close": "within noise", "eight": "within noise", "worse": "worse"}
+    assert {w: summary[w]["ok_frac"]["verdict"] for w in ok} == {
+        "gain": "gain", "close": "within noise", "eight": "within noise", "worse": "worse"}
+    assert summary["eight"]["wall_s"]["change_better_pairs"] == 8
 
 
 def test_pair_ratios_leave_out_a_zero_parent(bench_pairs):

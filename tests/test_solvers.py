@@ -61,6 +61,18 @@ def test_config_validation():
             SolverConfig(**{field: value})
 
 
+def test_config_stores_numpy_integer_counts_as_int():
+    config = SolverConfig(n_memory=np.int32(3), it_max=np.int64(100))
+    assert type(config.n_memory) is int and type(config.it_max) is int
+    assert (config.n_memory, config.it_max) == (3, 100)
+    assert config == SolverConfig(n_memory=3, it_max=100)
+    for field, least in (("n_memory", 0), ("it_max", 1)):
+        for value in (True, 2.0, -1, np.int64(least - 1)):
+            with pytest.raises(ValueError) as info:
+                SolverConfig(**{field: value})
+            assert str(info.value) == f"need an integer {field} >= {least}, got {value!r}"
+
+
 def test_accept_and_update_examples():
     cfg = SolverConfig()
     accepted, omega = accept_and_update((0.9, 0.8), 1.0, cfg)
@@ -1026,6 +1038,56 @@ def test_nonpositive_prediction_ends_every_run_and_is_not_stored(monkeypatch):
     assert shared[0].converged and shared[0].shared_steps == 0
 
 
+def _accept_looped(rho: tuple, omega: float, config: SolverConfig):
+    """``accept_and_update`` as a loop over a tuple of ratios: the reference."""
+    accepted = all(r >= config.eta1 for r in rho)
+    if accepted and all(r >= config.eta2 for r in rho):
+        return accepted, min(2.0 * omega, config.omega_max)
+    if accepted:
+        return accepted, omega
+    return accepted, 0.5 * (config.gamma1 + config.gamma2) * omega
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_trace_holds_the_runs_read_only_arrays(variant):
+    # rosenbrock_n4_m3 start 0: 10 members per tuple, accepted and rejected steps
+    p = registry("rosenbrock_n4_m3")
+    cone = orthant(p.m)
+    x0 = sample_points(p.domain_box, 1, _problem_seed(40, p.name))[0]
+    caller = x0.copy()
+    config = SolverConfig(variant=variant, it_max=10)
+    events = []
+    res = run(p, cone, x0, config, observer=events.append)
+    assert res.iterations > 1 and x0.tobytes() == caller.tobytes() and x0.flags.writeable
+    for x in [r.x for r in res.trace] + [res.final_point]:
+        assert not x.flags.writeable and not np.shares_memory(x, x0)
+    assert res.trace[0].x.tobytes() == x0.tobytes()
+    if variant in ("sd", "cg"):
+        empty = res.trace[0].rho
+        assert empty.shape == (0,) and empty.dtype == np.float64 and not empty.flags.writeable
+        assert all(r.rho is empty for r in res.trace)
+        return
+    assert any(not r.accepted for r in res.trace) or variant == "max"  # max accepts all 5
+    for event in events:
+        record, sol = event["record"], event["solution"]
+        memory = NonMonotoneMemory(variant, 0, 0.0)
+        memory.reference = event["reference_full"]
+        rho = reduction_ratios(memory, event["F_new"], record.a,
+                               predicted_reductions(sol.s_star, sol.models, cone), cone)
+        assert record.rho.dtype == np.float64 and not record.rho.flags.writeable
+        assert record.rho.shape == (len(record.a),) == (10,)
+        assert record.rho.tobytes() == rho.tobytes()
+        decision = accept_and_update(record.rho, record.omega, config)
+        assert decision == _accept_looped(tuple(record.rho.tolist()), record.omega, config)
+        assert decision[0] == record.accepted
+    nan = float("nan")
+    for ratios in ([nan], [0.9, nan], [nan, 0.5], [], [-0.2, 0.9], [0.5, 0.9], [0.8, 0.99]):
+        rho = np.array(ratios, dtype=float)
+        rho.flags.writeable = False
+        assert (accept_and_update(rho, 1.0, config)
+                == _accept_looped(tuple(rho.tolist()), 1.0, config))
+
+
 # -- offset families ------------------------------------------------------------
 
 def _member_rows(problem, a):
@@ -1164,10 +1226,10 @@ def _full_solves(monkeypatch):
 
 
 def _trace_bytes(res):
-    """Everything of a run but its final t: the records, the end point and
-    the counts."""
+    """Everything of a run but its final t: the records (the ratios as
+    their bytes), the end point and the counts."""
     records = [(r.k, r.x.tobytes(), np.float64(r.omega).tobytes(), np.float64(r.t).tobytes(),
-                r.a, r.rho, r.accepted, r.step_norm) for r in res.trace]
+                r.a, r.rho.tobytes(), r.accepted, r.step_norm) for r in res.trace]
     return (records, res.final_point.tobytes(), res.iterations, res.converged,
             res.diagnostic, res.shared_steps)
 

@@ -16,7 +16,11 @@ quartiles, the parent's quartile spread as a percentage of its median, the
 change in the median in percent, the median and quartiles of the per-pair
 change (change over parent minus 1, in percent; pairs whose parent value is
 0 are left out), and the pairs the change won (ties count for neither
-side); better and bound come from ``BENCHMARK.json``.  The per-pair change
+side); better and bound come from ``BENCHMARK.json``.  Its verdict is
+*gain* when the change won at least 9 of every 10 pairs and its median is
+better than the parent's by more than the parent's quartile spread,
+*worse* when its median is worse than the parent's by more than the bound,
+and *within noise* otherwise.  The per-pair change
 sets a gain against the noise between the two runs of a pair, where the
 parent's spread also holds how much the workload changes from seed to
 seed.  It also says whether the two sides left byte-identical run digests
@@ -86,7 +90,7 @@ def perfbench(root: Path, spec: dict, workload: str, seed: int) -> tuple:
 
 def summarise(runs: list, spec: dict) -> dict:
     """Per workload and metric: medians, quartiles, % change, per-pair
-    change/parent ratios, pairs won."""
+    change/parent ratios, pairs won and the verdict."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = [r for r in runs if r["workload"] == workload]
@@ -98,20 +102,28 @@ def summarise(runs: list, spec: dict) -> dict:
             quart = {side: quartiles(vals[side]) for side in SIDES}
             ratios = [c / p for p, c in zip(vals["parent"], vals["change"]) if p]
             base = med["parent"]
+            spread = quart["parent"][1] - quart["parent"][0]
+            won = sum(sign * (c - p) < 0.0 for p, c in zip(vals["parent"], vals["change"]))
+            change_pct = 100.0 * (med["change"] / base - 1.0) if base else 0.0
+            if 10 * won >= 9 * len(pairs) and sign * (base - med["change"]) > spread:
+                verdict = "gain"
+            elif sign * change_pct > 100.0 * metric["bound"]:
+                verdict = "worse"
+            else:
+                verdict = "within noise"
             summary[workload][name] = {
                 "parent_median": base,
                 "parent_quartiles": quart["parent"],
                 "change_median": med["change"],
                 "change_quartiles": quart["change"],
-                "change_pct": 100.0 * (med["change"] / base - 1.0) if base else 0.0,
-                "parent_iqr_pct": 100.0 * (quart["parent"][1] - quart["parent"][0]) / base
-                if base else 0.0,
+                "change_pct": change_pct,
+                "parent_iqr_pct": 100.0 * spread / base if base else 0.0,
                 "pair_ratio_median": statistics.median(ratios) if ratios else None,
                 "pair_ratio_quartiles": quartiles(ratios) if ratios else None,
-                "change_better_pairs": sum(sign * (c - p) < 0.0
-                                           for p, c in zip(vals["parent"], vals["change"])),
+                "change_better_pairs": won,
                 "pairs": len(pairs),
                 "bound_pct": 100.0 * metric["bound"],
+                "verdict": verdict,
             }
     return summary
 
@@ -152,7 +164,7 @@ def main(argv=None) -> int:
         print(f"{workload} ({len([r for r in runs if r['workload'] == workload])} pairs)")
         print(f"  {'metric':<16} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36} "
               f"{'change':>8} {'p.IQR':>7} {'per-pair change [q1, q3]':>26} {'won':>5} "
-              f"{'bound':>6}")
+              f"{'bound':>6}  verdict")
         for name, m in metrics.items():
             cells = [f"{m[f'{side}_median']:.4g} [{m[f'{side}_quartiles'][0]:.4g}, "
                      f"{m[f'{side}_quartiles'][1]:.4g}]" for side in SIDES]
@@ -161,7 +173,8 @@ def main(argv=None) -> int:
                 + ", ".join(f"{100.0 * (q - 1.0):+.1f}" for q in m["pair_ratio_quartiles"]) + "]")
             print(f"  {name:<16} {cells[0]:>36} {cells[1]:>36} {m['change_pct']:>+7.1f}% "
                   f"{m['parent_iqr_pct']:>6.1f}% {ratio:>26} "
-                  f"{m['change_better_pairs']:>2}/{m['pairs']:<2} {m['bound_pct']:>5.0f}%")
+                  f"{m['change_better_pairs']:>2}/{m['pairs']:<2} {m['bound_pct']:>5.0f}%  "
+                  f"{m['verdict']}")
         equal = [r["digests_equal"] for r in runs if r["workload"] == workload]
         print(f"  digests byte-identical in {sum(equal)} of {len(equal)} pairs")
     if args.out:

@@ -36,7 +36,7 @@ def _flips(events: list, cone, config: SolverConfig) -> int:
         idx = [ai - 1 for ai in record.a]
         pred = cone.scalarize_rows(-sol.models.values(sol.s_star))
         rho = -cone.scalarize_rows(event["F_new"][idx] - event["reference_full"][idx]) / pred
-        flips += (accept_and_update(tuple(rho.tolist()), record.omega, config)
+        flips += (accept_and_update(rho, record.omega, config)
                   != accept_and_update(record.rho, record.omega, config))
     return flips
 
